@@ -18,10 +18,7 @@
 use crate::Substitution;
 use powder_library::CellId;
 use powder_netlist::{Conn, GateId, GateKind, Netlist};
-use powder_sim::{
-    branch_observability, branch_observability_scoped, stem_observability_all,
-    stem_observability_scoped, CellCovers, SimValues,
-};
+use powder_sim::{observability_sweep, CellCovers, SimValues};
 // Ordered maps throughout: candidate generation must be a pure function
 // of the netlist and simulation values with no dependence on hash-map
 // iteration order, because the optimizer's commit arbiter identifies
@@ -244,38 +241,13 @@ pub fn generate_candidates_scoped(
     config: &CandidateConfig,
     scope: Option<&CandidateScope>,
 ) -> Vec<Substitution> {
-    // Topological positions, shared by every scoped propagation below
-    // (the unscoped path computes its own inside `powder_sim`).
-    let pos: Option<Vec<u32>> = scope.map(|_| {
-        let mut pos = vec![u32::MAX; nl.id_bound()];
-        for (i, g) in nl.topo_order().into_iter().enumerate() {
-            pos[g.0 as usize] = i as u32;
-        }
-        pos
-    });
-    // Observability masks are only ever read for scope sources (IS
-    // branch drivers) and scope targets (OS stems), and a scoped call
-    // measures them window-locally (escaping edges count as observed —
-    // the same over-approximation as the scoped permissibility proof),
-    // so the whole-netlist `O(Σ |TFO| · words)` sweep is skipped — the
-    // point of windowing on large netlists.
-    let obs = match scope {
-        None => stem_observability_all(nl, covers, values),
-        Some(s) => {
-            let pos = pos.as_deref().expect("computed for scoped calls");
-            let mut out = vec![Vec::new(); nl.id_bound()];
-            for id in nl.iter_live() {
-                if matches!(nl.kind(id), GateKind::Output) {
-                    continue;
-                }
-                if s.is_source(id) || s.is_target(id) {
-                    out[id.0 as usize] =
-                        stem_observability_scoped(nl, covers, values, id, &s.sources, pos);
-                }
-            }
-            out
-        }
-    };
+    // Observability masks of every stem and branch, from one sweep. Masks
+    // are only ever read for scope sources (IS branch drivers) and scope
+    // targets (OS stems), so a scoped call sweeps just the window and
+    // measures it window-locally: edges leaving the scope count as
+    // observed, the same over-approximation as the scoped permissibility
+    // proof.
+    let obs = observability_sweep(nl, covers, values, scope.map(|s| s.sources.as_slice()));
     let mut out: Vec<Substitution> = Vec::new();
     let is_target = |g: GateId| scope.is_none_or(|s| s.is_target(g));
 
@@ -286,11 +258,15 @@ pub fn generate_candidates_scoped(
         .filter(|&g| scope.is_none_or(|s| s.is_source(g)))
         .collect();
 
-    // Exact-signature index for XOR/XNOR partner lookup.
-    let mut sig_index: BTreeMap<Vec<u64>, Vec<GateId>> = BTreeMap::new();
+    // Exact-signature index for XOR/XNOR partner lookup, keyed by the
+    // borrowed signatures themselves.
+    let mut sig_index: BTreeMap<&[u64], Vec<GateId>> = BTreeMap::new();
     for &s in &sources {
-        sig_index.entry(values.get(s).to_vec()).or_default().push(s);
+        sig_index.entry(values.get(s)).or_default().push(s);
     }
+    // Lookup keys sig(a) ^ sig(b) and its complement, reused across `b`.
+    let mut xor_key = vec![0u64; values.words()];
+    let mut xnor_key = vec![0u64; values.words()];
 
     let pair_cells = PairCells::detect(nl);
 
@@ -322,7 +298,7 @@ pub fn generate_candidates_scoped(
         if !matches!(nl.kind(a), GateKind::Cell(_)) || nl.fanouts(a).is_empty() || !is_target(a) {
             continue;
         }
-        let care = &obs[a.0 as usize];
+        let care = obs.stem(a).expect("sources have stem masks");
         if care.iter().all(|&w| w == 0) {
             // a is never observable on these patterns; substituting it by a
             // constant-ish signal would pass any filter but such fully
@@ -488,20 +464,14 @@ pub fn generate_candidates_scoped(
                 && (pair_cells.xor2.is_some() || pair_cells.xnor2.is_some())
             {
                 'xor_scan: for &b in &pool {
-                    let target: Vec<u64> = sig_a
-                        .iter()
-                        .zip(values.get(b))
-                        .map(|(&x, &y)| x ^ y)
-                        .collect();
-                    for (cell, key) in [
-                        (pair_cells.xor2, target.clone()),
-                        (
-                            pair_cells.xnor2,
-                            target.iter().map(|&w| !w).collect::<Vec<u64>>(),
-                        ),
-                    ] {
+                    for (i, (&x, &y)) in sig_a.iter().zip(values.get(b)).enumerate() {
+                        xor_key[i] = x ^ y;
+                        xnor_key[i] = !(x ^ y);
+                    }
+                    for (cell, key) in [(pair_cells.xor2, &xor_key), (pair_cells.xnor2, &xnor_key)]
+                    {
                         let Some(cell) = cell else { continue };
-                        if let Some(cands) = sig_index.get(&key) {
+                        if let Some(cands) = sig_index.get(key.as_slice()) {
                             for &c in cands {
                                 if c != a && c != b && !forbidden.contains(c) {
                                     push(Substitution::Os3 { a, cell, b, c }, &mut kept);
@@ -519,11 +489,16 @@ pub fn generate_candidates_scoped(
 
     // ---------------- input substitutions (IS2 / IS3) ----------------
     if config.enable_is2 || config.enable_is3 {
-        let branch_list: Vec<(GateId, Conn)> = sources
+        let branch_list: Vec<(GateId, usize, Conn)> = sources
             .iter()
-            .flat_map(|&a| nl.fanouts(a).iter().map(move |&conn| (a, conn)))
+            .flat_map(|&a| {
+                nl.fanouts(a)
+                    .iter()
+                    .enumerate()
+                    .map(move |(k, &conn)| (a, k, conn))
+            })
             .collect();
-        for (a, conn) in branch_list {
+        for (a, k, conn) in branch_list {
             if matches!(nl.kind(conn.gate), GateKind::Output) {
                 // Rewiring a PO branch is an output substitution in
                 // disguise; OS2 handles it with full bookkeeping.
@@ -532,22 +507,7 @@ pub fn generate_candidates_scoped(
             if !is_target(conn.gate) {
                 continue;
             }
-            let care = if nl.fanouts(a).len() == 1 {
-                obs[a.0 as usize].clone()
-            } else {
-                match scope {
-                    Some(s) => branch_observability_scoped(
-                        nl,
-                        covers,
-                        values,
-                        a,
-                        conn,
-                        &s.sources,
-                        pos.as_deref().expect("computed for scoped calls"),
-                    ),
-                    None => branch_observability(nl, covers, values, a, conn),
-                }
-            };
+            let care = obs.branch(a, k).expect("sources have branch masks");
             if care.iter().all(|&w| w == 0) {
                 continue;
             }
@@ -564,7 +524,7 @@ pub fn generate_candidates_scoped(
                         continue;
                     }
                     let sig_b = values.get(b);
-                    if compatible(sig_a, sig_b, &care, false) {
+                    if compatible(sig_a, sig_b, care, false) {
                         out.push(Substitution::Is2 {
                             sink: conn.gate,
                             pin: conn.pin,
@@ -572,7 +532,7 @@ pub fn generate_candidates_scoped(
                             invert: false,
                         });
                         kept += 1;
-                    } else if config.enable_inverted && compatible(sig_a, sig_b, &care, true) {
+                    } else if config.enable_inverted && compatible(sig_a, sig_b, care, true) {
                         out.push(Substitution::Is2 {
                             sink: conn.gate,
                             pin: conn.pin,
@@ -600,7 +560,7 @@ pub fn generate_candidates_scoped(
                     let s_and: Vec<GateId> = pool
                         .iter()
                         .copied()
-                        .filter(|&s| covers_onset(sig_a, values.get(s), &care))
+                        .filter(|&s| covers_onset(sig_a, values.get(s), care))
                         .take(config.pair_pool_cap)
                         .collect();
                     'is3_and: for (i, &b) in s_and.iter().enumerate() {
@@ -609,7 +569,7 @@ pub fn generate_candidates_scoped(
                                 .iter()
                                 .zip(values.get(b))
                                 .zip(values.get(c))
-                                .zip(&care)
+                                .zip(care)
                                 .all(|(((&a_w, &b_w), &c_w), &m)| ((b_w & c_w) ^ a_w) & m == 0);
                             if ok {
                                 out.push(Substitution::Is3 {
@@ -632,7 +592,7 @@ pub fn generate_candidates_scoped(
                         let s_or: Vec<GateId> = pool
                             .iter()
                             .copied()
-                            .filter(|&s| avoids_offset(sig_a, values.get(s), &care))
+                            .filter(|&s| avoids_offset(sig_a, values.get(s), care))
                             .take(config.pair_pool_cap)
                             .collect();
                         'is3_or: for (i, &b) in s_or.iter().enumerate() {
@@ -641,7 +601,7 @@ pub fn generate_candidates_scoped(
                                     .iter()
                                     .zip(values.get(b))
                                     .zip(values.get(c))
-                                    .zip(&care)
+                                    .zip(care)
                                     .all(|(((&a_w, &b_w), &c_w), &m)| ((b_w | c_w) ^ a_w) & m == 0);
                                 if ok {
                                     out.push(Substitution::Is3 {

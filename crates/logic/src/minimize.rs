@@ -6,7 +6,7 @@
 //! two-level engine plays in the paper's experimental setup.
 
 use crate::{Cube, Sop, TruthTable};
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 /// Functions with at most this many variables are minimised exactly with
 /// Quine–McCluskey; larger ones use the heuristic path.
@@ -61,7 +61,9 @@ pub fn quine_mccluskey(tt: &TruthTable) -> Sop {
 
     // Generation: repeatedly merge adjacent cubes; unmerged cubes are prime.
     let mut current: HashSet<Cube> = tt.minterms().map(|m| Cube::minterm(m, vars)).collect();
-    let mut primes: HashSet<Cube> = HashSet::new();
+    // Ordered, because the prime order reaches the greedy cover's
+    // tie-breaks: a hash set would make the result vary run to run.
+    let mut primes: BTreeSet<Cube> = BTreeSet::new();
     while !current.is_empty() {
         let cubes: Vec<Cube> = current.iter().copied().collect();
         let mut merged_flag = vec![false; cubes.len()];
@@ -105,7 +107,7 @@ fn cover_greedy(tt: &TruthTable, primes: Vec<Cube>) -> Sop {
         })
         .collect();
 
-    let mut chosen: HashSet<usize> = HashSet::new();
+    let mut chosen: BTreeSet<usize> = BTreeSet::new();
     let mut covered = vec![false; minterms.len()];
 
     // Essential primes: sole cover of some minterm.

@@ -588,10 +588,15 @@ mod tests {
         let before = snapshot().counter("obs.test.counter_a");
         c.add(3);
         c.inc();
-        // Contributions from scoped worker threads fold in on exit.
+        // Scoped worker threads fold their contributions in with an
+        // explicit flush: `thread::scope` can return before their TLS
+        // destructors run.
         std::thread::scope(|s| {
             for _ in 0..4 {
-                s.spawn(|| c.add(10));
+                s.spawn(|| {
+                    c.add(10);
+                    crate::flush_thread();
+                });
             }
         });
         let after = snapshot().counter("obs.test.counter_a");
@@ -603,8 +608,14 @@ mod tests {
         let g = Gauge::register("obs.test.gauge_a");
         g.set(2.0);
         std::thread::scope(|s| {
-            s.spawn(|| g.set(5.0));
-            s.spawn(|| g.set(3.0));
+            s.spawn(|| {
+                g.set(5.0);
+                crate::flush_thread();
+            });
+            s.spawn(|| {
+                g.set(3.0);
+                crate::flush_thread();
+            });
         });
         assert!(snapshot().gauge("obs.test.gauge_a") >= 5.0);
     }

@@ -6,10 +6,16 @@
 //!
 //! * [`Patterns`] — packed random input vectors, 64 per machine word;
 //! * [`simulate`] — evaluates every gate, producing per-signal *signatures*;
-//! * [`stem_observability`] / [`branch_observability`] — exact per-pattern
-//!   observability masks computed by forward difference propagation (the
-//!   bit-parallel equivalent of simulating the stuck-at fault pair at the
-//!   signal);
+//! * [`observability_sweep`] — exact per-pattern observability masks of
+//!   every stem and branch (the bit-parallel equivalent of simulating the
+//!   stuck-at fault pair at the signal) in one reverse-topological sweep:
+//!   a per-pattern chain rule through each branch's sink, which is exact
+//!   bit by bit, and explicit forward propagation only from stems with
+//!   several fanouts, whose flips may reconverge and cancel. A scoped sweep
+//!   counts a difference as observed once it reaches an in-scope primary
+//!   output or any edge leaving the scope. [`stem_observability`] /
+//!   [`branch_observability`] give one signal's masks from a sweep over
+//!   its fanout cone;
 //! * [`ones_fraction`] — Monte-Carlo signal probabilities used to
 //!   cross-check the analytic estimator in `powder-power`.
 //!
@@ -30,8 +36,8 @@ mod simulate;
 
 pub use covers::CellCovers;
 pub use observe::{
-    branch_observability, branch_observability_scoped, stem_observability, stem_observability_all,
-    stem_observability_scoped,
+    branch_observability, observability_sweep, stem_observability, stem_observability_all,
+    ObservabilityMasks,
 };
 pub use patterns::Patterns;
 pub use simulate::{ones_fraction, resimulate_cone, simulate, SavedValues, SimValues};

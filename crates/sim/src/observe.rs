@@ -1,16 +1,369 @@
-//! Exact per-pattern observability by forward difference propagation.
+//! Exact per-pattern observability masks.
 //!
 //! The observability mask of a signal has bit `t` set iff flipping the
 //! signal's value on pattern `t` flips at least one primary output — the
 //! bit-parallel analogue of fault-simulating the stuck-at fault pair at the
 //! signal, as used by the candidate-generation machinery of refs \[2,5\].
+//!
+//! # One sweep for every stem and branch
+//!
+//! [`observability_sweep`] computes the mask of every stem and every
+//! branch in one reverse-topological pass, by critical path tracing
+//! (Abramovici, Menon & Miller, DAC 1983):
+//!
+//! * **Chain rule.** Flipping branch `a → g.p` changes only what pin `p`
+//!   of `g` sees, so
+//!   `obs(a→g.p) = obs(g) & (eval_g(fanins) ^ eval_g(fanins with pin p flipped))`.
+//!   This is exact bit by bit, not an approximation: patterns are
+//!   independent, and on a pattern where `g` flips, everything downstream
+//!   sees exactly a flip of `g`, whose mask the sweep already holds. A
+//!   branch into a primary output is observable on every pattern, and a
+//!   stem with a single fanout is its one branch.
+//! * **Reconvergent stems.** A stem with several fanouts flips all its
+//!   branches at once; the flips can meet again and cancel, so the OR of
+//!   its branch masks may overstate it. Only these stems are propagated
+//!   forward, event-driven in topological position over flat scratch
+//!   buffers shared by all stems. Propagation stops as soon as the whole
+//!   difference funnels through one pending gate `h`: from there on it is
+//!   exactly a flip of `h` on the changed patterns, so the rest is
+//!   `diff(h) & obs(h)`.
+//!
+//! # Scoped sweeps
+//!
+//! Given a scope mask (a window of the netlist), the sweep measures
+//! window-local observability: a difference counts as observed the moment
+//! it reaches a primary output inside the scope *or any edge leaving it*.
+//! This over-approximates true observability — logic outside the window
+//! might mask the difference — which is exactly the convention of the
+//! window-local permissibility proof (`powder_atpg::CheckArena::check_scoped`):
+//! the filter never rejects a candidate the scoped proof could accept. The
+//! sweep's word buffers are sized to the scope, so a windowed call does
+//! work independent of the netlist size.
+//!
+//! The single-signal [`stem_observability`] and [`branch_observability`]
+//! run the sweep scoped to the signal's transitive fanout. That cone is
+//! closed under fanout edges, so nothing escapes it but at primary outputs
+//! and the masks are exact.
 
 use crate::{CellCovers, SimValues};
 use powder_netlist::{Conn, GateId, GateKind, Netlist};
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// Sentinel of [`ObservabilityMasks`]' position map: no mask.
+const NONE: u32 = u32::MAX;
+
+/// Observability masks of every stem and every branch of a netlist, or of
+/// one scope of it, computed by [`observability_sweep`].
+#[derive(Clone, Debug)]
+pub struct ObservabilityMasks {
+    words: usize,
+    /// `GateId.0` → position in the sweep's topological order; [`NONE`]
+    /// for primary outputs and dead or out-of-scope gates.
+    pos: Vec<u32>,
+    /// Stem masks, `words` per position.
+    stems: Vec<u64>,
+    /// First branch slot per position, plus one end marker; a gate's
+    /// branches follow its [`Netlist::fanouts`] order.
+    first_branch: Vec<u32>,
+    /// Branch masks, `words` per slot.
+    branches: Vec<u64>,
+}
+
+impl ObservabilityMasks {
+    fn position(&self, g: GateId) -> Option<usize> {
+        match self.pos.get(g.0 as usize) {
+            Some(&p) if p != NONE => Some(p as usize),
+            _ => None,
+        }
+    }
+
+    /// Mask of stem `g`: flipping `g` on all its branches at once. `None`
+    /// for primary outputs and for dead or out-of-scope gates.
+    #[must_use]
+    pub fn stem(&self, g: GateId) -> Option<&[u64]> {
+        let p = self.position(g)?;
+        Some(&self.stems[p * self.words..][..self.words])
+    }
+
+    /// Mask of branch `k` of stem `g` — the `k`-th entry of
+    /// `nl.fanouts(g)` — flipping the value that one sink pin sees.
+    /// `None` where [`ObservabilityMasks::stem`] is, or if `g` has no
+    /// branch `k`.
+    #[must_use]
+    pub fn branch(&self, g: GateId, k: usize) -> Option<&[u64]> {
+        let p = self.position(g)?;
+        let slot = self.first_branch[p] as usize + k;
+        (slot < self.first_branch[p + 1] as usize)
+            .then(|| &self.branches[slot * self.words..][..self.words])
+    }
+}
+
+/// Computes the observability masks of every stem and every branch in one
+/// reverse-topological sweep (see the module docs).
+///
+/// With `scope: Some(mask)` (dense, indexed by `GateId.0`; ids beyond its
+/// length are out of scope) only in-scope gates get masks, and a
+/// difference reaching any edge that leaves the scope counts as observed.
+#[must_use]
+pub fn observability_sweep(
+    nl: &Netlist,
+    covers: &CellCovers,
+    values: &SimValues,
+    scope: Option<&[bool]>,
+) -> ObservabilityMasks {
+    let words = values.words();
+    let (order, pos) = sweep_order(nl, scope);
+    let n = order.len();
+    let mut first_branch = Vec::with_capacity(n + 1);
+    let mut slots = 0u32;
+    for &g in &order {
+        first_branch.push(slots);
+        slots += nl.fanouts(g).len() as u32;
+    }
+    first_branch.push(slots);
+    let mut stems = vec![0u64; n * words];
+    let mut branches = vec![0u64; slots as usize * words];
+    let mut prop = Propagator::new(n, words);
+    let mut fanin_words: Vec<u64> = Vec::with_capacity(8);
+
+    for i in (0..n).rev() {
+        let g = order[i];
+        let fanouts = nl.fanouts(g);
+        let b0 = first_branch[i] as usize;
+        // Some branch feeds a primary output or leaves the scope: the
+        // stem's flip is observed right there on every pattern.
+        let mut escapes = false;
+        for (k, conn) in fanouts.iter().enumerate() {
+            let dst = &mut branches[(b0 + k) * words..][..words];
+            let j = pos[conn.gate.0 as usize];
+            if j == NONE {
+                dst.fill(u64::MAX);
+                escapes = true;
+                continue;
+            }
+            let GateKind::Cell(cell) = nl.kind(conn.gate) else {
+                unreachable!("only cells have fanins")
+            };
+            let sink_obs = &stems[j as usize * words..][..words];
+            let sink_val = values.get(conn.gate);
+            let fanins = nl.fanins(conn.gate);
+            for w in 0..words {
+                if sink_obs[w] == 0 {
+                    dst[w] = 0;
+                    continue;
+                }
+                fanin_words.clear();
+                fanin_words.extend(fanins.iter().map(|&f| values.get(f)[w]));
+                fanin_words[conn.pin as usize] = !fanin_words[conn.pin as usize];
+                dst[w] = sink_obs[w] & (covers.eval_word(cell, &fanin_words) ^ sink_val[w]);
+            }
+        }
+        let mask: &[u64] = match fanouts.len() {
+            0 => continue,
+            1 => &branches[b0 * words..][..words],
+            _ if escapes => {
+                stems[i * words..][..words].fill(u64::MAX);
+                continue;
+            }
+            _ => prop.stem(nl, covers, values, &order, &pos, &stems, i),
+        };
+        stems[i * words..][..words].copy_from_slice(mask);
+    }
+    ObservabilityMasks {
+        words,
+        pos,
+        stems,
+        first_branch,
+        branches,
+    }
+}
+
+/// The sweep's gates — live, not primary outputs, in scope — in a
+/// topological order of the edges among them, plus the dense
+/// `GateId.0` → position map ([`NONE`] for every other gate).
+fn sweep_order(nl: &Netlist, scope: Option<&[bool]>) -> (Vec<GateId>, Vec<u32>) {
+    let member = |g: GateId| nl.is_live(g) && !matches!(nl.kind(g), GateKind::Output);
+    let members: Vec<GateId> = match scope {
+        None => nl.iter_live().filter(|&g| member(g)).collect(),
+        Some(mask) => (0..mask.len().min(nl.id_bound()))
+            .filter(|&i| mask[i])
+            .map(|i| GateId(i as u32))
+            .filter(|&g| member(g))
+            .collect(),
+    };
+    let mut pos = vec![NONE; nl.id_bound()];
+    for (i, g) in members.iter().enumerate() {
+        pos[g.0 as usize] = i as u32;
+    }
+    // Kahn's algorithm over member-to-member edges; a sink fed twice by
+    // the same stem counts (and releases) both pins.
+    let mut indeg: Vec<u32> = members
+        .iter()
+        .map(|&g| {
+            nl.fanins(g)
+                .iter()
+                .filter(|f| pos[f.0 as usize] != NONE)
+                .count() as u32
+        })
+        .collect();
+    let mut ready: Vec<u32> = (0..members.len() as u32)
+        .filter(|&i| indeg[i as usize] == 0)
+        .collect();
+    let mut order = Vec::with_capacity(members.len());
+    while let Some(i) = ready.pop() {
+        let g = members[i as usize];
+        order.push(g);
+        for c in nl.fanouts(g) {
+            let j = pos[c.gate.0 as usize];
+            if j != NONE {
+                indeg[j as usize] -= 1;
+                if indeg[j as usize] == 0 {
+                    ready.push(j);
+                }
+            }
+        }
+    }
+    debug_assert_eq!(order.len(), members.len(), "netlist contains a cycle");
+    for (i, g) in order.iter().enumerate() {
+        pos[g.0 as usize] = i as u32;
+    }
+    (order, pos)
+}
+
+/// Scratch for forward difference propagation from reconvergent stems,
+/// reused across all stems of one sweep. Gates are addressed by sweep
+/// position; per-gate stamps equal to `epoch` mark the current stem's
+/// propagation, so nothing is cleared between stems.
+struct Propagator {
+    words: usize,
+    epoch: u32,
+    /// Value of each changed gate under the difference, `words` each.
+    vals: Vec<u64>,
+    changed: Vec<u32>,
+    queued: Vec<u32>,
+    pending: BinaryHeap<Reverse<u32>>,
+    /// Fanin values of the gate being evaluated, `words` per pin.
+    fanin_vals: Vec<u64>,
+    fanin_words: Vec<u64>,
+    diff: Vec<u64>,
+    obs: Vec<u64>,
+}
+
+impl Propagator {
+    fn new(n: usize, words: usize) -> Self {
+        Propagator {
+            words,
+            epoch: 0,
+            vals: vec![0; n * words],
+            changed: vec![0; n],
+            queued: vec![0; n],
+            pending: BinaryHeap::new(),
+            fanin_vals: Vec::new(),
+            fanin_words: Vec::new(),
+            diff: vec![0; words],
+            obs: vec![0; words],
+        }
+    }
+
+    fn enqueue(&mut self, j: u32) {
+        if self.queued[j as usize] != self.epoch {
+            self.queued[j as usize] = self.epoch;
+            self.pending.push(Reverse(j));
+        }
+    }
+
+    /// Mask of the reconvergent stem at position `i`, none of whose
+    /// branches escapes. `stems` must hold the masks of every later
+    /// position.
+    #[allow(clippy::too_many_arguments)]
+    fn stem(
+        &mut self,
+        nl: &Netlist,
+        covers: &CellCovers,
+        values: &SimValues,
+        order: &[GateId],
+        pos: &[u32],
+        stems: &[u64],
+        i: usize,
+    ) -> &[u64] {
+        let words = self.words;
+        self.epoch += 1;
+        self.obs.fill(0);
+        let g = order[i];
+        for (v, &o) in self.vals[i * words..][..words]
+            .iter_mut()
+            .zip(values.get(g))
+        {
+            *v = !o;
+        }
+        self.changed[i] = self.epoch;
+        for c in nl.fanouts(g) {
+            self.enqueue(pos[c.gate.0 as usize]);
+        }
+        while let Some(Reverse(j)) = self.pending.pop() {
+            let h = order[j as usize];
+            let GateKind::Cell(cell) = nl.kind(h) else {
+                unreachable!("only cells have fanins")
+            };
+            let fanins = nl.fanins(h);
+            self.fanin_vals.clear();
+            for &f in fanins {
+                let p = pos[f.0 as usize];
+                if p != NONE && self.changed[p as usize] == self.epoch {
+                    let at = p as usize * words;
+                    self.fanin_vals
+                        .extend_from_slice(&self.vals[at..at + words]);
+                } else {
+                    self.fanin_vals.extend_from_slice(values.get(f));
+                }
+            }
+            let old = values.get(h);
+            let mut any = 0u64;
+            for (w, (d, &o)) in self.diff.iter_mut().zip(old).enumerate() {
+                self.fanin_words.clear();
+                self.fanin_words
+                    .extend((0..fanins.len()).map(|p| self.fanin_vals[p * words + w]));
+                *d = covers.eval_word(cell, &self.fanin_words) ^ o;
+                any |= *d;
+            }
+            if any == 0 {
+                continue;
+            }
+            if self.pending.is_empty() {
+                // Every remaining difference flows through `h`: from here
+                // on it is a flip of `h` on the changed patterns.
+                let h_obs = &stems[j as usize * words..][..words];
+                for ((acc, &d), &m) in self.obs.iter_mut().zip(&self.diff).zip(h_obs) {
+                    *acc |= d & m;
+                }
+                break;
+            }
+            let vals = &mut self.vals[j as usize * words..][..words];
+            for ((v, &o), &d) in vals.iter_mut().zip(old).zip(&self.diff) {
+                *v = o ^ d;
+            }
+            self.changed[j as usize] = self.epoch;
+            for c in nl.fanouts(h) {
+                let k = pos[c.gate.0 as usize];
+                if k == NONE {
+                    // A primary output or an edge leaving the scope.
+                    for (acc, &d) in self.obs.iter_mut().zip(&self.diff) {
+                        *acc |= d;
+                    }
+                } else {
+                    self.enqueue(k);
+                }
+            }
+        }
+        self.pending.clear();
+        &self.obs
+    }
+}
 
 /// Observability mask of stem `stem`: for each pattern, whether flipping the
-/// stem (all its branches at once) is visible at any primary output.
+/// stem (all its branches at once) is visible at any primary output. A
+/// primary output's own mask is all-zero.
 #[must_use]
 pub fn stem_observability(
     nl: &Netlist,
@@ -18,8 +371,9 @@ pub fn stem_observability(
     values: &SimValues,
     stem: GateId,
 ) -> Vec<u64> {
-    let flipped: Vec<u64> = values.get(stem).iter().map(|w| !w).collect();
-    propagate_difference(nl, covers, values, stem, &flipped, None)
+    cone_sweep(nl, covers, values, stem)
+        .stem(stem)
+        .map_or_else(|| vec![0; values.words()], <[u64]>::to_vec)
 }
 
 /// Observability mask of one branch `conn` of stem `stem`: flipping the
@@ -27,6 +381,10 @@ pub fn stem_observability(
 ///
 /// Branch observability is never smaller than what IS2 filtering needs: an
 /// input substitution only alters the value entering that one pin.
+///
+/// # Panics
+///
+/// Panics if `conn` is not a fanout branch of `stem`.
 #[must_use]
 pub fn branch_observability(
     nl: &Netlist,
@@ -35,277 +393,51 @@ pub fn branch_observability(
     stem: GateId,
     conn: Conn,
 ) -> Vec<u64> {
-    let flipped: Vec<u64> = values.get(stem).iter().map(|w| !w).collect();
-    propagate_difference(nl, covers, values, stem, &flipped, Some(conn))
+    let k = nl
+        .fanouts(stem)
+        .iter()
+        .position(|&c| c == conn)
+        .expect("conn is a fanout branch of stem");
+    cone_sweep(nl, covers, values, stem)
+        .branch(stem, k)
+        .expect("stem has branch masks")
+        .to_vec()
 }
 
-/// Window-local observability of `stem`: difference propagation is
-/// bounded by `scope` (a dense gate mask), and a difference counts as
-/// observed the moment it reaches a primary output inside the scope *or
-/// any edge leaving it*. This over-approximates true observability —
-/// downstream logic outside the window might mask the difference — which
-/// is exactly the convention of the window-local permissibility proof
-/// (`powder_atpg::CheckArena::check_scoped`): the filter never rejects a
-/// candidate the scoped proof could accept.
-///
-/// `pos` maps raw gate ids to topological positions (callers compute it
-/// once per generation round from [`Netlist::topo_order`]); work is
-/// `O(scoped TFO · words)`, independent of the netlist size.
-#[must_use]
-pub fn stem_observability_scoped(
+/// A sweep scoped to `root` and its transitive fanout. That set is closed
+/// under fanout edges, so nothing escapes it but at primary outputs: its
+/// masks for `root` are exact, and its word work is `O(|TFO| · words)`.
+fn cone_sweep(
     nl: &Netlist,
     covers: &CellCovers,
     values: &SimValues,
-    stem: GateId,
-    scope: &[bool],
-    pos: &[u32],
-) -> Vec<u64> {
-    let flipped: Vec<u64> = values.get(stem).iter().map(|w| !w).collect();
-    propagate_difference_scoped(nl, covers, values, stem, &flipped, None, scope, pos)
-}
-
-/// Scoped variant of [`branch_observability`]; see
-/// [`stem_observability_scoped`] for the escape-edge convention.
-#[must_use]
-pub fn branch_observability_scoped(
-    nl: &Netlist,
-    covers: &CellCovers,
-    values: &SimValues,
-    stem: GateId,
-    conn: Conn,
-    scope: &[bool],
-    pos: &[u32],
-) -> Vec<u64> {
-    let flipped: Vec<u64> = values.get(stem).iter().map(|w| !w).collect();
-    propagate_difference_scoped(nl, covers, values, stem, &flipped, Some(conn), scope, pos)
+    root: GateId,
+) -> ObservabilityMasks {
+    let mut cone = vec![false; nl.id_bound()];
+    cone[root.0 as usize] = true;
+    for g in nl.tfo(root) {
+        cone[g.0 as usize] = true;
+    }
+    observability_sweep(nl, covers, values, Some(&cone))
 }
 
 /// Observability masks for every live stem, indexed by raw gate id (dead
-/// gates get empty vectors). `O(Σ |TFO| · words)` overall.
+/// gates and primary outputs get empty vectors): the stem masks of one
+/// [`observability_sweep`] over the whole netlist.
 #[must_use]
 pub fn stem_observability_all(
     nl: &Netlist,
     covers: &CellCovers,
     values: &SimValues,
 ) -> Vec<Vec<u64>> {
-    let mut out = vec![Vec::new(); nl.id_bound()];
-    for id in nl.iter_live() {
-        if matches!(nl.kind(id), GateKind::Output) {
-            continue;
-        }
-        out[id.0 as usize] = stem_observability(nl, covers, values, id);
-    }
-    out
-}
-
-/// Propagates a forced value `forced` at `source` through the transitive
-/// fanout (restricted to branch `only_branch` at the source when given) and
-/// returns the OR of the resulting primary-output differences.
-fn propagate_difference(
-    nl: &Netlist,
-    covers: &CellCovers,
-    values: &SimValues,
-    source: GateId,
-    forced: &[u64],
-    only_branch: Option<Conn>,
-) -> Vec<u64> {
-    let words = values.words();
-    let mut obs = vec![0u64; words];
-
-    // Sort the TFO by topological position so each gate is evaluated after
-    // all its (possibly modified) fanins.
-    let topo = nl.topo_order();
-    let mut pos = vec![u32::MAX; nl.id_bound()];
-    for (i, &g) in topo.iter().enumerate() {
-        pos[g.0 as usize] = i as u32;
-    }
-    let mut tfo: Vec<GateId> = match only_branch {
-        Some(conn) => {
-            let mut v = nl.tfo(conn.gate);
-            v.push(conn.gate);
-            v
-        }
-        None => nl.tfo(source),
-    };
-    tfo.sort_by_key(|g| pos[g.0 as usize]);
-
-    // modified[g] = packed values under the forced difference, only for
-    // gates whose value actually changed.
-    let mut modified: HashMap<GateId, Vec<u64>> = HashMap::new();
-    let changed_any = forced.iter().zip(values.get(source)).any(|(f, o)| f != o);
-    if !changed_any {
-        return obs;
-    }
-    if only_branch.is_none() {
-        modified.insert(source, forced.to_vec());
-    }
-
-    let mut fanin_words: Vec<u64> = Vec::with_capacity(8);
-    for &g in &tfo {
-        match nl.kind(g) {
-            GateKind::Input | GateKind::Const(_) => {}
-            GateKind::Output => {
-                let src = nl.fanins(g)[0];
-                if let Some(mv) = modified.get(&src) {
-                    for w in 0..words {
-                        obs[w] |= mv[w] ^ values.get(src)[w];
-                    }
-                }
-            }
-            GateKind::Cell(c) => {
-                let fanins = nl.fanins(g);
-                // Skip gates none of whose fanins changed (and which are not
-                // the special branch sink).
-                let is_branch_sink = only_branch.is_some_and(|b| b.gate == g);
-                if !is_branch_sink && !fanins.iter().any(|f| modified.contains_key(f)) {
-                    continue;
-                }
-                let mut new_vals = vec![0u64; words];
-                for w in 0..words {
-                    fanin_words.clear();
-                    for (pin, f) in fanins.iter().enumerate() {
-                        let base = match modified.get(f) {
-                            Some(mv) => mv[w],
-                            None => values.get(*f)[w],
-                        };
-                        let v = match only_branch {
-                            Some(b) if b.gate == g && b.pin == pin as u32 => forced[w],
-                            _ => base,
-                        };
-                        fanin_words.push(v);
-                    }
-                    new_vals[w] = covers.eval_word(c, &fanin_words);
-                }
-                if new_vals != values.get(g) {
-                    modified.insert(g, new_vals);
-                }
-            }
-        }
-    }
-    obs
-}
-
-/// Scope-bounded difference propagation: like [`propagate_difference`],
-/// but the walk never leaves `scope`, and the value difference at any
-/// escaping edge is OR-ed into the observability mask.
-#[allow(clippy::too_many_arguments)]
-fn propagate_difference_scoped(
-    nl: &Netlist,
-    covers: &CellCovers,
-    values: &SimValues,
-    source: GateId,
-    forced: &[u64],
-    only_branch: Option<Conn>,
-    scope: &[bool],
-    pos: &[u32],
-) -> Vec<u64> {
-    let words = values.words();
-    let mut obs = vec![0u64; words];
-    let changed: Vec<u64> = forced
-        .iter()
-        .zip(values.get(source))
-        .map(|(f, o)| f ^ o)
-        .collect();
-    if changed.iter().all(|&w| w == 0) {
-        return obs;
-    }
-    let in_scope = |g: GateId| scope.get(g.0 as usize).copied().unwrap_or(false);
-
-    // The scoped transitive fanout: a breadth-first walk over fanout
-    // edges that never expands outside the mask.
-    let mut tfo: Vec<GateId> = Vec::new();
-    let mut seen: HashSet<GateId> = HashSet::new();
-    let mut frontier: Vec<GateId> = Vec::new();
-    match only_branch {
-        Some(conn) => {
-            if !in_scope(conn.gate) {
-                // The branch leaves the window immediately: the flipped
-                // value is visible right on the escaping edge.
-                return changed;
-            }
-            seen.insert(conn.gate);
-            frontier.push(conn.gate);
-            tfo.push(conn.gate);
-        }
-        None => {
-            if nl.fanouts(source).iter().any(|c| !in_scope(c.gate)) {
-                // A stem branch escapes: the difference is observed there
-                // on every changed pattern, and propagation inside the
-                // window can only add to that.
-                for w in 0..words {
-                    obs[w] |= changed[w];
-                }
-            }
-            for c in nl.fanouts(source) {
-                if in_scope(c.gate) && seen.insert(c.gate) {
-                    frontier.push(c.gate);
-                    tfo.push(c.gate);
-                }
-            }
-        }
-    }
-    while let Some(g) = frontier.pop() {
-        for c in nl.fanouts(g) {
-            if in_scope(c.gate) && seen.insert(c.gate) {
-                frontier.push(c.gate);
-                tfo.push(c.gate);
-            }
-        }
-    }
-    tfo.sort_by_key(|g| pos[g.0 as usize]);
-
-    let mut modified: HashMap<GateId, Vec<u64>> = HashMap::new();
-    if only_branch.is_none() {
-        modified.insert(source, forced.to_vec());
-    }
-    let mut fanin_words: Vec<u64> = Vec::with_capacity(8);
-    for &g in &tfo {
-        match nl.kind(g) {
-            GateKind::Input | GateKind::Const(_) => {}
-            GateKind::Output => {
-                let src = nl.fanins(g)[0];
-                if let Some(mv) = modified.get(&src) {
-                    for w in 0..words {
-                        obs[w] |= mv[w] ^ values.get(src)[w];
-                    }
-                }
-            }
-            GateKind::Cell(c) => {
-                let fanins = nl.fanins(g);
-                let is_branch_sink = only_branch.is_some_and(|b| b.gate == g);
-                if !is_branch_sink && !fanins.iter().any(|f| modified.contains_key(f)) {
-                    continue;
-                }
-                let mut new_vals = vec![0u64; words];
-                for w in 0..words {
-                    fanin_words.clear();
-                    for (pin, f) in fanins.iter().enumerate() {
-                        let base = match modified.get(f) {
-                            Some(mv) => mv[w],
-                            None => values.get(*f)[w],
-                        };
-                        let v = match only_branch {
-                            Some(b) if b.gate == g && b.pin == pin as u32 => forced[w],
-                            _ => base,
-                        };
-                        fanin_words.push(v);
-                    }
-                    new_vals[w] = covers.eval_word(c, &fanin_words);
-                }
-                if new_vals != values.get(g) {
-                    if nl.fanouts(g).iter().any(|c| !in_scope(c.gate)) {
-                        // The changed signal feeds logic outside the
-                        // window: observed at the escaping edge.
-                        for w in 0..words {
-                            obs[w] |= new_vals[w] ^ values.get(g)[w];
-                        }
-                    }
-                    modified.insert(g, new_vals);
-                }
-            }
-        }
-    }
-    obs
+    let masks = observability_sweep(nl, covers, values, None);
+    (0..nl.id_bound())
+        .map(|i| {
+            masks
+                .stem(GateId(i as u32))
+                .map_or_else(Vec::new, <[u64]>::to_vec)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -388,6 +520,11 @@ mod tests {
                 "branch pattern {m}"
             );
         }
+        // The sweep agrees on the reconvergent stem and on the branch.
+        let masks = observability_sweep(&nl, &covers, &v, None);
+        assert_eq!(masks.stem(a).unwrap(), obs_a.as_slice());
+        let k = nl.fanouts(a).iter().position(|&c| c == conn).unwrap();
+        assert_eq!(masks.branch(a, k).unwrap(), obs_branch.as_slice());
     }
 
     #[test]
@@ -399,7 +536,7 @@ mod tests {
         let b = nl.add_input("b");
         let g1 = nl.add_cell("g1", nand2, &[a, b]);
         let g2 = nl.add_cell("g2", nand2, &[g1, b]);
-        nl.add_output("f", g2);
+        let f = nl.add_output("f", g2);
         let covers = CellCovers::new(nl.library());
         let p = Patterns::random(2, 4, 9);
         let v = simulate(&nl, &covers, &p);
@@ -407,5 +544,31 @@ mod tests {
         for id in [a, b, g1, g2] {
             assert_eq!(all[id.0 as usize], stem_observability(&nl, &covers, &v, id));
         }
+        assert!(all[f.0 as usize].is_empty());
+    }
+
+    /// A branch into a primary output is observable on every pattern, in
+    /// the sweep and in the single-signal reference alike.
+    #[test]
+    fn output_branch_is_always_observable() {
+        let lib = Arc::new(lib2());
+        let and2 = lib.find_by_name("and2").unwrap();
+        let mut nl = Netlist::new("t", lib);
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let g = nl.add_cell("g", and2, &[a, b]);
+        nl.add_output("f", g);
+        nl.add_output("h", a);
+        let covers = CellCovers::new(nl.library());
+        let v = simulate(&nl, &covers, &Patterns::random(2, 2, 5));
+        let masks = observability_sweep(&nl, &covers, &v, None);
+        for (k, &conn) in nl.fanouts(a).iter().enumerate() {
+            let single = branch_observability(&nl, &covers, &v, a, conn);
+            assert_eq!(masks.branch(a, k).unwrap(), single.as_slice());
+            if matches!(nl.kind(conn.gate), GateKind::Output) {
+                assert!(single.iter().all(|&w| w == u64::MAX));
+            }
+        }
+        assert!(masks.branch(a, nl.fanouts(a).len()).is_none());
     }
 }

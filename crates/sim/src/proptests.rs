@@ -2,11 +2,15 @@
 //! per-pattern reference evaluator, and observability against brute-force
 //! output flipping.
 
-use crate::{branch_observability, simulate, stem_observability, CellCovers, Patterns};
+use crate::{
+    branch_observability, observability_sweep, simulate, stem_observability, CellCovers,
+    ObservabilityMasks, Patterns,
+};
 use powder_library::lib2;
-use powder_netlist::{GateId, GateKind, Netlist};
+use powder_netlist::{Conn, GateId, GateKind, Netlist};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use proptest::test_runner::TestCaseError;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 fn build(inputs: usize, ops: &[(u8, u8, u8)]) -> Netlist {
@@ -66,6 +70,140 @@ fn reference_eval(nl: &Netlist, assignment: &[bool]) -> HashMap<GateId, bool> {
         val.insert(g, v);
     }
     val
+}
+
+/// One random word of patterns plus `extra` learned ones appended the way
+/// ATPG counterexamples are, so the count is not a multiple of 64 and the
+/// last word carries the replicated padding.
+fn learned_patterns(inputs: usize, extra: usize, seed: u64) -> Patterns {
+    let mut pats = Patterns::random(inputs, 1, seed);
+    for k in 0..extra {
+        let bits = seed
+            .rotate_left(k as u32)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let assignment: Vec<bool> = (0..inputs)
+            .map(|i| (bits >> (i + k % 7)) & 1 == 1)
+            .collect();
+        pats.push_pattern(&assignment);
+    }
+    pats
+}
+
+/// Input assignment of packed pattern bit `t` — every bit of every word,
+/// the padding included, because candidate filtering reads whole words.
+fn assignment_at(pats: &Patterns, t: usize) -> Vec<bool> {
+    (0..pats.inputs())
+        .map(|i| (pats.input_bits(i)[t / 64] >> (t % 64)) & 1 == 1)
+        .collect()
+}
+
+/// Brute-force oracle: on the pattern evaluated in `reference`, is a flip
+/// of `stem` — or, given `branch`, of only the value that sink pin sees —
+/// observed? Without a scope that means some primary output changes. With
+/// one, the flip propagates only through in-scope gates, and it counts as
+/// observed once it reaches an in-scope primary output or an in-scope gate
+/// with an out-of-scope fanout (the stem itself included).
+fn flip_observed(
+    nl: &Netlist,
+    topo: &[GateId],
+    reference: &HashMap<GateId, bool>,
+    stem: GateId,
+    branch: Option<Conn>,
+    scope: Option<&[bool]>,
+) -> bool {
+    let inside = |g: GateId| scope.is_none_or(|m| m.get(g.0 as usize).copied().unwrap_or(false));
+    let mut val = reference.clone();
+    let mut changed: HashSet<GateId> = HashSet::new();
+    let escapes = |g: GateId| nl.fanouts(g).iter().any(|c| !inside(c.gate));
+    match branch {
+        Some(conn) if !inside(conn.gate) => return true,
+        Some(_) => {}
+        None => {
+            if escapes(stem) {
+                return true;
+            }
+            val.insert(stem, !reference[&stem]);
+            changed.insert(stem);
+        }
+    }
+    for &h in topo {
+        let flipped_pin = branch.filter(|b| b.gate == h).map(|b| b.pin as usize);
+        if flipped_pin.is_none() && !nl.fanins(h).iter().any(|f| changed.contains(f)) {
+            continue;
+        }
+        if !inside(h) {
+            // Only gates fed by a changed in-scope gate get here, and
+            // those fanouts were already counted as escapes.
+            continue;
+        }
+        let v = match nl.kind(h) {
+            GateKind::Output => return true,
+            GateKind::Cell(c) => {
+                let mut m = 0u64;
+                for (i, f) in nl.fanins(h).iter().enumerate() {
+                    if val[f] != (flipped_pin == Some(i)) {
+                        m |= 1 << i;
+                    }
+                }
+                nl.library().cell_ref(c).function.eval(m)
+            }
+            GateKind::Input | GateKind::Const(_) => continue,
+        };
+        if v != reference[&h] {
+            if escapes(h) {
+                return true;
+            }
+            val.insert(h, v);
+            changed.insert(h);
+        }
+    }
+    false
+}
+
+/// Checks every stem and branch mask of `masks` against [`flip_observed`]
+/// on every packed pattern bit; gates outside `scope` must have no masks.
+fn check_sweep(
+    nl: &Netlist,
+    pats: &Patterns,
+    masks: &ObservabilityMasks,
+    scope: Option<&[bool]>,
+) -> Result<(), TestCaseError> {
+    let topo = nl.topo_order();
+    let inside = |g: GateId| scope.is_none_or(|m| m.get(g.0 as usize).copied().unwrap_or(false));
+    let stems: Vec<GateId> = nl
+        .iter_live()
+        .filter(|&g| !matches!(nl.kind(g), GateKind::Output))
+        .collect();
+    for &g in &stems {
+        prop_assert_eq!(
+            masks.stem(g).is_some(),
+            inside(g),
+            "gate {} mask presence",
+            g
+        );
+    }
+    for t in 0..pats.words() * 64 {
+        let reference = reference_eval(nl, &assignment_at(pats, t));
+        let bit = |m: &[u64]| (m[t / 64] >> (t % 64)) & 1 == 1;
+        for &g in stems.iter().filter(|&&g| inside(g)) {
+            let stem = masks.stem(g).expect("in-scope stem");
+            let expect = flip_observed(nl, &topo, &reference, g, None, scope);
+            prop_assert_eq!(bit(stem), expect, "stem {} pattern bit {}", g, t);
+            for (k, &conn) in nl.fanouts(g).iter().enumerate() {
+                let branch = masks.branch(g, k).expect("in-scope branch");
+                let expect = flip_observed(nl, &topo, &reference, g, Some(conn), scope);
+                prop_assert_eq!(
+                    bit(branch),
+                    expect,
+                    "branch {} -> {:?} pattern bit {}",
+                    g,
+                    conn,
+                    t
+                );
+            }
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -169,5 +307,48 @@ proptest! {
             let branch = branch_observability(&nl, &covers, &vals, g, conn);
             prop_assert_eq!(stem, branch, "gate {}", g);
         }
+    }
+
+    /// Every stem and branch mask of the whole-netlist sweep equals the
+    /// brute-force flip oracle, on a pattern count that is not a multiple
+    /// of 64 (learned counterexamples appended to a random word).
+    #[test]
+    fn sweep_matches_brute_force(
+        ops in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 3..16),
+        inputs in 2usize..6,
+        extra in 1usize..64,
+        seed in any::<u64>(),
+    ) {
+        let nl = build(inputs, &ops);
+        prop_assume!(nl.validate().is_ok());
+        let covers = CellCovers::new(nl.library());
+        let pats = learned_patterns(inputs, extra, seed);
+        prop_assert!((1..64).contains(&pats.tail_used()), "last word partly learned");
+        let vals = simulate(&nl, &covers, &pats);
+        let masks = observability_sweep(&nl, &covers, &vals, None);
+        check_sweep(&nl, &pats, &masks, None)?;
+    }
+
+    /// The scoped sweep equals the scoped oracle on a random scope: flips
+    /// stay inside it and count as observed at an in-scope primary output
+    /// or an in-scope gate with an out-of-scope fanout.
+    #[test]
+    fn scoped_sweep_matches_brute_force(
+        ops in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 3..16),
+        inputs in 2usize..6,
+        extra in 1usize..64,
+        seed in any::<u64>(),
+        scope_bits in any::<u64>(),
+    ) {
+        let nl = build(inputs, &ops);
+        prop_assume!(nl.validate().is_ok());
+        let covers = CellCovers::new(nl.library());
+        let pats = learned_patterns(inputs, extra, seed);
+        let vals = simulate(&nl, &covers, &pats);
+        // Ids at or beyond the mask's length are out of scope, too.
+        let len = nl.id_bound() - (scope_bits >> 62) as usize % 2;
+        let scope: Vec<bool> = (0..len).map(|i| (scope_bits >> (i % 62)) & 1 == 1).collect();
+        let masks = observability_sweep(&nl, &covers, &vals, Some(&scope));
+        check_sweep(&nl, &pats, &masks, Some(&scope))?;
     }
 }
