@@ -55,7 +55,6 @@ pub mod gain;
 mod guard;
 mod optimizer;
 mod parallel;
-pub mod redundancy;
 pub mod report;
 pub mod resize;
 mod windowed;

@@ -2,65 +2,17 @@
 //! paper cites as related work (ref \[14\], Bahar et al.) and the synthesis
 //! flow of Figure 1 lists after netlist optimisation.
 //!
-//! For every cell instance, the pass considers the library cells with the
-//! *same function* (up to pin permutation) and switches to the variant with
-//! the lowest switched input capacitance whose slower/faster drive still
-//! meets the timing constraint. With the built-in library this trades the
-//! strong `inv2` against the small `inv1` and vice versa; richer libraries
-//! benefit more.
+//! For a cell instance, [`best_swap`] considers the library cells with the
+//! *same function* (up to pin permutation) and picks the variant with the
+//! lowest switched input capacitance whose slower/faster drive still meets
+//! the timing constraint; [`swap_cell`] makes the exchange. With the
+//! built-in library this trades the strong `inv2` against the small `inv1`
+//! and vice versa; richer libraries benefit more. The `resize` pass of
+//! `powder-passes` drives both over a shared analysis session.
 
 use powder_netlist::{GateId, GateKind, Netlist};
-use powder_power::{PowerConfig, PowerEstimator};
-use powder_timing::{TimingAnalysis, TimingConfig};
-
-/// Result of a re-sizing pass.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct ResizeReport {
-    /// Gates whose cell was exchanged.
-    pub gates_resized: usize,
-    /// Switched-capacitance reduction achieved.
-    pub power_saved: f64,
-}
-
-/// Re-sizes gates to minimise switched capacitance under the given
-/// required time (`None`: the current circuit delay must not grow).
-///
-/// Conservative per-gate legality check: the gate's own delay change plus
-/// the input-capacitance change seen by its drivers must fit inside the
-/// local slacks.
-pub fn resize_for_power(
-    nl: &mut Netlist,
-    config: &PowerConfig,
-    required_time: Option<f64>,
-) -> ResizeReport {
-    let est0 = PowerEstimator::new(nl, config);
-    let before_power = est0.circuit_power(nl);
-    let tcfg = TimingConfig {
-        output_load: config.output_load,
-        required_time,
-    };
-    let mut report = ResizeReport::default();
-
-    let gates: Vec<GateId> = nl
-        .iter_live()
-        .filter(|&g| matches!(nl.kind(g), GateKind::Cell(_)))
-        .collect();
-    for g in gates {
-        // Recompute timing/power views fresh enough for a legality check;
-        // STA per gate keeps the pass simple and is still O(n²) worst case.
-        // The `resize` pipeline pass maintains both views incrementally
-        // over a shared session instead.
-        let sta = TimingAnalysis::new(nl, &tcfg);
-        let est = PowerEstimator::new(nl, config);
-        if let Some(cid) = best_swap(nl, &est, &sta, g) {
-            swap_cell(nl, g, cid);
-            report.gates_resized += 1;
-        }
-    }
-    let est1 = PowerEstimator::new(nl, config);
-    report.power_saved = before_power - est1.circuit_power(nl);
-    report
-}
+use powder_power::PowerEstimator;
+use powder_timing::TimingAnalysis;
 
 /// The lowest-switched-capacitance legal replacement cell for `g`, if
 /// any improves on the current one: same function and pin order, the
@@ -130,72 +82,4 @@ pub fn swap_cell(nl: &mut Netlist, g: GateId, new_cell: powder_library::CellId) 
     nl.replace_all_fanouts(g, replacement);
     nl.sweep_from(g);
     debug_assert!(nl.validate().is_ok());
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use powder_library::lib2;
-    use std::sync::Arc;
-
-    /// An oversized inverter driving a single small load gets downsized
-    /// when there is slack; never when the path is critical.
-    #[test]
-    fn downsizes_off_critical_inverter() {
-        let lib = Arc::new(lib2());
-        let inv2 = lib.find_by_name("inv2").unwrap();
-        let and2 = lib.find_by_name("and2").unwrap();
-        let inv1 = lib.find_by_name("inv1").unwrap();
-        let mut nl = Netlist::new("t", lib);
-        let a = nl.add_input("a");
-        let b = nl.add_input("b");
-        // Critical path: long inverter chain on b.
-        let mut chain = b;
-        for i in 0..6 {
-            chain = nl.add_cell(format!("c{i}"), inv1, &[chain]);
-        }
-        // Off-critical: strong inverter on a.
-        let big = nl.add_cell("big", inv2, &[a]);
-        let g = nl.add_cell("g", and2, &[big, chain]);
-        nl.add_output("f", g);
-
-        let report = resize_for_power(&mut nl, &PowerConfig::default(), None);
-        nl.validate().unwrap();
-        assert_eq!(report.gates_resized, 1, "{report:?}");
-        assert!(report.power_saved > 0.0);
-        // The strong inverter is gone.
-        let remaining: Vec<&str> = nl
-            .iter_live()
-            .filter_map(|id| nl.cell_id(id))
-            .map(|c| nl.library().cell_ref(c).name.as_str())
-            .collect();
-        assert!(!remaining.contains(&"inv2"), "{remaining:?}");
-    }
-
-    #[test]
-    fn critical_gate_not_downsized() {
-        let lib = Arc::new(lib2());
-        let inv2 = lib.find_by_name("inv2").unwrap();
-        let mut nl = Netlist::new("t", lib);
-        let a = nl.add_input("a");
-        // inv2 alone on the (only, hence critical) path with zero slack.
-        let big = nl.add_cell("big", inv2, &[a]);
-        nl.add_output("f", big);
-        let report = resize_for_power(&mut nl, &PowerConfig::default(), None);
-        // inv1 is slower into the same load; with zero slack it must stay.
-        assert_eq!(report.gates_resized, 0, "{report:?}");
-    }
-
-    #[test]
-    fn relaxed_required_time_enables_downsizing() {
-        let lib = Arc::new(lib2());
-        let inv2 = lib.find_by_name("inv2").unwrap();
-        let mut nl = Netlist::new("t", lib);
-        let a = nl.add_input("a");
-        let big = nl.add_cell("big", inv2, &[a]);
-        nl.add_output("f", big);
-        let report = resize_for_power(&mut nl, &PowerConfig::default(), Some(100.0));
-        assert_eq!(report.gates_resized, 1, "{report:?}");
-        nl.validate().unwrap();
-    }
 }

@@ -153,6 +153,9 @@ pub const PIPELINE_ITERATIONS: &str = "passes.pipeline.iterations";
 pub const PIPELINE_EDITS: &str = "passes.pipeline.edits";
 /// ATPG permissibility checks issued by non-POWDER passes.
 pub const PASSES_ATPG_CHECKS: &str = "passes.atpg.checks";
+/// Ties the `redundancy` pass skipped because a retained simulation
+/// pattern refutes them, so no ATPG check was issued for them.
+pub const PASSES_SIM_REFUTED: &str = "passes.redundancy.sim_refuted";
 
 // --- egraph.* — the equality-saturation pass ---
 
@@ -224,6 +227,8 @@ pub mod span {
     pub const SESSION_SIMULATE: &str = "passes.session.simulate";
     /// Session full STA (re)build.
     pub const SESSION_STA_BUILD: &str = "passes.session.sta_build";
+    /// Session observability-mask sweep.
+    pub const SESSION_OBSERVABILITY: &str = "passes.session.observability";
     /// ATPG check issued by a non-POWDER pass.
     pub const PASSES_ATPG_CHECK: &str = "passes.atpg.check";
     /// One cone's saturate→extract cycle in the egraph pass.

@@ -4,8 +4,9 @@
 //! it consults the session's maintained analyses (power estimator,
 //! simulation signatures, timing) and commits edits through the
 //! session, which repairs those analyses over the dirty cone. None of
-//! the passes rebuilds an analysis from scratch — the pipeline asserts
-//! as much through the per-pass [`SessionStats`] deltas.
+//! the passes rebuilds one of them from scratch — the pipeline asserts
+//! as much through the per-pass [`SessionStats`] deltas. Only the
+//! observability masks `redundancy` reads are rebuilt after each edit.
 //!
 //! [`SessionStats`]: powder_engine::SessionStats
 
@@ -15,7 +16,7 @@ use powder::gain::analyze_full;
 use powder::resize::best_swap;
 use powder::{DelayLimit, OptimizeConfig, Substitution};
 use powder_atpg::{check_substitution, CheckOutcome};
-use powder_netlist::{GateId, GateKind, Netlist};
+use powder_netlist::{Conn, GateId, GateKind, Netlist};
 use powder_obs as obs;
 use std::collections::{BTreeMap, HashSet};
 
@@ -275,14 +276,42 @@ impl Transform for SweepPass {
     }
 }
 
+/// Whether a retained simulation pattern refutes tying pin `pin` of `g`
+/// to `value`: the refs \[2,5\] filter `(sig(a) ^ sig(b)) & obs(a) != 0`
+/// with `a` the branch into the pin and `b` the constant. On such a
+/// pattern the driver differs from `value` and the branch is observable,
+/// so the tie flips a primary output. Every retained pattern is a real
+/// input vector, so ATPG could never prove the tie.
+fn refuted_by_simulation(sess: &mut AnalysisSession, g: GateId, pin: u32, value: bool) -> bool {
+    let (nl, values, masks) = sess.observability();
+    let driver = nl.fanins(g)[pin as usize];
+    let k = nl
+        .fanouts(driver)
+        .iter()
+        .position(|&c| c == Conn { gate: g, pin })
+        .expect("a pin is a branch of its driver");
+    let branch = masks
+        .branch(driver, k)
+        .expect("a cell's fanin has branch masks");
+    let tie = if value { u64::MAX } else { 0 };
+    values
+        .get(driver)
+        .iter()
+        .zip(branch)
+        .any(|(&sig, &obs)| (sig ^ tie) & obs != 0)
+}
+
 /// ATPG redundancy removal through the shared session: ties provably
 /// redundant gate-input pins to constants (each tie is an IS2 whose
 /// source is a constant driver, proven by the same cone-local miter as
 /// POWDER's substitutions) and sweeps the logic that dangles.
 ///
-/// Unlike the standalone [`powder::redundancy::remove_redundancies`],
-/// this pass also requires each tie to be non-increasing in `Σ C·E`,
-/// keeping any pipeline ordering monotone in power.
+/// A tie goes to ATPG only if no retained simulation pattern refutes it
+/// under the session's observability masks
+/// ([`AnalysisSession::observability`]); the filter is exact, so it
+/// changes no decision. Each tie must also be
+/// non-increasing in `Σ C·E`, keeping any pipeline ordering monotone in
+/// power.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RedundancyPass;
 
@@ -325,6 +354,11 @@ impl Transform for RedundancyPass {
                                 continue;
                             }
                             let b = consts.get(sess, value);
+                            if refuted_by_simulation(sess, g, pin, value) {
+                                obs::counter!(obs::names::PASSES_SIM_REFUTED).inc();
+                                failed.insert((g, pin, value));
+                                continue;
+                            }
                             let sub = Substitution::Is2 {
                                 sink: g,
                                 pin,
@@ -353,12 +387,11 @@ impl Transform for RedundancyPass {
 /// Gate resizing for power through the shared session: for each cell
 /// gate, picks the functionally identical library cell with the lowest
 /// input-pin switched capacitance whose extra delay fits the slack at
-/// a fixed required time.
+/// a fixed required time ([`powder::resize::best_swap`]).
 ///
-/// Where the standalone [`powder::resize::resize_for_power`] rebuilds
-/// timing and power from scratch per gate, this pass reads both from
-/// the session: timing is built once (pinned to the required time) and
-/// repaired incrementally after each swap.
+/// Timing and power come from the session: timing is built once
+/// (pinned to the required time) and repaired incrementally after each
+/// swap.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ResizePass {
     /// Absolute required time for the slack computation; `None` pins it
@@ -407,5 +440,138 @@ impl Transform for ResizePass {
             }
             (edits, None)
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::session::SessionConfig;
+    use powder_library::lib2;
+    use powder_sim::{simulate, CellCovers, Patterns};
+    use std::sync::Arc;
+
+    fn po_sigs(nl: &Netlist) -> Vec<Vec<u64>> {
+        let covers = CellCovers::new(nl.library());
+        let pats = Patterns::exhaustive(nl.inputs().len());
+        let vals = simulate(nl, &covers, &pats);
+        nl.outputs().iter().map(|&o| vals.get(o).to_vec()).collect()
+    }
+
+    /// Runs one pass on a fresh session over `nl`.
+    fn run(pass: &mut dyn Transform, nl: Netlist) -> (PassReport, Netlist) {
+        let mut sess = AnalysisSession::new(nl, SessionConfig::default());
+        let budget = PassBudget {
+            backtrack_limit: 10_000,
+            ..PassBudget::default()
+        };
+        let report = pass.run(&mut sess, &budget);
+        let nl = sess.into_netlist();
+        nl.validate().expect("valid after the pass");
+        (report, nl)
+    }
+
+    /// f = (a & b) | a == a: ties remove the AND.
+    #[test]
+    fn redundancy_removes_classic_redundant_pin() {
+        let lib = Arc::new(lib2());
+        let and2 = lib.find_by_name("and2").unwrap();
+        let or2 = lib.find_by_name("or2").unwrap();
+        let mut nl = Netlist::new("t", lib);
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let g1 = nl.add_cell("g1", and2, &[a, b]);
+        let g2 = nl.add_cell("g2", or2, &[g1, a]);
+        nl.add_output("f", g2);
+        let before = po_sigs(&nl);
+        let (report, nl) = run(&mut RedundancyPass, nl);
+        assert_eq!(po_sigs(&nl), before, "function preserved");
+        assert!(report.edits >= 1, "{report}");
+        assert!(report.area_after < report.area_before, "{report}");
+    }
+
+    #[test]
+    fn redundancy_leaves_irredundant_circuit_untouched() {
+        let lib = Arc::new(lib2());
+        let xor2 = lib.find_by_name("xor2").unwrap();
+        let mut nl = Netlist::new("t", lib);
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let g = nl.add_cell("g", xor2, &[a, b]);
+        nl.add_output("f", g);
+        let (report, nl) = run(&mut RedundancyPass, nl);
+        assert_eq!(report.edits, 0, "{report}");
+        assert_eq!(nl.cell_count(), 1);
+    }
+
+    /// g2 = (a & b) & !b == 0 and g3 = g2 | g1 == g1: one tie strands
+    /// more logic, and the pass iterates to its fixpoint.
+    #[test]
+    fn redundancy_cascades_to_fixpoint() {
+        let lib = Arc::new(lib2());
+        let and2 = lib.find_by_name("and2").unwrap();
+        let or2 = lib.find_by_name("or2").unwrap();
+        let andn2 = lib.find_by_name("andn2").unwrap();
+        let mut nl = Netlist::new("t", lib);
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let g1 = nl.add_cell("g1", and2, &[a, b]);
+        let g2 = nl.add_cell("g2", andn2, &[g1, b]);
+        let g3 = nl.add_cell("g3", or2, &[g2, g1]);
+        nl.add_output("f", g3);
+        let before = po_sigs(&nl);
+        let (report, nl) = run(&mut RedundancyPass, nl);
+        assert_eq!(po_sigs(&nl), before);
+        assert!(report.edits >= 1, "{report}");
+    }
+
+    /// An oversized inverter off the critical path is downsized.
+    #[test]
+    fn resize_downsizes_off_critical_inverter() {
+        let lib = Arc::new(lib2());
+        let inv2 = lib.find_by_name("inv2").unwrap();
+        let and2 = lib.find_by_name("and2").unwrap();
+        let inv1 = lib.find_by_name("inv1").unwrap();
+        let mut nl = Netlist::new("t", lib);
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        // Critical path: long inverter chain on b.
+        let mut chain = b;
+        for i in 0..6 {
+            chain = nl.add_cell(format!("c{i}"), inv1, &[chain]);
+        }
+        // Off-critical: strong inverter on a.
+        let big = nl.add_cell("big", inv2, &[a]);
+        let g = nl.add_cell("g", and2, &[big, chain]);
+        nl.add_output("f", g);
+
+        let (report, nl) = run(&mut ResizePass::new(None), nl);
+        assert_eq!(report.edits, 1, "{report}");
+        assert!(report.power_saved() > 0.0, "{report}");
+        let remaining: Vec<&str> = nl
+            .iter_live()
+            .filter_map(|id| nl.cell_id(id))
+            .map(|c| nl.library().cell_ref(c).name.as_str())
+            .collect();
+        assert!(!remaining.contains(&"inv2"), "{remaining:?}");
+    }
+
+    /// inv1 is slower into the same load: with zero slack the strong
+    /// inverter stays, with a relaxed required time it goes.
+    #[test]
+    fn resize_respects_slack_on_critical_gate() {
+        let build = || {
+            let lib = Arc::new(lib2());
+            let inv2 = lib.find_by_name("inv2").unwrap();
+            let mut nl = Netlist::new("t", lib);
+            let a = nl.add_input("a");
+            let big = nl.add_cell("big", inv2, &[a]);
+            nl.add_output("f", big);
+            nl
+        };
+        let (report, _) = run(&mut ResizePass::new(None), build());
+        assert_eq!(report.edits, 0, "{report}");
+        let (report, _) = run(&mut ResizePass::new(Some(100.0)), build());
+        assert_eq!(report.edits, 1, "{report}");
     }
 }

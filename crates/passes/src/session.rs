@@ -6,7 +6,9 @@ use powder_engine::SessionStats;
 use powder_netlist::{ConeScratch, GateId, Netlist};
 use powder_obs as obs;
 use powder_power::{PowerConfig, PowerEstimator};
-use powder_sim::{resimulate_cone, simulate, Patterns, SimValues};
+use powder_sim::{
+    observability_sweep, resimulate_cone, simulate, ObservabilityMasks, Patterns, SimValues,
+};
 use powder_timing::{TimingAnalysis, TimingConfig};
 
 /// Configuration of an [`AnalysisSession`]: the power model plus the
@@ -57,13 +59,15 @@ pub struct SessionCheckpoint {
 }
 
 /// Owns a netlist together with every analysis the passes consult —
-/// simulation signatures, the power estimator, and timing — and keeps
-/// them consistent through the netlist's edit journal: any edit made
-/// via [`AnalysisSession::netlist_mut`] (or the mutating helpers) is
-/// repaired lazily, over the dirty cone only, by the next analysis
-/// access. Passes therefore never rebuild an analysis from scratch
-/// between edits; [`AnalysisSession::stats`] counts exactly how often
-/// each analysis was fully rebuilt versus incrementally refreshed.
+/// simulation signatures and observability masks, the power estimator,
+/// and timing — and keeps them consistent through the netlist's edit
+/// journal: any edit made via [`AnalysisSession::netlist_mut`] (or the
+/// mutating helpers) is repaired lazily, over the dirty cone only, by
+/// the next analysis access. Passes therefore never rebuild an analysis
+/// from scratch between edits (the masks excepted, see
+/// [`AnalysisSession::observability`]); [`AnalysisSession::stats`]
+/// counts exactly how often each analysis was fully rebuilt versus
+/// incrementally refreshed.
 pub struct AnalysisSession {
     nl: Netlist,
     config: SessionConfig,
@@ -72,6 +76,9 @@ pub struct AnalysisSession {
     /// for one, invalidated when the required time changes or POWDER
     /// (which drains the journal internally) runs.
     sta: Option<TimingAnalysis>,
+    /// Observability masks under the retained values; `None` until a
+    /// pass asks for them, dropped by every edit.
+    masks: Option<ObservabilityMasks>,
     cone_scratch: ConeScratch,
     cone: Vec<GateId>,
     stats: SessionStats,
@@ -93,6 +100,7 @@ impl AnalysisSession {
             config,
             shared,
             sta: None,
+            masks: None,
             cone_scratch: ConeScratch::new(),
             cone: Vec::new(),
             stats: SessionStats {
@@ -157,13 +165,16 @@ impl AnalysisSession {
 
     /// Drains the edit journal and repairs every materialized analysis
     /// over the dirty cone: power probabilities and the running total,
-    /// retained simulation values, and the cached timing view. No-op
-    /// when the journal is empty. All analysis accessors call this
-    /// first, so passes rarely need to invoke it directly.
+    /// retained simulation values, and the cached timing view. The
+    /// observability masks are dropped instead (see
+    /// [`AnalysisSession::observability`]). No-op when the journal is
+    /// empty. All analysis accessors call this first, so passes rarely
+    /// need to invoke it directly.
     pub fn refresh(&mut self) {
         if !self.nl.has_pending_edits() {
             return;
         }
+        self.masks = None;
         let _span = obs::span!(obs::names::span::SESSION_REFRESH);
         self.stats.refreshes += 1;
         obs::counter!(obs::names::ANALYSIS_REFRESHES).inc();
@@ -271,6 +282,26 @@ impl AnalysisSession {
         )
     }
 
+    /// The netlist, its simulation signatures, and the observability
+    /// masks of every stem and branch under them, from one
+    /// [`observability_sweep`] over the whole netlist. The masks are
+    /// built on first use and dropped by every edit: an edit changes the
+    /// observability of its whole transitive fanin, so they are rebuilt
+    /// rather than repaired.
+    pub fn observability(&mut self) -> (&Netlist, &SimValues, &ObservabilityMasks) {
+        self.signatures();
+        let values = self
+            .shared
+            .values
+            .as_ref()
+            .expect("materialized by signatures()");
+        let masks = self.masks.get_or_insert_with(|| {
+            let _span = obs::span!(obs::names::span::SESSION_OBSERVABILITY);
+            observability_sweep(&self.nl, &self.shared.covers, values, None)
+        });
+        (&self.nl, values, masks)
+    }
+
     /// Applies a proven substitution and repairs the analyses over its
     /// dirty cone.
     pub fn apply(&mut self, sub: &Substitution) -> powder::apply::ApplyResult {
@@ -313,8 +344,9 @@ impl AnalysisSession {
     /// Rolls the netlist back to `scp` and repairs every materialized
     /// analysis over the restored region: gates created since the
     /// checkpoint are retired from the estimator, the restored cone is
-    /// re-propagated and re-simulated, and the cached timing view is
-    /// dropped (it cannot be repaired across a journal rewind).
+    /// re-propagated and re-simulated, and the cached timing view and
+    /// observability masks are dropped (the former cannot be repaired
+    /// across a journal rewind, the latter are never repaired).
     pub fn rollback(&mut self, scp: SessionCheckpoint) {
         // The netlist rollback rewinds the journal, so analyses must be
         // consistent with the pre-rollback state first.
@@ -337,6 +369,7 @@ impl AnalysisSession {
             obs::counter!(obs::names::ANALYSIS_SIM_INCREMENTAL).inc();
         }
         self.sta = None;
+        self.masks = None;
     }
 
     /// Runs the POWDER substitution loop against the session's shared
@@ -349,8 +382,10 @@ impl AnalysisSession {
         self.refresh();
         let report = optimize_with(&mut self.nl, config, &mut self.shared);
         // POWDER drains the journal internally after each commit, so a
-        // cached timing view cannot be repaired across its edits.
+        // cached timing view cannot be repaired across its edits, and
+        // the masks cannot be dropped by `refresh`.
         self.sta = None;
+        self.masks = None;
         // Struct-level bookkeeping only: the optimizer already fed the
         // metric registry live at each site, so publishing this merge
         // would double-count.
@@ -410,6 +445,12 @@ mod tests {
         nl.replace_fanin(g2, 1, g1);
         let after = sess.power();
         assert_ne!(before, after, "the rewiring changes Σ C·E");
+        // Tie g1's second pin to a constant 1 added after the values
+        // were materialized: g1 becomes a, and the constant's own words
+        // must read all-ones.
+        let nl = sess.netlist_mut();
+        let one = nl.add_const("one", true);
+        nl.replace_fanin(g1, 1, one);
 
         let fresh = PowerEstimator::new(sess.netlist(), &sess.config().power.clone());
         let (nl, est) = sess.analyses();

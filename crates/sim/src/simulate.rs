@@ -135,14 +135,20 @@ pub fn simulate(nl: &Netlist, covers: &CellCovers, patterns: &Patterns) -> SimVa
 
 /// Re-simulates only the gates in `cone` (which must be in topological
 /// order), updating `values` in place. Used after a netlist edit to refresh
-/// the transitive fanout of the substituted signal.
+/// the transitive fanout of the substituted signal. A constant in the cone
+/// gets its words written: one added after `values` was materialized
+/// starts out zero-filled by [`SimValues::grow`].
 pub fn resimulate_cone(nl: &Netlist, covers: &CellCovers, values: &mut SimValues, cone: &[GateId]) {
     values.grow(nl.id_bound());
     let words = values.words();
     let mut fanin_words: Vec<u64> = Vec::with_capacity(8);
     for &id in cone {
         match nl.kind(id) {
-            GateKind::Input | GateKind::Const(_) => {}
+            GateKind::Input => {}
+            GateKind::Const(v) => {
+                let fill = if v { u64::MAX } else { 0 };
+                values.get_mut(id).fill(fill);
+            }
             GateKind::Output => {
                 let src = nl.fanins(id)[0];
                 let src_vals: Vec<u64> = values.get(src).to_vec();

@@ -1,15 +1,17 @@
 //! Verification-centric tour: build a deliberately redundant circuit, run
-//! the redundancy-removal pass (paper ref [1]) and POWDER, and prove the
-//! result equivalent with the formal checker — then export the final
-//! netlist as structural Verilog.
+//! the redundancy-removal pass (paper ref [1]) and POWDER on one analysis
+//! session, and prove the result equivalent with the formal checker —
+//! then export the final netlist as structural Verilog.
 //!
 //! Run with: `cargo run --release --example verify_and_clean`
 
-use powder::redundancy::remove_redundancies;
-use powder::{optimize, OptimizeConfig};
+use powder::OptimizeConfig;
 use powder_atpg::equiv::{check_equivalence, EquivOutcome};
 use powder_library::lib2;
 use powder_netlist::{verilog, Netlist};
+use powder_passes::{
+    AnalysisSession, PassBudget, PowderPass, RedundancyPass, SessionConfig, Transform,
+};
 use std::sync::Arc;
 
 fn main() {
@@ -33,14 +35,22 @@ fn main() {
     let golden = nl.clone();
     println!("initial : {} cells, area {:.0}", nl.cell_count(), nl.area());
 
-    let red = remove_redundancies(&mut nl, 10_000);
+    let config = OptimizeConfig::default();
+    let mut sess = AnalysisSession::new(nl, SessionConfig::from_optimize(&config));
+    let budget = PassBudget {
+        backtrack_limit: 10_000,
+        ..PassBudget::default()
+    };
+    let red = RedundancyPass.run(&mut sess, &budget);
     println!(
-        "redundancy removal: {} pins tied, {} gates swept, area −{:.0}",
-        red.pins_tied, red.gates_removed, red.area_removed
+        "redundancy removal: {} pins tied, area −{:.0}",
+        red.edits,
+        red.area_before - red.area_after
     );
 
-    let report = optimize(&mut nl, &OptimizeConfig::default());
-    println!("POWDER  : {report}");
+    let report = PowderPass::new(config).run(&mut sess, &budget);
+    println!("POWDER  : {}", report.optimize.expect("powder report"));
+    let nl = sess.into_netlist();
 
     match check_equivalence(&golden, &nl, 100_000).expect("same interface") {
         EquivOutcome::Equivalent => println!("formal check: EQUIVALENT ✓"),

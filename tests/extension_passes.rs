@@ -1,11 +1,13 @@
 //! Integration tests of the extension passes (redundancy removal, gate
-//! re-sizing, glitch measurement) composed with the main optimizer.
+//! re-sizing, glitch measurement) composed with the main optimizer on
+//! one analysis session.
 
-use powder::redundancy::remove_redundancies;
-use powder::resize::resize_for_power;
-use powder::{optimize, OptimizeConfig};
+use powder::OptimizeConfig;
 use powder_library::lib2;
 use powder_netlist::Netlist;
+use powder_passes::{
+    AnalysisSession, PassBudget, PowderPass, RedundancyPass, ResizePass, SessionConfig, Transform,
+};
 use powder_power::glitch::glitch_power;
 use powder_power::{PowerConfig, PowerEstimator};
 use powder_sim::{simulate, CellCovers, Patterns};
@@ -18,53 +20,75 @@ fn po_sigs(nl: &Netlist, pats: &Patterns) -> Vec<Vec<u64>> {
     nl.outputs().iter().map(|&o| vals.get(o).to_vec()).collect()
 }
 
+fn power(nl: &Netlist) -> f64 {
+    PowerEstimator::new(nl, &PowerConfig::default()).circuit_power(nl)
+}
+
+fn budget(backtrack_limit: usize) -> PassBudget {
+    PassBudget {
+        backtrack_limit,
+        ..PassBudget::default()
+    }
+}
+
 /// redundancy → POWDER → resize, all function-preserving, monotone power.
 #[test]
 fn full_pipeline_composes() {
     let lib = Arc::new(lib2());
-    let mut nl = powder_benchmarks::build("t481", lib).expect("t481 builds");
+    let nl = powder_benchmarks::build("t481", lib).expect("t481 builds");
     let pats = Patterns::random(nl.inputs().len(), 8, 77);
     let reference = po_sigs(&nl, &pats);
-    let p0 = PowerEstimator::new(&nl, &PowerConfig::default()).circuit_power(&nl);
-
-    let red = remove_redundancies(&mut nl, 5_000);
-    nl.validate().unwrap();
-    assert_eq!(
-        po_sigs(&nl, &pats),
-        reference,
-        "redundancy pass broke function"
-    );
-    let p1 = PowerEstimator::new(&nl, &PowerConfig::default()).circuit_power(&nl);
-    assert!(
-        p1 <= p0 + 1e-9,
-        "redundancy removal must not increase power"
-    );
-
+    let p0 = power(&nl);
     let cfg = OptimizeConfig {
         sim_words: 8,
         max_rounds: 10,
         ..OptimizeConfig::default()
     };
-    let report = optimize(&mut nl, &cfg);
-    nl.validate().unwrap();
-    assert_eq!(po_sigs(&nl, &pats), reference, "POWDER broke function");
+    let mut sess = AnalysisSession::new(nl, SessionConfig::from_optimize(&cfg));
+
+    RedundancyPass.run(&mut sess, &budget(5_000));
+    sess.netlist().validate().unwrap();
+    assert_eq!(
+        po_sigs(sess.netlist(), &pats),
+        reference,
+        "redundancy pass broke function"
+    );
+    let p1 = power(sess.netlist());
+    assert!(
+        p1 <= p0 + 1e-9,
+        "redundancy removal must not increase power"
+    );
+
+    let report = PowderPass::new(cfg.clone()).run(&mut sess, &budget(cfg.backtrack_limit));
+    sess.netlist().validate().unwrap();
+    assert_eq!(
+        po_sigs(sess.netlist(), &pats),
+        reference,
+        "POWDER broke function"
+    );
+    let report = report.optimize.expect("powder report");
     assert!(report.final_power <= p1 + 1e-9);
 
-    let rs = resize_for_power(&mut nl, &PowerConfig::default(), None);
-    nl.validate().unwrap();
-    assert_eq!(po_sigs(&nl, &pats), reference, "resize broke function");
-    assert!(rs.power_saved >= -1e-9);
-    let _ = red;
+    let rs = ResizePass::new(None).run(&mut sess, &budget(cfg.backtrack_limit));
+    sess.netlist().validate().unwrap();
+    assert_eq!(
+        po_sigs(sess.netlist(), &pats),
+        reference,
+        "resize broke function"
+    );
+    assert!(rs.power_saved() >= -1e-9);
 }
 
 /// Resize must never grow the circuit delay when no required time is given.
 #[test]
 fn resize_respects_delay() {
     let lib = Arc::new(lib2());
-    let mut nl = powder_benchmarks::build("alu2", lib).expect("alu2 builds");
+    let nl = powder_benchmarks::build("alu2", lib).expect("alu2 builds");
     let before = TimingAnalysis::new(&nl, &TimingConfig::default()).circuit_delay();
-    let _ = resize_for_power(&mut nl, &PowerConfig::default(), None);
-    let after = TimingAnalysis::new(&nl, &TimingConfig::default()).circuit_delay();
+    let mut sess = AnalysisSession::new(nl, SessionConfig::default());
+    ResizePass::new(None).run(&mut sess, &PassBudget::default());
+    let nl = sess.netlist();
+    let after = TimingAnalysis::new(nl, &TimingConfig::default()).circuit_delay();
     assert!(after <= before + 1e-9, "{before} -> {after}");
 }
 
@@ -87,14 +111,16 @@ fn glitch_measurement_is_coherent() {
     }
 }
 
-/// The redundancy pass is idempotent: a second run finds nothing.
+/// The redundancy pass is idempotent: a second run on the same session
+/// makes no edit.
 #[test]
 fn redundancy_pass_idempotent() {
     let lib = Arc::new(lib2());
-    let mut nl = powder_benchmarks::build("frg1", lib).expect("frg1 builds");
-    let _ = remove_redundancies(&mut nl, 3_000);
-    let second = remove_redundancies(&mut nl, 3_000);
-    assert_eq!(second.pins_tied, 0, "{second:?}");
+    let nl = powder_benchmarks::build("frg1", lib).expect("frg1 builds");
+    let mut sess = AnalysisSession::new(nl, SessionConfig::default());
+    RedundancyPass.run(&mut sess, &budget(3_000));
+    let second = RedundancyPass.run(&mut sess, &budget(3_000));
+    assert_eq!(second.edits, 0, "{second}");
 }
 
 /// With the multi-strength `lib2x` library, the re-sizing pass downsizes
@@ -120,9 +146,11 @@ fn resize_with_multi_strength_library() {
     }
     nl.add_output("f2", chain);
 
-    let report = resize_for_power(&mut nl, &PowerConfig::default(), None);
+    let mut sess = AnalysisSession::new(nl, SessionConfig::default());
+    let report = ResizePass::new(None).run(&mut sess, &PassBudget::default());
+    let nl = sess.into_netlist();
     nl.validate().unwrap();
-    assert!(report.gates_resized >= 1, "{report:?}");
+    assert!(report.edits >= 1, "{report}");
     let mix: Vec<String> = nl
         .iter_live()
         .filter_map(|g| nl.cell_id(g))

@@ -113,14 +113,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Randomized edit sequences: rewire random cell fanins to random
-    /// earlier signals (construction order keeps the DAG acyclic), sweep
-    /// dangling logic, and after every edit refresh all analyses over the
-    /// drained dirty region. Every intermediate state must agree with
+    /// earlier signals (construction order keeps the DAG acyclic) or tie
+    /// them to a freshly added constant of either value, sweep dangling
+    /// logic, and after every edit refresh all analyses over the drained
+    /// dirty region. Every intermediate state must agree with
     /// from-scratch recomputation.
     #[test]
     fn incremental_refreshes_match_from_scratch(
         ops in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 6..28),
-        edits in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 1..12),
+        edits in proptest::collection::vec(
+            (any::<u8>(), any::<u8>(), any::<bool>(), 0u8..4),
+            1..12,
+        ),
         inputs in 2usize..5,
     ) {
         let nl = &mut random_netlist(inputs, &ops);
@@ -135,7 +139,7 @@ proptest! {
         let mut values = simulate(nl, &covers, &pats);
         nl.drain_dirty(); // analyses reflect the current state
 
-        for &(pick_sink, pick_src, do_sweep) in &edits {
+        for (i, &(pick_sink, pick_src, do_sweep, kind)) in edits.iter().enumerate() {
             // Choose a live cell sink and a live source constructed
             // earlier than it (ids grow in construction order).
             let cells: Vec<GateId> = nl
@@ -153,7 +157,12 @@ proptest! {
             if candidates.is_empty() {
                 continue;
             }
-            let src = candidates[pick_src as usize % candidates.len()];
+            // Kinds 0 and 1 rewire; 2 and 3 tie to a new constant 0 / 1.
+            let src = if kind < 2 {
+                candidates[pick_src as usize % candidates.len()]
+            } else {
+                nl.add_const(format!("k{i}"), kind == 3)
+            };
             let pin = pick_src as u32 % nl.fanins(sink).len() as u32;
             let old = nl.replace_fanin(sink, pin, src);
             if do_sweep {

@@ -1,8 +1,10 @@
 //! Integration tests of the pass pipeline: bit-identity of the
 //! `powder` pass with the standalone optimizer entry point, the
-//! zero-full-refresh guarantee for session-driven passes, and
+//! zero-full-refresh guarantee for session-driven passes,
 //! order-independence of the function/power invariants under arbitrary
-//! pass permutations.
+//! pass permutations, and (release only) the exactness of the
+//! `redundancy` pass's simulation filter and pinned outputs of the
+//! benchmark's full pass script.
 
 use powder::{optimize, OptimizeConfig};
 use powder_library::lib2;
@@ -180,6 +182,164 @@ fn pipeline_spec_errors_are_reported() {
         build_pipeline("sweep, powder ,resize", &cfg, None).is_ok(),
         "whitespace tolerated"
     );
+}
+
+/// Checks on the benchmark's `pipeline-full` pass script. Release only:
+/// the debug build takes minutes.
+#[cfg(not(debug_assertions))]
+mod bench_script {
+    use super::*;
+    use powder::{DelayLimit, Substitution};
+    use powder_atpg::{check_substitution, CheckOutcome};
+    use powder_egraph::EgraphConfig;
+    use powder_netlist::blif::read_blif;
+    use powder_netlist::{Conn, GateKind};
+    use powder_passes::build_pipeline_with;
+    use powder_timing::{TimingAnalysis, TimingConfig};
+
+    /// The pattern seeds the repository benchmark (`perfbench`) derives from
+    /// its run seeds 3 and 4.
+    const BENCH_SEED_3: u64 = 1_021_869_836_427_313;
+    const BENCH_SEED_4: u64 = 3_886_208_520_046_193;
+
+    /// A suite circuit as the benchmark hands it to the program: generated,
+    /// written to BLIF and read back.
+    fn bench_input(name: &str) -> Netlist {
+        let lib = powder_bench::library();
+        let nl = powder_benchmarks::build(name, Arc::clone(&lib)).expect("suite circuit");
+        read_blif(&write_blif(&nl), lib).expect("BLIF round trip")
+    }
+
+    /// The benchmark's configuration: Table-1 settings bound to the input
+    /// delay, at `jobs = 1`.
+    fn bench_config(seed: u64) -> OptimizeConfig {
+        OptimizeConfig {
+            seed,
+            jobs: 1,
+            ..powder_bench::experiment_config(Some(DelayLimit::Factor(1.0)))
+        }
+    }
+
+    /// Runs `script` on `nl` as the benchmark does: [`bench_config`],
+    /// `resize` anchored to the input delay, default e-graph bounds.
+    fn run_bench_script(nl: Netlist, script: &str, seed: u64) -> AnalysisSession {
+        let cfg = bench_config(seed);
+        let probe = TimingConfig {
+            output_load: cfg.power.output_load,
+            required_time: None,
+        };
+        let required = TimingAnalysis::new(&nl, &probe).circuit_delay();
+        let mut pipeline =
+            build_pipeline_with(script, &cfg, Some(required), &EgraphConfig::default())
+                .expect("valid spec");
+        let mut sess = AnalysisSession::new(nl, SessionConfig::from_optimize(&cfg));
+        pipeline.run(&mut sess);
+        sess
+    }
+
+    /// 64-bit FNV-1a, the benchmark's job hash.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// Asserts that no cell pin × {0,1} tie the session's observability
+    /// masks refute is permissible; returns how many the masks refuted.
+    fn assert_refuted_ties_unprovable(
+        sess: &mut AnalysisSession,
+        backtrack_limit: usize,
+        at: &str,
+    ) -> usize {
+        let (nl, values, masks) = sess.observability();
+        let mut tied = nl.clone();
+        let consts = [tied.add_const("t0", false), tied.add_const("t1", true)];
+        let mut refuted = 0;
+        for g in nl.iter_live() {
+            if !matches!(nl.kind(g), GateKind::Cell(_)) {
+                continue;
+            }
+            for (pin, &driver) in (0u32..).zip(nl.fanins(g)) {
+                if matches!(nl.kind(driver), GateKind::Const(_)) {
+                    continue;
+                }
+                let k = nl
+                    .fanouts(driver)
+                    .iter()
+                    .position(|&c| c == Conn { gate: g, pin })
+                    .expect("branch of its driver");
+                let branch = masks.branch(driver, k).expect("branch mask");
+                for value in [false, true] {
+                    let tie = if value { u64::MAX } else { 0 };
+                    let sig = values.get(driver);
+                    if sig.iter().zip(branch).all(|(&s, &o)| (s ^ tie) & o == 0) {
+                        continue;
+                    }
+                    refuted += 1;
+                    let sub = Substitution::Is2 {
+                        sink: g,
+                        pin,
+                        b: consts[usize::from(value)],
+                        invert: false,
+                    };
+                    assert_ne!(
+                        check_substitution(&tied, &sub, backtrack_limit),
+                        CheckOutcome::Permissible,
+                        "{at}: refuted tie of {}.{pin} to {value} is provable",
+                        nl.gate_name(g)
+                    );
+                }
+            }
+        }
+        refuted
+    }
+
+    /// The `redundancy` pass skips every tie a retained simulation pattern
+    /// refutes, which is exact only if ATPG could never prove such a tie.
+    /// Checked after each pass of the benchmark script up to `powder`, as
+    /// single-pass pipelines on one session (the same decisions as the whole
+    /// script). Stale signatures downstream of a constant added by `sweep`
+    /// once made the masks refute provable ties on ex4.
+    #[test]
+    fn simulation_refuted_ties_are_never_provable() {
+        let cfg = bench_config(BENCH_SEED_4);
+        for name in ["bw", "x1", "ex4"] {
+            let mut sess =
+                AnalysisSession::new(bench_input(name), SessionConfig::from_optimize(&cfg));
+            for pass in ["sweep", "egraph", "powder"] {
+                build_pipeline_with(pass, &cfg, None, &EgraphConfig::default())
+                    .expect("valid spec")
+                    .run(&mut sess);
+                let at = format!("{name} after {pass}");
+                let refuted = assert_refuted_ties_unprovable(&mut sess, cfg.backtrack_limit, &at);
+                assert!(refuted > 0, "{at}: the masks refuted no tie");
+            }
+        }
+    }
+
+    /// The full pass script's output on the benchmark's `pipeline-full`
+    /// circuits, pinned: a speed-up of any pass must not move a decision.
+    #[test]
+    fn pipeline_full_outputs_are_pinned() {
+        for (name, hash) in [
+            ("bw", 0x49ed_7a51_06a4_3b2a_u64),
+            ("x1", 0x532a_953e_5150_d6d6),
+            ("x3", 0x3cee_5649_2aa5_0832),
+            ("ex4", 0x95b1_8fb9_b35b_71b7),
+            ("example2", 0xe647_af02_a5f4_ec4a),
+        ] {
+            let sess = run_bench_script(
+                bench_input(name),
+                "sweep,egraph,powder,resize,redundancy",
+                BENCH_SEED_3,
+            );
+            let got = fnv1a(write_blif(sess.netlist()).as_bytes());
+            assert_eq!(got, hash, "{name}: {got:#018x}");
+        }
+    }
 }
 
 proptest! {
