@@ -4,7 +4,7 @@
 //! powder optimize <in.blif> [-o out.blif] [--delay-limit PCT] [--library lib.genlib]
 //!                 [--repeat N] [--patterns N] [--seed S] [--jobs N]
 //!                 [--deadline-secs S] [--window-size W] [--window-overlap H]
-//!                 [--passes LIST] [--fixpoint N] [--resize] [--redundancy]
+//!                 [--passes LIST] [--fixpoint N]
 //!                 [--egraph-node-limit N] [--egraph-iters N]
 //!                 [--trace-out trace.json] [--metrics-out metrics.json]
 //! powder synth    <in.pla>  [-o out.blif] [--library lib.genlib]   # two-level → mapped
@@ -30,9 +30,7 @@
 //! `--fixpoint N` repeats the whole sequence up to `N` times, stopping
 //! early once an iteration changes nothing. Unknown pass names are
 //! rejected when the arguments are parsed, before any file is read.
-//! The standalone `--resize`/`--redundancy` flags are deprecated
-//! aliases that prepend/append the corresponding passes around
-//! `powder`. `--egraph-node-limit`/`--egraph-iters` bound the `egraph`
+//! `--egraph-node-limit`/`--egraph-iters` bound the `egraph`
 //! pass's per-cone saturation (e-node budget and rewrite iterations).
 //!
 //! `--trace-out` enables span tracing and writes a Chrome/Perfetto
@@ -107,8 +105,6 @@ struct Options {
     egraph_node_limit: Option<usize>,
     /// `egraph` pass: saturation iteration bound; None = pass default.
     egraph_iters: Option<usize>,
-    resize: bool,
-    redundancy: bool,
     /// Write a Chrome/Perfetto trace of the run here (enables tracing).
     trace_out: Option<String>,
     /// Write a JSON snapshot of the metric registry here.
@@ -192,8 +188,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         fixpoint: 1,
         egraph_node_limit: None,
         egraph_iters: None,
-        resize: false,
-        redundancy: false,
         trace_out: None,
         metrics_out: None,
         listen: None,
@@ -313,8 +307,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 }
                 o.egraph_iters = Some(n);
             }
-            "--resize" => o.resize = true,
-            "--redundancy" => o.redundancy = true,
             "--trace-out" => o.trace_out = Some(val("--trace-out")?),
             "--metrics-out" => o.metrics_out = Some(val("--metrics-out")?),
             "--listen" => o.listen = Some(val("--listen")?),
@@ -406,28 +398,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(o)
 }
 
-/// Resolves the pass pipeline: an explicit `--passes` list wins;
-/// otherwise the deprecated `--resize`/`--redundancy` flags expand
-/// around the default `powder` pass in legacy order (redundancy
-/// removal first, resizing as the epilogue).
-fn pass_spec(opts: &Options) -> Result<String, String> {
-    if let Some(spec) = &opts.passes {
-        if opts.resize || opts.redundancy {
-            return Err("--passes cannot be combined with --resize/--redundancy; \
-                 schedule those passes in the list instead"
-                .into());
-        }
-        return Ok(spec.clone());
-    }
-    let mut seq = Vec::new();
-    if opts.redundancy {
-        seq.push("redundancy");
-    }
-    seq.push("powder");
-    if opts.resize {
-        seq.push("resize");
-    }
-    Ok(seq.join(","))
+/// The pass pipeline: the `--passes` list, else `powder` alone.
+fn pass_spec(opts: &Options) -> &str {
+    opts.passes.as_deref().unwrap_or("powder")
 }
 
 /// Resolves the `egraph` pass configuration: explicit flags override
@@ -656,17 +629,9 @@ fn run() -> Result<(), CliError> {
                 window_overlap: opts.window_overlap,
                 ..OptimizeConfig::default()
             };
-            let spec = pass_spec(&opts)?;
-            if opts.passes.is_none() {
-                if opts.redundancy {
-                    eprintln!("powder: --redundancy is deprecated; use --passes redundancy,powder");
-                }
-                if opts.resize {
-                    eprintln!("powder: --resize is deprecated; use --passes powder,resize");
-                }
-            }
+            let spec = pass_spec(&opts);
             // The resize pass's slack budget is anchored to the delay of
-            // the *input* circuit, like the legacy --resize epilogue.
+            // the *input* circuit.
             let resize_required = opts.delay_limit.map(|pct| {
                 let probe = TimingConfig {
                     output_load: cfg.power.output_load,
@@ -675,7 +640,7 @@ fn run() -> Result<(), CliError> {
                 (1.0 + pct / 100.0) * TimingAnalysis::new(&nl, &probe).circuit_delay()
             });
             let mut pipeline =
-                build_pipeline_with(&spec, &cfg, resize_required, &egraph_config(&opts))
+                build_pipeline_with(spec, &cfg, resize_required, &egraph_config(&opts))
                     .map_err(|e| format!("bad --passes: {e}"))?
                     .with_fixpoint(opts.fixpoint)
                     .with_deadline(deadline)
@@ -771,7 +736,7 @@ fn cmd_submit(opts: &Options) -> Result<(), CliError> {
     let spec = powder_serve::JobSpec {
         tenant: opts.tenant.clone().unwrap_or_else(|| "default".to_string()),
         priority: opts.priority,
-        passes: pass_spec(opts)?,
+        passes: pass_spec(opts).to_string(),
         fixpoint: opts.fixpoint,
         repeat: opts.repeat,
         patterns: opts.patterns,
@@ -846,7 +811,6 @@ mod tests {
             "7",
             "--jobs",
             "4",
-            "--resize",
         ]))
         .unwrap();
         assert_eq!(o.positional, vec!["in.blif"]);
@@ -856,8 +820,6 @@ mod tests {
         assert_eq!(o.patterns, 512);
         assert_eq!(o.seed, 7);
         assert_eq!(o.jobs, 4);
-        assert!(o.resize);
-        assert!(!o.redundancy);
     }
 
     #[test]
@@ -871,18 +833,9 @@ mod tests {
         .unwrap();
         assert_eq!(o.passes.as_deref(), Some("sweep,powder,resize"));
         assert_eq!(o.fixpoint, 3);
-        assert_eq!(pass_spec(&o).unwrap(), "sweep,powder,resize");
+        assert_eq!(pass_spec(&o), "sweep,powder,resize");
+        assert_eq!(pass_spec(&parse_args(&[]).unwrap()), "powder");
         assert!(parse_args(&args(&["--fixpoint", "x"])).is_err());
-    }
-
-    #[test]
-    fn legacy_flags_expand_to_passes() {
-        let o = parse_args(&[]).unwrap();
-        assert_eq!(pass_spec(&o).unwrap(), "powder");
-        let o = parse_args(&args(&["--resize", "--redundancy"])).unwrap();
-        assert_eq!(pass_spec(&o).unwrap(), "redundancy,powder,resize");
-        let o = parse_args(&args(&["--passes", "powder", "--resize"])).unwrap();
-        assert!(pass_spec(&o).is_err(), "aliases conflict with --passes");
     }
 
     #[test]
@@ -1018,6 +971,12 @@ mod tests {
         assert!(parse_args(&args(&["--bogus"])).is_err());
         assert!(parse_args(&args(&["-o"])).is_err());
         assert!(parse_args(&args(&["--delay-limit", "abc"])).is_err());
+        // The removed pass aliases are unknown options; `--passes`
+        // schedules those passes.
+        for flag in ["--resize", "--redundancy"] {
+            let err = parse_args(&args(&[flag])).err().unwrap();
+            assert!(err.contains("unknown option"), "{flag}: {err}");
+        }
     }
 
     #[test]

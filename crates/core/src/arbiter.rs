@@ -1,44 +1,41 @@
-//! The parallel candidate-evaluation pipeline (`jobs > 1`).
+//! The `power_optimize` loop of the paper's Figure 5, at every worker
+//! count.
 //!
 //! POWDER's inner loop spends almost all of its time on three pure
 //! functions of the current netlist: fast `PG_A + PG_B` scoring, full
 //! `PG_C` what-if analysis, and ATPG permissibility proofs. This module
 //! runs those on a work-stealing [`WorkerPool`] against an immutable
-//! netlist snapshot while a sequential *commit arbiter* replays exactly
-//! the decision sequence of [`crate::optimizer::optimize_sequential`]:
+//! netlist snapshot, while a sequential *commit arbiter* makes every
+//! decision in one fixed order:
 //!
-//! 1. **Filter** — every surviving candidate is fast-scored in
-//!    parallel, sharded into per-stem batches, then stable-sorted by
-//!    score (the candidate's position in this ordering is its stable
-//!    id for the round).
+//! 1. **Filter** — every surviving candidate is fast-scored, sharded
+//!    into per-stem batches, then stable-sorted by score (the
+//!    candidate's position in this ordering is its id for the round).
 //! 2. **Gain** — full what-if gains for the arbiter's pre-selection
-//!    window plus a speculative lookahead are computed in parallel;
-//!    each result is stored in a [`SpecCache`] together with the
-//!    [`Footprint`] of gates the computation read.
+//!    window, plus a speculative lookahead when more than one worker
+//!    can speculate, are computed on the pool; each result is memoized
+//!    together with the [`Footprint`] of gates the computation read.
 //! 3. **Proof** — when the arbiter needs an ATPG verdict it predicts
 //!    the candidates that will reach ATPG next (assuming rejections,
-//!    the common case) and proves the whole batch in parallel on
-//!    per-worker [`CheckArena`]s.
-//! 4. **Arbitration** — the arbiter consumes cached results in the
-//!    sequential decision order: same pre-selection scan, same
-//!    last-max tie-break, same `min_gain` cut-off, same live delay
-//!    checks. Because every cached value is a pure function of the
-//!    netlist and bit-identical to what the sequential path would
-//!    compute in place, any `jobs` value commits the same
-//!    substitutions in the same order.
+//!    the common case) and proves the whole batch on per-worker
+//!    [`CheckArena`]s that live for the whole run.
+//! 4. **Arbitration** — the arbiter consumes memoized results in the
+//!    paper's decision order: pre-selection scan, last-max tie-break,
+//!    `min_gain` cut-off, live delay checks. Every memoized value is a
+//!    pure function of the netlist and bit-identical to an in-place
+//!    recomputation, so any `jobs` value commits the same
+//!    substitutions in the same order. With one worker the pool runs
+//!    every batch inline on the caller's thread.
 //!
 //! After each commit the edit journal's dirty region is widened to
-//! [`DirtyBits`] and cached entries whose footprints intersect it are
-//! dropped; disjoint speculative work survives the commit and is
-//! consumed later without recomputation. Gains are invalidated by the
-//! full write set (touched ∪ removed ∪ refreshed cone — probabilities
-//! shift all the way downstream), proofs by the structural subset
-//! (touched ∪ removed) only. Results additionally persist in
-//! cross-round memo tables keyed by [`Substitution`], so a candidate
-//! regenerated in a later round reuses its verdict as long as its
-//! footprint stayed clean. Speculation depth tracks the hardware
-//! threads actually available, not the requested worker count — extra
-//! in-flight proofs only pay for themselves on idle cores.
+//! [`DirtyBits`] and memo entries whose footprints intersect it are
+//! dropped; disjoint results survive commits and round boundaries and
+//! are consumed later without recomputation. Gains are invalidated by
+//! the full write set (touched ∪ removed ∪ refreshed cone —
+//! probabilities shift all the way downstream), proofs by the
+//! structural subset (touched ∪ removed) only. Speculation depth tracks
+//! the hardware threads actually available, not the requested worker
+//! count — extra in-flight work only pays for itself on idle cores.
 
 use crate::gain::{analyze_fast, analyze_full_with};
 use crate::guard::{adaptive_backtrack, deadline_exceeded, guarded_apply};
@@ -52,7 +49,7 @@ use crate::report::{
 };
 use powder_atpg::{generate_candidates_scoped, CheckArena, CheckOutcome, Substitution};
 use powder_engine::{
-    pool::batch_by_key, DirtyBits, EngineStats, Footprint, FootprintScratch, SpecCache, WorkerPool,
+    pool::batch_by_key, DirtyBits, EngineStats, Footprint, FootprintScratch, WorkerPool,
 };
 use powder_faults::{fires, SITE_ATPG_ABORT};
 use powder_netlist::{ConeScratch, GateId, Netlist};
@@ -67,6 +64,10 @@ use std::time::Instant;
 const FAST_BATCH: usize = 64;
 /// Per-stem batch ceiling for full what-if gain evaluation.
 const GAIN_BATCH: usize = 4;
+
+/// Results memoized across rounds, keyed by candidate, each with the
+/// footprint its computation read.
+type Memo<V> = BTreeMap<Substitution, (Footprint, V)>;
 
 /// The read footprint of one candidate: inclusive TFO of the rewired
 /// sinks plus the stem and replacement sources, closed under TFI. This
@@ -85,14 +86,14 @@ fn footprint_of(fs: &mut FootprintScratch, nl: &Netlist, sub: &Substitution) -> 
 /// and the only assumption under which the loop state — `consumed`
 /// flags and the rejection budget — evolves without a netlist edit).
 /// The prediction replays the arbiter's own scan on a cloned `consumed`
-/// and stops as soon as a window member's gain is not cached, the best
-/// gain drops below `min_gain`, or the rejection budget runs out —
+/// and stops as soon as a window member's gain is not memoized, the
+/// best gain drops below `min_gain`, or the rejection budget runs out —
 /// under-prediction only shortens the speculative batch.
 #[allow(clippy::too_many_arguments)]
 fn plan_proof_batch(
     nl: &Netlist,
     scored: &[(Substitution, f64)],
-    gains: &SpecCache<f64>,
+    gains: &Memo<f64>,
     consumed: &[bool],
     quarantine: &BTreeSet<Substitution>,
     cursor: usize,
@@ -133,8 +134,8 @@ fn plan_proof_batch(
         let mut best: Option<(usize, f64)> = None;
         let mut complete = true;
         for &i in &pre {
-            match gains.get(i) {
-                Some(&g) => {
+            match gains.get(&scored[i].0) {
+                Some(&(_, g)) => {
                     if best.is_none_or(|(_, bg)| g.total_cmp(&bg).is_ge()) {
                         best = Some((i, g));
                     }
@@ -166,16 +167,16 @@ fn plan_proof_batch(
     plan
 }
 
-/// Runs POWDER with the speculative work-stealing pipeline. Decision
-/// sequence and all committed substitutions are bit-identical to
-/// [`crate::optimizer::optimize_sequential`].
-pub(crate) fn optimize_parallel(
+/// Runs POWDER on the whole netlist (or the window `config.scope`
+/// names) with `config.jobs` workers; the decisions do not depend on
+/// the worker count.
+pub(crate) fn power_optimize(
     nl: &mut Netlist,
     config: &OptimizeConfig,
-    jobs: usize,
     shared: &mut SharedAnalyses,
 ) -> OptimizeReport {
     let t0 = Instant::now();
+    let jobs = powder_engine::resolve_jobs(config.jobs);
     let SharedAnalyses {
         covers,
         est,
@@ -189,14 +190,16 @@ pub(crate) fn optimize_parallel(
     // the hardware threads actually available (capped by `jobs`):
     // speculation is free only while it fills otherwise-idle cores, so
     // an oversubscribed pool speculates as if it had `hardware`
-    // workers instead of queueing proofs a commit then invalidates.
+    // workers instead of queueing work a commit then invalidates. One
+    // such worker gets neither: a lookahead gain computed on the
+    // arbiter's own core is mostly invalidated by the next commit.
     let spec_workers = jobs.min(powder_engine::hardware_threads());
-    let proof_batch = if spec_workers > 1 {
-        (2 * spec_workers).max(4)
+    let (proof_batch, lookahead) = if spec_workers > 1 {
+        let batch = (2 * spec_workers).max(4);
+        (batch, config.preselect + batch + jobs)
     } else {
-        1
+        (1, 0)
     };
-    let lookahead = config.preselect + proof_batch + jobs;
 
     let initial_power = est.circuit_power(nl);
     let initial_area = nl.area();
@@ -217,6 +220,10 @@ pub(crate) fn optimize_parallel(
     };
     let mut sta = required_time.map(|_| TimingAnalysis::new(nl, &sta_cfg));
 
+    // The journal may hold records from netlist construction or earlier
+    // caller edits; the shared analyses reflect the current state (fresh
+    // from `SharedAnalyses::new` or refreshed by the owning session), so
+    // incremental tracking starts from a clean slate.
     nl.drain_dirty();
 
     let mut applied: Vec<AppliedSubstitution> = Vec::new();
@@ -231,23 +238,32 @@ pub(crate) fn optimize_parallel(
         ..EngineStats::default()
     };
 
+    // Retained values (possibly carried in from an earlier pass) are
+    // refreshed over dirty cones after commits and fully regenerated
+    // only when the pattern set itself changes (a learned ATPG
+    // counterexample).
     let mut patterns_stale = false;
     let mut cone_scratch = ConeScratch::new();
     let mut cone: Vec<GateId> = Vec::new();
+    // Per-worker scratch, kept for the whole run: a proof arena rebuilds
+    // its miter base only when the netlist (or the window scope) changed.
+    let mut gain_ctxs: Vec<(WhatIfScratch, FootprintScratch)> = Vec::new();
+    let mut proof_ctxs: Vec<CheckArena> = Vec::new();
 
-    // Cross-round memoization. Gains and proofs are pure functions of
-    // the netlist restricted to their footprint: the estimator's
-    // analytic probabilities never read the pattern set, and neither
-    // does the permissibility miter. Candidate generation regenerates
-    // largely the same substitutions every round, so without a memo
-    // each round re-proves candidates whose checks aborted earlier —
-    // burning the full backtrack budget again for a verdict that
-    // cannot have changed. Entries survive round boundaries and are
-    // dropped by the same footprint-vs-dirty test as the per-round
-    // caches, which keeps every consumed value bit-identical to an
-    // in-place recomputation.
-    let mut gain_memo: BTreeMap<Substitution, (Footprint, f64)> = BTreeMap::new();
-    let mut proof_memo: BTreeMap<Substitution, (Footprint, CheckOutcome)> = BTreeMap::new();
+    // Cross-round memoization, the loop's only result cache. Gains and
+    // proofs are pure functions of the netlist restricted to their
+    // footprint: the estimator's analytic probabilities never read the
+    // pattern set, and neither does the permissibility miter. Candidate
+    // generation regenerates largely the same substitutions every
+    // round, so without a memo each round re-proves candidates whose
+    // checks aborted earlier — burning the full backtrack budget again
+    // for a verdict that cannot have changed. Entries are dropped when
+    // a commit dirties their footprint, which keeps every consumed
+    // value bit-identical to an in-place recomputation; `dropped` holds
+    // the discarded keys until they are evaluated again.
+    let mut gain_memo: Memo<f64> = BTreeMap::new();
+    let mut proof_memo: Memo<CheckOutcome> = BTreeMap::new();
+    let mut dropped: BTreeSet<Substitution> = BTreeSet::new();
 
     let mut guard_stats = GuardStats::default();
     let mut quarantined_list: Vec<QuarantinedCandidate> = Vec::new();
@@ -269,7 +285,7 @@ pub(crate) fn optimize_parallel(
         let _round_span = obs::span!(obs::names::span::ROUND);
         obs::counter!(obs::names::OPTIMIZER_ROUNDS).inc();
         let t = Instant::now();
-        if !config.incremental || patterns_stale || values.is_none() {
+        if patterns_stale || values.is_none() {
             let _span = obs::span!(obs::names::span::PHASE_SIMULATION);
             *values = Some(simulate(nl, covers, patterns));
             patterns_stale = false;
@@ -294,7 +310,7 @@ pub(crate) fn optimize_parallel(
             break;
         }
 
-        // --- Stage 1: parallel fast scoring, sharded per stem. ---
+        // --- Stage 1: fast scoring, sharded per stem. ---
         let t = Instant::now();
         let fast: Vec<Option<f64>> = {
             let _span = obs::span!(obs::names::span::PHASE_GAIN);
@@ -308,6 +324,7 @@ pub(crate) fn optimize_parallel(
                 obs::names::span::STAGE_FILTER,
                 &cands,
                 &batches,
+                &mut Vec::new(),
                 || (),
                 |_, _, s| analyze_fast(nl_snap, est_ref, s).fast(),
             )
@@ -333,27 +350,14 @@ pub(crate) fn optimize_parallel(
 
         let n = scored.len();
         let mut consumed = vec![false; n];
-        let mut gains: SpecCache<f64> = SpecCache::new(n);
-        let mut proofs: SpecCache<CheckOutcome> = SpecCache::new(n);
-        // Seed this round's caches with every memoized result that is
-        // still footprint-clean; re-generated candidates skip straight
-        // to arbitration.
-        for (id, (s, _)) in scored.iter().enumerate() {
-            if let Some((fp, g)) = gain_memo.get(s) {
-                gains.insert(id, fp.clone(), *g);
-            }
-            if let Some((fp, outcome)) = proof_memo.get(s) {
-                proofs.insert(id, fp.clone(), outcome.clone());
-            }
-        }
-        // Candidates whose cached results a commit discarded; counted
-        // as retried when they are re-evaluated on demand.
-        let mut dropped_mark = vec![false; n];
 
         let mut progress = false;
         let mut learned = false;
         let mut repeat_left = config.repeat;
         let mut rejections_this_round = 0usize;
+        // Scan cursor: everything before it is consumed, so each inner
+        // iteration resumes where the ranking left off instead of
+        // rescanning the whole candidate list.
         let mut cursor = 0usize;
         let t_inner = Instant::now();
         let mut round_parallel_wall = 0.0f64;
@@ -370,8 +374,7 @@ pub(crate) fn optimize_parallel(
             while cursor < n && consumed[cursor] {
                 cursor += 1;
             }
-            // Pre-select the next `preselect` live candidates — the
-            // same scan, in the same order, as the sequential path.
+            // Pre-select the next `preselect` live candidates.
             let mut pre: Vec<usize> = Vec::with_capacity(config.preselect);
             let mut i = cursor;
             while i < n && pre.len() < config.preselect {
@@ -395,10 +398,10 @@ pub(crate) fn optimize_parallel(
 
             // --- Stage 2: ensure gains for the window, speculate on
             // the candidates behind it. ---
-            let mut want: Vec<u32> = pre
+            let mut want: Vec<Substitution> = pre
                 .iter()
-                .filter(|&&id| gains.get(id).is_none())
-                .map(|&id| id as u32)
+                .map(|&id| scored[id].0)
+                .filter(|s| !gain_memo.contains_key(s))
                 .collect();
             {
                 let mut seen_live = 0usize;
@@ -408,8 +411,8 @@ pub(crate) fn optimize_parallel(
                         let s = &scored[j].0;
                         if candidate_alive(nl, s) && s.is_structurally_valid(nl) {
                             seen_live += 1;
-                            if gains.get(j).is_none() {
-                                want.push(j as u32);
+                            if !gain_memo.contains_key(s) {
+                                want.push(*s);
                             }
                         }
                     }
@@ -422,34 +425,32 @@ pub(crate) fn optimize_parallel(
                 let results = {
                     let nl_snap: &Netlist = &*nl;
                     let est_ref: &PowerEstimator = est;
-                    let scored_ref = &scored;
                     let batches = batch_by_key(
-                        want.iter()
-                            .map(|&id| (id, scored_ref[id as usize].0.substituted_stem(nl_snap))),
+                        (0u32..)
+                            .zip(&want)
+                            .map(|(k, s)| (k, s.substituted_stem(nl_snap))),
                         GAIN_BATCH,
                     );
                     pool.run_batches(
                         obs::names::span::STAGE_GAIN,
-                        scored_ref.as_slice(),
+                        &want,
                         &batches,
-                        || (WhatIfScratch::default(), FootprintScratch::default()),
-                        |ctx, _, (sub, _)| {
-                            let (ws, fs) = ctx;
+                        &mut gain_ctxs,
+                        Default::default,
+                        |(ws, fs), _, sub| {
                             let fp = footprint_of(fs, nl_snap, sub);
                             let g = analyze_full_with(nl_snap, est_ref, sub, ws).total();
                             (fp, g)
                         },
                     )
                 };
-                for (id, r) in results.into_iter().enumerate() {
-                    if let Some((fp, g)) = r {
-                        if dropped_mark[id] {
-                            dropped_mark[id] = false;
+                for (sub, r) in want.iter().zip(results) {
+                    if let Some(r) = r {
+                        if dropped.remove(sub) {
                             engine.retried += 1;
                             obs::counter!(obs::names::ENGINE_RETRIED).inc();
                         }
-                        gain_memo.insert(scored[id].0, (fp.clone(), g));
-                        gains.insert(id, fp, g);
+                        gain_memo.insert(*sub, r);
                     }
                 }
                 engine.full_gains += want.len();
@@ -468,7 +469,7 @@ pub(crate) fn optimize_parallel(
             let missing: Vec<usize> = pre
                 .iter()
                 .copied()
-                .filter(|&id| gains.get(id).is_none())
+                .filter(|&id| !gain_memo.contains_key(&scored[id].0))
                 .collect();
             if !missing.is_empty() {
                 for id in missing {
@@ -478,11 +479,13 @@ pub(crate) fn optimize_parallel(
             }
             let best = pre
                 .iter()
-                .map(|&id| (id, *gains.get(id).expect("checked just above")))
+                .map(|&id| (id, gain_memo[&scored[id].0].1))
                 .max_by(|x, y| x.1.total_cmp(&y.1))
                 .expect("pre-selection is non-empty");
             let (idx, gain) = best;
             if gain <= config.min_gain {
+                // The most promising candidates no longer reduce power;
+                // end this round (fresh candidates may still exist).
                 break 'inner;
             }
             let sub = scored[idx].0;
@@ -506,10 +509,11 @@ pub(crate) fn optimize_parallel(
                 }
             }
 
-            // --- Stage 3: ATPG proofs, speculatively batched. ---
+            // --- Stage 3: ATPG proofs (check_candidate), speculatively
+            // batched. ---
             atpg_checks += 1;
             obs::counter!(obs::names::OPTIMIZER_ATPG_CHECKS).inc();
-            if proofs.get(idx).is_some() {
+            if proof_memo.contains_key(&sub) {
                 engine.speculative_hits += 1;
                 obs::counter!(obs::names::ENGINE_SPECULATIVE_HITS).inc();
             } else {
@@ -518,7 +522,7 @@ pub(crate) fn optimize_parallel(
                 let plan = plan_proof_batch(
                     nl,
                     &scored,
-                    &gains,
+                    &gain_memo,
                     &consumed,
                     &quarantine,
                     cursor,
@@ -529,32 +533,34 @@ pub(crate) fn optimize_parallel(
                     config,
                     proof_batch,
                 );
-                let todo: Vec<u32> = plan
+                let todo: Vec<Substitution> = plan
                     .iter()
-                    .filter(|&&id| proofs.get(id).is_none())
-                    .map(|&id| id as u32)
+                    .map(|&id| scored[id].0)
+                    .filter(|s| !proof_memo.contains_key(s))
                     .collect();
                 let results = {
                     let nl_snap: &Netlist = &*nl;
-                    let scored_ref = &scored;
                     let bl = adaptive_backtrack(config.backtrack_limit, t0, config.deadline);
                     let faults = config.faults.clone();
                     let scope = config.scope.clone();
                     // One proof per batch: proofs dominate the
                     // pipeline, so maximal stealing wins.
-                    let batches: Vec<Vec<u32>> = todo.iter().map(|&id| vec![id]).collect();
+                    let batches: Vec<Vec<u32>> = (0..todo.len() as u32).map(|k| vec![k]).collect();
                     pool.run_batches(
                         obs::names::span::STAGE_PROOF,
-                        scored_ref.as_slice(),
+                        &todo,
                         &batches,
+                        &mut proof_ctxs,
                         CheckArena::new,
-                        |arena, _, (s, _)| {
+                        |arena, _, s| {
                             if fires(faults.as_ref(), SITE_ATPG_ABORT) {
                                 CheckOutcome::Aborted
                             } else {
                                 match scope.as_deref() {
                                     // Windowed runs prove on window-local
-                                    // cones, as in the sequential path.
+                                    // cones: the miter is cut at the
+                                    // scope boundary, so solver work is
+                                    // bounded by the window.
                                     Some(sc) => arena.check_scoped(nl_snap, s, bl, &sc.sources),
                                     None => arena.check(nl_snap, s, bl),
                                 }
@@ -563,20 +569,18 @@ pub(crate) fn optimize_parallel(
                     )
                 };
                 engine.proved += todo.len();
-                for (id, r) in results.into_iter().enumerate() {
+                for (s, r) in todo.iter().zip(results) {
                     if let Some(outcome) = r {
-                        if dropped_mark[id] {
-                            dropped_mark[id] = false;
+                        if dropped.remove(s) {
                             engine.retried += 1;
                             obs::counter!(obs::names::ENGINE_RETRIED).inc();
                         }
-                        // Planned proofs have cached gains, so the
+                        // Planned proofs have memoized gains, so the
                         // footprint is normally present; a quarantined
                         // gain batch is the exception, and such proofs
-                        // are simply not cached.
-                        if let Some(fp) = gains.footprint(id).cloned() {
-                            proof_memo.insert(scored[id].0, (fp.clone(), outcome.clone()));
-                            proofs.insert(id, fp, outcome);
+                        // are simply not memoized.
+                        if let Some((fp, _)) = gain_memo.get(s) {
+                            proof_memo.insert(*s, (fp.clone(), outcome));
                         }
                     }
                 }
@@ -589,37 +593,28 @@ pub(crate) fn optimize_parallel(
             }
             // A proof lost to a quarantined worker batch counts as an
             // abort: conservative rejection, never permission.
-            let outcome = proofs.take(idx).unwrap_or(CheckOutcome::Aborted);
+            let outcome = proof_memo
+                .get(&sub)
+                .map_or(CheckOutcome::Aborted, |(_, o)| o.clone());
 
             match outcome {
                 CheckOutcome::Permissible => {
                     let t_apply = Instant::now();
                     let apply_span = obs::span!(obs::names::span::PHASE_APPLY);
-                    let power_before = if config.incremental {
-                        est.total_power()
-                    } else {
-                        inc.full_power_rescans += 1;
-                        obs::counter!(obs::names::ANALYSIS_POWER_FULL).inc();
-                        est.circuit_power(nl)
-                    };
+                    let power_before = est.total_power();
                     let area_before = nl.area();
-                    // Transactional apply — same guard as the
-                    // sequential path: checkpoint, edit, verify the
-                    // cone's primary outputs, roll back and quarantine
-                    // on mismatch. On the Err path the netlist (journal
-                    // generation included) is bit-identical to before
-                    // the apply, so no cached result needs
-                    // invalidating.
-                    let guard_values = if config.incremental {
-                        values.as_mut()
-                    } else {
-                        None
-                    };
+                    // Transactional apply: checkpoint, edit, verify the
+                    // dirty cone's primary outputs, roll back and
+                    // quarantine on mismatch. One shared dirty region
+                    // drives every analysis refresh below. On the Err
+                    // path the netlist (journal generation included) is
+                    // bit-identical to before the apply, so no memoized
+                    // result needs invalidating.
                     let region = match guarded_apply(
                         nl,
                         &sub,
                         covers,
-                        guard_values,
+                        values.as_mut(),
                         config.backtrack_limit,
                         config.faults.as_ref(),
                         &mut cone_scratch,
@@ -645,15 +640,9 @@ pub(crate) fn optimize_parallel(
                     .observe(cone.len() as u64);
                     est.retire_gates(region.removed());
                     est.update_cone(nl, &cone);
-                    let power_after = if config.incremental {
-                        inc.incremental_power_updates += 1;
-                        obs::counter!(obs::names::ANALYSIS_POWER_INCREMENTAL).inc();
-                        est.total_power()
-                    } else {
-                        inc.full_power_rescans += 1;
-                        obs::counter!(obs::names::ANALYSIS_POWER_FULL).inc();
-                        est.circuit_power(nl)
-                    };
+                    inc.incremental_power_updates += 1;
+                    obs::counter!(obs::names::ANALYSIS_POWER_INCREMENTAL).inc();
+                    let power_after = est.total_power();
                     drop(apply_span);
                     phase.apply += t_apply.elapsed().as_secs_f64();
                     applied.push(AppliedSubstitution {
@@ -662,7 +651,7 @@ pub(crate) fn optimize_parallel(
                         power_saved: power_before - power_after,
                         area_delta: nl.area() - area_before,
                     });
-                    if config.incremental && values.is_some() {
+                    if values.is_some() {
                         // The guard already resimulated the cone as
                         // part of its verification.
                         inc.incremental_resims += 1;
@@ -671,15 +660,9 @@ pub(crate) fn optimize_parallel(
                     if let Some(sta_ref) = sta.as_mut() {
                         let t = Instant::now();
                         let _span = obs::span!(obs::names::span::PHASE_TIMING);
-                        if config.incremental {
-                            sta_ref.update(nl, &region);
-                            inc.incremental_sta_updates += 1;
-                            obs::counter!(obs::names::ANALYSIS_STA_INCREMENTAL).inc();
-                        } else {
-                            *sta_ref = TimingAnalysis::new(nl, &sta_cfg);
-                            inc.full_sta_rebuilds += 1;
-                            obs::counter!(obs::names::ANALYSIS_STA_FULL).inc();
-                        }
+                        sta_ref.update(nl, &region);
+                        inc.incremental_sta_updates += 1;
+                        obs::counter!(obs::names::ANALYSIS_STA_INCREMENTAL).inc();
                         phase.timing += t.elapsed().as_secs_f64();
                     }
                     if config.cross_check {
@@ -689,12 +672,12 @@ pub(crate) fn optimize_parallel(
                             covers,
                             patterns,
                             est,
-                            config.incremental.then_some(values.as_ref()).flatten(),
+                            values.as_ref().expect("simulated this round"),
                             sta.as_ref(),
                         );
                     }
-                    // Invalidate exactly the in-flight results that
-                    // read what this commit wrote. Gains read the
+                    // Invalidate exactly the memoized results that read
+                    // what this commit wrote. Gains read the
                     // estimator's probabilities, which shift all the
                     // way down the refreshed cone; proofs read only
                     // netlist *structure*, which changes at the
@@ -702,7 +685,7 @@ pub(crate) fn optimize_parallel(
                     // journals each gate whose fanin or fanout list it
                     // edits, so a proof whose footprint misses that
                     // set would re-derive the identical miter and
-                    // verdict, and keeps its cached outcome.
+                    // verdict, and keeps its memoized outcome.
                     let dirty = DirtyBits::from_commit(
                         region.touched().iter().copied(),
                         region.removed(),
@@ -713,17 +696,24 @@ pub(crate) fn optimize_parallel(
                         region.removed(),
                         &[],
                     );
-                    let mut mark = |id: usize| {
-                        if !consumed[id] {
-                            dropped_mark[id] = true;
+                    let before = gain_memo.len() + proof_memo.len();
+                    gain_memo.retain(|s, (fp, _)| {
+                        let keep = !fp.intersects(&dirty);
+                        if !keep {
+                            dropped.insert(*s);
                         }
-                    };
-                    let inv = gains.invalidate(&dirty, &mut mark)
-                        + proofs.invalidate(&structural, &mut mark);
+                        keep
+                    });
+                    proof_memo.retain(|s, (fp, _)| {
+                        let keep = !fp.intersects(&structural);
+                        if !keep {
+                            dropped.insert(*s);
+                        }
+                        keep
+                    });
+                    let inv = before - gain_memo.len() - proof_memo.len();
                     engine.invalidated += inv;
                     obs::counter!(obs::names::ENGINE_INVALIDATED).add(inv as u64);
-                    gain_memo.retain(|_, (fp, _)| !fp.intersects(&dirty));
-                    proof_memo.retain(|_, (fp, _)| !fp.intersects(&structural));
                     repeat_left -= 1;
                     progress = true;
                 }
@@ -731,9 +721,11 @@ pub(crate) fn optimize_parallel(
                     atpg_rejections += 1;
                     rejections_this_round += 1;
                     obs::counter!(obs::names::OPTIMIZER_ATPG_REJECTIONS).inc();
-                    // Pattern learning only affects the next round's
-                    // candidate generation; cached gains and proofs do
-                    // not read the pattern set, so nothing invalidates.
+                    // Teach the filter: the witness distinguishes
+                    // circuits, so adding it to the pattern set kills
+                    // this candidate class in future rounds. Memoized
+                    // gains and proofs do not read the pattern set, so
+                    // nothing invalidates.
                     patterns.push_pattern(&witness);
                     patterns_stale = true;
                     learned = true;
@@ -751,8 +743,9 @@ pub(crate) fn optimize_parallel(
         if deadline_hit || interrupted {
             break;
         }
-        // Same committed boundary as the sequential path: checkpoints
-        // taken here are bit-identical at any `jobs`.
+        // The round completed at a committed boundary: let the observer
+        // (the checkpoint sink) see the state. Checkpoints taken here
+        // are bit-identical at any `jobs`.
         if let Some(hook) = &config.round_hook {
             hook.call(RoundSnapshot {
                 rounds_done: rounds,
@@ -762,14 +755,18 @@ pub(crate) fn optimize_parallel(
                 required_time,
             });
         }
+        // A round that only *learned* counterexamples still sharpened the
+        // filter; re-generate candidates against the enlarged pattern set
+        // before giving up.
         if !progress && !learned {
             break;
         }
     }
 
-    // Same contract as the sequential path: retained values either
-    // match the pattern set exactly or are dropped.
-    if patterns_stale || !config.incremental {
+    // Uphold the shared-analyses contract: retained values must match
+    // the pattern set exactly, and learned counterexamples grew
+    // `patterns` past the buffer.
+    if patterns_stale {
         *values = None;
     }
 
@@ -829,10 +826,10 @@ mod tests {
         nl
     }
 
-    /// The pipeline commits the exact substitution sequence of the
-    /// sequential path and lands on the same power, area, and delay.
+    /// Four workers commit the exact substitution sequence of one worker
+    /// and land on the same power, area, and delay.
     #[test]
-    fn parallel_run_is_bit_identical_to_sequential() {
+    fn four_workers_decide_exactly_as_one() {
         for delay_limit in [None, Some(DelayLimit::Factor(1.5))] {
             let mut nl_seq = redundant_circuit();
             let mut nl_par = redundant_circuit();

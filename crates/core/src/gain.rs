@@ -194,8 +194,7 @@ pub fn analyze_full(nl: &Netlist, est: &PowerEstimator, sub: &Substitution) -> P
 /// [`analyze_full`] with a caller-owned what-if scratch, making the
 /// query allocation-free in the steady state. The result is a pure
 /// function of `(nl, est, sub)` — the scratch's prior contents never
-/// influence it — so sequential and parallel callers agree
-/// bit-for-bit.
+/// influence it — so callers on any worker agree bit-for-bit.
 #[must_use]
 pub fn analyze_full_with(
     nl: &Netlist,

@@ -51,10 +51,10 @@
 #![warn(missing_docs)]
 
 pub mod apply;
+mod arbiter;
 pub mod gain;
 mod guard;
 mod optimizer;
-mod parallel;
 pub mod report;
 pub mod resize;
 mod windowed;

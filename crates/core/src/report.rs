@@ -244,7 +244,8 @@ pub struct OptimizeReport {
     pub phase: PhaseTimes,
     /// Incremental-versus-full refresh counters.
     pub incremental: IncrementalStats,
-    /// Resolved worker count the run used (1 = sequential path).
+    /// Resolved worker count the run used (1 = inline on the caller's
+    /// thread).
     pub jobs: usize,
     /// Candidate-evaluation pipeline counters and stage wall times.
     pub engine: EngineStats,

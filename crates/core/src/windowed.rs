@@ -46,7 +46,7 @@ use std::time::Instant;
 /// explicit `window_size` wins, otherwise the automatic policy of
 /// [`WindowConfig::auto`] decides by live gate count. An unset overlap
 /// defaults to an eighth of the window size. `None` means run the
-/// classic whole-netlist paths.
+/// whole-netlist loop.
 pub(crate) fn resolve_window_config(
     config: &OptimizeConfig,
     live_gates: usize,

@@ -219,6 +219,27 @@ mod tests {
         assert!(!fp.intersects(&miss));
     }
 
+    /// A committed edit inside one cone dirties the footprints that read
+    /// that cone and spares a disjoint one.
+    #[test]
+    fn commit_dirties_only_the_footprints_it_touches() {
+        let (mut nl, ids) = chain();
+        let (x0, x2, a, n, m) = (ids[0], ids[2], ids[3], ids[4], ids[5]);
+        nl.drain_dirty();
+        let mut scratch = FootprintScratch::default();
+        let inside = scratch.candidate_footprint(&nl, [n], [a]);
+        let disjoint = scratch.candidate_footprint(&nl, [m], [x2]);
+        // Rewire n's fanin (a → x0) and sweep the dangling AND gate.
+        nl.replace_fanin(n, 0, x0);
+        nl.sweep_from(a);
+        let region = nl.drain_dirty();
+        let cone = nl.dirty_cone(&region);
+        let dirty =
+            DirtyBits::from_commit(region.touched().iter().copied(), region.removed(), &cone);
+        assert!(inside.intersects(&dirty));
+        assert!(!disjoint.intersects(&dirty));
+    }
+
     #[test]
     fn out_of_range_ids_do_not_panic() {
         let fp = Footprint::default();

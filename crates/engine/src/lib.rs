@@ -4,20 +4,20 @@
 //! candidates per accepted move: power-gain scoring and ATPG
 //! permissibility proofs are pure functions of the netlist until a
 //! commit mutates it. This crate provides the generic machinery that
-//! turns that loop into a speculative, work-stealing pipeline while
-//! keeping the *decisions* bit-identical to a sequential run:
+//! turns that loop into a speculative, work-stealing pipeline whose
+//! *decisions* are the same at every worker count:
 //!
 //! | module | provides |
 //! |--------|----------|
-//! | [`pool`] | [`WorkerPool`]: scoped work-stealing thread pool over batched items |
-//! | [`footprint`] | [`Footprint`] / [`DirtyBits`]: read-set and commit write-set bitsets |
-//! | [`cache`] | [`SpecCache`]: per-candidate speculative results with footprint invalidation |
+//! | [`pool`] | [`WorkerPool`]: scoped work-stealing thread pool over batched items, with caller-owned per-worker contexts |
+//! | [`footprint`] | [`Footprint`] / [`DirtyBits`]: read-set and commit write-set bitsets that decide which cached results a commit invalidates |
+//! | [`budget`] | [`ThreadBudget`]: worker threads shared between concurrent runs |
 //! | [`stats`] | [`EngineStats`]: per-stage counters and wall times for reports |
 //!
 //! The engine itself is policy-free: it knows nothing about gains,
-//! SAT, or the POWDER arbiter. The pipeline that wires these pieces
-//! to the optimizer lives in `powder::parallel` (the `core` crate),
-//! which keeps the dependency direction `engine → netlist` only.
+//! SAT, or the POWDER arbiter. The loop that wires these pieces to the
+//! optimizer lives in `powder::arbiter` (the `core` crate), which keeps
+//! the dependency direction `engine → netlist` only.
 //!
 //! # Snapshot / epoch model
 //!
@@ -35,13 +35,11 @@
 #![warn(missing_docs)]
 
 pub mod budget;
-pub mod cache;
 pub mod footprint;
 pub mod pool;
 pub mod stats;
 
 pub use budget::{ThreadBudget, ThreadLease};
-pub use cache::SpecCache;
 pub use footprint::{DirtyBits, Footprint, FootprintScratch};
 pub use pool::{PoolResilience, WorkerPool, MAX_WORKER_LOSSES};
 pub use stats::{EngineStats, SessionStats};

@@ -10,9 +10,10 @@
 //!
 //! The pool uses [`std::thread::scope`], so tasks may borrow from the
 //! caller's stack (the shared netlist snapshot, estimator, etc.).
-//! Per-worker mutable context (solver arenas, what-if scratch) is
-//! created inside each worker via `make_ctx`, which keeps those
-//! structures out of the `Send`/`Sync` bounds entirely.
+//! Per-worker mutable context (solver arenas, what-if scratch) is owned
+//! by the caller, one slot per worker, and lent to that worker for each
+//! phase: a proof arena's cached miter base survives from one phase to
+//! the next exactly as it does in a single-threaded loop.
 //!
 //! # Panic isolation
 //!
@@ -22,6 +23,8 @@
 //! (recompute, skip, or treat conservatively). The panicking worker's
 //! context may have been poisoned mid-update, so it is discarded and
 //! rebuilt via `make_ctx` — a logical respawn that keeps the OS thread.
+//! This holds at every width: one worker runs its batches inline on the
+//! caller's thread under the same isolation.
 //! After [`MAX_WORKER_LOSSES`] contained panics in one phase the pool
 //! stops trusting parallel execution: workers drain out and whatever
 //! batches remain queued run sequentially on the caller's thread (still
@@ -119,17 +122,28 @@ impl WorkerPool {
         &self.resilience
     }
 
-    /// Records one contained batch panic and reports whether the phase
-    /// should degrade to sequential draining.
-    fn note_batch_panic(&self, losses: &AtomicUsize) -> bool {
+    /// Records one contained batch panic, rebuilds the panicking
+    /// worker's context (it may have been left half-updated), and
+    /// reports whether the phase should degrade to sequential draining.
+    fn contain_panic<C>(
+        &self,
+        losses: &AtomicUsize,
+        ctx: &mut C,
+        make_ctx: &impl Fn() -> C,
+    ) -> bool {
         obs::counter!(obs::names::RESILIENCE_WORKER_PANICS).inc();
         obs::counter!(obs::names::RESILIENCE_QUARANTINED_BATCHES).inc();
+        obs::counter!(obs::names::RESILIENCE_WORKER_RESPAWNS).inc();
         self.resilience
             .worker_panics
             .fetch_add(1, Ordering::Relaxed);
         self.resilience
             .quarantined_batches
             .fetch_add(1, Ordering::Relaxed);
+        self.resilience
+            .worker_respawns
+            .fetch_add(1, Ordering::Relaxed);
+        *ctx = make_ctx();
         losses.fetch_add(1, Ordering::Relaxed) + 1 >= MAX_WORKER_LOSSES
     }
 
@@ -144,21 +158,26 @@ impl WorkerPool {
     /// track, so pool phases render as parallel lanes) plus a
     /// batch-size histogram sample.
     ///
-    /// `make_ctx` builds one mutable context per worker; `work`
-    /// receives it together with the item index and item. With one
-    /// worker (or one batch) everything runs inline on the caller's
-    /// thread — no spawn, identical results.
+    /// `ctxs` holds one mutable context per worker, owned by the caller
+    /// and kept across calls: slot `w` is lent to worker `w`, and slots
+    /// a wider phase needs are created with `make_ctx`, which also
+    /// rebuilds a slot after a contained panic. `work` receives the
+    /// context together with the item index and item. With one worker
+    /// (or one batch) everything runs inline on the caller's thread — no
+    /// spawn, identical results.
     pub fn run_batches<T, R, C>(
         &self,
         label: &'static str,
         items: &[T],
         batches: &[Vec<u32>],
+        ctxs: &mut Vec<C>,
         make_ctx: impl Fn() -> C + Sync,
         work: impl Fn(&mut C, u32, &T) -> R + Sync,
     ) -> Vec<Option<R>>
     where
         T: Sync,
         R: Send,
+        C: Send,
     {
         let batch_hist = obs::histogram!(
             obs::names::ENGINE_BATCH_ITEMS,
@@ -166,11 +185,11 @@ impl WorkerPool {
         );
         // One batch's execution, isolated from the worker loop. The
         // `AssertUnwindSafe` is justified by the recovery protocol: on
-        // `Err` the half-built result vector is dropped and the
-        // caller-side context is discarded and rebuilt, so no state
-        // observed after a panic crossed the unwind boundary. Injected
-        // panics unwind via `resume_unwind`, which skips the global
-        // panic hook — fault drills don't spam stderr.
+        // `Err` the half-built result vector is dropped and the worker's
+        // context is discarded and rebuilt, so no state observed after
+        // a panic crossed the unwind boundary. Injected panics unwind
+        // via `resume_unwind`, which skips the global panic hook — fault
+        // drills don't spam stderr.
         let run_batch = |ctx: &mut C, batch: &[u32]| -> std::thread::Result<Vec<(u32, R)>> {
             std::panic::catch_unwind(AssertUnwindSafe(|| {
                 let _span = obs::span!(label);
@@ -190,25 +209,26 @@ impl WorkerPool {
         out.resize_with(items.len(), || None);
         let losses = AtomicUsize::new(0);
         let workers = self.jobs.min(batches.len().max(1));
-        if workers <= 1 {
-            let mut ctx = make_ctx();
-            for batch in batches {
-                match run_batch(&mut ctx, batch) {
+        if ctxs.len() < workers {
+            ctxs.resize_with(workers, &make_ctx);
+        }
+        // Runs the batches named by `order` on the caller's thread.
+        let drain = |ctx: &mut C, order: &mut dyn Iterator<Item = usize>, out: &mut [Option<R>]| {
+            for b in order {
+                match run_batch(ctx, &batches[b]) {
                     Ok(done) => {
                         for (i, r) in done {
                             out[i as usize] = Some(r);
                         }
                     }
                     Err(_) => {
-                        self.note_batch_panic(&losses);
-                        obs::counter!(obs::names::RESILIENCE_WORKER_RESPAWNS).inc();
-                        self.resilience
-                            .worker_respawns
-                            .fetch_add(1, Ordering::Relaxed);
-                        ctx = make_ctx();
+                        self.contain_panic(&losses, ctx, &make_ctx);
                     }
                 }
             }
+        };
+        if workers <= 1 {
+            drain(&mut ctxs[0], &mut (0..batches.len()), &mut out);
             return out;
         }
 
@@ -228,8 +248,10 @@ impl WorkerPool {
         let degraded = AtomicBool::new(false);
 
         let results: Vec<Vec<(u32, R)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
+            let handles: Vec<_> = ctxs[..workers]
+                .iter_mut()
+                .enumerate()
+                .map(|(w, ctx)| {
                     let queues = &queues;
                     let pending = &pending;
                     let degraded = &degraded;
@@ -238,7 +260,6 @@ impl WorkerPool {
                     let run_batch = &run_batch;
                     s.spawn(move || {
                         obs::set_track_name(format!("worker-{w}"));
-                        let mut ctx = make_ctx();
                         let mut local: Vec<(u32, R)> = Vec::new();
                         loop {
                             if degraded.load(Ordering::Relaxed) {
@@ -255,19 +276,13 @@ impl WorkerPool {
                             match grabbed {
                                 Some(b) => {
                                     pending.fetch_sub(1, Ordering::Relaxed);
-                                    match run_batch(&mut ctx, &batches[b]) {
+                                    match run_batch(ctx, &batches[b]) {
                                         Ok(done) => local.extend(done),
                                         Err(_) => {
-                                            if self.note_batch_panic(losses) {
+                                            if self.contain_panic(losses, ctx, make_ctx) {
                                                 degraded.store(true, Ordering::Relaxed);
                                                 break;
                                             }
-                                            obs::counter!(obs::names::RESILIENCE_WORKER_RESPAWNS)
-                                                .inc();
-                                            self.resilience
-                                                .worker_respawns
-                                                .fetch_add(1, Ordering::Relaxed);
-                                            ctx = make_ctx();
                                         }
                                     }
                                 }
@@ -326,24 +341,7 @@ impl WorkerPool {
             self.resilience
                 .degraded_phases
                 .fetch_add(1, Ordering::Relaxed);
-            let mut ctx = make_ctx();
-            for b in leftovers {
-                match run_batch(&mut ctx, &batches[b]) {
-                    Ok(done) => {
-                        for (i, r) in done {
-                            out[i as usize] = Some(r);
-                        }
-                    }
-                    Err(_) => {
-                        self.note_batch_panic(&losses);
-                        obs::counter!(obs::names::RESILIENCE_WORKER_RESPAWNS).inc();
-                        self.resilience
-                            .worker_respawns
-                            .fetch_add(1, Ordering::Relaxed);
-                        ctx = make_ctx();
-                    }
-                }
-            }
+            drain(&mut ctxs[0], &mut leftovers.into_iter(), &mut out);
         }
         out
     }
@@ -383,6 +381,7 @@ mod tests {
                 "engine.stage.test",
                 &items,
                 &batches,
+                &mut Vec::new(),
                 || (),
                 |_, _, &x| x * x,
             );
@@ -400,6 +399,7 @@ mod tests {
             "engine.stage.test",
             &items,
             &[vec![2], vec![0]],
+            &mut Vec::new(),
             || (),
             |_, _, &x| x + 1,
         );
@@ -416,6 +416,7 @@ mod tests {
             "engine.stage.test",
             &items,
             &[vec![0, 1, 2], vec![3, 4, 5]],
+            &mut Vec::new(),
             || Cell::new(0u32),
             |ctx, _, _| {
                 ctx.set(ctx.get() + 1);
@@ -443,7 +444,14 @@ mod tests {
                 .unwrap()
                 .into_state();
             let pool = WorkerPool::new(jobs).with_faults(Some(faults.clone()));
-            let out = pool.run_batches("engine.stage.test", &items, &batches, || (), |_, _, &x| x);
+            let out = pool.run_batches(
+                "engine.stage.test",
+                &items,
+                &batches,
+                &mut Vec::new(),
+                || (),
+                |_, _, &x| x,
+            );
             let done = out.iter().filter(|r| r.is_some()).count();
             assert_eq!(done, 9, "jobs={jobs}: exactly one 3-item batch lost");
             for (i, r) in out.iter().enumerate() {
@@ -472,6 +480,7 @@ mod tests {
             "engine.stage.test",
             &items,
             &[vec![0, 1], vec![2, 3]],
+            &mut Vec::new(),
             || Cell::new(0u32),
             |ctx, _, _| {
                 ctx.set(ctx.get() + 1);
@@ -479,6 +488,62 @@ mod tests {
             },
         );
         assert_eq!(out, vec![None, None, Some(1), Some(2)]);
+    }
+
+    #[test]
+    fn contexts_persist_across_calls_until_a_panic_rebuilds_them() {
+        let items = [0u8; 4];
+        let batches: Vec<Vec<u32>> = (0..4).map(|i| vec![i]).collect();
+        let count = |ctx: &mut Cell<u32>, _: u32, _: &u8| {
+            ctx.set(ctx.get() + 1);
+            ctx.get()
+        };
+        for jobs in [1, 2] {
+            // Whichever worker takes which batch, the contexts together
+            // have seen every item of both calls.
+            let pool = WorkerPool::new(jobs);
+            let mut ctxs = Vec::new();
+            for call in 1..=2 {
+                pool.run_batches(
+                    "engine.stage.test",
+                    &items,
+                    &batches,
+                    &mut ctxs,
+                    || Cell::new(0),
+                    count,
+                );
+                assert_eq!(ctxs.len(), jobs);
+                let seen: u32 = ctxs.iter().map(Cell::get).sum();
+                assert_eq!(seen, 4 * call, "jobs={jobs} after call {call}");
+            }
+        }
+        // The fifth executed batch (the first of the second call) panics:
+        // its context is rebuilt, so the count restarts.
+        let faults = FaultPlan::parse("worker-panic=once:5")
+            .unwrap()
+            .into_state();
+        let pool = WorkerPool::new(1).with_faults(Some(faults));
+        let mut ctxs = Vec::new();
+        let make = || Cell::new(0);
+        let first = pool.run_batches(
+            "engine.stage.test",
+            &items,
+            &batches,
+            &mut ctxs,
+            make,
+            count,
+        );
+        assert_eq!(first, vec![Some(1), Some(2), Some(3), Some(4)]);
+        let second = pool.run_batches(
+            "engine.stage.test",
+            &items,
+            &batches,
+            &mut ctxs,
+            make,
+            count,
+        );
+        assert_eq!(second, vec![None, Some(1), Some(2), Some(3)]);
+        assert_eq!(pool.resilience().worker_respawns(), 1);
     }
 
     #[test]
@@ -492,7 +557,14 @@ mod tests {
             .unwrap()
             .into_state();
         let pool = WorkerPool::new(4).with_faults(Some(faults));
-        let out = pool.run_batches("engine.stage.test", &items, &batches, || (), |_, _, &x| x);
+        let out = pool.run_batches(
+            "engine.stage.test",
+            &items,
+            &batches,
+            &mut Vec::new(),
+            || (),
+            |_, _, &x| x,
+        );
         assert!(out.iter().all(|r| r.is_none()));
         assert_eq!(pool.resilience().quarantined_batches(), 20);
         assert_eq!(pool.resilience().degraded_phases(), 1);
@@ -510,6 +582,7 @@ mod tests {
             "engine.stage.test",
             &items,
             &batches,
+            &mut Vec::new(),
             || (),
             |_, _, &x| {
                 assert!(x != 3, "poison item");

@@ -106,8 +106,8 @@ pub struct WhatIfEdit {
 /// clearing is needed.
 ///
 /// The scratch is owned by the caller (one per evaluation context —
-/// the sequential optimizer holds one, each parallel worker holds its
-/// own), which keeps [`PowerEstimator`] free of interior mutability
+/// each optimizer worker holds its own), which keeps
+/// [`PowerEstimator`] free of interior mutability
 /// and therefore `Sync`: an immutable estimator can serve what-if
 /// queries from many threads concurrently.
 #[derive(Clone, Debug, Default)]

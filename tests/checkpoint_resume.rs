@@ -80,7 +80,7 @@ fn resume_to_completion(cp: &RunCheckpoint, cfg: &OptimizeConfig) -> String {
 
 /// Resuming from *every* checkpoint of a run — round-level and
 /// pass-level alike — must reproduce the uninterrupted final netlist
-/// exactly, on both the sequential and the parallel engine.
+/// exactly, at one worker and at four.
 #[test]
 fn resume_from_every_checkpoint_is_bit_identical() {
     for jobs in [1usize, 4] {

@@ -187,8 +187,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Engine determinism (ISSUE 2): the parallel pipeline's commit
-    /// arbiter must replay the sequential decision order exactly, so
+    /// Engine determinism: the commit arbiter's decisions must not
+    /// depend on the worker count, so
     /// `jobs = 1` and `jobs = 4` runs on the same circuit commit the
     /// same substitutions in the same order and land on identical
     /// final power and delay — bit-for-bit, not just within epsilon.

@@ -84,7 +84,7 @@ fn small_config(jobs: usize) -> OptimizeConfig {
 
 /// `--passes powder` must reproduce the standalone `optimize()` run
 /// bit for bit — same substitution decision sequence, same final
-/// netlist — on both the sequential and the parallel engine.
+/// netlist — at one worker and at four.
 #[test]
 fn powder_pass_is_bit_identical_to_standalone_optimize() {
     for jobs in [1usize, 4] {
@@ -220,10 +220,14 @@ mod bench_script {
         }
     }
 
-    /// Runs `script` on `nl` as the benchmark does: [`bench_config`],
-    /// `resize` anchored to the input delay, default e-graph bounds.
-    fn run_bench_script(nl: Netlist, script: &str, seed: u64) -> AnalysisSession {
-        let cfg = bench_config(seed);
+    /// Runs `script` on `nl` as the benchmark does: [`bench_config`] at
+    /// `jobs` workers, `resize` anchored to the input delay, default
+    /// e-graph bounds.
+    fn run_bench_script(nl: Netlist, script: &str, seed: u64, jobs: usize) -> AnalysisSession {
+        let cfg = OptimizeConfig {
+            jobs,
+            ..bench_config(seed)
+        };
         let probe = TimingConfig {
             output_load: cfg.power.output_load,
             required_time: None,
@@ -335,9 +339,33 @@ mod bench_script {
                 bench_input(name),
                 "sweep,egraph,powder,resize,redundancy",
                 BENCH_SEED_3,
+                1,
             );
             let got = fnv1a(write_blif(sess.netlist()).as_bytes());
             assert_eq!(got, hash, "{name}: {got:#018x}");
+        }
+    }
+
+    /// The `powder` pass alone on the benchmark's `powder-small` circuits,
+    /// pinned at one and at four workers: the Fig. 5 loop must make the
+    /// same decisions at every width.
+    #[test]
+    fn powder_small_outputs_are_pinned() {
+        for (name, hash) in [
+            ("bw", 0x1074_ae8e_0495_12a3_u64),
+            ("x1", 0x9f13_745f_1348_4fc0),
+            ("example2", 0xf302_c013_1f89_44ea),
+            ("apex6", 0xfbff_9ae8_c2cb_bef5),
+            ("x4", 0xfaa7_722b_b7e6_8b48),
+            ("apex7", 0x22f5_931c_d02e_d62c),
+            ("x3", 0xe043_ee11_045b_5599),
+            ("frg2", 0xcde4_6e7c_7f2b_2f63),
+        ] {
+            for jobs in [1, 4] {
+                let sess = run_bench_script(bench_input(name), "powder", BENCH_SEED_3, jobs);
+                let got = fnv1a(write_blif(sess.netlist()).as_bytes());
+                assert_eq!(got, hash, "{name} at jobs {jobs}: {got:#018x}");
+            }
         }
     }
 }

@@ -71,13 +71,11 @@ fn faulted_run_completes_and_preserves_function() {
         assert_eq!(report.guard.rollbacks, mismatches, "jobs {jobs}");
         assert_eq!(report.quarantined.len(), mismatches, "jobs {jobs}");
         assert!(state.fired(SITE_ATPG_ABORT) > 0, "jobs {jobs}");
-        if jobs > 1 {
-            assert!(
-                state.fired(SITE_WORKER_PANIC) > 0,
-                "parallel run never exercised the worker-panic site"
-            );
-            assert!(report.engine.worker_panics > 0);
-        }
+        assert!(
+            state.fired(SITE_WORKER_PANIC) > 0,
+            "jobs {jobs}: run never exercised the worker-panic site"
+        );
+        assert!(report.engine.worker_panics > 0, "jobs {jobs}");
     }
 }
 
