@@ -281,7 +281,7 @@ fn walk(
 mod tests {
     use super::*;
     use crate::graph::RULE_SEED;
-    use crate::rules::{saturate, SaturationConfig};
+    use crate::rules::{saturate, RuleCache, SaturationConfig};
     use powder_library::lib2;
     use std::sync::Arc;
 
@@ -297,11 +297,15 @@ mod tests {
     #[test]
     fn extracts_single_cell_for_and_cone() {
         let lib = Arc::new(lib2());
-        let mut eg = EGraph::new(lib, 2);
+        let mut eg = EGraph::new(lib.clone(), 2);
         let a = eg.add(Op::Var(0), &[], RULE_SEED);
         let b = eg.add(Op::Var(1), &[], RULE_SEED);
         let root = eg.add(Op::And, &[a, b], RULE_SEED);
-        saturate(&mut eg, &SaturationConfig::default());
+        saturate(
+            &mut eg,
+            &SaturationConfig::default(),
+            &mut RuleCache::new(lib),
+        );
         let plan = extract(&mut eg, root, &[0.5, 0.5]).expect("AND is mappable");
         assert!(!plan.steps.is_empty());
         assert!(matches!(plan.root, Operand::Step(_)));
@@ -311,11 +315,15 @@ mod tests {
     #[test]
     fn constant_class_extracts_for_free() {
         let lib = Arc::new(lib2());
-        let mut eg = EGraph::new(lib, 1);
+        let mut eg = EGraph::new(lib.clone(), 1);
         let a = eg.add(Op::Var(0), &[], RULE_SEED);
         let na = eg.add(Op::Not, &[a], RULE_SEED);
         let root = eg.add(Op::And, &[a, na], RULE_SEED);
-        saturate(&mut eg, &SaturationConfig::default());
+        saturate(
+            &mut eg,
+            &SaturationConfig::default(),
+            &mut RuleCache::new(lib),
+        );
         let plan = extract(&mut eg, root, &[0.5]).expect("constant is free");
         assert_eq!(plan.root, Operand::Const(false));
         assert!(plan.steps.is_empty());
@@ -327,11 +335,15 @@ mod tests {
         // Cost must depend on leaf probabilities: a highly active leaf
         // makes the plan strictly more expensive than a quiet one.
         let lib = Arc::new(lib2());
-        let mut eg = EGraph::new(lib, 2);
+        let mut eg = EGraph::new(lib.clone(), 2);
         let a = eg.add(Op::Var(0), &[], RULE_SEED);
         let b = eg.add(Op::Var(1), &[], RULE_SEED);
         let root = eg.add(Op::And, &[a, b], RULE_SEED);
-        saturate(&mut eg, &SaturationConfig::default());
+        saturate(
+            &mut eg,
+            &SaturationConfig::default(),
+            &mut RuleCache::new(lib),
+        );
         let active = extract(&mut eg, root, &[0.5, 0.5]).unwrap();
         let quiet = extract(&mut eg, root, &[0.02, 0.02]).unwrap();
         assert!(quiet.cost < active.cost);

@@ -34,7 +34,7 @@ pub use extract::{
     extract, signal_probability, transition_density, Operand, Plan, PlanStep, COST_EPS,
 };
 pub use graph::{ClassId, EGraph, ENode, NodeEntry, Op, RuleId, RULE_SEED};
-pub use rules::{saturate, SaturationConfig, SaturationStats, RULE_NAMES};
+pub use rules::{saturate, RuleCache, SaturationConfig, SaturationStats, RULE_NAMES};
 
 /// Tuning knobs for the egraph pass, carried from the CLI / job spec.
 #[derive(Clone, Copy, Debug, PartialEq)]

@@ -1,13 +1,16 @@
 //! Property-based tests: random mapped cones round-tripped through
 //! saturate → extract must preserve the root function — checked both
-//! by simulation signatures and by an exact miter proof.
+//! by simulation signatures and by an exact miter proof — and random
+//! fold shapes must pack to the function a [`TruthTable`] computes.
 
+use crate::rules::{local_function, Shape, Variant};
 use crate::{
     apply_plan, build_egraph, collect_cone, current_cost, extract, plan_const_needs,
-    plan_root_is_existing, saturate, ConeLimits, Operand, SaturationConfig,
+    plan_root_is_existing, saturate, ClassId, ConeLimits, Op, Operand, RuleCache, SaturationConfig,
 };
 use powder_atpg::equiv::{check_equivalence, EquivOutcome};
 use powder_library::lib2;
+use powder_logic::TruthTable;
 use powder_netlist::{GateId, Netlist};
 use powder_sim::{simulate, CellCovers, Patterns};
 use proptest::prelude::*;
@@ -64,7 +67,8 @@ proptest! {
             return Ok(());
         };
         let mut cg = build_egraph(&nl, &cone);
-        let stats = saturate(&mut cg.eg, &SaturationConfig::default());
+        let mut cache = RuleCache::new(Arc::clone(nl.library()));
+        let stats = saturate(&mut cg.eg, &SaturationConfig::default(), &mut cache);
         prop_assert!(stats.nodes <= SaturationConfig::default().node_limit + 64,
             "node budget respected (soft overshoot of one rule batch at most)");
 
@@ -115,5 +119,120 @@ proptest! {
                 false, "miter refuted the rewrite: output {output:?} under {witness:?}"),
             EquivOutcome::Unknown => prop_assert!(false, "tiny cones must not abort"),
         }
+    }
+}
+
+/// Decodes a fold shape from raw bytes: operands come from a pool of
+/// `pool` classes, and each variant is a leaf, a NOT or one of the three
+/// binary ops.
+fn decode_shape(pool: usize, root: u8, bytes: &[u8]) -> Shape {
+    let class = |b: u8| ClassId(3 + 7 * (u32::from(b) % pool as u32));
+    let binary = |b: u8| [Op::And, Op::Or, Op::Xor][usize::from(b) % 3];
+    let variant = |b: &[u8]| match b[0] % 5 {
+        0 => Variant::Leaf(class(b[1])),
+        1 => Variant::Not(class(b[1])),
+        k => Variant::Gate(binary(k - 2), class(b[1]), class(b[2])),
+    };
+    match root % 4 {
+        0 => Shape::Not(variant(&bytes[..3])),
+        k => Shape::Gate(binary(k - 1), variant(&bytes[..3]), variant(&bytes[3..])),
+    }
+}
+
+/// Reference semantics of a shape: its operands in first-occurrence
+/// order and its function over them as a [`TruthTable`].
+fn shape_table(shape: Shape) -> (Vec<ClassId>, TruthTable) {
+    fn leaves(v: Variant, out: &mut Vec<ClassId>) {
+        let cs = match v {
+            Variant::Leaf(c) | Variant::Not(c) => vec![c],
+            Variant::Gate(_, a, b) => vec![a, b],
+        };
+        for c in cs {
+            if !out.contains(&c) {
+                out.push(c);
+            }
+        }
+    }
+    fn table(v: Variant, ops: &[ClassId]) -> TruthTable {
+        let var =
+            |c: ClassId| TruthTable::var(ops.iter().position(|&o| o == c).unwrap(), ops.len());
+        match v {
+            Variant::Leaf(c) => var(c),
+            Variant::Not(c) => !var(c),
+            Variant::Gate(op, a, b) => binary(op, var(a), var(b)),
+        }
+    }
+    fn binary(op: Op, a: TruthTable, b: TruthTable) -> TruthTable {
+        match op {
+            Op::And => a & b,
+            Op::Or => a | b,
+            _ => a ^ b,
+        }
+    }
+    let mut ops = Vec::new();
+    match shape {
+        Shape::Not(v) => {
+            leaves(v, &mut ops);
+            let tt = !table(v, &ops);
+            (ops, tt)
+        }
+        Shape::Gate(op, l, r) => {
+            leaves(l, &mut ops);
+            leaves(r, &mut ops);
+            let tt = binary(op, table(l, &ops), table(r, &ops));
+            (ops, tt)
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The packed matcher agrees with the truth-table computation on
+    /// operands, function and liveness, and the cached lookup returns
+    /// what `Library::match_function` finds on a fresh table.
+    #[test]
+    fn packed_shapes_match_truth_tables(
+        pool in 1usize..=4,
+        root in any::<u8>(),
+        bytes in proptest::collection::vec(any::<u8>(), 6),
+    ) {
+        let shape = decode_shape(pool, root, &bytes);
+        let (ops, tt) = shape_table(shape);
+        let p = shape.pack();
+        prop_assert_eq!(&p.ops[..p.k], &ops[..]);
+        prop_assert_eq!(u64::from(p.bits), tt.as_words()[0]);
+        prop_assert_eq!(p.all_live(), tt.support().len() == ops.len());
+
+        let lib = Arc::new(lib2());
+        let mut cache = RuleCache::new(lib.clone());
+        let fresh = lib.match_function(&tt);
+        prop_assert_eq!(cache.lookup(p.k, p.bits).cloned(), fresh.clone());
+        prop_assert_eq!(cache.lookup(p.k, p.bits).cloned(), fresh);
+    }
+
+    /// `class_fold`'s packed local function equals the projection of
+    /// the class table onto its support, for supports of 0 to 5 of up
+    /// to 8 variables.
+    #[test]
+    fn class_tables_pack_like_projection(
+        vars in 1usize..=8,
+        picks in proptest::collection::vec(0usize..8, 0..=5),
+        local in any::<u32>(),
+    ) {
+        let mut picked: Vec<usize> = picks.into_iter().filter(|&v| v < vars).collect();
+        picked.sort_unstable();
+        picked.dedup();
+        let tt = TruthTable::from_fn(vars, |m| {
+            let x = picked.iter().enumerate().fold(0, |acc, (i, &v)| acc | ((m >> v) & 1) << i);
+            (local >> x) & 1 == 1
+        });
+        let support = tt.support();
+        let want = (1..=4).contains(&support.len()).then(|| {
+            let bits = tt.project(&support).as_words()[0] as u16;
+            (support.clone(), bits)
+        });
+        let got = local_function(&tt).map(|(s, k, bits)| (s[..k].to_vec(), bits));
+        prop_assert_eq!(got, want);
     }
 }

@@ -17,10 +17,11 @@
 //! anywhere, so runs are bit-reproducible.
 
 use crate::graph::{ClassId, EGraph, Op, RuleId};
-use powder_library::{CellId, Match};
+use powder_library::{CellId, Library, Match};
 use powder_logic::minimize::minimize;
 use powder_logic::{Sop, TruthTable};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Rule id: cell decomposed into its subject-graph (SOP) form.
 pub const RULE_CELL_EXPAND: RuleId = 1;
@@ -83,20 +84,55 @@ pub struct SaturationStats {
     pub saturated: bool,
 }
 
-/// Per-run caches for the expensive rule matchers.
-struct RuleCtx {
+/// Memo of the expensive rule matchers: cell SOPs and library matches,
+/// keyed by cell and by function. Entries depend only on the library,
+/// so one cache serves every cone saturated over it and never changes
+/// a result.
+pub struct RuleCache {
+    lib: Arc<Library>,
     /// Minimized SOP of each cell function, by cell id.
     sops: HashMap<CellId, Sop>,
-    /// Library match for each local shape function.
-    matches: HashMap<TruthTable, Option<Match>>,
+    /// Library match of each function of `k ≤ 4` inputs, keyed by `k`
+    /// and its truth table packed into the low `2^k` bits.
+    matches: HashMap<(u8, u16), Option<Match>>,
 }
 
-/// Runs bounded equality saturation over `eg`.
-pub fn saturate(eg: &mut EGraph, cfg: &SaturationConfig) -> SaturationStats {
-    let mut ctx = RuleCtx {
-        sops: HashMap::new(),
-        matches: HashMap::new(),
-    };
+impl RuleCache {
+    /// An empty cache for e-graphs over `lib`.
+    #[must_use]
+    pub fn new(lib: Arc<Library>) -> Self {
+        RuleCache {
+            lib,
+            sops: HashMap::new(),
+            matches: HashMap::new(),
+        }
+    }
+
+    /// The smallest-area cell implementing the `k`-input function
+    /// `bits` (bit `m` is its value at minterm `m`). A table is built
+    /// only on the first lookup of each function.
+    pub(crate) fn lookup(&mut self, k: usize, bits: u16) -> Option<&Match> {
+        let lib = &self.lib;
+        self.matches
+            .entry((k as u8, bits))
+            .or_insert_with(|| {
+                lib.match_function(&TruthTable::from_fn(k, |m| (bits >> m) & 1 == 1))
+            })
+            .as_ref()
+    }
+}
+
+/// Runs bounded equality saturation over `eg`, memoising matches in
+/// `cache`.
+///
+/// # Panics
+///
+/// Panics if `cache` was built for a different library than `eg`.
+pub fn saturate(eg: &mut EGraph, cfg: &SaturationConfig, cache: &mut RuleCache) -> SaturationStats {
+    assert!(
+        Arc::ptr_eq(eg.library(), &cache.lib),
+        "rule cache built for another library"
+    );
     let mut stats = SaturationStats::default();
     for _ in 0..cfg.iter_limit {
         stats.iters += 1;
@@ -105,7 +141,7 @@ pub fn saturate(eg: &mut EGraph, cfg: &SaturationConfig) -> SaturationStats {
             if eg.node_count() >= cfg.node_limit {
                 break;
             }
-            apply_rules(eg, idx, &mut ctx);
+            apply_rules(eg, idx, cache);
         }
         if eg.node_count() == frontier {
             stats.saturated = true;
@@ -121,14 +157,14 @@ pub fn saturate(eg: &mut EGraph, cfg: &SaturationConfig) -> SaturationStats {
 }
 
 /// Applies every rule to the node at table index `idx`.
-fn apply_rules(eg: &mut EGraph, idx: usize, ctx: &mut RuleCtx) {
+fn apply_rules(eg: &mut EGraph, idx: usize, cache: &mut RuleCache) {
     let entry = eg.node_entries()[idx].clone();
     let op = entry.node.op;
     let children: Vec<ClassId> = entry.node.children.iter().map(|&c| eg.find(c)).collect();
     let class = eg.find(entry.class);
 
     match op {
-        Op::Cell(cid) => cell_expand(eg, cid, &children, ctx),
+        Op::Cell(cid) => cell_expand(eg, cid, &children, cache),
         Op::And | Op::Or | Op::Xor => {
             // Commutativity.
             eg.add(op, &[children[1], children[0]], RULE_COMM);
@@ -138,31 +174,28 @@ fn apply_rules(eg: &mut EGraph, idx: usize, ctx: &mut RuleCtx) {
                 assoc(eg, op, &children);
                 factor(eg, op, &children);
             }
-            cell_fold(eg, op, &children, ctx);
+            cell_fold(eg, op, &children, cache);
         }
         Op::Not => {
             demorgan(eg, &children);
-            cell_fold(eg, op, &children, ctx);
+            cell_fold(eg, op, &children, cache);
         }
         Op::Var(_) | Op::Const(_) => {}
     }
 
     const_fold(eg, class);
-    class_fold(eg, class, ctx);
+    class_fold(eg, class, cache);
 }
 
 /// Decomposes a cell instance into abstract AND/OR/NOT structure from
 /// the minimized SOP of its function. The resulting subject-graph node
 /// computes the same function, so it lands in the cell's class.
-fn cell_expand(eg: &mut EGraph, cid: CellId, children: &[ClassId], ctx: &mut RuleCtx) {
-    let sop = ctx
-        .sops
-        .entry(cid)
-        .or_insert_with(|| {
-            let cell = eg.library().cell(cid).expect("cell from this library");
-            minimize(&cell.function)
-        })
-        .clone();
+fn cell_expand(eg: &mut EGraph, cid: CellId, children: &[ClassId], cache: &mut RuleCache) {
+    let lib = &cache.lib;
+    let sop = cache.sops.entry(cid).or_insert_with(|| {
+        let cell = lib.cell(cid).expect("cell from this library");
+        minimize(&cell.function)
+    });
     let vars = children.len();
     if sop.cubes().is_empty() {
         eg.add(Op::Const(false), &[], RULE_CELL_EXPAND);
@@ -300,60 +333,126 @@ fn grandchildren(eg: &mut EGraph, idx: usize) -> Vec<ClassId> {
     kids.into_iter().map(|c| eg.find(c)).collect()
 }
 
-/// A small expression over operand classes, used to enumerate depth-2
-/// shapes for library matching.
-#[derive(Clone)]
-enum Shape {
-    /// An operand class used as-is.
+/// Projection masks of variables 0..6 within one 64-bit table word; the
+/// low 16 bits are the 4-variable tables fold shapes are packed into.
+const VAR_MASKS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// One child of a fold shape's root: a class used as-is, or one of its
+/// abstract members expanded one level.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Variant {
+    /// The class itself.
     Leaf(ClassId),
-    /// An abstract gate over sub-shapes.
-    Gate(Op, Vec<Shape>),
+    /// A NOT member, over its child class.
+    Not(ClassId),
+    /// An AND/OR/XOR member, over its two child classes.
+    Gate(Op, ClassId, ClassId),
 }
 
-impl Shape {
-    /// Collects distinct operand classes in first-occurrence order.
-    fn operands(&self, out: &mut Vec<ClassId>) {
-        match self {
-            Shape::Leaf(c) => {
-                if !out.contains(c) {
-                    out.push(*c);
-                }
+/// A depth-≤2 abstract shape matched against the library: a NOT over
+/// one variant, or an AND/OR/XOR over two. It has at most 4 operand
+/// classes, so its function fits a 16-bit truth table.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Shape {
+    /// `!v`.
+    Not(Variant),
+    /// `op(l, r)`.
+    Gate(Op, Variant, Variant),
+}
+
+/// A shape's function over its distinct operand classes.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Packed {
+    /// Operand classes in first-occurrence order; `ops[..k]` are used.
+    pub(crate) ops: [ClassId; 4],
+    /// Number of operands.
+    pub(crate) k: usize,
+    /// Bit `m` is the function's value at minterm `m` (operand `i` is
+    /// bit `i` of `m`); bits at and above `2^k` are zero.
+    pub(crate) bits: u16,
+}
+
+impl Packed {
+    /// The 4-variable projection of operand `c`, listing it on first
+    /// occurrence.
+    fn var(&mut self, c: ClassId) -> u16 {
+        let i = match self.ops[..self.k].iter().position(|&o| o == c) {
+            Some(i) => i,
+            None => {
+                self.ops[self.k] = c;
+                self.k += 1;
+                self.k - 1
             }
-            Shape::Gate(_, kids) => {
-                for k in kids {
-                    k.operands(out);
-                }
+        };
+        VAR_MASKS[i] as u16
+    }
+
+    fn variant(&mut self, v: Variant) -> u16 {
+        match v {
+            Variant::Leaf(c) => self.var(c),
+            Variant::Not(c) => !self.var(c),
+            Variant::Gate(op, a, b) => {
+                let a = self.var(a);
+                gate(op, a, self.var(b))
             }
         }
     }
 
-    /// The function of the shape over the operand list `ops`.
-    fn tt(&self, ops: &[ClassId]) -> TruthTable {
-        let k = ops.len();
-        match self {
-            Shape::Leaf(c) => {
-                let i = ops.iter().position(|o| o == c).expect("operand listed");
-                TruthTable::var(i, k)
+    /// True if the function depends on every operand: library matching
+    /// needs every pin live.
+    pub(crate) fn all_live(&self) -> bool {
+        (0..self.k).all(|i| depends_on(&[u64::from(self.bits)], i))
+    }
+}
+
+impl Shape {
+    /// The shape's operands and packed function.
+    pub(crate) fn pack(self) -> Packed {
+        let mut p = Packed {
+            ops: [ClassId(0); 4],
+            k: 0,
+            bits: 0,
+        };
+        let bits = match self {
+            Shape::Not(v) => !p.variant(v),
+            Shape::Gate(op, l, r) => {
+                let l = p.variant(l);
+                gate(op, l, p.variant(r))
             }
-            Shape::Gate(op, kids) => match op {
-                Op::Not => !kids[0].tt(ops),
-                Op::And => kids[0].tt(ops) & kids[1].tt(ops),
-                Op::Or => kids[0].tt(ops) | kids[1].tt(ops),
-                Op::Xor => kids[0].tt(ops) ^ kids[1].tt(ops),
-                _ => unreachable!("shapes hold abstract ops only"),
-            },
-        }
+        };
+        p.bits = bits & ((1u32 << (1 << p.k)) - 1) as u16;
+        p
+    }
+}
+
+/// A binary abstract op on packed tables.
+fn gate(op: Op, a: u16, b: u16) -> u16 {
+    match op {
+        Op::And => a & b,
+        Op::Or => a | b,
+        Op::Xor => a ^ b,
+        _ => unreachable!("shapes hold abstract ops only"),
     }
 }
 
 /// One-level variants of a child class: the class itself, plus each of
 /// its first few abstract-op members expanded one level.
-fn child_variants(eg: &mut EGraph, class: ClassId) -> Vec<Shape> {
-    let mut out = vec![Shape::Leaf(class)];
+fn child_variants(eg: &EGraph, class: ClassId) -> Vec<Variant> {
+    let mut out = vec![Variant::Leaf(class)];
     for op in [Op::Not, Op::And, Op::Or, Op::Xor] {
-        for &m in &member_nodes_with_op(eg, class, op) {
-            let kids = grandchildren(eg, m);
-            out.push(Shape::Gate(op, kids.into_iter().map(Shape::Leaf).collect()));
+        for m in member_nodes_with_op(eg, class, op) {
+            let kids = &eg.node_entries()[m].node.children;
+            out.push(match op {
+                Op::Not => Variant::Not(eg.find_ref(kids[0])),
+                _ => Variant::Gate(op, eg.find_ref(kids[0]), eg.find_ref(kids[1])),
+            });
         }
     }
     out
@@ -362,83 +461,97 @@ fn child_variants(eg: &mut EGraph, class: ClassId) -> Vec<Shape> {
 /// Tries to re-map depth-1 and depth-2 abstract shapes rooted at an
 /// `op(children)` node onto library cells, adding a [`Op::Cell`] node
 /// per match.
-fn cell_fold(eg: &mut EGraph, op: Op, children: &[ClassId], ctx: &mut RuleCtx) {
-    let shapes: Vec<Shape> = match op {
-        Op::Not => child_variants(eg, children[0])
-            .into_iter()
-            .map(|v| Shape::Gate(Op::Not, vec![v]))
-            .collect(),
+fn cell_fold(eg: &mut EGraph, op: Op, children: &[ClassId], cache: &mut RuleCache) {
+    match op {
+        Op::Not => {
+            for v in child_variants(eg, children[0]) {
+                try_match_shape(eg, Shape::Not(v), cache);
+            }
+        }
         Op::And | Op::Or | Op::Xor => {
             let left = child_variants(eg, children[0]);
             let right = child_variants(eg, children[1]);
-            let mut out = Vec::new();
-            for l in &left {
-                for r in &right {
-                    out.push(Shape::Gate(op, vec![l.clone(), r.clone()]));
+            for &l in &left {
+                for &r in &right {
+                    try_match_shape(eg, Shape::Gate(op, l, r), cache);
                 }
             }
-            out
         }
-        _ => return,
-    };
-    for shape in shapes {
-        try_match_shape(eg, &shape, ctx);
+        _ => {}
     }
 }
 
 /// Matches one shape's function against the library and adds the cell
 /// node on success.
-fn try_match_shape(eg: &mut EGraph, shape: &Shape, ctx: &mut RuleCtx) {
-    let mut ops: Vec<ClassId> = Vec::new();
-    shape.operands(&mut ops);
-    if ops.is_empty() || ops.len() > 4 {
+fn try_match_shape(eg: &mut EGraph, shape: Shape, cache: &mut RuleCache) {
+    let p = shape.pack();
+    if !p.all_live() {
         return;
     }
-    let tt = shape.tt(&ops);
-    // Library matching requires every variable live.
-    if tt.support().len() != ops.len() {
-        return;
+    if let Some(m) = cache.lookup(p.k, p.bits) {
+        let mut pins = [ClassId(0); 4];
+        for (pin, &i) in pins.iter_mut().zip(&m.perm) {
+            *pin = p.ops[i];
+        }
+        eg.add(Op::Cell(m.cell), &pins[..m.perm.len()], RULE_CELL_FOLD);
     }
-    let m = ctx
-        .matches
-        .entry(tt.clone())
-        .or_insert_with(|| eg.library().match_function(&tt))
-        .clone();
-    if let Some(m) = m {
-        let pins: Vec<ClassId> = m.perm.iter().map(|&i| ops[i]).collect();
-        eg.add(Op::Cell(m.cell), &pins, RULE_CELL_FOLD);
+}
+
+/// Whether the table `words` (the words of a [`TruthTable`]) depends on
+/// variable `v`: its two cofactors differ.
+fn depends_on(words: &[u64], v: usize) -> bool {
+    if v < 6 {
+        let lo = !VAR_MASKS[v];
+        words.iter().any(|&w| (w >> (1 << v)) & lo != w & lo)
+    } else {
+        let stride = 1 << (v - 6);
+        words
+            .chunks_exact(2 * stride)
+            .any(|c| c[..stride] != c[stride..])
     }
+}
+
+/// The function of `tt` over its support when that has 1 to 4
+/// variables: the support (ascending, `support[..k]` used), `k`, and
+/// the packed local table.
+pub(crate) fn local_function(tt: &TruthTable) -> Option<([usize; 4], usize, u16)> {
+    let words = tt.as_words();
+    let mut support = [0usize; 4];
+    let mut k = 0;
+    for v in 0..tt.vars() {
+        if depends_on(words, v) {
+            if k == 4 {
+                return None;
+            }
+            support[k] = v;
+            k += 1;
+        }
+    }
+    if k == 0 {
+        return None;
+    }
+    let mut bits = 0u16;
+    for m in 0..1u16 << k {
+        let full = (0..k)
+            .filter(|&i| (m >> i) & 1 == 1)
+            .fold(0usize, |acc, i| acc | 1 << support[i]);
+        bits |= (((words[full >> 6] >> (full & 63)) & 1) as u16) << m;
+    }
+    Some((support, k, bits))
 }
 
 /// Tries to implement an entire class as a single cell over the cone
 /// leaves, when its function depends on few enough leaves.
-fn class_fold(eg: &mut EGraph, class: ClassId, ctx: &mut RuleCtx) {
-    let tt = eg.class_tt(class).clone();
-    let support = tt.support();
-    if support.is_empty() || support.len() > 4 {
+fn class_fold(eg: &mut EGraph, class: ClassId, cache: &mut RuleCache) {
+    let Some((support, k, bits)) = local_function(eg.class_tt(class)) else {
         return;
-    }
-    let local = TruthTable::from_fn(support.len(), |m| {
-        let mut full = 0u64;
-        for (i, &v) in support.iter().enumerate() {
-            if (m >> i) & 1 == 1 {
-                full |= 1 << v;
-            }
+    };
+    if let Some(m) = cache.lookup(k, bits) {
+        let mut pins = [ClassId(0); 4];
+        for (pin, &i) in pins.iter_mut().zip(&m.perm) {
+            *pin = eg.add(Op::Var(support[i] as u32), &[], RULE_CELL_FOLD);
         }
-        tt.eval(full)
-    });
-    let mat = ctx
-        .matches
-        .entry(local.clone())
-        .or_insert_with(|| eg.library().match_function(&local))
-        .clone();
-    if let Some(mat) = mat {
-        let leaf_classes: Vec<ClassId> = mat
-            .perm
-            .iter()
-            .map(|&i| eg.add(Op::Var(support[i] as u32), &[], RULE_CELL_FOLD))
-            .collect();
-        eg.add(Op::Cell(mat.cell), &leaf_classes, RULE_CELL_FOLD);
+        eg.add(Op::Cell(m.cell), &pins[..m.perm.len()], RULE_CELL_FOLD);
     }
 }
 
@@ -451,7 +564,8 @@ mod tests {
 
     #[test]
     fn saturate_reaches_fixpoint_on_tiny_graph() {
-        let mut eg = EGraph::new(Arc::new(lib2()), 2);
+        let lib = Arc::new(lib2());
+        let mut eg = EGraph::new(lib.clone(), 2);
         let a = eg.add(Op::Var(0), &[], SEED);
         let b = eg.add(Op::Var(1), &[], SEED);
         eg.add(Op::And, &[a, b], SEED);
@@ -461,6 +575,7 @@ mod tests {
                 node_limit: 400,
                 iter_limit: 10,
             },
+            &mut RuleCache::new(lib),
         );
         assert!(stats.nodes >= 3);
         assert!(stats.iters >= 1);
@@ -473,7 +588,11 @@ mod tests {
         let a = eg.add(Op::Var(0), &[], SEED);
         let b = eg.add(Op::Var(1), &[], SEED);
         let and = eg.add(Op::And, &[a, b], SEED);
-        saturate(&mut eg, &SaturationConfig::default());
+        saturate(
+            &mut eg,
+            &SaturationConfig::default(),
+            &mut RuleCache::new(lib),
+        );
         let has_cell = eg
             .class_nodes(and)
             .iter()
@@ -484,14 +603,19 @@ mod tests {
     #[test]
     fn saturation_is_deterministic() {
         let build = || {
-            let mut eg = EGraph::new(Arc::new(lib2()), 3);
+            let lib = Arc::new(lib2());
+            let mut eg = EGraph::new(lib.clone(), 3);
             let a = eg.add(Op::Var(0), &[], SEED);
             let b = eg.add(Op::Var(1), &[], SEED);
             let c = eg.add(Op::Var(2), &[], SEED);
             let ab = eg.add(Op::And, &[a, b], SEED);
             let ac = eg.add(Op::And, &[a, c], SEED);
             eg.add(Op::Or, &[ab, ac], SEED);
-            let stats = saturate(&mut eg, &SaturationConfig::default());
+            let stats = saturate(
+                &mut eg,
+                &SaturationConfig::default(),
+                &mut RuleCache::new(lib),
+            );
             (stats.nodes, stats.classes, stats.iters)
         };
         assert_eq!(build(), build());

@@ -2,7 +2,8 @@
 //! exporter output in tests and tooling. The build environment has no
 //! crates.io access, so this stands in for `serde_json` at the tiny
 //! scale the validators need; it is not a general-purpose parser
-//! (numbers are `f64`, no streaming, whole document in memory).
+//! (integer literals are kept exact, other numbers are `f64`, no
+//! streaming, whole document in memory).
 
 use std::collections::BTreeMap;
 
@@ -13,7 +14,9 @@ pub enum Value {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number.
+    /// A number written without fraction or exponent, kept exact.
+    Int(i128),
+    /// Any other JSON number.
     Num(f64),
     /// A string.
     Str(String),
@@ -35,7 +38,26 @@ impl Value {
     /// The value as a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Value::Int(n) => Some(*n as f64),
             Value::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The value as an unsigned integer: an integer literal in `u64`
+    /// range, never a rounded or truncated float.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::Int(n) => u64::try_from(*n).ok(),
+            _ => None,
+        }
+    }
+
+    /// The value as a signed integer: an integer literal in `i64`
+    /// range, never a rounded or truncated float.
+    pub fn as_i64(&self) -> Option<i64> {
+        match self {
+            Value::Int(n) => i64::try_from(*n).ok(),
             _ => None,
         }
     }
@@ -120,10 +142,15 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
         *pos += 1;
     }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Value::Num)
+    let Ok(text) = std::str::from_utf8(&b[start..*pos]) else {
+        return Err(format!("bad number at byte {start}"));
+    };
+    let int = if text.contains(['.', 'e', 'E']) {
+        None
+    } else {
+        text.parse::<i128>().ok().map(Value::Int)
+    };
+    int.or_else(|| text.parse::<f64>().ok().map(Value::Num))
         .ok_or_else(|| format!("bad number at byte {start}"))
 }
 
@@ -239,6 +266,21 @@ mod tests {
             Some("x\ny")
         );
         assert_eq!(v.get("b").and_then(|b| b.get("e")), Some(&Value::Null));
+    }
+
+    #[test]
+    fn integer_literals_stay_exact() {
+        let v =
+            parse(r#"[9007199254740993, -9223372036854775808, 18446744073709551615, 2.0, 1e3]"#)
+                .expect("valid");
+        let a = v.as_array().unwrap();
+        assert_eq!(a[0].as_u64(), Some(9_007_199_254_740_993));
+        assert_eq!(a[1].as_i64(), Some(i64::MIN));
+        assert_eq!(a[1].as_u64(), None, "negative");
+        assert_eq!(a[2].as_u64(), Some(u64::MAX));
+        assert_eq!(a[2].as_i64(), None, "out of i64 range");
+        assert_eq!(a[3].as_u64(), None, "a float literal is not an integer");
+        assert_eq!(a[4].as_f64(), Some(1000.0));
     }
 
     #[test]

@@ -167,8 +167,30 @@ pub const EGRAPH_ITERS: &str = "egraph.saturate.iters";
 pub const EGRAPH_NODES: &str = "egraph.saturate.nodes";
 /// Extracted rewrites applied and kept.
 pub const EGRAPH_APPLIED: &str = "egraph.extract.applied";
-/// Extractions rejected before application (no plan, no gain).
+/// Cones rejected without a kept or rolled-back rewrite; the sum of
+/// the six `egraph.reject.*` reasons below.
 pub const EGRAPH_REJECTED: &str = "egraph.extract.rejected";
+/// Rejected: the root has no cone (dead, or no non-constant leaf).
+pub const EGRAPH_REJECT_NO_CONE: &str = "egraph.reject.no_cone";
+/// Rejected: the extractor found no implementable plan.
+pub const EGRAPH_REJECT_NO_PLAN: &str = "egraph.reject.no_plan";
+/// Rejected: the plan does not beat the cone's modelled cost.
+pub const EGRAPH_REJECT_NO_GAIN: &str = "egraph.reject.no_gain";
+/// Rejected: the plan's rule chain was quarantined earlier in the pass.
+pub const EGRAPH_REJECT_QUARANTINED: &str = "egraph.reject.quarantined";
+/// Rejected: the substitution is structurally invalid.
+pub const EGRAPH_REJECT_INVALID: &str = "egraph.reject.invalid";
+/// Rejected: the ATPG permissibility check aborted.
+pub const EGRAPH_REJECT_ATPG_ABORT: &str = "egraph.reject.atpg_abort";
+/// Every typed egraph reject reason.
+pub const EGRAPH_REJECT_REASONS: [&str; 6] = [
+    EGRAPH_REJECT_NO_CONE,
+    EGRAPH_REJECT_NO_PLAN,
+    EGRAPH_REJECT_NO_GAIN,
+    EGRAPH_REJECT_QUARANTINED,
+    EGRAPH_REJECT_INVALID,
+    EGRAPH_REJECT_ATPG_ABORT,
+];
 /// Applied extractions rolled back by the guard.
 pub const EGRAPH_ROLLBACKS: &str = "egraph.guard.rollbacks";
 /// Rule chains quarantined after a guard refutation.

@@ -32,11 +32,12 @@ use powder::Substitution;
 use powder_atpg::{check_substitution, CheckOutcome};
 use powder_egraph::{
     apply_plan, build_egraph, collect_cone, current_cost, extract, plan_const_needs,
-    plan_root_is_existing, saturate, Cone, EgraphConfig, EgraphReport, Operand, Plan,
+    plan_root_is_existing, saturate, Cone, EgraphConfig, EgraphReport, Operand, Plan, RuleCache,
 };
 use powder_netlist::{GateId, GateKind};
 use powder_obs as obs;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Power-improvement threshold for accepting a committed rewrite,
 /// matching the monotonicity epsilon used by the other passes.
@@ -61,10 +62,41 @@ impl EgraphPass {
 enum Verdict {
     /// Committed and kept (modelled cost delta attached).
     Kept(f64),
-    /// Nothing to do: no plan, no predicted gain, or root skipped.
-    Rejected,
+    /// Nothing to commit, for the reason given.
+    Rejected(Reject),
     /// Applied or staged, then undone; the rule chain is quarantined.
     RolledBack(Vec<u8>),
+}
+
+/// Why a cone was rejected before anything was kept or rolled back.
+#[derive(Clone, Copy)]
+enum Reject {
+    /// No cone at the root.
+    NoCone,
+    /// The extractor found no implementable plan.
+    NoPlan,
+    /// The plan does not beat the cone's modelled cost by `min_gain`.
+    NoGain,
+    /// The plan's rule chain was quarantined earlier in the pass.
+    Quarantined,
+    /// The substitution is structurally invalid.
+    Invalid,
+    /// The ATPG permissibility check aborted.
+    AtpgAbort,
+}
+
+impl Reject {
+    /// Counts the rejection under its typed reason.
+    fn count(self) {
+        match self {
+            Reject::NoCone => obs::counter!(obs::names::EGRAPH_REJECT_NO_CONE).inc(),
+            Reject::NoPlan => obs::counter!(obs::names::EGRAPH_REJECT_NO_PLAN).inc(),
+            Reject::NoGain => obs::counter!(obs::names::EGRAPH_REJECT_NO_GAIN).inc(),
+            Reject::Quarantined => obs::counter!(obs::names::EGRAPH_REJECT_QUARANTINED).inc(),
+            Reject::Invalid => obs::counter!(obs::names::EGRAPH_REJECT_INVALID).inc(),
+            Reject::AtpgAbort => obs::counter!(obs::names::EGRAPH_REJECT_ATPG_ABORT).inc(),
+        }
+    }
 }
 
 impl Transform for EgraphPass {
@@ -77,6 +109,8 @@ impl Transform for EgraphPass {
         let mut er = EgraphReport::default();
         let mut report = instrumented("egraph", sess, |sess| {
             let mut edits = 0usize;
+            // Library matches memoised for every cone of this run.
+            let mut cache = RuleCache::new(Arc::clone(sess.netlist().library()));
             // Roots whose extraction the guard refuted, and the rule
             // chains that produced those plans: neither is tried again.
             let mut quarantined_roots: HashSet<GateId> = HashSet::new();
@@ -98,7 +132,15 @@ impl Transform for EgraphPass {
                 if !sess.netlist().is_live(root) || quarantined_roots.contains(&root) {
                     continue;
                 }
-                let verdict = try_rewrite(sess, root, &cfg, budget, &quarantined_chains, &mut er);
+                let verdict = try_rewrite(
+                    sess,
+                    root,
+                    &cfg,
+                    budget,
+                    &quarantined_chains,
+                    &mut cache,
+                    &mut er,
+                );
                 match verdict {
                     Verdict::Kept(delta) => {
                         edits += 1;
@@ -106,9 +148,10 @@ impl Transform for EgraphPass {
                         er.cost_delta += delta;
                         obs::counter!(obs::names::EGRAPH_APPLIED).inc();
                     }
-                    Verdict::Rejected => {
+                    Verdict::Rejected(reason) => {
                         er.rejected += 1;
                         obs::counter!(obs::names::EGRAPH_REJECTED).inc();
+                        reason.count();
                     }
                     Verdict::RolledBack(chain) => {
                         er.rollbacks += 1;
@@ -133,6 +176,7 @@ fn try_rewrite(
     cfg: &EgraphConfig,
     budget: &PassBudget,
     quarantined_chains: &HashSet<Vec<u8>>,
+    cache: &mut RuleCache,
     er: &mut EgraphReport,
 ) -> Verdict {
     let _span = obs::span!(obs::names::span::EGRAPH_CONE);
@@ -140,11 +184,11 @@ fn try_rewrite(
     let (cone, plan, old_cost) = {
         let (nl, est) = sess.analyses();
         let Some(cone) = collect_cone(nl, root, &cfg.limits) else {
-            return Verdict::Rejected;
+            return Verdict::Rejected(Reject::NoCone);
         };
         let leaf_probs: Vec<f64> = cone.leaves.iter().map(|&l| est.probability(l)).collect();
         let mut cg = build_egraph(nl, &cone);
-        let stats = saturate(&mut cg.eg, &cfg.saturation());
+        let stats = saturate(&mut cg.eg, &cfg.saturation(), cache);
         er.cones += 1;
         er.iters += stats.iters;
         er.nodes += stats.nodes;
@@ -159,15 +203,15 @@ fn try_rewrite(
         .observe(stats.nodes as u64);
         let old_cost = current_cost(nl, &cone, &cg, &leaf_probs);
         let Some(plan) = extract(&mut cg.eg, cg.root_class, &leaf_probs) else {
-            return Verdict::Rejected;
+            return Verdict::Rejected(Reject::NoPlan);
         };
         (cone, plan, old_cost)
     };
     if old_cost - plan.cost <= cfg.min_gain {
-        return Verdict::Rejected;
+        return Verdict::Rejected(Reject::NoGain);
     }
     if quarantined_chains.contains(&plan.rules) {
-        return Verdict::Rejected;
+        return Verdict::Rejected(Reject::Quarantined);
     }
 
     commit_plan(sess, root, &cone, &plan, old_cost, budget)
@@ -239,7 +283,7 @@ fn commit_plan(
         let (nl, _) = sess.analyses();
         if !sub.is_structurally_valid(nl) {
             sess.rollback(scp);
-            return Verdict::Rejected;
+            return Verdict::Rejected(Reject::Invalid);
         }
         obs::counter!(obs::names::PASSES_ATPG_CHECKS).inc();
         let outcome = {
@@ -256,7 +300,7 @@ fn commit_plan(
             }
             CheckOutcome::Aborted => {
                 sess.rollback(scp);
-                return Verdict::Rejected;
+                return Verdict::Rejected(Reject::AtpgAbort);
             }
         }
     }

@@ -126,23 +126,37 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     })
 }
 
+/// Reads the optional non-negative integer field `name` exactly:
+/// absent or `null` gives `None`, and a negative, fractional or
+/// out-of-range value is an error, never a rounded or saturated cast.
+pub(crate) fn uint_field<T: TryFrom<u64>>(v: &Value, name: &str) -> Result<Option<T>, String> {
+    match v.get(name) {
+        None | Some(Value::Null) => Ok(None),
+        Some(f) => f
+            .as_u64()
+            .and_then(|n| T::try_from(n).ok())
+            .map(Some)
+            .ok_or_else(|| format!("field {name:?} must be a non-negative integer in range")),
+    }
+}
+
+/// Reads the optional signed integer field `name` exactly, like
+/// [`uint_field`].
+pub(crate) fn int_field(v: &Value, name: &str) -> Result<Option<i64>, String> {
+    match v.get(name) {
+        None | Some(Value::Null) => Ok(None),
+        Some(f) => f
+            .as_i64()
+            .map(Some)
+            .ok_or_else(|| format!("field {name:?} must be an integer in range")),
+    }
+}
+
 /// Builds a [`JobSpec`] from a submit object, rejecting bad types but
 /// filling defaults for absent fields.
 fn spec_from(v: &Value) -> Result<JobSpec, String> {
     let mut spec = JobSpec::default();
 
-    let usize_field = |name: &str, v: &Value| -> Result<Option<usize>, String> {
-        match v.get(name) {
-            None | Some(Value::Null) => Ok(None),
-            Some(f) => {
-                let n = f
-                    .as_f64()
-                    .filter(|n| n.fract() == 0.0 && *n >= 0.0)
-                    .ok_or_else(|| format!("field {name:?} must be a non-negative integer"))?;
-                Ok(Some(n as usize))
-            }
-        }
-    };
     let f64_field = |name: &str, v: &Value| -> Result<Option<f64>, String> {
         match v.get(name) {
             None | Some(Value::Null) => Ok(None),
@@ -159,12 +173,8 @@ fn spec_from(v: &Value) -> Result<JobSpec, String> {
             .ok_or("field \"tenant\" must be a string")?
             .to_string();
     }
-    if let Some(p) = v.get("priority") {
-        let n = p
-            .as_f64()
-            .filter(|n| n.fract() == 0.0)
-            .ok_or("field \"priority\" must be an integer")?;
-        spec.priority = n as i64;
+    if let Some(n) = int_field(v, "priority")? {
+        spec.priority = n;
     }
     if let Some(p) = v.get("passes") {
         spec.passes = p
@@ -172,28 +182,28 @@ fn spec_from(v: &Value) -> Result<JobSpec, String> {
             .ok_or("field \"passes\" must be a string")?
             .to_string();
     }
-    if let Some(n) = usize_field("fixpoint", v)? {
+    if let Some(n) = uint_field::<usize>(v, "fixpoint")? {
         spec.fixpoint = n.max(1);
     }
-    if let Some(n) = usize_field("repeat", v)? {
+    if let Some(n) = uint_field(v, "repeat")? {
         spec.repeat = n;
     }
-    if let Some(n) = usize_field("patterns", v)? {
+    if let Some(n) = uint_field(v, "patterns")? {
         spec.patterns = n;
     }
-    if let Some(n) = usize_field("seed", v)? {
-        spec.seed = n as u64;
+    if let Some(n) = uint_field(v, "seed")? {
+        spec.seed = n;
     }
-    if let Some(n) = usize_field("jobs", v)? {
+    if let Some(n) = uint_field(v, "jobs")? {
         spec.jobs = n;
     }
     spec.delay_limit_percent = f64_field("delay_limit_percent", v)?;
     spec.deadline_secs = f64_field("deadline_secs", v)?;
-    spec.window_size = usize_field("window_size", v)?;
+    spec.window_size = uint_field(v, "window_size")?;
     if spec.window_size == Some(0) {
         return Err("field \"window_size\" must be at least 1".to_string());
     }
-    spec.window_overlap = usize_field("window_overlap", v)?;
+    spec.window_overlap = uint_field(v, "window_overlap")?;
     if let Some(overlap) = spec.window_overlap {
         let size = spec
             .window_size
@@ -204,11 +214,11 @@ fn spec_from(v: &Value) -> Result<JobSpec, String> {
             ));
         }
     }
-    spec.egraph_node_limit = usize_field("egraph_node_limit", v)?;
+    spec.egraph_node_limit = uint_field(v, "egraph_node_limit")?;
     if spec.egraph_node_limit == Some(0) {
         return Err("field \"egraph_node_limit\" must be at least 1".to_string());
     }
-    spec.egraph_iters = usize_field("egraph_iters", v)?;
+    spec.egraph_iters = uint_field(v, "egraph_iters")?;
     if spec.egraph_iters == Some(0) {
         return Err("field \"egraph_iters\" must be at least 1".to_string());
     }
@@ -390,6 +400,7 @@ pub fn write_value(v: &Value) -> String {
     match v {
         Value::Null => "null".to_string(),
         Value::Bool(b) => b.to_string(),
+        Value::Int(n) => n.to_string(),
         Value::Num(n) if n.is_finite() => n.to_string(),
         Value::Num(_) => "null".to_string(),
         Value::Str(s) => format!("\"{}\"", escape(s)),
@@ -480,6 +491,13 @@ mod tests {
         assert!(parse_request(r#"{"op":"shutdown","mode":"later"}"#)
             .unwrap_err()
             .contains("later"));
+        for bad in ["-1", "1.5", "2.0", "18446744073709551616", "\"7\""] {
+            let line = format!(r#"{{"op":"submit","netlist":"x","seed":{bad}}}"#);
+            assert!(
+                parse_request(&line).unwrap_err().contains("seed"),
+                "seed {bad} must be rejected"
+            );
+        }
         assert!(
             parse_request(r#"{"op":"submit","netlist":"x","egraph_node_limit":0}"#)
                 .unwrap_err()
@@ -490,6 +508,17 @@ mod tests {
                 .unwrap_err()
                 .contains("egraph_iters")
         );
+    }
+
+    #[test]
+    fn large_seeds_parse_exactly() {
+        for seed in [9_007_199_254_740_993u64, u64::MAX] {
+            let line = format!(r#"{{"op":"submit","netlist":"x","seed":{seed}}}"#);
+            match parse_request(&line).unwrap() {
+                Request::Submit { spec, .. } => assert_eq!(spec.seed, seed),
+                other => panic!("expected submit, got {other:?}"),
+            }
+        }
     }
 
     #[test]

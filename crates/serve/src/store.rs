@@ -39,7 +39,7 @@
 //! above in CI.
 
 use crate::job::{JobPhase, JobSpec};
-use crate::protocol::JsonObj;
+use crate::protocol::{int_field, uint_field, JsonObj};
 use powder_faults::{FaultState, SITE_CHECKPOINT_TRUNCATE, SITE_STORE_TORN_WRITE};
 use powder_obs::json::{self, Value};
 use powder_passes::integrity::{seal, unseal};
@@ -414,30 +414,30 @@ pub fn parse_state(text: &str) -> Result<(JobSpec, JobPhase, Option<String>), St
     if let Some(p) = str_of("passes") {
         spec.passes = p;
     }
-    if let Some(n) = num_of("priority") {
-        spec.priority = n as i64;
+    if let Some(n) = int_field(&v, "priority")? {
+        spec.priority = n;
     }
-    if let Some(n) = num_of("fixpoint") {
-        spec.fixpoint = (n as usize).max(1);
+    if let Some(n) = uint_field::<usize>(&v, "fixpoint")? {
+        spec.fixpoint = n.max(1);
     }
-    if let Some(n) = num_of("repeat") {
-        spec.repeat = n as usize;
+    if let Some(n) = uint_field(&v, "repeat")? {
+        spec.repeat = n;
     }
-    if let Some(n) = num_of("patterns") {
-        spec.patterns = n as usize;
+    if let Some(n) = uint_field(&v, "patterns")? {
+        spec.patterns = n;
     }
-    if let Some(n) = num_of("seed") {
-        spec.seed = n as u64;
+    if let Some(n) = uint_field(&v, "seed")? {
+        spec.seed = n;
     }
-    if let Some(n) = num_of("jobs") {
-        spec.jobs = n as usize;
+    if let Some(n) = uint_field(&v, "jobs")? {
+        spec.jobs = n;
     }
     spec.delay_limit_percent = num_of("delay_limit_percent");
     spec.deadline_secs = num_of("deadline_secs");
-    spec.window_size = num_of("window_size").map(|n| n as usize);
-    spec.window_overlap = num_of("window_overlap").map(|n| n as usize);
-    spec.egraph_node_limit = num_of("egraph_node_limit").map(|n| n as usize);
-    spec.egraph_iters = num_of("egraph_iters").map(|n| n as usize);
+    spec.window_size = uint_field(&v, "window_size")?;
+    spec.window_overlap = uint_field(&v, "window_overlap")?;
+    spec.egraph_node_limit = uint_field(&v, "egraph_node_limit")?;
+    spec.egraph_iters = uint_field(&v, "egraph_iters")?;
     spec.job_key = str_of("job_key");
     let error = match v.get("error") {
         Some(Value::Str(s)) => Some(s.clone()),
@@ -504,6 +504,32 @@ mod tests {
             .starts_with("powder-checkpoint"));
         assert_eq!(store.read_input("j1").unwrap(), ".model m\n.end\n");
         let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn seed_beyond_f64_precision_survives_submit_and_reload() {
+        let line = r#"{"op":"submit","netlist":"x","seed":9007199254740993}"#;
+        let crate::Request::Submit { spec, .. } = crate::parse_request(line).unwrap() else {
+            panic!("expected submit");
+        };
+        assert_eq!(spec.seed, 9_007_199_254_740_993);
+        let store = temp_store("big-seed");
+        store.persist_new("j1", &spec, "x").unwrap();
+        let jobs = store.recover().unwrap();
+        assert_eq!(jobs[0].spec.seed, 9_007_199_254_740_993);
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn out_of_range_fields_are_corrupt_not_cast() {
+        for bad in [
+            r#""seed":-1"#,
+            r#""jobs":2.5"#,
+            r#""priority":9223372036854775808"#,
+        ] {
+            let text = format!(r#"{{"state":"queued",{bad}}}"#);
+            assert!(parse_state(&text).is_err(), "{bad} must not load");
+        }
     }
 
     #[test]

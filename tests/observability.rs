@@ -136,6 +136,37 @@ fn jobs4_powder_snapshots_are_identical_across_runs() {
     );
 }
 
+/// Every cone the egraph pass rejects is counted under exactly one of
+/// the six typed reasons, and the total counter matches the report.
+#[test]
+fn egraph_reject_reasons_sum_to_total() {
+    let _guard = obs_lock();
+    restore_defaults();
+    let lib = Arc::new(lib2());
+    let nl = powder_benchmarks::build("bw", lib).expect("bw builds");
+    let cfg = config(1);
+    let before = obs::snapshot();
+    let mut sess = AnalysisSession::new(nl, SessionConfig::from_optimize(&cfg));
+    let mut pipeline = build_pipeline("egraph", &cfg, None).expect("valid spec");
+    let report = pipeline.run(&mut sess);
+    let delta = obs::snapshot().delta(&before);
+    let er = report.passes[0].egraph.expect("egraph stats attached");
+    let total = delta.counter(obs::names::EGRAPH_REJECTED);
+    let reasons: u64 = obs::names::EGRAPH_REJECT_REASONS
+        .iter()
+        .map(|name| delta.counter(name))
+        .sum();
+    // Fold this thread's shard while still holding the lock, so the
+    // counts cannot land in another test's snapshot delta.
+    obs::flush_thread();
+    assert!(er.rejected > 0, "bw rejects some cones");
+    assert_eq!(
+        total, er.rejected as u64,
+        "total counter matches the report"
+    );
+    assert_eq!(reasons, total, "typed reasons sum to the total");
+}
+
 /// Release-only: recording must stay under 5% wall-clock overhead
 /// versus the no-op sink. Debug builds skip this — unoptimized hot
 /// paths make the ratio meaningless.
