@@ -195,24 +195,6 @@ impl SourceReach {
     }
 }
 
-/// The per-rewire cycle-filter set, in whichever representation the
-/// current path computed it.
-enum Forbidden<'a> {
-    /// Whole-netlist TFO bitset indexed by `GateId.0` (unscoped path).
-    Tfo(Vec<u64>),
-    /// Source-reach row for `root` (scoped path).
-    Reach { r: &'a SourceReach, root: GateId },
-}
-
-impl Forbidden<'_> {
-    fn contains(&self, b: GateId) -> bool {
-        match self {
-            Forbidden::Tfo(bits) => (bits[b.0 as usize / 64] >> (b.0 as usize % 64)) & 1 == 1,
-            Forbidden::Reach { r, root } => r.forbidden(*root, b),
-        }
-    }
-}
-
 /// Generates potentially-permissible substitutions for the current netlist
 /// from simulated `values`.
 ///
@@ -271,27 +253,11 @@ pub fn generate_candidates_scoped(
     let pair_cells = PairCells::detect(nl);
 
     // Cycle filter: a substituting source must not lie in the transitive
-    // fanout of the rewired stem/sink. The unscoped path keeps the lazy
-    // per-root TFO bitsets; a scoped call instead builds source-reach
-    // sets for the whole netlist in one reverse-topological sweep —
+    // fanout of the rewired stem/sink. Source-reach sets for the whole
+    // netlist come from one reverse-topological sweep —
     // `O(netlist · sources/64)` total instead of `O(targets · netlist)`,
-    // and still exact for paths that leave and re-enter the window.
-    let bound = nl.id_bound();
-    let mut tfo_cache: BTreeMap<GateId, Vec<u64>> = BTreeMap::new();
-    let tfo_bits = |nl: &Netlist, root: GateId, cache: &mut BTreeMap<GateId, Vec<u64>>| {
-        cache
-            .entry(root)
-            .or_insert_with(|| {
-                let mut bits = vec![0u64; bound.div_ceil(64)];
-                bits[root.0 as usize / 64] |= 1 << (root.0 as usize % 64);
-                for g in nl.tfo(root) {
-                    bits[g.0 as usize / 64] |= 1 << (g.0 as usize % 64);
-                }
-                bits
-            })
-            .clone()
-    };
-    let reach = scope.map(|_| SourceReach::build(nl, &sources));
+    // and exact for paths that leave and re-enter a window.
+    let reach = SourceReach::build(nl, &sources);
 
     // ---------------- output substitutions (OS2 / OS3) ----------------
     for &a in &sources {
@@ -307,15 +273,12 @@ pub fn generate_candidates_scoped(
             continue;
         }
         let sig_a = values.get(a);
-        let forbidden = match &reach {
-            Some(r) => Forbidden::Reach { r, root: a },
-            None => Forbidden::Tfo(tfo_bits(nl, a, &mut tfo_cache)),
-        };
+        let forbidden = |b: GateId| reach.forbidden(a, b);
 
         if config.enable_os2 {
             let mut kept = 0usize;
             for &b in &sources {
-                if b == a || forbidden.contains(b) {
+                if b == a || forbidden(b) {
                     continue;
                 }
                 let sig_b = values.get(b);
@@ -340,7 +303,7 @@ pub fn generate_candidates_scoped(
             let pool: Vec<GateId> = sources
                 .iter()
                 .copied()
-                .filter(|&s| s != a && !forbidden.contains(s))
+                .filter(|&s| s != a && !forbidden(s))
                 .collect();
             let mut kept = 0usize;
             let mut push = |sub: Substitution, kept: &mut usize| {
@@ -473,7 +436,7 @@ pub fn generate_candidates_scoped(
                         let Some(cell) = cell else { continue };
                         if let Some(cands) = sig_index.get(key.as_slice()) {
                             for &c in cands {
-                                if c != a && c != b && !forbidden.contains(c) {
+                                if c != a && c != b && !forbidden(c) {
                                     push(Substitution::Os3 { a, cell, b, c }, &mut kept);
                                     if kept >= config.max_per_signal {
                                         break 'xor_scan;
@@ -512,15 +475,12 @@ pub fn generate_candidates_scoped(
                 continue;
             }
             let sig_a = values.get(a);
-            let forbidden = match &reach {
-                Some(r) => Forbidden::Reach { r, root: conn.gate },
-                None => Forbidden::Tfo(tfo_bits(nl, conn.gate, &mut tfo_cache)),
-            };
+            let forbidden = |b: GateId| reach.forbidden(conn.gate, b);
 
             if config.enable_is2 {
                 let mut kept = 0usize;
                 for &b in &sources {
-                    if b == a || forbidden.contains(b) {
+                    if b == a || forbidden(b) {
                         continue;
                     }
                     let sig_b = values.get(b);
@@ -553,7 +513,7 @@ pub fn generate_candidates_scoped(
                 let pool: Vec<GateId> = sources
                     .iter()
                     .copied()
-                    .filter(|&s| s != a && !forbidden.contains(s))
+                    .filter(|&s| s != a && !forbidden(s))
                     .collect();
                 let mut kept = 0usize;
                 if let Some(cell) = pair_cells.and2 {

@@ -1,5 +1,5 @@
 //! Shared harness code for the experiment binaries (`table1`, `table2`,
-//! `figure6`) and the Criterion microbenchmarks.
+//! `figure6`, `ablation`, `glitch`).
 
 use powder::{optimize, DelayLimit, OptimizeConfig, OptimizeReport};
 use powder_library::{lib2, Library};

@@ -200,13 +200,13 @@ fn concurrent_jobs_are_bit_identical_to_standalone_runs() {
 fn tight_deadline_job_still_terminates_with_valid_result() {
     let dir = temp_dir("deadline");
     let input = bench_blif(&dir, "c8");
-    let daemon = Daemon::start(&dir.join("state"), None);
+    // The hold parks the runner until the job's deadline has passed,
+    // so the deadline cuts the run short however fast it would be.
+    let daemon = Daemon::start(&dir.join("state"), Some("serve-hold=once:1"));
     let netlist = std::fs::read_to_string(&input).unwrap();
 
     let tight = JobSpec {
         deadline_secs: Some(0.05),
-        // Enough requested work that the deadline actually cuts it short.
-        fixpoint: 4,
         ..spec("hurried")
     };
     let id = client::submit(&daemon.addr, &tight, &netlist).expect("submit");
@@ -326,11 +326,13 @@ fn torn_writes_recover_from_last_good_copies_bit_identically() {
 fn cancel_and_list_round_trip() {
     let dir = temp_dir("cancel");
     let input = bench_blif(&dir, "c8");
-    let daemon = Daemon::start(&dir.join("state"), None);
+    // The third job to start parks its runner until it is cancelled,
+    // so it cannot finish first even if both runners free up early.
+    let daemon = Daemon::start(&dir.join("state"), Some("serve-hold=once:3"));
     let netlist = std::fs::read_to_string(&input).unwrap();
 
-    // Low-priority job behind two runners' worth of work gets
-    // cancelled while still queued.
+    // The job behind two runners' worth of work gets cancelled, while
+    // still queued or while held.
     let ids: Vec<String> = (0..3)
         .map(|i| client::submit(&daemon.addr, &spec(&format!("t{i}")), &netlist).expect("submit"))
         .collect();

@@ -111,26 +111,21 @@ impl PhaseTimes {
 }
 
 /// How often each analysis was refreshed incrementally (over the dirty
-/// cone of the committed edit) versus rebuilt from scratch. Only in-loop
-/// refreshes are counted; the one-time initial constructions are not.
+/// cone of the committed edit), and how often the simulation values were
+/// rebuilt from scratch. STA and power are never rebuilt inside the loop.
+/// Only in-loop refreshes are counted; the one-time initial constructions
+/// are not.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct IncrementalStats {
-    /// Full STA rebuilds after a committed substitution.
-    pub full_sta_rebuilds: usize,
     /// Incremental STA updates over the dirty region.
     pub incremental_sta_updates: usize,
     /// Whole-netlist simulation passes.
     pub full_resims: usize,
     /// Post-commit cone resimulations into the retained value buffer.
     pub incremental_resims: usize,
-    /// O(n) circuit-power scans performed for commit bookkeeping.
-    pub full_power_rescans: usize,
     /// Incremental power updates (running-total adjustment over the
     /// dirty cone).
     pub incremental_power_updates: usize,
-    /// Cross-checks of incremental state against from-scratch
-    /// recomputation (only in `cross_check` mode).
-    pub cross_checks: usize,
 }
 
 /// Commit-guard activity: every committed substitution passes through a
@@ -230,7 +225,10 @@ pub struct OptimizeReport {
     pub final_delay: f64,
     /// Every committed substitution, in order.
     pub applied: Vec<AppliedSubstitution>,
-    /// Number of outer candidate-generation rounds executed.
+    /// Number of outer candidate-generation rounds executed. In
+    /// windowed mode this counts the windows processed, while the
+    /// `core.optimizer.rounds` metric counts the rounds run inside
+    /// those windows.
     pub rounds: usize,
     /// Number of exact ATPG checks run.
     pub atpg_checks: usize,
@@ -254,8 +252,7 @@ pub struct OptimizeReport {
     /// Candidates the guard rolled back and quarantined, in order.
     pub quarantined: Vec<QuarantinedCandidate>,
     /// Per-window rows when the windowed driver ran; empty for
-    /// whole-netlist runs. In windowed mode [`OptimizeReport::rounds`]
-    /// counts completed windows instead of candidate rounds.
+    /// whole-netlist runs.
     pub windows: Vec<WindowReport>,
     /// Whether the run stopped early because its wall-clock deadline
     /// expired (the report then describes the best-so-far netlist).
@@ -331,13 +328,11 @@ impl fmt::Display for OptimizeReport {
         )?;
         writeln!(
             f,
-            "refreshes: sta {}i/{}f, sim {}i/{}f, power {}i/{}f",
+            "refreshes: sta {}i, sim {}i/{}f, power {}i",
             self.incremental.incremental_sta_updates,
-            self.incremental.full_sta_rebuilds,
             self.incremental.incremental_resims,
             self.incremental.full_resims,
             self.incremental.incremental_power_updates,
-            self.incremental.full_power_rescans,
         )?;
         write!(
             f,

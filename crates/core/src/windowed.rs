@@ -173,7 +173,7 @@ pub(crate) fn optimize_windowed(
         report.delay_rejections += rep.delay_rejections;
         report.phase.accumulate(&rep.phase);
         accumulate_incremental(&mut report.incremental, &rep.incremental);
-        accumulate_engine(&mut report.engine, &rep.engine);
+        report.engine.merge(&rep.engine);
         accumulate_guard(&mut report.guard, &rep.guard);
         let commits = rep.applied.len();
         let power_saved: f64 = rep.applied.iter().map(|a| a.power_saved).sum();
@@ -221,30 +221,10 @@ pub(crate) fn optimize_windowed(
 }
 
 fn accumulate_incremental(into: &mut IncrementalStats, from: &IncrementalStats) {
-    into.full_sta_rebuilds += from.full_sta_rebuilds;
     into.incremental_sta_updates += from.incremental_sta_updates;
     into.full_resims += from.full_resims;
     into.incremental_resims += from.incremental_resims;
-    into.full_power_rescans += from.full_power_rescans;
     into.incremental_power_updates += from.incremental_power_updates;
-    into.cross_checks += from.cross_checks;
-}
-
-fn accumulate_engine(into: &mut EngineStats, from: &EngineStats) {
-    into.evaluated += from.evaluated;
-    into.filtered += from.filtered;
-    into.full_gains += from.full_gains;
-    into.proved += from.proved;
-    into.speculative_hits += from.speculative_hits;
-    into.invalidated += from.invalidated;
-    into.retried += from.retried;
-    into.worker_panics += from.worker_panics;
-    into.quarantined_batches += from.quarantined_batches;
-    into.degraded_phases += from.degraded_phases;
-    into.filter_seconds += from.filter_seconds;
-    into.gain_seconds += from.gain_seconds;
-    into.proof_seconds += from.proof_seconds;
-    into.arbiter_seconds += from.arbiter_seconds;
 }
 
 fn accumulate_guard(into: &mut GuardStats, from: &GuardStats) {

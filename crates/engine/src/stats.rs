@@ -3,13 +3,7 @@
 //! These structs are per-run *views*: the pipeline accumulates them
 //! locally for each report, while the same increment sites also feed
 //! the process-wide `powder-obs` metric registry under the
-//! `engine.*` / `core.analysis.*` names. [`EngineStats::from_snapshot`]
-//! and [`SessionStats::from_snapshot`] re-derive the struct form from
-//! a registry [`Snapshot`](powder_obs::Snapshot), which is how
-//! exporters and tests cross-check the two surfaces against each
-//! other.
-
-use powder_obs::{names, Snapshot};
+//! `engine.*` / `core.analysis.*` names.
 
 /// Counters describing one optimizer run's trip through the engine.
 ///
@@ -60,35 +54,6 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Sum of all pipeline stage wall times.
-    pub fn stage_seconds(&self) -> f64 {
-        self.filter_seconds + self.gain_seconds + self.proof_seconds + self.arbiter_seconds
-    }
-
-    /// Re-derives the struct form from a metric-registry snapshot
-    /// (process-lifetime totals under the `engine.*` names; pass a
-    /// [`Snapshot::delta`] to scope it to one run).
-    pub fn from_snapshot(snap: &Snapshot) -> EngineStats {
-        let ns = |name| snap.counter(name) as f64 / 1e9;
-        EngineStats {
-            jobs: snap.gauge(names::ENGINE_JOBS) as usize,
-            evaluated: snap.counter(names::ENGINE_EVALUATED) as usize,
-            filtered: snap.counter(names::ENGINE_FILTERED) as usize,
-            full_gains: snap.counter(names::ENGINE_FULL_GAINS) as usize,
-            proved: snap.counter(names::ENGINE_PROVED) as usize,
-            speculative_hits: snap.counter(names::ENGINE_SPECULATIVE_HITS) as usize,
-            invalidated: snap.counter(names::ENGINE_INVALIDATED) as usize,
-            retried: snap.counter(names::ENGINE_RETRIED) as usize,
-            worker_panics: snap.counter(names::RESILIENCE_WORKER_PANICS) as usize,
-            quarantined_batches: snap.counter(names::RESILIENCE_QUARANTINED_BATCHES) as usize,
-            degraded_phases: snap.counter(names::RESILIENCE_DEGRADED_PHASES) as usize,
-            filter_seconds: ns(names::ENGINE_FILTER_NS),
-            gain_seconds: ns(names::ENGINE_GAIN_NS),
-            proof_seconds: ns(names::ENGINE_PROOF_NS),
-            arbiter_seconds: ns(names::ENGINE_ARBITER_NS),
-        }
-    }
-
     /// Folds another run's counters into this one (for pipeline-level
     /// aggregation across several optimizer invocations). Counters and
     /// wall times add; `jobs` keeps the maximum resolved worker count.
@@ -138,21 +103,6 @@ pub struct SessionStats {
 }
 
 impl SessionStats {
-    /// Re-derives the struct form from a metric-registry snapshot
-    /// (process-lifetime totals under the `core.analysis.*` names;
-    /// pass a [`Snapshot::delta`] to scope it to one run).
-    pub fn from_snapshot(snap: &Snapshot) -> SessionStats {
-        SessionStats {
-            full_resims: snap.counter(names::ANALYSIS_SIM_FULL) as usize,
-            incremental_resims: snap.counter(names::ANALYSIS_SIM_INCREMENTAL) as usize,
-            full_power_builds: snap.counter(names::ANALYSIS_POWER_FULL) as usize,
-            incremental_power_updates: snap.counter(names::ANALYSIS_POWER_INCREMENTAL) as usize,
-            full_sta_builds: snap.counter(names::ANALYSIS_STA_FULL) as usize,
-            incremental_sta_updates: snap.counter(names::ANALYSIS_STA_INCREMENTAL) as usize,
-            refreshes: snap.counter(names::ANALYSIS_REFRESHES) as usize,
-        }
-    }
-
     /// Adds another counter set into this one.
     pub fn merge(&mut self, other: &SessionStats) {
         self.full_resims += other.full_resims;
@@ -231,17 +181,5 @@ mod tests {
         assert_eq!(a.evaluated, 12);
         assert_eq!(a.proved, 3);
         assert!((a.gain_seconds - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stage_seconds_sums_all_stages() {
-        let stats = EngineStats {
-            filter_seconds: 0.5,
-            gain_seconds: 1.0,
-            proof_seconds: 2.0,
-            arbiter_seconds: 0.25,
-            ..EngineStats::default()
-        };
-        assert!((stats.stage_seconds() - 3.75).abs() < 1e-12);
     }
 }

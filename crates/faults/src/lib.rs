@@ -45,6 +45,11 @@ pub const SITE_STORE_TORN_WRITE: &str = "store-torn-write";
 /// exercising checkpoint integrity verification and the fall-back to
 /// the previous good checkpoint (or a clean re-run).
 pub const SITE_CHECKPOINT_TRUNCATE: &str = "checkpoint-truncate";
+/// Site name: a serve job's runner parks before its pipeline starts
+/// until the job is cancelled, the daemon drains, or the job's
+/// deadline passes, so tests can hold a runner busy without relying
+/// on how long a job takes.
+pub const SITE_SERVE_HOLD: &str = "serve-hold";
 
 /// Every site name an injector in this workspace queries. A plan clause
 /// naming anything else is a typo and is rejected at parse time.
@@ -55,6 +60,7 @@ pub const KNOWN_SITES: &[&str] = &[
     SITE_SERVE_CRASH,
     SITE_STORE_TORN_WRITE,
     SITE_CHECKPOINT_TRUNCATE,
+    SITE_SERVE_HOLD,
 ];
 
 /// When a site's fault fires, as parsed from one plan clause.

@@ -4,8 +4,7 @@
 //! same concept carries the same name no matter which code path
 //! increments it — the optimizer's inner loop and the pass pipeline's
 //! `AnalysisSession` both report analysis refreshes under the
-//! `core.analysis.*` names, ending the `full_power_rescans` /
-//! `full_power_builds` drift between the old ad-hoc counter structs.
+//! `core.analysis.*` names.
 //!
 //! Wall-clock-derived metrics end in `_ns` (or `_seconds`); everything
 //! else is a deterministic function of the input netlist and

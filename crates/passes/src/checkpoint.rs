@@ -33,12 +33,9 @@ use powder_netlist::Netlist;
 use powder_sim::Patterns;
 use std::sync::Arc;
 
-/// Magic first line of the legacy (PR 6) checkpoint text format:
-/// no integrity information, trusted blindly. Still readable.
-pub const CHECKPOINT_MAGIC_V1: &str = "powder-checkpoint v1";
-/// Magic first line of the current checkpoint text format: the second
-/// line carries the CRC-32 and byte length of the remainder, so
-/// truncation, bit flips, and torn writes are detected at load time.
+/// Magic first line of the checkpoint text format: the second line
+/// carries the CRC-32 and byte length of the remainder, so truncation,
+/// bit flips, and torn writes are detected at load time.
 pub const CHECKPOINT_MAGIC: &str = "powder-checkpoint v2";
 
 /// Where the pipeline stood when a checkpoint was taken. All positions
@@ -104,7 +101,7 @@ impl RunCheckpoint {
     }
 
     /// The checksummed section of the text format (everything after
-    /// the magic and integrity lines; identical to the v1 body).
+    /// the magic and integrity lines).
     fn body_text(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -149,73 +146,58 @@ impl RunCheckpoint {
         out
     }
 
-    /// Splits a checkpoint text into its (already integrity-checked)
-    /// body. v2 verifies the `crc32` line against the remainder; v1
-    /// has no integrity information and is passed through for the
-    /// field-by-field parser to validate.
+    /// Splits a checkpoint text into its body after verifying the
+    /// magic line and the `crc32` line against the remainder.
     fn checked_body(src: &str) -> Result<&str, String> {
         let (magic, rest) = src.split_once('\n').unwrap_or((src, ""));
-        match magic {
-            CHECKPOINT_MAGIC => {
-                let (crc_line, body) = rest
-                    .split_once('\n')
-                    .ok_or("checkpoint truncated in the integrity line")?;
-                let mut parts = crc_line.split_whitespace();
-                if parts.next() != Some("crc32") {
-                    return Err(format!("expected \"crc32\" line, got {crc_line:?}"));
-                }
-                let expected_crc = parts
-                    .next()
-                    .and_then(|v| u32::from_str_radix(v, 16).ok())
-                    .ok_or_else(|| format!("bad crc32 value in {crc_line:?}"))?;
-                let expected_len = parts
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .ok_or_else(|| format!("bad length in {crc_line:?}"))?;
-                if body.len() != expected_len {
-                    return Err(format!(
-                        "checkpoint truncated or padded: integrity line says {expected_len} \
-                         bytes, found {}",
-                        body.len()
-                    ));
-                }
-                let actual = crc32(body.as_bytes());
-                if actual != expected_crc {
-                    return Err(format!(
-                        "checkpoint corrupted: integrity line says crc32 {expected_crc:08x}, \
-                         computed {actual:08x}"
-                    ));
-                }
-                Ok(body)
-            }
-            CHECKPOINT_MAGIC_V1 => Ok(rest),
-            other => Err(format!(
-                "not a checkpoint: expected {CHECKPOINT_MAGIC:?} (or legacy \
-                 {CHECKPOINT_MAGIC_V1:?}), got {other:?}"
-            )),
+        if magic != CHECKPOINT_MAGIC {
+            return Err(format!(
+                "not a checkpoint: expected {CHECKPOINT_MAGIC:?}, got {magic:?}"
+            ));
         }
+        let (crc_line, body) = rest
+            .split_once('\n')
+            .ok_or("checkpoint truncated in the integrity line")?;
+        let mut parts = crc_line.split_whitespace();
+        if parts.next() != Some("crc32") {
+            return Err(format!("expected \"crc32\" line, got {crc_line:?}"));
+        }
+        let expected_crc = parts
+            .next()
+            .and_then(|v| u32::from_str_radix(v, 16).ok())
+            .ok_or_else(|| format!("bad crc32 value in {crc_line:?}"))?;
+        let expected_len = parts
+            .next()
+            .and_then(|v| v.parse::<usize>().ok())
+            .ok_or_else(|| format!("bad length in {crc_line:?}"))?;
+        if body.len() != expected_len {
+            return Err(format!(
+                "checkpoint truncated or padded: integrity line says {expected_len} \
+                 bytes, found {}",
+                body.len()
+            ));
+        }
+        let actual = crc32(body.as_bytes());
+        if actual != expected_crc {
+            return Err(format!(
+                "checkpoint corrupted: integrity line says crc32 {expected_crc:08x}, \
+                 computed {actual:08x}"
+            ));
+        }
+        Ok(body)
     }
 
-    /// Integrity-checks a checkpoint text without materializing it.
-    /// For v2 this verifies magic, length, and CRC (cheap — one pass
-    /// over the bytes); for legacy v1, which carries no checksum, it
-    /// falls back to a full parse. The store uses this to decide
+    /// Integrity-checks a checkpoint text without materializing it:
+    /// magic, length, and CRC (one pass over the bytes). The CRC
+    /// proves the body is exactly what `to_text` wrote, and `to_text`
+    /// only writes parseable bodies. The store uses this to decide
     /// between resuming and quarantining.
     pub fn verify_text(src: &str) -> Result<(), String> {
-        let body = Self::checked_body(src)?;
-        if src.starts_with(CHECKPOINT_MAGIC_V1) {
-            Self::parse_body(body).map(|_| ())
-        } else {
-            // v2: CRC already proves the body is exactly what
-            // `to_text` wrote, and `to_text` only writes parseable
-            // bodies.
-            Ok(())
-        }
+        Self::checked_body(src).map(|_| ())
     }
 
-    /// Parses the `powder-checkpoint v2` text format (or the legacy
-    /// v1 format, which has no integrity line). v2 inputs are CRC-
-    /// verified before any field is parsed, so truncation and bit
+    /// Parses the `powder-checkpoint v2` text format. The input is
+    /// CRC-verified before any field is parsed, so truncation and bit
     /// flips surface as integrity errors rather than field errors.
     pub fn from_text(src: &str) -> Result<Self, String> {
         Self::parse_body(Self::checked_body(src)?)
@@ -376,19 +358,14 @@ mod tests {
         assert!(RunCheckpoint::from_text(&truncated[..cut]).is_err());
     }
 
-    /// What `to_text` produced before the integrity line existed.
-    fn v1_text(cp: &RunCheckpoint) -> String {
-        format!("{CHECKPOINT_MAGIC_V1}\n{}", cp.body_text())
-    }
-
+    /// The retired `powder-checkpoint v1` format (no integrity line)
+    /// is rejected by both readers, even when its body parses.
     #[test]
-    fn legacy_v1_text_still_parses() {
-        let cp = sample();
-        let restored = RunCheckpoint::from_text(&v1_text(&cp)).unwrap();
-        assert_eq!(restored.position, cp.position);
-        assert_eq!(restored.netlist, cp.netlist);
-        assert_eq!(restored.pattern_bits, cp.pattern_bits);
-        RunCheckpoint::verify_text(&v1_text(&cp)).unwrap();
+    fn v1_text_is_rejected() {
+        let v1 = format!("powder-checkpoint v1\n{}", sample().body_text());
+        let err = RunCheckpoint::from_text(&v1).unwrap_err();
+        assert!(err.contains("not a checkpoint"), "{err}");
+        assert!(RunCheckpoint::verify_text(&v1).is_err());
     }
 
     #[test]
@@ -413,13 +390,5 @@ mod tests {
         // Corruption inside the integrity line itself is also fatal.
         let torn = text.replacen("crc32 ", "crc32 f", 1);
         assert!(RunCheckpoint::from_text(&torn).is_err());
-    }
-
-    #[test]
-    fn v1_verify_falls_back_to_full_parse() {
-        let cp = sample();
-        let text = v1_text(&cp);
-        let cut = text.find("netlist").unwrap();
-        assert!(RunCheckpoint::verify_text(&text[..cut]).is_err());
     }
 }

@@ -11,9 +11,8 @@
 //!   workspace stays dependency-free.
 //! * [`seal`]/[`unseal`] wrap an arbitrary text payload in a one-line
 //!   header carrying the payload's length and CRC. `unseal` detects
-//!   truncation (length mismatch), bit flips (CRC mismatch), and torn
-//!   headers, and still accepts *legacy* payloads written before the
-//!   envelope existed so old state directories keep working.
+//!   truncation (length mismatch), bit flips (CRC mismatch), and
+//!   missing or torn headers.
 //!
 //! The checkpoint format carries its checksum inline instead (see
 //! [`crate::checkpoint`]): its magic line is load-bearing for format
@@ -59,7 +58,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// Why [`unseal`] rejected a sealed payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SealError {
-    /// The header line is present but malformed (torn mid-header).
+    /// The header line is missing or malformed (torn mid-header).
     BadHeader(String),
     /// The payload is shorter or longer than the header's `len` —
     /// the classic torn-write signature.
@@ -109,16 +108,11 @@ pub fn seal(payload: &str) -> String {
     )
 }
 
-/// Unwraps a sealed payload, verifying length and CRC. Text without a
-/// seal header is returned as-is (legacy state written before the
-/// envelope existed): old state directories stay readable, and their
-/// records get sealed on the next write.
+/// Unwraps a sealed payload, verifying the header, length and CRC.
 pub fn unseal(text: &str) -> Result<&str, SealError> {
-    if !text.starts_with(SEAL_MAGIC) {
-        return Ok(text);
-    }
     let (header, payload) = text
         .split_once('\n')
+        .filter(|(header, _)| header.starts_with(SEAL_MAGIC))
         .ok_or_else(|| SealError::BadHeader(text.chars().take(80).collect()))?;
     let rest = header[SEAL_MAGIC.len()..].trim();
     let mut expected_crc = None;
@@ -173,9 +167,13 @@ mod tests {
     }
 
     #[test]
-    fn legacy_unsealed_text_passes_through() {
-        assert_eq!(unseal("{\"id\":\"j1\"}").unwrap(), "{\"id\":\"j1\"}");
-        assert_eq!(unseal("").unwrap(), "");
+    fn unsealed_text_is_rejected() {
+        for text in ["{\"id\":\"j1\"}", "{\"id\":\"j1\"}\n", ""] {
+            assert!(
+                matches!(unseal(text), Err(SealError::BadHeader(_))),
+                "{text:?} has no seal header"
+            );
+        }
     }
 
     #[test]

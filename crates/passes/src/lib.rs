@@ -61,7 +61,7 @@ mod pipeline;
 mod session;
 mod transform;
 
-pub use checkpoint::{ResumePoint, RunCheckpoint, CHECKPOINT_MAGIC, CHECKPOINT_MAGIC_V1};
+pub use checkpoint::{ResumePoint, RunCheckpoint, CHECKPOINT_MAGIC};
 pub use egraph::EgraphPass;
 pub use passes::{PowderPass, RedundancyPass, ResizePass, SweepPass};
 pub use pipeline::{

@@ -392,11 +392,10 @@ impl AnalysisSession {
         self.stats.merge(&SessionStats {
             full_resims: report.incremental.full_resims,
             incremental_resims: report.incremental.incremental_resims,
-            full_power_builds: report.incremental.full_power_rescans,
             incremental_power_updates: report.incremental.incremental_power_updates,
-            full_sta_builds: report.incremental.full_sta_rebuilds,
             incremental_sta_updates: report.incremental.incremental_sta_updates,
             refreshes: report.applied.len(),
+            ..SessionStats::default()
         });
         report
     }

@@ -55,7 +55,7 @@ use crate::signal;
 use crate::store::JobStore;
 use powder::{DelayLimit, OptimizeConfig};
 use powder_engine::{resolve_jobs, ThreadBudget};
-use powder_faults::{fires, FaultState, SITE_SERVE_CRASH};
+use powder_faults::{fires, FaultState, SITE_SERVE_CRASH, SITE_SERVE_HOLD};
 use powder_library::Library;
 use powder_netlist::blif::{read_blif, write_blif};
 use powder_obs as obs;
@@ -89,11 +89,12 @@ pub struct ServeConfig {
     /// machine's hardware parallelism.
     pub threads: usize,
     /// Daemon-level fault plan (`POWDER_FAULTS`): drives the
-    /// `serve-crash` site, the store's post-write corruption sites,
-    /// and — when the plan names optimizer sites — the job pipelines
-    /// themselves (the chaos leg). A plan naming only serve/store
-    /// sites never perturbs a job's optimizer decisions, so
-    /// bit-identity to standalone runs holds for those plans.
+    /// `serve-crash` and `serve-hold` sites, the store's post-write
+    /// corruption sites, and — when the plan names optimizer sites —
+    /// the job pipelines themselves (the chaos leg). A plan naming
+    /// only serve/store sites never perturbs a job's optimizer
+    /// decisions, so bit-identity to standalone runs holds for those
+    /// plans.
     pub faults: Option<Arc<FaultState>>,
     /// Admission-control bound: submits arriving while this many jobs
     /// are already queued are shed with an `overloaded` error.
@@ -585,6 +586,14 @@ fn run_job(shared: &Shared, job: &Arc<JobRecord>) -> Result<(), String> {
         }
         None => AnalysisSession::new(nl, session_cfg),
     };
+
+    // Deterministic hold site: park until the job is stopped (cancel
+    // or drain) or its deadline passes.
+    if fires(shared.faults.as_ref(), SITE_SERVE_HOLD) {
+        while !job.stop.load(Ordering::Acquire) && deadline.is_none_or(|d| Instant::now() < d) {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
 
     // Per-job metric attribution: delta of this thread's shard (plus
     // shards retired by the job's own worker pool). Under concurrent

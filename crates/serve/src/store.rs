@@ -280,12 +280,6 @@ impl JobStore {
         (None, quarantined)
     }
 
-    /// Latest checkpoint text, if one exists (unverified; prefer
-    /// [`JobStore::read_checkpoint_verified`] on any resume path).
-    pub fn read_checkpoint(&self, id: &str) -> Option<String> {
-        fs::read_to_string(self.job_dir(id).join("checkpoint.txt")).ok()
-    }
-
     /// The submitted netlist.
     pub fn read_input(&self, id: &str) -> io::Result<String> {
         fs::read_to_string(self.job_dir(id).join("input.blif"))
@@ -457,12 +451,15 @@ mod tests {
         JobStore::open(dir).expect("open store")
     }
 
-    /// A minimal checkpoint that passes full verification, in the
-    /// legacy v1 format (no CRC line).
-    fn valid_v1_checkpoint() -> &'static str {
-        "powder-checkpoint v1\niteration 0\npasses_done 0\niteration_edits 0\n\
-         powder_rounds_done 0\npowder_commits 0\nrequired_time none\n\
-         patterns 0 0 0\nnetlist\nx\n"
+    /// A minimal checkpoint that passes verification.
+    fn valid_checkpoint() -> String {
+        RunCheckpoint {
+            position: powder_passes::ResumePoint::default(),
+            netlist: "x\n".to_string(),
+            pattern_bits: Vec::new(),
+            pattern_tail: 0,
+        }
+        .to_text()
     }
 
     #[test]
@@ -489,7 +486,7 @@ mod tests {
         store
             .write_state("j1", &spec, JobPhase::Checkpointed, None)
             .unwrap();
-        store.write_checkpoint("j1", valid_v1_checkpoint()).unwrap();
+        store.write_checkpoint("j1", &valid_checkpoint()).unwrap();
 
         let jobs = store.recover().unwrap();
         assert_eq!(jobs.len(), 1);
@@ -563,6 +560,28 @@ mod tests {
     }
 
     #[test]
+    fn unsealed_job_record_is_quarantined_for_prev() {
+        let store = temp_store("unsealed-state");
+        let spec = JobSpec::default();
+        store.persist_new("j1", &spec, "x").unwrap();
+        store
+            .write_state("j1", &spec, JobPhase::Running, None)
+            .unwrap();
+        // A bare record with no seal header, as written before records
+        // were sealed: it parses as JSON but is not trusted.
+        let path = store.job_dir("j1").join("job.json");
+        let raw = fs::read_to_string(&path).unwrap();
+        fs::write(&path, unseal(&raw).unwrap()).unwrap();
+
+        let jobs = store.recover().unwrap();
+        assert_eq!(jobs.len(), 1);
+        assert_eq!(jobs[0].phase, JobPhase::Queued, "read from job.json.prev");
+        assert_eq!(jobs[0].quarantined, 1);
+        assert!(store.root().join("corrupt").join("j1.job.json").exists());
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
     fn wholly_corrupt_job_is_skipped_not_resurrected() {
         let store = temp_store("corrupt-chain");
         store.persist_new("j1", &JobSpec::default(), "x").unwrap();
@@ -579,8 +598,8 @@ mod tests {
         let store = temp_store("cp-prev");
         let spec = JobSpec::default();
         store.persist_new("j1", &spec, "x").unwrap();
-        store.write_checkpoint("j1", valid_v1_checkpoint()).unwrap();
-        store.write_checkpoint("j1", valid_v1_checkpoint()).unwrap();
+        store.write_checkpoint("j1", &valid_checkpoint()).unwrap();
+        store.write_checkpoint("j1", &valid_checkpoint()).unwrap();
         tear_file(&store.job_dir("j1").join("checkpoint.txt"), 1, 2);
 
         let (text, quarantined) = store.read_checkpoint_verified("j1");
@@ -612,7 +631,7 @@ mod tests {
         let store = temp_store("fault-sites").with_faults(Some(faults));
         let spec = JobSpec::default();
         store.persist_new("j1", &spec, "x").unwrap(); // fires torn-write
-        store.write_checkpoint("j1", valid_v1_checkpoint()).unwrap(); // fires truncate
+        store.write_checkpoint("j1", &valid_checkpoint()).unwrap(); // fires truncate
 
         let raw = fs::read_to_string(store.job_dir("j1").join("job.json")).unwrap();
         assert!(unseal(&raw).is_err(), "job.json must be torn");

@@ -51,14 +51,9 @@ fn bench_netlist() -> String {
     powder_netlist::blif::write_blif(&nl)
 }
 
-/// A job heavy enough (for a debug build) to keep the single runner
-/// busy while the test probes admission control.
-fn slow_spec(tenant: &str) -> JobSpec {
+fn spec(tenant: &str) -> JobSpec {
     JobSpec {
         tenant: tenant.to_string(),
-        repeat: 8,
-        patterns: 2048,
-        fixpoint: 8,
         jobs: 1,
         ..JobSpec::default()
     }
@@ -83,24 +78,28 @@ fn wait_for_state(addr: &str, id: &str, state: &str) {
 #[test]
 fn shedding_dedup_and_backoff_recovery() {
     let dir = temp_dir("shed");
+    // The first job to start parks its runner until it is cancelled,
+    // so the runner stays busy however fast the job would run.
+    let hold = powder_faults::FaultPlan::parse("serve-hold=once:1").expect("valid plan");
     let (addr, daemon) = start_daemon(&dir.join("state"), |cfg| {
         cfg.max_queued = 1;
+        cfg.faults = Some(hold.into_state());
     });
     let netlist = bench_netlist();
 
     // Fill the runner, then the one queue slot.
-    let id_a = client::submit(&addr, &slow_spec("a"), &netlist).expect("submit a");
+    let id_a = client::submit(&addr, &spec("a"), &netlist).expect("submit a");
     wait_for_state(&addr, &id_a, "running");
     let spec_b = JobSpec {
         job_key: Some("order-9".to_string()),
-        ..slow_spec("b")
+        ..spec("b")
     };
     let id_b = client::submit(&addr, &spec_b, &netlist).expect("submit b");
 
     // A third submit must be shed with the structured error and a
     // deterministic retry-after hint — not queued, not dropped on the
     // floor, not a closed connection.
-    let line_c = client::submit_line(&slow_spec("c"), &netlist);
+    let line_c = client::submit_line(&spec("c"), &netlist);
     let shed = client::request(&addr, &line_c).expect_err("queue is full");
     assert_eq!(shed.code, powder_serve::ErrorCode::Overloaded);
     assert!(shed.retryable());
@@ -126,13 +125,14 @@ fn shedding_dedup_and_backoff_recovery() {
     let retrier = std::thread::spawn(move || {
         let spec = JobSpec {
             job_key: Some("late-1".to_string()),
-            ..slow_spec("late")
+            ..spec("late")
         };
         client::submit_with_retries(&retry_addr, &spec, &retry_netlist, 12)
     });
     std::thread::sleep(Duration::from_millis(250));
-    // The cancels race against natural completion; either way the
-    // queue drains and the retrier must get in.
+    // Cancelling a releases the runner; b may start before its own
+    // cancel lands. Either way the queue drains and the retrier must
+    // get in.
     client::cancel(&addr, &id_a).ok();
     client::cancel(&addr, &id_b).ok();
     let id_late = retrier

@@ -87,33 +87,3 @@ fn bench_of_optimized_circuit_still_equivalent() {
     );
     roundtrip_equivalent(&nl);
 }
-
-/// The checked-in `BENCH_optimize.json` must carry the whole-process
-/// `powder-obs` metric snapshot under its top-level `"metrics"` key:
-/// versioned, non-empty, with dotted `<crate>.<subsystem>.<metric>`
-/// names covering the analysis counters the benchmark exercises.
-#[test]
-fn bench_optimize_json_embeds_metrics_snapshot() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_optimize.json");
-    let text = std::fs::read_to_string(path).expect("checked-in BENCH_optimize.json");
-    let v = powder_obs::json::parse(&text).expect("valid JSON");
-    let snap = v.get("metrics").expect("top-level metrics block");
-    assert_eq!(snap.get("version").and_then(|x| x.as_f64()), Some(1.0));
-    let metrics = snap.get("metrics").expect("metrics map");
-    let map = metrics.as_object().expect("metrics is an object");
-    assert!(!map.is_empty(), "metrics block is empty");
-    for name in map.keys() {
-        assert!(
-            name.split('.').count() >= 3,
-            "metric {name:?} is not <crate>.<subsystem>.<metric>"
-        );
-    }
-    for key in [
-        powder_obs::names::ANALYSIS_SIM_FULL,
-        powder_obs::names::ANALYSIS_SIM_INCREMENTAL,
-        powder_obs::names::OPTIMIZER_COMMITS,
-        powder_obs::names::ENGINE_EVALUATED,
-    ] {
-        assert!(metrics.get(key).is_some(), "metrics block missing {key}");
-    }
-}

@@ -5,6 +5,8 @@
 //! * metric snapshots are deterministic — two `--jobs 4` runs of the
 //!   `powder` pass produce identical registry deltas once wall-clock
 //!   (`*_ns` / `*_seconds`) metrics are stripped;
+//! * the optimizer report and the registry count the same events —
+//!   each report count equals the registry delta under its name;
 //! * histogram shard merging is order- and partition-independent
 //!   (property-tested, since that is what snapshot determinism under
 //!   work stealing rests on);
@@ -15,7 +17,7 @@
 //! test that touches them serializes on one mutex; the proptest works
 //! on stand-alone [`HistogramSnapshot`] values and needs no lock.
 
-use powder::{optimize, OptimizeConfig, OptimizeReport};
+use powder::{optimize, DelayLimit, OptimizeConfig, OptimizeReport};
 use powder_library::lib2;
 use powder_netlist::blif::write_blif;
 use powder_netlist::{GateId, Netlist};
@@ -28,8 +30,24 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// Serializes tests that read or toggle the process-global registry.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
-fn obs_lock() -> MutexGuard<'static, ()> {
-    OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+/// Holds [`OBS_LOCK`]. Dropping it folds this thread's metric shard
+/// into the registry before the lock is released, so no count of one
+/// test can land in another test's snapshot delta when the test thread
+/// exits.
+struct ObsGuard {
+    _lock: MutexGuard<'static, ()>,
+}
+
+impl Drop for ObsGuard {
+    fn drop(&mut self) {
+        obs::flush_thread();
+    }
+}
+
+fn obs_lock() -> ObsGuard {
+    ObsGuard {
+        _lock: OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner),
+    }
 }
 
 /// A deterministic ~60-gate mapped netlist (xorshift-driven recipe,
@@ -156,15 +174,76 @@ fn egraph_reject_reasons_sum_to_total() {
         .iter()
         .map(|name| delta.counter(name))
         .sum();
-    // Fold this thread's shard while still holding the lock, so the
-    // counts cannot land in another test's snapshot delta.
-    obs::flush_thread();
     assert!(er.rejected > 0, "bw rejects some cones");
     assert_eq!(
         total, er.rejected as u64,
         "total counter matches the report"
     );
     assert_eq!(reasons, total, "typed reasons sum to the total");
+}
+
+/// Every count the optimizer report carries equals the registry delta
+/// under its name: the engine counts (`engine.*`), the analysis
+/// refreshes (`core.analysis.*`), and the commits, ATPG checks and
+/// rejections, and delay rejections (`core.optimizer.*`). Covers a
+/// delay-limited run at one worker, a four-worker run, and a windowed
+/// run.
+#[test]
+fn report_counts_match_registry_deltas() {
+    use obs::names;
+    let _guard = obs_lock();
+    restore_defaults();
+    let lib = Arc::new(lib2());
+    let runs = [
+        (
+            "bw",
+            OptimizeConfig {
+                delay_limit: Some(DelayLimit::Factor(1.0)),
+                ..config(1)
+            },
+        ),
+        ("apex6", config(4)),
+        (
+            "frg2",
+            OptimizeConfig {
+                window_size: Some(64),
+                ..config(1)
+            },
+        ),
+    ];
+    for (name, cfg) in runs {
+        let mut nl = powder_benchmarks::build(name, Arc::clone(&lib)).expect("suite circuit");
+        let before = obs::snapshot();
+        let report = optimize(&mut nl, &cfg);
+        let delta = obs::snapshot().delta(&before);
+        let (e, i) = (&report.engine, &report.incremental);
+        for (metric, count) in [
+            (names::ENGINE_EVALUATED, e.evaluated),
+            (names::ENGINE_FILTERED, e.filtered),
+            (names::ENGINE_FULL_GAINS, e.full_gains),
+            (names::ENGINE_PROVED, e.proved),
+            (names::ENGINE_SPECULATIVE_HITS, e.speculative_hits),
+            (names::ENGINE_INVALIDATED, e.invalidated),
+            (names::ENGINE_RETRIED, e.retried),
+            (names::RESILIENCE_WORKER_PANICS, e.worker_panics),
+            (names::RESILIENCE_QUARANTINED_BATCHES, e.quarantined_batches),
+            (names::RESILIENCE_DEGRADED_PHASES, e.degraded_phases),
+            (names::ANALYSIS_STA_INCREMENTAL, i.incremental_sta_updates),
+            (names::ANALYSIS_SIM_FULL, i.full_resims),
+            (names::ANALYSIS_SIM_INCREMENTAL, i.incremental_resims),
+            (
+                names::ANALYSIS_POWER_INCREMENTAL,
+                i.incremental_power_updates,
+            ),
+            (names::OPTIMIZER_COMMITS, report.applied.len()),
+            (names::OPTIMIZER_ATPG_CHECKS, report.atpg_checks),
+            (names::OPTIMIZER_ATPG_REJECTIONS, report.atpg_rejections),
+            (names::OPTIMIZER_DELAY_REJECTIONS, report.delay_rejections),
+        ] {
+            assert_eq!(delta.counter(metric), count as u64, "{name}: {metric}");
+        }
+        assert!(!report.applied.is_empty(), "{name} commits something");
+    }
 }
 
 /// Release-only: recording must stay under 5% wall-clock overhead
