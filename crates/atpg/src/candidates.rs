@@ -13,17 +13,29 @@
 //! For the 3-input substitutions the candidate pair pool is pruned first
 //! with per-cell *coverage* conditions (e.g. an AND-substitution requires
 //! both operands to cover `a`'s care onset), and XOR/XNOR partners are
-//! found by exact signature hashing.
+//! found by exact signature lookup.
+//!
+//! Every scan is word-major. The sources' signatures are copied once per
+//! call into columns (word `w` of every source, contiguous), so a scan
+//! first tests the one word with the most relevant care bits for 64
+//! sources at a time, as a bitmask ANDed with the complement of the
+//! rewired gate's `SourceReach` row, and runs the full-width test only
+//! on the survivors, in source order. The one-word test is a necessary
+//! condition of the full-width one, so the output is exactly what the
+//! full-width test alone selects, in source order.
+//!
+//! The output is a pure function of the netlist, the simulation values,
+//! the config and the scope, with no dependence on hash-map iteration
+//! order: the optimizer's commit arbiter identifies candidates by their
+//! position in this list.
 
 use crate::Substitution;
 use powder_library::CellId;
-use powder_netlist::{Conn, GateId, GateKind, Netlist};
+use powder_netlist::{GateId, GateKind, Netlist};
 use powder_sim::{observability_sweep, CellCovers, SimValues};
-// Ordered maps throughout: candidate generation must be a pure function
-// of the netlist and simulation values with no dependence on hash-map
-// iteration order, because the optimizer's commit arbiter identifies
-// candidates by their position in this function's output.
-use std::collections::{BTreeMap, BTreeSet};
+
+#[cfg(test)]
+pub(crate) mod reference;
 
 /// Tuning knobs for candidate generation.
 #[derive(Clone, Debug)]
@@ -66,26 +78,6 @@ fn compatible(sig_a: &[u64], sig_y: &[u64], care: &[u64], inverted: bool) -> boo
         .zip(sig_y)
         .zip(care)
         .all(|((&a, &y), &m)| ((a ^ if inverted { !y } else { y }) & m) == 0)
-}
-
-/// `y` covers the care-onset of `a`: wherever `a` is 1 and observable, `y`
-/// is 1.
-fn covers_onset(sig_a: &[u64], sig_y: &[u64], care: &[u64]) -> bool {
-    sig_a
-        .iter()
-        .zip(sig_y)
-        .zip(care)
-        .all(|((&a, &y), &m)| (a & !y & m) == 0)
-}
-
-/// `y` avoids the care-offset of `a`: wherever `a` is 0 and observable, `y`
-/// is 0.
-fn avoids_offset(sig_a: &[u64], sig_y: &[u64], care: &[u64]) -> bool {
-    sig_a
-        .iter()
-        .zip(sig_y)
-        .zip(care)
-        .all(|((&a, &y), &m)| (!a & y & m) == 0)
 }
 
 /// The two-input cells of `library` usable for OS3/IS3, keyed by role.
@@ -150,6 +142,8 @@ impl CandidateScope {
 /// Because the sweep covers the whole netlist it stays exact for paths
 /// that leave the window and re-enter it.
 struct SourceReach {
+    /// Number of sources.
+    len: usize,
     /// Dense `GateId.0` → index into the source list (`u32::MAX` when
     /// the gate is not a source).
     idx: Vec<u32>,
@@ -183,15 +177,319 @@ impl SourceReach {
             }
             bits[gi * words..gi * words + words].copy_from_slice(&acc);
         }
-        SourceReach { idx, words, bits }
+        SourceReach {
+            len: sources.len(),
+            idx,
+            words,
+            bits,
+        }
     }
 
-    /// Is source `b` in the transitive fanout of `root` (inclusive)?
-    fn forbidden(&self, root: GateId, b: GateId) -> bool {
-        let i = self.idx[b.0 as usize];
-        debug_assert!(i != u32::MAX, "queried gate is not a source");
+    /// Writes to `out` the sources a substitution rewiring `root` may
+    /// use, as a bitset over source indices: every source outside
+    /// `root`'s transitive fanout except the substituted signal `own`.
+    fn allowed_into(&self, root: GateId, own: GateId, out: &mut Vec<u64>) {
         let base = root.0 as usize * self.words;
-        (self.bits[base + (i / 64) as usize] >> (i % 64)) & 1 == 1
+        out.clear();
+        out.extend(self.bits[base..base + self.words].iter().map(|&r| !r));
+        for (k, w) in out.iter_mut().enumerate() {
+            let live = self.len.saturating_sub(k * 64);
+            if live < 64 {
+                *w &= (1u64 << live) - 1;
+            }
+        }
+        let i = self.idx[own.0 as usize] as usize;
+        out[i / 64] &= !(1u64 << (i % 64));
+    }
+}
+
+/// Set bits of a 64-bit block, lowest first.
+struct Bits(u64);
+
+impl Iterator for Bits {
+    type Item = usize;
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let j = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(j)
+    }
+}
+
+/// Is source `i` set in the bitset `set`?
+fn has(set: &[u64], i: usize) -> bool {
+    (set[i / 64] >> (i % 64)) & 1 == 1
+}
+
+/// The word with the most bits set in `relevant`; the first on a tie.
+fn best_word(relevant: impl Iterator<Item = u64>) -> usize {
+    let mut best = (0, 0);
+    for (w, x) in relevant.enumerate() {
+        if x.count_ones() > best.1 {
+            best = (w, x.count_ones());
+        }
+    }
+    best.0
+}
+
+/// The combining operator of an AND- or OR-type 3-input family.
+#[derive(Clone, Copy)]
+enum Op {
+    And,
+    Or,
+}
+
+impl Op {
+    /// The pool condition on one word of `a` (already complemented for
+    /// the NAND/NOR families): an AND operand must cover `a`'s care
+    /// onset, an OR operand must avoid its care offset.
+    fn pool_word(self, a: u64, y: u64, m: u64) -> bool {
+        match self {
+            Op::And => a & !y & m == 0,
+            Op::Or => !a & y & m == 0,
+        }
+    }
+
+    /// The bits of `a`'s care set the pool condition constrains.
+    fn pool_relevant(self, a: u64, m: u64) -> u64 {
+        match self {
+            Op::And => a & m,
+            Op::Or => !a & m,
+        }
+    }
+
+    /// The pair condition on one word: `b op c` equals `a` on the care set.
+    fn pair_word(self, a: u64, b: u64, c: u64, m: u64) -> bool {
+        let v = match self {
+            Op::And => b & c,
+            Op::Or => b | c,
+        };
+        (v ^ a) & m == 0
+    }
+}
+
+/// The sources of one call, with their signatures both row-major (the
+/// simulation values) and word-major (a copy made once per call).
+struct Sources<'a> {
+    values: &'a SimValues,
+    ids: Vec<GateId>,
+    /// `words × ids.len()`: word `w` of source `i` at `w * ids.len() + i`.
+    cols: Vec<u64>,
+    /// `(word 0, source index)` of every source, sorted: the XOR/XNOR
+    /// partner index.
+    by_word0: Vec<(u64, u32)>,
+}
+
+/// One substituted signal — an OS stem or an IS branch — and what every
+/// scan for it reads.
+struct Target<'a> {
+    sig: &'a [u64],
+    care: &'a [u64],
+    /// [`SourceReach::allowed_into`] of the rewired gate.
+    allowed: &'a [u64],
+}
+
+impl<'a> Sources<'a> {
+    fn new(values: &'a SimValues, ids: Vec<GateId>) -> Self {
+        let n = ids.len();
+        let mut cols = vec![0u64; values.words() * n];
+        for (i, &s) in ids.iter().enumerate() {
+            for (w, &x) in values.get(s).iter().enumerate() {
+                cols[w * n + i] = x;
+            }
+        }
+        let mut by_word0: Vec<(u64, u32)> = cols[..n.min(cols.len())]
+            .iter()
+            .zip(0u32..)
+            .map(|(&x, i)| (x, i))
+            .collect();
+        by_word0.sort_unstable();
+        Sources {
+            values,
+            ids,
+            cols,
+            by_word0,
+        }
+    }
+
+    fn sig(&self, i: usize) -> &'a [u64] {
+        self.values.get(self.ids[i])
+    }
+
+    /// Word `w` of every source.
+    fn column(&self, w: usize) -> &[u64] {
+        let n = self.ids.len();
+        &self.cols[w * n..(w + 1) * n]
+    }
+
+    /// The sources set in `allowed` whose word `w` passes `test`, in
+    /// source order. The test runs 64 sources at a time into a bitmask
+    /// that is ANDed with the `allowed` block.
+    fn survivors<'s>(
+        &'s self,
+        allowed: &'s [u64],
+        w: usize,
+        test: impl Fn(u64) -> bool + 's,
+    ) -> impl Iterator<Item = usize> + 's {
+        let col = self.column(w);
+        allowed.iter().enumerate().flat_map(move |(k, &allow)| {
+            let mut pass = 0u64;
+            if allow != 0 {
+                for (j, &y) in col[k * 64..col.len().min(k * 64 + 64)].iter().enumerate() {
+                    pass |= u64::from(test(y)) << j;
+                }
+            }
+            Bits(allow & pass).map(move |j| k * 64 + j)
+        })
+    }
+
+    /// The OS2/IS2 scan: allowed sources compatible with the target
+    /// (plainly, or inverted when enabled), in source order, until
+    /// `max_per_signal` are kept.
+    fn two_input(&self, t: &Target, config: &CandidateConfig, mut emit: impl FnMut(GateId, bool)) {
+        let max = config.max_per_signal;
+        let w = best_word(t.care.iter().copied());
+        let a = t.sig[w];
+        // `kept >= max` is tested after every examined source, so a zero
+        // limit examines exactly the first allowed one: an empty mask
+        // passes every source through the one-word test.
+        let m = if max == 0 { 0 } else { t.care[w] };
+        let inverted = config.enable_inverted;
+        let mut kept = 0usize;
+        for i in self.survivors(t.allowed, w, |y| {
+            let d = (a ^ y) & m;
+            d == 0 || (inverted && d == m)
+        }) {
+            let sig_b = self.sig(i);
+            if compatible(t.sig, sig_b, t.care, false) {
+                emit(self.ids[i], false);
+                kept += 1;
+            } else if inverted && compatible(t.sig, sig_b, t.care, true) {
+                emit(self.ids[i], true);
+                kept += 1;
+            }
+            if kept >= max {
+                break;
+            }
+        }
+    }
+
+    /// The AND/OR-type OS3/IS3 families in order, each given by its
+    /// operator, whether it matches `!a`, and its cell. A family runs on
+    /// the first `pair_pool_cap` allowed sources that pass its pool
+    /// condition, and keeps every pair of them (in pool order) that
+    /// matches the target on the care set. Families after the first
+    /// run only while fewer than `max_per_signal` are kept. Returns the
+    /// number kept.
+    fn three_input(
+        &self,
+        t: &Target,
+        families: &[(Op, bool, Option<CellId>)],
+        config: &CandidateConfig,
+        pool: &mut Vec<usize>,
+        mut emit: impl FnMut(CellId, GateId, GateId),
+    ) -> usize {
+        let max = config.max_per_signal;
+        let w_pair = best_word(t.care.iter().copied());
+        let mut kept = 0usize;
+        for (f, &(op, negated, cell)) in families.iter().enumerate() {
+            if f > 0 && kept >= max {
+                break;
+            }
+            let Some(cell) = cell else { continue };
+            let flip = if negated { !0 } else { 0 };
+            let w = best_word(
+                t.sig
+                    .iter()
+                    .zip(t.care)
+                    .map(|(&a, &m)| op.pool_relevant(a ^ flip, m)),
+            );
+            let (a, m) = (t.sig[w] ^ flip, t.care[w]);
+            pool.clear();
+            pool.extend(
+                self.survivors(t.allowed, w, |y| op.pool_word(a, y, m))
+                    .filter(|&i| {
+                        t.sig
+                            .iter()
+                            .zip(self.sig(i))
+                            .zip(t.care)
+                            .all(|((&a, &y), &m)| op.pool_word(a ^ flip, y, m))
+                    })
+                    .take(config.pair_pool_cap),
+            );
+            let col = self.column(w_pair);
+            let (a, m) = (t.sig[w_pair] ^ flip, t.care[w_pair]);
+            for (k, &b) in pool.iter().enumerate() {
+                for &c in &pool[k + 1..] {
+                    if !op.pair_word(a, col[b], col[c], m) {
+                        continue;
+                    }
+                    let ok = t
+                        .sig
+                        .iter()
+                        .zip(self.sig(b))
+                        .zip(self.sig(c))
+                        .zip(t.care)
+                        .all(|(((&a, &b), &c), &m)| op.pair_word(a ^ flip, b, c, m));
+                    if ok {
+                        emit(cell, self.ids[b], self.ids[c]);
+                        kept += 1;
+                        if kept >= max {
+                            return kept;
+                        }
+                    }
+                }
+            }
+        }
+        kept
+    }
+
+    /// The OS3 XOR/XNOR scan: for each allowed `b`, every allowed
+    /// `c ≠ b` whose signature is exactly `sig(a) ^ sig(b)` (XOR) or its
+    /// complement (XNOR), in source order, until `kept` reaches
+    /// `max_per_signal`. Partners come from the word-0 index; each hit
+    /// is confirmed on every word.
+    fn xor_pairs(
+        &self,
+        t: &Target,
+        cells: &PairCells,
+        max: usize,
+        mut kept: usize,
+        mut emit: impl FnMut(CellId, GateId, GateId),
+    ) {
+        let allowed = t.allowed;
+        for (k, &block) in allowed.iter().enumerate() {
+            for j in Bits(block) {
+                let b = k * 64 + j;
+                let sig_b = self.sig(b);
+                for (cell, flip) in [(cells.xor2, 0), (cells.xnor2, !0u64)] {
+                    let Some(cell) = cell else { continue };
+                    let key0 = t.sig[0] ^ sig_b[0] ^ flip;
+                    let lo = self.by_word0.partition_point(|&(x, _)| x < key0);
+                    for &(x, c) in &self.by_word0[lo..] {
+                        if x != key0 {
+                            break;
+                        }
+                        let c = c as usize;
+                        let exact = self
+                            .sig(c)
+                            .iter()
+                            .zip(t.sig)
+                            .zip(sig_b)
+                            .all(|((&c, &a), &b)| c == a ^ b ^ flip);
+                        if exact && c != b && has(allowed, c) {
+                            emit(cell, self.ids[b], self.ids[c]);
+                            kept += 1;
+                            if kept >= max {
+                                return;
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -215,6 +513,10 @@ pub fn generate_candidates(
 /// rewired sinks must be scope targets, substituting signals must be
 /// scope sources. `scope: None` is exactly the unrestricted generator —
 /// same candidates in the same order.
+///
+/// Every candidate names its target (the OS stem or the IS sink pin), and
+/// each target's scans emit each (class, cell, `b`, `c`) at most once, so
+/// the list has no duplicates and needs no deduplication.
 #[must_use]
 pub fn generate_candidates_scoped(
     nl: &Netlist,
@@ -234,33 +536,34 @@ pub fn generate_candidates_scoped(
     let is_target = |g: GateId| scope.is_none_or(|s| s.is_target(g));
 
     // All stems usable as substituting sources.
-    let sources: Vec<GateId> = nl
-        .iter_live()
-        .filter(|&g| !matches!(nl.kind(g), GateKind::Output))
-        .filter(|&g| scope.is_none_or(|s| s.is_source(g)))
-        .collect();
-
-    // Exact-signature index for XOR/XNOR partner lookup, keyed by the
-    // borrowed signatures themselves.
-    let mut sig_index: BTreeMap<&[u64], Vec<GateId>> = BTreeMap::new();
-    for &s in &sources {
-        sig_index.entry(values.get(s)).or_default().push(s);
-    }
-    // Lookup keys sig(a) ^ sig(b) and its complement, reused across `b`.
-    let mut xor_key = vec![0u64; values.words()];
-    let mut xnor_key = vec![0u64; values.words()];
-
+    let src = Sources::new(
+        values,
+        nl.iter_live()
+            .filter(|&g| !matches!(nl.kind(g), GateKind::Output))
+            .filter(|&g| scope.is_none_or(|s| s.is_source(g)))
+            .collect(),
+    );
     let pair_cells = PairCells::detect(nl);
+    // The AND/OR-type 3-input families in scan order; IS3 uses the first
+    // two (the paper finds IS3 contributes least).
+    let families = [
+        (Op::And, false, pair_cells.and2),
+        (Op::Or, false, pair_cells.or2),
+        (Op::And, true, pair_cells.nand2),
+        (Op::Or, true, pair_cells.nor2),
+    ];
 
     // Cycle filter: a substituting source must not lie in the transitive
     // fanout of the rewired stem/sink. Source-reach sets for the whole
     // netlist come from one reverse-topological sweep —
     // `O(netlist · sources/64)` total instead of `O(targets · netlist)`,
     // and exact for paths that leave and re-enter a window.
-    let reach = SourceReach::build(nl, &sources);
+    let reach = SourceReach::build(nl, &src.ids);
+    let mut allowed: Vec<u64> = Vec::new();
+    let mut pool: Vec<usize> = Vec::new();
 
     // ---------------- output substitutions (OS2 / OS3) ----------------
-    for &a in &sources {
+    for &a in &src.ids {
         if !matches!(nl.kind(a), GateKind::Cell(_)) || nl.fanouts(a).is_empty() || !is_target(a) {
             continue;
         }
@@ -272,328 +575,97 @@ pub fn generate_candidates_scoped(
             // any source — skip to avoid a candidate explosion.
             continue;
         }
-        let sig_a = values.get(a);
-        let forbidden = |b: GateId| reach.forbidden(a, b);
-
+        reach.allowed_into(a, a, &mut allowed);
+        let t = Target {
+            sig: values.get(a),
+            care,
+            allowed: &allowed,
+        };
         if config.enable_os2 {
-            let mut kept = 0usize;
-            for &b in &sources {
-                if b == a || forbidden(b) {
-                    continue;
-                }
-                let sig_b = values.get(b);
-                if compatible(sig_a, sig_b, care, false) {
-                    out.push(Substitution::Os2 {
-                        a,
-                        b,
-                        invert: false,
-                    });
-                    kept += 1;
-                } else if config.enable_inverted && compatible(sig_a, sig_b, care, true) {
-                    out.push(Substitution::Os2 { a, b, invert: true });
-                    kept += 1;
-                }
-                if kept >= config.max_per_signal {
-                    break;
-                }
-            }
+            src.two_input(&t, config, |b, invert| {
+                out.push(Substitution::Os2 { a, b, invert });
+            });
         }
-
         if config.enable_os3 {
-            let pool: Vec<GateId> = sources
-                .iter()
-                .copied()
-                .filter(|&s| s != a && !forbidden(s))
-                .collect();
-            let mut kept = 0usize;
-            let mut push = |sub: Substitution, kept: &mut usize| {
-                out.push(sub);
-                *kept += 1;
-            };
-            // AND / NAND family: operands must cover the (possibly
-            // complemented) care-onset.
-            if pair_cells.and2.is_some() || pair_cells.nand2.is_some() {
-                let s_and: Vec<GateId> = pool
-                    .iter()
-                    .copied()
-                    .filter(|&s| covers_onset(sig_a, values.get(s), care))
-                    .take(config.pair_pool_cap)
-                    .collect();
-                'and_pairs: for (i, &b) in s_and.iter().enumerate() {
-                    for &c in &s_and[i + 1..] {
-                        let ok = sig_a
-                            .iter()
-                            .zip(values.get(b))
-                            .zip(values.get(c))
-                            .zip(care)
-                            .all(|(((&a_w, &b_w), &c_w), &m)| ((b_w & c_w) ^ a_w) & m == 0);
-                        if ok {
-                            if let Some(cell) = pair_cells.and2 {
-                                push(Substitution::Os3 { a, cell, b, c }, &mut kept);
-                            }
-                            if kept >= config.max_per_signal {
-                                break 'and_pairs;
-                            }
-                        }
-                    }
-                }
-            }
-            // OR / NOR family.
-            if kept < config.max_per_signal && pair_cells.or2.is_some() {
-                let s_or: Vec<GateId> = pool
-                    .iter()
-                    .copied()
-                    .filter(|&s| avoids_offset(sig_a, values.get(s), care))
-                    .take(config.pair_pool_cap)
-                    .collect();
-                'or_pairs: for (i, &b) in s_or.iter().enumerate() {
-                    for &c in &s_or[i + 1..] {
-                        let ok = sig_a
-                            .iter()
-                            .zip(values.get(b))
-                            .zip(values.get(c))
-                            .zip(care)
-                            .all(|(((&a_w, &b_w), &c_w), &m)| ((b_w | c_w) ^ a_w) & m == 0);
-                        if ok {
-                            if let Some(cell) = pair_cells.or2 {
-                                push(Substitution::Os3 { a, cell, b, c }, &mut kept);
-                            }
-                            if kept >= config.max_per_signal {
-                                break 'or_pairs;
-                            }
-                        }
-                    }
-                }
-            }
-            // NAND: !(b&c) == a on care ⇔ b&c == !a on care: operands must
-            // cover the care-offset complemented onset.
-            if kept < config.max_per_signal && pair_cells.nand2.is_some() {
-                let neg_sig: Vec<u64> = sig_a.iter().map(|&w| !w).collect();
-                let s_nand: Vec<GateId> = pool
-                    .iter()
-                    .copied()
-                    .filter(|&s| covers_onset(&neg_sig, values.get(s), care))
-                    .take(config.pair_pool_cap)
-                    .collect();
-                'nand_pairs: for (i, &b) in s_nand.iter().enumerate() {
-                    for &c in &s_nand[i + 1..] {
-                        let ok = neg_sig
-                            .iter()
-                            .zip(values.get(b))
-                            .zip(values.get(c))
-                            .zip(care)
-                            .all(|(((&a_w, &b_w), &c_w), &m)| ((b_w & c_w) ^ a_w) & m == 0);
-                        if ok {
-                            if let Some(cell) = pair_cells.nand2 {
-                                push(Substitution::Os3 { a, cell, b, c }, &mut kept);
-                            }
-                            if kept >= config.max_per_signal {
-                                break 'nand_pairs;
-                            }
-                        }
-                    }
-                }
-            }
-            // NOR: !(b|c) == a on care ⇔ b|c == !a on care.
-            if kept < config.max_per_signal && pair_cells.nor2.is_some() {
-                let neg_sig: Vec<u64> = sig_a.iter().map(|&w| !w).collect();
-                let s_nor: Vec<GateId> = pool
-                    .iter()
-                    .copied()
-                    .filter(|&s| avoids_offset(&neg_sig, values.get(s), care))
-                    .take(config.pair_pool_cap)
-                    .collect();
-                'nor_pairs: for (i, &b) in s_nor.iter().enumerate() {
-                    for &c in &s_nor[i + 1..] {
-                        let ok = neg_sig
-                            .iter()
-                            .zip(values.get(b))
-                            .zip(values.get(c))
-                            .zip(care)
-                            .all(|(((&a_w, &b_w), &c_w), &m)| ((b_w | c_w) ^ a_w) & m == 0);
-                        if ok {
-                            if let Some(cell) = pair_cells.nor2 {
-                                push(Substitution::Os3 { a, cell, b, c }, &mut kept);
-                            }
-                            if kept >= config.max_per_signal {
-                                break 'nor_pairs;
-                            }
-                        }
-                    }
-                }
-            }
-            // XOR / XNOR via exact signature lookup: sig_c == sig_a ^ sig_b.
-            if kept < config.max_per_signal
-                && (pair_cells.xor2.is_some() || pair_cells.xnor2.is_some())
-            {
-                'xor_scan: for &b in &pool {
-                    for (i, (&x, &y)) in sig_a.iter().zip(values.get(b)).enumerate() {
-                        xor_key[i] = x ^ y;
-                        xnor_key[i] = !(x ^ y);
-                    }
-                    for (cell, key) in [(pair_cells.xor2, &xor_key), (pair_cells.xnor2, &xnor_key)]
-                    {
-                        let Some(cell) = cell else { continue };
-                        if let Some(cands) = sig_index.get(key.as_slice()) {
-                            for &c in cands {
-                                if c != a && c != b && !forbidden(c) {
-                                    push(Substitution::Os3 { a, cell, b, c }, &mut kept);
-                                    if kept >= config.max_per_signal {
-                                        break 'xor_scan;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
+            let kept = src.three_input(&t, &families, config, &mut pool, |cell, b, c| {
+                out.push(Substitution::Os3 { a, cell, b, c });
+            });
+            if kept < config.max_per_signal {
+                src.xor_pairs(
+                    &t,
+                    &pair_cells,
+                    config.max_per_signal,
+                    kept,
+                    |cell, b, c| {
+                        out.push(Substitution::Os3 { a, cell, b, c });
+                    },
+                );
             }
         }
     }
 
     // ---------------- input substitutions (IS2 / IS3) ----------------
     if config.enable_is2 || config.enable_is3 {
-        let branch_list: Vec<(GateId, usize, Conn)> = sources
-            .iter()
-            .flat_map(|&a| {
-                nl.fanouts(a)
-                    .iter()
-                    .enumerate()
-                    .map(move |(k, &conn)| (a, k, conn))
-            })
-            .collect();
-        for (a, k, conn) in branch_list {
-            if matches!(nl.kind(conn.gate), GateKind::Output) {
-                // Rewiring a PO branch is an output substitution in
-                // disguise; OS2 handles it with full bookkeeping.
-                continue;
-            }
-            if !is_target(conn.gate) {
-                continue;
-            }
-            let care = obs.branch(a, k).expect("sources have branch masks");
-            if care.iter().all(|&w| w == 0) {
-                continue;
-            }
-            let sig_a = values.get(a);
-            let forbidden = |b: GateId| reach.forbidden(conn.gate, b);
-
-            if config.enable_is2 {
-                let mut kept = 0usize;
-                for &b in &sources {
-                    if b == a || forbidden(b) {
-                        continue;
-                    }
-                    let sig_b = values.get(b);
-                    if compatible(sig_a, sig_b, care, false) {
-                        out.push(Substitution::Is2 {
-                            sink: conn.gate,
-                            pin: conn.pin,
-                            b,
-                            invert: false,
-                        });
-                        kept += 1;
-                    } else if config.enable_inverted && compatible(sig_a, sig_b, care, true) {
-                        out.push(Substitution::Is2 {
-                            sink: conn.gate,
-                            pin: conn.pin,
-                            b,
-                            invert: true,
-                        });
-                        kept += 1;
-                    }
-                    if kept >= config.max_per_signal {
-                        break;
-                    }
+        for &a in &src.ids {
+            for (k, &conn) in nl.fanouts(a).iter().enumerate() {
+                if matches!(nl.kind(conn.gate), GateKind::Output) {
+                    // Rewiring a PO branch is an output substitution in
+                    // disguise; OS2 handles it with full bookkeeping.
+                    continue;
                 }
-            }
-
-            if config.enable_is3 {
-                // Keep IS3 cheap: AND/OR families only (the paper finds IS3
-                // contributes least).
-                let pool: Vec<GateId> = sources
-                    .iter()
-                    .copied()
-                    .filter(|&s| s != a && !forbidden(s))
-                    .collect();
-                let mut kept = 0usize;
-                if let Some(cell) = pair_cells.and2 {
-                    let s_and: Vec<GateId> = pool
-                        .iter()
-                        .copied()
-                        .filter(|&s| covers_onset(sig_a, values.get(s), care))
-                        .take(config.pair_pool_cap)
-                        .collect();
-                    'is3_and: for (i, &b) in s_and.iter().enumerate() {
-                        for &c in &s_and[i + 1..] {
-                            let ok = sig_a
-                                .iter()
-                                .zip(values.get(b))
-                                .zip(values.get(c))
-                                .zip(care)
-                                .all(|(((&a_w, &b_w), &c_w), &m)| ((b_w & c_w) ^ a_w) & m == 0);
-                            if ok {
-                                out.push(Substitution::Is3 {
-                                    sink: conn.gate,
-                                    pin: conn.pin,
-                                    cell,
-                                    b,
-                                    c,
-                                });
-                                kept += 1;
-                                if kept >= config.max_per_signal {
-                                    break 'is3_and;
-                                }
-                            }
-                        }
-                    }
+                if !is_target(conn.gate) {
+                    continue;
                 }
-                if kept < config.max_per_signal {
-                    if let Some(cell) = pair_cells.or2 {
-                        let s_or: Vec<GateId> = pool
-                            .iter()
-                            .copied()
-                            .filter(|&s| avoids_offset(sig_a, values.get(s), care))
-                            .take(config.pair_pool_cap)
-                            .collect();
-                        'is3_or: for (i, &b) in s_or.iter().enumerate() {
-                            for &c in &s_or[i + 1..] {
-                                let ok = sig_a
-                                    .iter()
-                                    .zip(values.get(b))
-                                    .zip(values.get(c))
-                                    .zip(care)
-                                    .all(|(((&a_w, &b_w), &c_w), &m)| ((b_w | c_w) ^ a_w) & m == 0);
-                                if ok {
-                                    out.push(Substitution::Is3 {
-                                        sink: conn.gate,
-                                        pin: conn.pin,
-                                        cell,
-                                        b,
-                                        c,
-                                    });
-                                    kept += 1;
-                                    if kept >= config.max_per_signal {
-                                        break 'is3_or;
-                                    }
-                                }
-                            }
-                        }
-                    }
+                let care = obs.branch(a, k).expect("sources have branch masks");
+                if care.iter().all(|&w| w == 0) {
+                    continue;
+                }
+                reach.allowed_into(conn.gate, a, &mut allowed);
+                let t = Target {
+                    sig: values.get(a),
+                    care,
+                    allowed: &allowed,
+                };
+                let (sink, pin) = (conn.gate, conn.pin);
+                if config.enable_is2 {
+                    src.two_input(&t, config, |b, invert| {
+                        out.push(Substitution::Is2 {
+                            sink,
+                            pin,
+                            b,
+                            invert,
+                        });
+                    });
+                }
+                if config.enable_is3 {
+                    src.three_input(&t, &families[..2], config, &mut pool, |cell, b, c| {
+                        out.push(Substitution::Is3 {
+                            sink,
+                            pin,
+                            cell,
+                            b,
+                            c,
+                        });
+                    });
                 }
             }
         }
     }
 
-    // Deduplicate, preserving first-occurrence order so candidate ids
-    // stay stable. Structural validity holds by construction — every
-    // scan filtered sources through the forbidden (TFO) set, which is
-    // exactly the acyclicity condition `is_structurally_valid`
-    // re-derives with an `O(netlist)` walk per candidate — and the
-    // exact checker re-validates before anything is applied, so the
-    // eager re-check is debug-only.
-    let mut seen = BTreeSet::new();
-    out.retain(|s| seen.insert(*s));
+    // Structural validity holds by construction — every scan filtered
+    // sources through the allowed (non-TFO) set, which is exactly the
+    // acyclicity condition `is_structurally_valid` re-derives with an
+    // `O(netlist)` walk per candidate — and the exact checker re-validates
+    // before anything is applied, so the eager re-checks are debug-only.
     debug_assert!(out.iter().all(|s| s.is_structurally_valid(nl)));
+    debug_assert!(
+        {
+            let mut sorted = out.clone();
+            sorted.sort_unstable();
+            sorted.windows(2).all(|w| w[0] != w[1])
+        },
+        "duplicate candidates"
+    );
     out
 }
 

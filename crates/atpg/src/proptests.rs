@@ -1,11 +1,18 @@
 //! Property-based tests: the miter solver against brute-force enumeration,
-//! and end-to-end soundness of the check pipeline.
+//! end-to-end soundness of the check pipeline, and the word-major
+//! candidate generator against its row-by-row reference.
 
+use crate::candidates::reference;
 use crate::sat::{SatBuilder, SatOutcome};
-use crate::{check_substitution, CheckOutcome, Substitution};
-use powder_library::lib2;
+use crate::{
+    check_substitution, generate_candidates_scoped, CandidateConfig, CandidateScope, CheckOutcome,
+    Substitution,
+};
+use powder_library::genlib::{parse_genlib, write_genlib};
+use powder_library::{lib2, Library};
 use powder_logic::TruthTable;
-use powder_netlist::{GateId, GateKind, Netlist};
+use powder_netlist::{partition_windows, GateId, GateKind, Netlist, WindowConfig};
+use powder_sim::{simulate, CellCovers, Patterns};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -117,5 +124,139 @@ proptest! {
             }
             CheckOutcome::Aborted => prop_assert!(false, "tiny cones must not abort"),
         }
+    }
+}
+
+/// lib2 as genlib text without `xnor2` and `nor2`: OS3 then has no XNOR
+/// partner and no NOR family.
+fn lib2_without_xnor_nor() -> Library {
+    let text: Vec<String> = write_genlib(&lib2())
+        .lines()
+        .filter(|l| !matches!(l.split_whitespace().nth(1), Some("xnor2" | "nor2")))
+        .map(str::to_owned)
+        .collect();
+    parse_genlib("lib2-no-xnor-nor", &text.join("\n")).expect("filtered lib2 parses")
+}
+
+/// A random mapped netlist: each gate is a random library cell whose pins
+/// read random earlier signals, half the time from the last few (deep,
+/// reconvergent logic), else from anywhere; every seventh gate and the
+/// last drive a primary output.
+fn random_mapped(lib: Arc<Library>, inputs: usize, gates: &[(u8, u16, u16, u16, u16)]) -> Netlist {
+    let cells: Vec<_> = lib.iter().map(|(id, _)| id).collect();
+    let mut nl = Netlist::new("cands", lib);
+    let mut sigs: Vec<GateId> = (0..inputs).map(|i| nl.add_input(format!("x{i}"))).collect();
+    for (k, &(cell, p0, p1, p2, p3)) in gates.iter().enumerate() {
+        let cell = cells[cell as usize % cells.len()];
+        let arity = nl.library().cell_ref(cell).inputs();
+        let fanins: Vec<GateId> = [p0, p1, p2, p3][..arity]
+            .iter()
+            .map(|&p| {
+                let n = sigs.len();
+                let span = if p & 1 == 1 { n.min(8) } else { n };
+                sigs[n - 1 - (p as usize >> 1) % span]
+            })
+            .collect();
+        let g = nl.add_cell(format!("g{k}"), cell, &fanins);
+        if k % 7 == 6 || k + 1 == gates.len() {
+            nl.add_output(format!("o{k}"), g);
+        }
+        sigs.push(g);
+    }
+    nl
+}
+
+/// Splitmix64 step, for the scope masks.
+fn mix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// No scope, independent random target/source masks of random length,
+/// or one window of a random partition.
+fn random_scope(nl: &Netlist, seed: u64) -> Option<CandidateScope> {
+    let mut state = seed;
+    let bound = nl.id_bound();
+    match mix(&mut state) % 3 {
+        0 => None,
+        1 => {
+            let len = bound / 2 + (mix(&mut state) as usize) % (bound / 2 + 1);
+            let sources = (0..len)
+                .map(|_| !mix(&mut state).is_multiple_of(4))
+                .collect();
+            let targets = (0..len)
+                .map(|_| mix(&mut state).is_multiple_of(2))
+                .collect();
+            Some(CandidateScope { targets, sources })
+        }
+        _ => {
+            let size = 16 + (mix(&mut state) as usize) % 48;
+            let plan = partition_windows(
+                nl,
+                WindowConfig {
+                    size,
+                    overlap: size / 4,
+                },
+            );
+            let w = &plan.windows[(mix(&mut state) as usize) % plan.windows.len()];
+            let mut targets = vec![false; bound];
+            for g in &w.core {
+                targets[g.0 as usize] = true;
+            }
+            let mut sources = vec![false; bound];
+            for g in w.scope() {
+                sources[g.0 as usize] = true;
+            }
+            Some(CandidateScope { targets, sources })
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The word-major generator returns exactly the reference's list, in
+    /// order, on random mapped netlists whose sources span one to three
+    /// 64-bit blocks, over 1 to 20 pattern words (plus learned patterns
+    /// filling part of a tail word), random scopes, tight and degenerate
+    /// limits, every class toggle, and a library without `xnor2`/`nor2`.
+    #[test]
+    fn word_major_candidates_match_reference(
+        gates in proptest::collection::vec(
+            (any::<u8>(), any::<u16>(), any::<u16>(), any::<u16>(), any::<u16>()),
+            12..180,
+        ),
+        inputs in 3usize..12,
+        words in 1usize..21,
+        knobs in any::<u64>(),
+        scope_seed in any::<u64>(),
+    ) {
+        let on = |bit: u32| (knobs >> bit) & 3 != 0;
+        let lib = Arc::new(if (knobs >> 20) & 1 == 1 { lib2_without_xnor_nor() } else { lib2() });
+        let nl = random_mapped(lib, inputs, &gates);
+        prop_assume!(nl.validate().is_ok());
+        let covers = CellCovers::new(nl.library());
+        let mut patterns = Patterns::random(inputs, words, knobs >> 32);
+        for p in 0..(knobs >> 21) % 4 {
+            let bits: Vec<bool> = (0..inputs).map(|i| (knobs >> ((p as usize * 7 + i) % 64)) & 1 == 1).collect();
+            patterns.push_pattern(&bits);
+        }
+        let values = simulate(&nl, &covers, &patterns);
+        let config = CandidateConfig {
+            max_per_signal: (knobs & 3) as usize,
+            pair_pool_cap: ((knobs >> 2) % 6) as usize,
+            enable_os2: on(5),
+            enable_is2: on(7),
+            enable_os3: on(9),
+            enable_is3: on(11),
+            enable_inverted: on(13),
+        };
+        let scope = random_scope(&nl, scope_seed);
+        let expect = reference::generate_candidates_scoped(&nl, &covers, &values, &config, scope.as_ref());
+        let got = generate_candidates_scoped(&nl, &covers, &values, &config, scope.as_ref());
+        prop_assert!(got == expect, "{config:?}: {} candidates, reference {}", got.len(), expect.len());
     }
 }

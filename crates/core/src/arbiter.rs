@@ -37,7 +37,7 @@
 //! the hardware threads actually available, not the requested worker
 //! count — extra in-flight work only pays for itself on idle cores.
 
-use crate::gain::{analyze_fast, analyze_full_with};
+use crate::gain::{analyze_fast_with, analyze_full_with, GainScratch};
 use crate::guard::{adaptive_backtrack, deadline_exceeded, guarded_apply};
 use crate::optimizer::{
     candidate_alive, stop_requested, substitution_timing, DelayLimit, OptimizeConfig,
@@ -54,7 +54,7 @@ use powder_engine::{
 use powder_faults::{fires, SITE_ATPG_ABORT};
 use powder_netlist::{ConeScratch, GateId, Netlist};
 use powder_obs as obs;
-use powder_power::{PowerEstimator, WhatIfScratch};
+use powder_power::PowerEstimator;
 use powder_sim::simulate;
 use powder_timing::{TimingAnalysis, TimingConfig};
 use std::collections::{BTreeMap, BTreeSet};
@@ -71,7 +71,7 @@ type Memo<V> = BTreeMap<Substitution, (Footprint, V)>;
 
 /// The read footprint of one candidate: inclusive TFO of the rewired
 /// sinks plus the stem and replacement sources, closed under TFI. This
-/// covers every gate whose state `analyze_fast`, `analyze_full_with`,
+/// covers every gate whose state `analyze_fast_with`, `analyze_full_with`,
 /// or `CheckArena::check` consult for the candidate.
 fn footprint_of(fs: &mut FootprintScratch, nl: &Netlist, sub: &Substitution) -> Footprint {
     let sinks = sub.rewired_branches(nl).into_iter().map(|(g, _)| g);
@@ -245,9 +245,11 @@ pub(crate) fn power_optimize(
     let mut patterns_stale = false;
     let mut cone_scratch = ConeScratch::new();
     let mut cone: Vec<GateId> = Vec::new();
-    // Per-worker scratch, kept for the whole run: a proof arena rebuilds
-    // its miter base only when the netlist (or the window scope) changed.
-    let mut gain_ctxs: Vec<(WhatIfScratch, FootprintScratch)> = Vec::new();
+    // Per-worker scratch, kept for the whole run: gain scoring allocates
+    // nothing per candidate, and a proof arena rebuilds its miter base
+    // only when the netlist (or the window scope) changed.
+    let mut fast_ctxs: Vec<GainScratch> = Vec::new();
+    let mut gain_ctxs: Vec<(GainScratch, FootprintScratch)> = Vec::new();
     let mut proof_ctxs: Vec<CheckArena> = Vec::new();
 
     // Cross-round memoization, the loop's only result cache. Gains and
@@ -324,9 +326,9 @@ pub(crate) fn power_optimize(
                 obs::names::span::STAGE_FILTER,
                 &cands,
                 &batches,
-                &mut Vec::new(),
-                || (),
-                |_, _, s| analyze_fast(nl_snap, est_ref, s).fast(),
+                &mut fast_ctxs,
+                GainScratch::default,
+                |gs, _, s| analyze_fast_with(nl_snap, est_ref, s, gs).fast(),
             )
         };
         // A quarantined worker batch leaves its slots `None`; those
@@ -437,9 +439,9 @@ pub(crate) fn power_optimize(
                         &batches,
                         &mut gain_ctxs,
                         Default::default,
-                        |(ws, fs), _, sub| {
+                        |(gs, fs), _, sub| {
                             let fp = footprint_of(fs, nl_snap, sub);
-                            let g = analyze_full_with(nl_snap, est_ref, sub, ws).total();
+                            let g = analyze_full_with(nl_snap, est_ref, sub, gs).total();
                             (fp, g)
                         },
                     )
@@ -734,6 +736,7 @@ pub(crate) fn power_optimize(
                     atpg_rejections += 1;
                     rejections_this_round += 1;
                     obs::counter!(obs::names::OPTIMIZER_ATPG_REJECTIONS).inc();
+                    obs::counter!(obs::names::OPTIMIZER_ATPG_ABORTS).inc();
                 }
             }
         }

@@ -14,10 +14,12 @@
 //! pre-selection; `PG_C` requires a what-if probability propagation over
 //! the TFO and is only computed for pre-selected candidates.
 
+#[cfg(test)]
+mod reference;
+
 use powder_atpg::Substitution;
 use powder_netlist::{GateId, GateKind, Netlist};
 use powder_power::{PowerEstimator, WhatIfEdit, WhatIfScratch, WhatIfSource};
-use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// The decomposed power gain of a substitution. Positive totals reduce
 /// circuit power.
@@ -50,84 +52,170 @@ impl PowerGain {
     }
 }
 
+/// Reusable per-worker buffers for the gain analyses, making fast
+/// scoring allocation-free in the steady state. Per-gate slots are
+/// dense, indexed by `GateId.0`, and belong to one query: a slot left by
+/// an earlier query reads as fresh, so no query clears them. Results
+/// never depend on the scratch's prior contents, so callers on any
+/// worker agree bit for bit.
+#[derive(Clone, Debug, Default)]
+pub struct GainScratch {
+    slots: Vec<Slot>,
+    /// Number of the current query.
+    query: u32,
+    /// The current query's removal set, in discovery order.
+    removed: Vec<GateId>,
+    /// Gates given load relief by the current query.
+    relieved: Vec<GateId>,
+    stack: Vec<GateId>,
+    whatif: WhatIfScratch,
+}
+
+/// One gate's state in a [`GainScratch`] query.
+#[derive(Clone, Copy, Debug, Default)]
+struct Slot {
+    /// The query this state belongs to.
+    query: u32,
+    /// Fanout references left once the substitution is applied.
+    refs: isize,
+    /// In the removal set.
+    removed: bool,
+    /// Listed in [`GainScratch::relieved`].
+    relieved: bool,
+    /// Pin capacitance the gate no longer drives.
+    relief: f64,
+}
+
+impl GainScratch {
+    /// `g`'s state in the current query, fresh on first use: its
+    /// reference count starts at its fanout count.
+    fn slot(&mut self, nl: &Netlist, g: GateId) -> &mut Slot {
+        let s = &mut self.slots[g.0 as usize];
+        if s.query != self.query {
+            *s = Slot {
+                query: self.query,
+                refs: nl.fanouts(g).len() as isize,
+                ..Slot::default()
+            };
+        }
+        s
+    }
+
+    /// Starts a query: computes the removal set of `sub` (see
+    /// [`removal_set`]) into `self.removed` and marks it in the slots.
+    fn removal(&mut self, nl: &Netlist, sub: &Substitution) {
+        if self.slots.len() < nl.id_bound() {
+            self.slots.resize(nl.id_bound(), Slot::default());
+        }
+        if self.query == u32::MAX {
+            self.slots.fill(Slot::default());
+            self.query = 0;
+        }
+        self.query += 1;
+        self.removed.clear();
+        self.relieved.clear();
+
+        // Extra references from the substitution itself: the sources feed
+        // the moved branches / the new gate / the new inverter.
+        let stem = sub.substituted_stem(nl);
+        let (b, c) = sub.sources();
+        self.slot(nl, b).refs += 1;
+        if let Some(c) = c {
+            self.slot(nl, c).refs += 1;
+        }
+        // The substituted stem loses branches.
+        match *sub {
+            Substitution::Os2 { a, .. } | Substitution::Os3 { a, .. } => self.slot(nl, a).refs = 0,
+            Substitution::Is2 { .. } | Substitution::Is3 { .. } => self.slot(nl, stem).refs -= 1,
+        }
+
+        self.stack.clear();
+        self.stack.push(stem);
+        while let Some(g) = self.stack.pop() {
+            let s = self.slot(nl, g);
+            if s.refs > 0 || s.removed || !matches!(nl.kind(g), GateKind::Cell(_)) {
+                continue;
+            }
+            s.removed = true;
+            self.removed.push(g);
+            for &f in nl.fanins(g) {
+                let s = self.slot(nl, f);
+                s.refs -= 1;
+                if s.refs <= 0 {
+                    self.stack.push(f);
+                }
+            }
+        }
+    }
+
+    /// Is `g` in the current query's removal set?
+    fn is_removed(&self, g: GateId) -> bool {
+        let s = &self.slots[g.0 as usize];
+        s.query == self.query && s.removed
+    }
+
+    /// Adds `cap` to `g`'s load relief in the current query.
+    fn relieve(&mut self, nl: &Netlist, g: GateId, cap: f64) {
+        let s = self.slot(nl, g);
+        s.relief += cap;
+        if !s.relieved {
+            s.relieved = true;
+            self.relieved.push(g);
+        }
+    }
+}
+
 /// The set of gates that become dangling (and would be swept) if `sub` were
 /// applied — the paper's `Dom(a)` for the power-gain analysis. Accounts for
 /// the extra fanout the substitution adds to its sources (a source inside
 /// the cone keeps the cone from collapsing past it).
 #[must_use]
 pub fn removal_set(nl: &Netlist, sub: &Substitution) -> Vec<GateId> {
-    let stem = sub.substituted_stem(nl);
-    let mut refs: HashMap<GateId, isize> = HashMap::new();
-    let count = |nl: &Netlist, g: GateId| nl.fanouts(g).len() as isize;
-
-    // Extra references from the substitution itself: the sources feed the
-    // moved branches / the new gate / the new inverter.
-    let (b, c) = sub.sources();
-    *refs.entry(b).or_insert_with(|| count(nl, b)) += 1;
-    if let Some(c) = c {
-        *refs.entry(c).or_insert_with(|| count(nl, c)) += 1;
-    }
-
-    // The substituted stem loses branches.
-    match *sub {
-        Substitution::Os2 { a, .. } | Substitution::Os3 { a, .. } => {
-            refs.insert(a, 0);
-        }
-        Substitution::Is2 { .. } | Substitution::Is3 { .. } => {
-            *refs.entry(stem).or_insert_with(|| count(nl, stem)) -= 1;
-        }
-    }
-
-    let mut removed = Vec::new();
-    let mut removed_set: HashSet<GateId> = HashSet::new();
-    let mut stack = vec![stem];
-    while let Some(g) = stack.pop() {
-        let r = *refs.entry(g).or_insert_with(|| count(nl, g));
-        if r > 0 || removed_set.contains(&g) || !matches!(nl.kind(g), GateKind::Cell(_)) {
-            continue;
-        }
-        removed.push(g);
-        removed_set.insert(g);
-        for &f in nl.fanins(g) {
-            let e = refs.entry(f).or_insert_with(|| count(nl, f));
-            *e -= 1;
-            if *e <= 0 {
-                stack.push(f);
-            }
-        }
-    }
-    removed
+    let mut scratch = GainScratch::default();
+    scratch.removal(nl, sub);
+    scratch.removed
 }
 
 /// Computes `PG_A` and `PG_B` (no re-estimation); `pg_c` is left unset.
+///
+/// Convenience over `analyze_fast_with` with a throwaway scratch.
 #[must_use]
 pub fn analyze_fast(nl: &Netlist, est: &PowerEstimator, sub: &Substitution) -> PowerGain {
+    analyze_fast_with(nl, est, sub, &mut GainScratch::default())
+}
+
+/// [`analyze_fast`] with a caller-owned scratch: allocation-free in the
+/// steady state.
+#[must_use]
+pub(crate) fn analyze_fast_with(
+    nl: &Netlist,
+    est: &PowerEstimator,
+    sub: &Substitution,
+    scratch: &mut GainScratch,
+) -> PowerGain {
     let output_load = est.config().output_load;
     let stem = sub.substituted_stem(nl);
-    let removed = removal_set(nl, sub);
-    let removed_set: HashSet<GateId> = removed.iter().copied().collect();
+    scratch.removal(nl, sub);
+    let removed = std::mem::take(&mut scratch.removed);
 
     // --- PG_A: removed stems' full switched capacitance + load relief. ---
     let mut pg_a = 0.0;
     for &g in &removed {
         pg_a += nl.load_cap(g, output_load) * est.transition(g);
     }
-    // Load relief on inputs of the removed region. Ordered map: the
-    // relief terms are summed in iteration order below, and float
-    // summation order must not depend on hash-map layout — the parallel
-    // engine's arbiter compares these totals bit-for-bit.
-    let mut relief: BTreeMap<GateId, f64> = BTreeMap::new();
+    // Load relief on inputs of the removed region.
     for &g in &removed {
         for (pin, &f) in nl.fanins(g).iter().enumerate() {
-            if !removed_set.contains(&f) {
+            if !scratch.is_removed(f) {
                 let cap = nl
                     .library()
                     .cell_ref(nl.cell_id(g).expect("removed gates are cells"))
                     .pin_cap(pin);
-                *relief.entry(f).or_insert(0.0) += cap;
+                scratch.relieve(nl, f, cap);
             }
         }
     }
+    scratch.removed = removed;
     // For input substitutions where the stem itself survives, the moved
     // branch relieves the stem's load.
     let moved_cap = match *sub {
@@ -135,14 +223,18 @@ pub fn analyze_fast(nl: &Netlist, est: &PowerEstimator, sub: &Substitution) -> P
         Substitution::Is2 { sink, pin, .. } | Substitution::Is3 { sink, pin, .. } => {
             let conn = powder_netlist::Conn { gate: sink, pin };
             let cap = nl.branch_cap(&conn, output_load);
-            if !removed_set.contains(&stem) {
-                *relief.entry(stem).or_insert(0.0) += cap;
+            if !scratch.is_removed(stem) {
+                scratch.relieve(nl, stem, cap);
             }
             cap
         }
     };
-    for (&g, &cap) in &relief {
-        pg_a += cap * est.transition(g);
+    // Relief terms are summed in `GateId` order: float summation order
+    // must not depend on discovery order, and the arbiter sorts on these
+    // totals bit for bit.
+    scratch.relieved.sort_unstable();
+    for &g in &scratch.relieved {
+        pg_a += scratch.slots[g.0 as usize].relief * est.transition(g);
     }
 
     // --- PG_B: new load on the substituting signal(s). ---
@@ -185,14 +277,13 @@ pub fn analyze_fast(nl: &Netlist, est: &PowerEstimator, sub: &Substitution) -> P
 ///
 /// Convenience over [`analyze_full_with`] with a throwaway scratch;
 /// hot paths (the optimizer loop, parallel evaluation workers) hold a
-/// [`WhatIfScratch`] per evaluation context instead.
+/// [`GainScratch`] per evaluation context instead.
 #[must_use]
 pub fn analyze_full(nl: &Netlist, est: &PowerEstimator, sub: &Substitution) -> PowerGain {
-    analyze_full_with(nl, est, sub, &mut WhatIfScratch::default())
+    analyze_full_with(nl, est, sub, &mut GainScratch::default())
 }
 
-/// [`analyze_full`] with a caller-owned what-if scratch, making the
-/// query allocation-free in the steady state. The result is a pure
+/// [`analyze_full`] with a caller-owned scratch. The result is a pure
 /// function of `(nl, est, sub)` — the scratch's prior contents never
 /// influence it — so callers on any worker agree bit-for-bit.
 #[must_use]
@@ -200,9 +291,9 @@ pub fn analyze_full_with(
     nl: &Netlist,
     est: &PowerEstimator,
     sub: &Substitution,
-    scratch: &mut WhatIfScratch,
+    scratch: &mut GainScratch,
 ) -> PowerGain {
-    let mut gain = analyze_fast(nl, est, sub);
+    let mut gain = analyze_fast_with(nl, est, sub, scratch);
     let output_load = est.config().output_load;
 
     // Describe the rewiring as what-if edits.
@@ -231,16 +322,18 @@ pub fn analyze_full_with(
         .map(|(sink, pin)| WhatIfEdit { sink, pin, source })
         .collect();
 
-    let removed: HashSet<GateId> = removal_set(nl, sub).into_iter().collect();
+    // The removal set of the fast stage above is still marked.
     let mut pg_c = 0.0;
-    est.whatif_foreach_with(nl, &edits, scratch, |g, p_new| {
-        if matches!(nl.kind(g), GateKind::Output) || removed.contains(&g) {
+    let mut whatif = std::mem::take(&mut scratch.whatif);
+    est.whatif_foreach_with(nl, &edits, &mut whatif, |g, p_new| {
+        if matches!(nl.kind(g), GateKind::Output) || scratch.is_removed(g) {
             return;
         }
         let e_old = est.transition(g);
         let e_new = 2.0 * p_new * (1.0 - p_new);
         pg_c += nl.load_cap(g, output_load) * (e_old - e_new);
     });
+    scratch.whatif = whatif;
     gain.pg_c = Some(pg_c);
     gain
 }
@@ -248,9 +341,54 @@ pub fn analyze_full_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use powder_atpg::{generate_candidates, CandidateConfig};
     use powder_library::lib2;
     use powder_power::PowerConfig;
+    use powder_sim::{simulate, CellCovers, Patterns};
+    use proptest::prelude::*;
     use std::sync::Arc;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The scratch-based scorer reproduces the map-based reference bit
+        /// for bit on random candidates of two suite circuits, with one
+        /// scratch reused across every query of both; a full analysis
+        /// through the reused scratch equals one through a fresh scratch.
+        #[test]
+        fn scratch_scoring_matches_map_reference(
+            first in 0usize..6,
+            second in 0usize..6,
+            seed in any::<u64>(),
+        ) {
+            const CIRCUITS: [&str; 6] = ["c8", "x1", "bw", "rd84", "apex7", "example2"];
+            let lib = Arc::new(lib2());
+            let mut scratch = GainScratch::default();
+            let mut pick = seed;
+            for name in [CIRCUITS[first], CIRCUITS[second]] {
+                let nl = powder_benchmarks::build(name, lib.clone()).expect("suite circuit");
+                let est = PowerEstimator::new(&nl, &PowerConfig::default());
+                let covers = CellCovers::new(nl.library());
+                let values = simulate(&nl, &covers, &Patterns::random(nl.inputs().len(), 1, seed));
+                let cands = generate_candidates(&nl, &covers, &values, &CandidateConfig::default());
+                prop_assume!(!cands.is_empty());
+                for k in 0..400 {
+                    pick = pick.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                    let sub = &cands[(pick >> 33) as usize % cands.len()];
+                    let got = analyze_fast_with(&nl, &est, sub, &mut scratch);
+                    let expect = reference::analyze_fast(&nl, &est, sub);
+                    prop_assert_eq!(got.pg_a.to_bits(), expect.pg_a.to_bits(), "{}: {:?}", name, sub);
+                    prop_assert_eq!(got.pg_b.to_bits(), expect.pg_b.to_bits(), "{}: {:?}", name, sub);
+                    prop_assert_eq!(removal_set(&nl, sub), reference::removal_set(&nl, sub));
+                    if k % 8 == 0 {
+                        let full = analyze_full_with(&nl, &est, sub, &mut scratch);
+                        let fresh = analyze_full(&nl, &est, sub);
+                        prop_assert_eq!(full.total().to_bits(), fresh.total().to_bits());
+                    }
+                }
+            }
+        }
+    }
 
     /// f = (a&b) | (a&!b): OS2(g3 ← a) removes g1, g2, g3.
     fn redundant_or() -> (Netlist, Vec<GateId>) {

@@ -49,6 +49,10 @@ pub const OPTIMIZER_COMMITS: &str = "core.optimizer.commits";
 pub const OPTIMIZER_ATPG_CHECKS: &str = "core.optimizer.atpg_checks";
 /// Candidates rejected by ATPG (counterexample or abort).
 pub const OPTIMIZER_ATPG_REJECTIONS: &str = "core.optimizer.atpg_rejections";
+/// The part of [`OPTIMIZER_ATPG_REJECTIONS`] whose proof aborted: it hit
+/// its backtrack limit, a fault plan aborted it, or a quarantined worker
+/// batch lost it.
+pub const OPTIMIZER_ATPG_ABORTS: &str = "core.optimizer.atpg_aborts";
 /// Candidates rejected by the delay constraint.
 pub const OPTIMIZER_DELAY_REJECTIONS: &str = "core.optimizer.delay_rejections";
 

@@ -48,7 +48,7 @@
 //! the offered load.
 
 use crate::error::ErrorCode;
-use crate::job::{JobPhase, JobRecord, JobSpec};
+use crate::job::{JobPhase, JobRecord, JobSpec, Progress};
 use crate::protocol::{self, JsonObj, Request};
 use crate::scheduler::Scheduler;
 use crate::signal;
@@ -655,8 +655,10 @@ fn run_job(shared: &Shared, job: &Arc<JobRecord>) -> Result<(), String> {
 
 // ------------------------------------------------------------ connections
 
-fn status_obj(job: &JobRecord) -> JsonObj {
-    let (phase, progress, error) = job.read();
+/// The status line of `job` in the state `snapshot` (from
+/// [`JobRecord::read`]).
+fn status_obj(job: &JobRecord, snapshot: (JobPhase, Progress, Option<String>)) -> JsonObj {
+    let (phase, progress, error) = snapshot;
     let obj = JsonObj::new()
         .bool("ok", true)
         .str("id", &job.id)
@@ -805,12 +807,15 @@ fn dispatch(req: Request, shared: &Shared, writer: &mut TcpStream) -> Option<Str
             Err(SubmitError::Rejected(code, msg)) => protocol::error_line(code, &msg),
         },
         Request::Status { job } => match shared.job(&job) {
-            Some(j) => status_obj(&j).finish(),
+            Some(j) => status_obj(&j, j.read()).finish(),
             None => protocol::error_line(ErrorCode::NotFound, &format!("unknown job {job:?}")),
         },
         Request::List => {
             let jobs = shared.jobs.lock().expect("jobs lock");
-            let items: Vec<String> = jobs.values().map(|j| status_obj(j).finish()).collect();
+            let items: Vec<String> = jobs
+                .values()
+                .map(|j| status_obj(j, j.read()).finish())
+                .collect();
             JsonObj::new()
                 .bool("ok", true)
                 .raw("jobs", &format!("[{}]", items.join(",")))
@@ -953,14 +958,18 @@ fn submit(shared: &Shared, spec: JobSpec, netlist: &str) -> Result<(String, bool
     Ok((id, false))
 }
 
-/// Streams status lines until the job reaches a terminal phase.
-fn watch(job: &JobRecord, writer: &mut TcpStream) {
+/// Streams status lines until the job reaches a terminal phase. Each
+/// line and the decision to stop after it come from one snapshot of the
+/// job, so the stream always ends with the terminal line.
+fn watch(job: &JobRecord, writer: &mut impl Write) {
     let mut last_rev = u64::MAX;
     loop {
         let rev = job.revision();
         if rev != last_rev {
             last_rev = rev;
-            let line = status_obj(job).finish();
+            let snapshot = job.read();
+            let terminal = snapshot.0.is_terminal();
+            let line = status_obj(job, snapshot).finish();
             if writer
                 .write_all(format!("{line}\n").as_bytes())
                 .and_then(|()| writer.flush())
@@ -968,10 +977,59 @@ fn watch(job: &JobRecord, writer: &mut TcpStream) {
             {
                 return;
             }
-            if job.phase().is_terminal() {
+            if terminal {
                 return;
             }
         }
         std::thread::sleep(Duration::from_millis(50));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A watch sink that finishes the job while a `running` line is
+    /// being written: the job turns terminal between the snapshot a
+    /// line was rendered from and the decision whether to stop.
+    struct FinishingWriter<'a> {
+        job: &'a JobRecord,
+        out: Vec<u8>,
+    }
+
+    impl Write for FinishingWriter<'_> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if String::from_utf8_lossy(buf).contains(r#""state":"running""#) {
+                self.job.update(|s| s.phase = JobPhase::Done);
+            }
+            self.out.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn watch_stream_ends_with_the_terminal_line() {
+        let job = JobRecord::new("j1".into(), JobSpec::default(), JobPhase::Running);
+        let mut sink = FinishingWriter {
+            job: &job,
+            out: Vec::new(),
+        };
+        watch(&job, &mut sink);
+        let text = String::from_utf8(sink.out).expect("utf-8 status lines");
+        let states: Vec<&str> = text
+            .lines()
+            .map(|l| {
+                if l.contains(r#""state":"done""#) {
+                    "done"
+                } else {
+                    "other"
+                }
+            })
+            .collect();
+        assert_eq!(states, ["other", "done"], "{text}");
     }
 }

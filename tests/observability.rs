@@ -6,7 +6,8 @@
 //!   `powder` pass produce identical registry deltas once wall-clock
 //!   (`*_ns` / `*_seconds`) metrics are stripped;
 //! * the optimizer report and the registry count the same events —
-//!   each report count equals the registry delta under its name;
+//!   each report count equals the registry delta under its name, and
+//!   ATPG aborts are the typed subset of ATPG rejections;
 //! * histogram shard merging is order- and partition-independent
 //!   (property-tested, since that is what snapshot determinism under
 //!   work stealing rests on);
@@ -18,6 +19,7 @@
 //! on stand-alone [`HistogramSnapshot`] values and needs no lock.
 
 use powder::{optimize, DelayLimit, OptimizeConfig, OptimizeReport};
+use powder_faults::FaultPlan;
 use powder_library::lib2;
 use powder_netlist::blif::write_blif;
 use powder_netlist::{GateId, Netlist};
@@ -243,6 +245,41 @@ fn report_counts_match_registry_deltas() {
             assert_eq!(delta.counter(metric), count as u64, "{name}: {metric}");
         }
         assert!(!report.applied.is_empty(), "{name} commits something");
+    }
+}
+
+/// `core.optimizer.atpg_aborts` counts the aborted proofs among the
+/// ATPG rejections: all of them when a fault plan aborts every proof,
+/// at most all of them on a clean run.
+#[test]
+fn atpg_aborts_are_a_subset_of_rejections() {
+    use obs::names;
+    let _guard = obs_lock();
+    restore_defaults();
+    let lib = Arc::new(lib2());
+    let every_proof_aborts = FaultPlan::parse("atpg-abort=every:1")
+        .expect("plan parses")
+        .into_state();
+    for (faults, all_abort) in [(Some(every_proof_aborts), true), (None, false)] {
+        let mut nl = powder_benchmarks::build("bw", Arc::clone(&lib)).expect("suite circuit");
+        let before = obs::snapshot();
+        let report = optimize(
+            &mut nl,
+            &OptimizeConfig {
+                faults,
+                ..config(1)
+            },
+        );
+        let delta = obs::snapshot().delta(&before);
+        let rejections = delta.counter(names::OPTIMIZER_ATPG_REJECTIONS);
+        let aborts = delta.counter(names::OPTIMIZER_ATPG_ABORTS);
+        assert_eq!(rejections, report.atpg_rejections as u64);
+        if all_abort {
+            assert!(rejections > 0, "the faulted run proves something");
+            assert_eq!(aborts, rejections);
+        } else {
+            assert!(aborts <= rejections);
+        }
     }
 }
 
