@@ -167,23 +167,25 @@ pub enum CheckOutcome {
     /// Not permissible; the witness is a distinguishing input assignment
     /// (indexed like the netlist's primary inputs).
     NotPermissible(Vec<bool>),
-    /// The ATPG backtrack limit was hit; treated as not permissible, as in
-    /// the paper's `check_candidate`.
+    /// Not proven: the ATPG backtrack limit was hit, or a scoped check
+    /// found an assignment of its cut variables that may be spurious.
+    /// Treated as not permissible, as in the paper's `check_candidate`.
     Aborted,
 }
 
 /// Reusable solver arena for permissibility checks.
 ///
 /// Building the miter's "original circuit" half — one SAT node per
-/// live gate — is `O(netlist)` work that is identical for every
-/// candidate checked against the same netlist state. The arena caches
-/// that base node table keyed on the netlist's edit-journal
-/// generation; per-candidate nodes (the rewired duplicate region,
-/// difference XORs, activation conjunct) are appended on top and
-/// rolled back with a truncate after each query. Since the builder
-/// performs no hash-consing, truncate-and-rebuild produces a node
-/// table identical to a from-scratch construction, so arena-backed
-/// checks return bit-identical outcomes to [`check_substitution`].
+/// gate of the netlist, or of the window a scoped check is cut at — is
+/// `O(netlist)` work that is identical for every candidate checked
+/// against the same netlist state. The arena caches that base node
+/// table keyed on the netlist's edit-journal generation and the scope;
+/// per-candidate nodes (the rewired duplicate region, difference XORs,
+/// activation conjunct) are appended on top and rolled back with a
+/// truncate after each query. Since the builder performs no
+/// hash-consing, truncate-and-rebuild produces a node table identical
+/// to a from-scratch construction, so arena-backed checks return
+/// bit-identical outcomes to [`check_substitution`].
 ///
 /// An arena is tied to one netlist instance; the parallel evaluation
 /// engine keeps one per worker, which is what makes ATPG state
@@ -206,8 +208,8 @@ pub struct CheckArena {
 }
 
 /// Order-sensitive fingerprint of a scope mask, used to key the cached
-/// scoped base table. Only set bits contribute, so the cost per check is
-/// proportional to the window, not the netlist.
+/// scoped base table. It scans the whole mask, so its cost per check is
+/// proportional to the netlist's id bound; only set bits contribute.
 fn scope_fingerprint(scope: &[bool]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     h ^= scope.len() as u64;
@@ -221,6 +223,50 @@ fn scope_fingerprint(scope: &[bool]) -> u64 {
     h
 }
 
+/// Whether `g` lies in `scope` (a dense mask indexed by `GateId.0`; ids
+/// beyond its length are outside). Without a scope every gate does.
+fn in_scope(scope: Option<&[bool]>, g: GateId) -> bool {
+    scope.is_none_or(|s| s.get(g.0 as usize).copied().unwrap_or(false))
+}
+
+/// Encodes the gates of `topo` that lie in `scope` into `builder`, in
+/// that (topological) order, and records each gate's node in `map`. A
+/// primary output aliases its driver's node. `leaf` supplies the node of
+/// each signal entering the encoded region — every in-scope primary
+/// input and, under a scope, every fanin from outside it — once per
+/// signal, in first-use order.
+pub(crate) fn encode(
+    builder: &mut SatBuilder,
+    nl: &Netlist,
+    topo: &[GateId],
+    scope: Option<&[bool]>,
+    map: &mut HashMap<GateId, NodeId>,
+    mut leaf: impl FnMut(&mut SatBuilder, GateId) -> NodeId,
+) {
+    for &g in topo {
+        if !in_scope(scope, g) {
+            continue;
+        }
+        let node = match nl.kind(g) {
+            GateKind::Input => leaf(builder, g),
+            GateKind::Const(v) => builder.constant(v),
+            GateKind::Output => {
+                let f = nl.fanins(g)[0];
+                *map.entry(f).or_insert_with(|| leaf(builder, f))
+            }
+            GateKind::Cell(c) => {
+                let fanins = nl
+                    .fanins(g)
+                    .iter()
+                    .map(|&f| *map.entry(f).or_insert_with(|| leaf(builder, f)))
+                    .collect();
+                builder.gate(nl.library().cell_ref(c).function.clone(), fanins)
+            }
+        };
+        map.insert(g, node);
+    }
+}
+
 impl CheckArena {
     /// A fresh arena with no cached base.
     #[must_use]
@@ -228,51 +274,16 @@ impl CheckArena {
         CheckArena::default()
     }
 
-    /// Rebuilds the base node table if the netlist changed since the
-    /// last check; otherwise just rolls back the previous query's
-    /// appended nodes.
-    fn refresh(&mut self, nl: &Netlist) {
-        let key = (nl.generation(), nl.id_bound(), None);
-        if self.key == Some(key) {
-            self.builder.truncate(self.base_len);
-            return;
-        }
-        self.builder = SatBuilder::default();
-        self.orig.clear();
-        // Original-circuit nodes for every live gate (outputs use the
-        // driver's node); the solver's cone extraction prunes what the
-        // miter never reads.
-        self.topo = nl.topo_order();
-        let mut pi_index: HashMap<GateId, usize> = HashMap::new();
-        for (i, &pi) in nl.inputs().iter().enumerate() {
-            pi_index.insert(pi, i);
-        }
-        for &g in &self.topo {
-            let node = match nl.kind(g) {
-                GateKind::Input => self.builder.pi(pi_index[&g]),
-                GateKind::Const(v) => self.builder.constant(v),
-                GateKind::Output => self.orig[&nl.fanins(g)[0]],
-                GateKind::Cell(c) => {
-                    let cell = nl.library().cell_ref(c);
-                    let fanins = nl.fanins(g).iter().map(|f| self.orig[f]).collect();
-                    self.builder.gate(cell.function.clone(), fanins)
-                }
-            };
-            self.orig.insert(g, node);
-        }
-        self.base_len = self.builder.len();
-        self.num_vars = nl.inputs().len();
-        self.key = Some(key);
-    }
-
-    /// Scoped variant of [`Self::refresh`]: builds base nodes only for
-    /// gates inside `scope`, modelling every signal crossing into the
-    /// scope (an out-of-scope fanin, or a primary input) as a free cut
-    /// pseudo-input. Cut variables over-approximate the values reachable
-    /// from the real primary inputs, so proofs against this base are
-    /// conservative: `Unsat` is sound, `Sat` may be spurious.
-    fn refresh_scoped(&mut self, nl: &Netlist, scope: &[bool], fp: u64) {
-        let key = (nl.generation(), nl.id_bound(), Some(fp));
+    /// Rebuilds the base node table if the netlist or the scope changed
+    /// since the last check; otherwise just rolls back the previous
+    /// query's appended nodes. Without a scope every live gate gets a
+    /// node and primary input `i` is solver variable `i`, so witnesses
+    /// are input patterns. Under a scope only in-scope gates get one,
+    /// and every signal crossing into the scope (an in-scope primary
+    /// input, or a fanin from outside) becomes a free cut variable. The
+    /// solver's cone extraction prunes whatever a query never reads.
+    fn refresh(&mut self, nl: &Netlist, scope: Option<&[bool]>) {
+        let key = (nl.generation(), nl.id_bound(), scope.map(scope_fingerprint));
         if self.key == Some(key) {
             self.builder.truncate(self.base_len);
             return;
@@ -280,216 +291,74 @@ impl CheckArena {
         self.builder = SatBuilder::default();
         self.orig.clear();
         self.topo = nl.topo_order();
+        let pi_index: HashMap<GateId, usize> = match scope {
+            None => nl
+                .inputs()
+                .iter()
+                .enumerate()
+                .map(|(i, &g)| (g, i))
+                .collect(),
+            Some(_) => HashMap::new(),
+        };
         let mut cuts = 0usize;
-        for &g in &self.topo {
-            if !scope.get(g.0 as usize).copied().unwrap_or(false) {
-                continue;
-            }
-            let node = match nl.kind(g) {
-                GateKind::Input => {
-                    let n = self.builder.pi(cuts);
+        encode(
+            &mut self.builder,
+            nl,
+            &self.topo,
+            scope,
+            &mut self.orig,
+            |builder, g| match scope {
+                None => builder.pi(pi_index[&g]),
+                Some(_) => {
                     cuts += 1;
-                    n
+                    builder.pi(cuts - 1)
                 }
-                GateKind::Const(v) => self.builder.constant(v),
-                GateKind::Output => {
-                    let f = nl.fanins(g)[0];
-                    match self.orig.get(&f) {
-                        Some(&n) => n,
-                        None => {
-                            let n = self.builder.pi(cuts);
-                            cuts += 1;
-                            self.orig.insert(f, n);
-                            n
-                        }
-                    }
-                }
-                GateKind::Cell(c) => {
-                    let cell = nl.library().cell_ref(c);
-                    let mut fanins = Vec::with_capacity(nl.fanins(g).len());
-                    for f in nl.fanins(g) {
-                        let n = match self.orig.get(f) {
-                            Some(&n) => n,
-                            None => {
-                                // Cut: the fanin lives outside the scope.
-                                let n = self.builder.pi(cuts);
-                                cuts += 1;
-                                self.orig.insert(*f, n);
-                                n
-                            }
-                        };
-                        fanins.push(n);
-                    }
-                    self.builder.gate(cell.function.clone(), fanins)
-                }
-            };
-            self.orig.insert(g, node);
-        }
+            },
+        );
         self.base_len = self.builder.len();
-        self.num_vars = cuts;
+        self.num_vars = scope.map_or(nl.inputs().len(), |_| cuts);
         self.key = Some(key);
     }
 
-    /// Exact permissibility check for `sub` on `nl`, reusing the cached
-    /// base circuit when the netlist is unchanged. Outcomes are
-    /// bit-identical to [`check_substitution`].
+    /// Exact permissibility check for `sub` on `nl` (the paper's
+    /// `check_candidate`), reusing the cached base circuit while the
+    /// netlist and scope are unchanged.
+    ///
+    /// With `scope: None` the miter duplicates the rewired sinks' whole
+    /// transitive fanout and observes differences at the primary
+    /// outputs; a counterexample is a primary-input vector, reported as
+    /// [`CheckOutcome::NotPermissible`].
+    ///
+    /// With `scope: Some(mask)` (dense, indexed by `GateId.0`; typically
+    /// a window's core + halo + boundary from `powder_netlist::window`)
+    /// the miter is cut at the scope. Signals crossing *into* it are free
+    /// cut variables, and a difference escaping *out of* it counts as
+    /// observed: at the stem when a rewired sink lies outside, and at
+    /// every duplicated gate feeding logic outside. Both cuts
+    /// over-approximate — the input side admits value combinations no
+    /// real primary-input vector produces, the output side assumes
+    /// downstream logic never masks a difference — so `Permissible` is
+    /// sound, while a satisfying assignment may be spurious. It lives in
+    /// cut-variable space and must not be learned as a simulation
+    /// pattern, so it is reported as [`CheckOutcome::Aborted`] ("not
+    /// proven"). The payoff is solver work bounded by the window, not
+    /// the netlist.
     #[must_use]
     pub fn check(
         &mut self,
         nl: &Netlist,
         sub: &Substitution,
         backtrack_limit: usize,
+        scope: Option<&[bool]>,
     ) -> CheckOutcome {
         if !sub.is_structurally_valid(nl) {
             return CheckOutcome::NotPermissible(vec![false; nl.inputs().len()]);
         }
-        self.refresh(nl);
-        let builder = &mut self.builder;
-        let orig = &self.orig;
-
-        // The substituting node.
-        let (b, c) = sub.sources();
-        let new_src = match *sub {
-            Substitution::Os2 { invert, .. } | Substitution::Is2 { invert, .. } => {
-                if invert {
-                    builder.not(orig[&b])
-                } else {
-                    orig[&b]
-                }
-            }
-            Substitution::Os3 { cell, .. } | Substitution::Is3 { cell, .. } => {
-                let f = nl.library().cell_ref(cell).function.clone();
-                builder.gate(f, vec![orig[&b], orig[&c.expect("3-sub has c")]])
-            }
-        };
-
-        // Duplicate the affected region with the rewiring applied.
-        let rewired: HashSet<(GateId, u32)> = sub.rewired_branches(nl).into_iter().collect();
-        self.region.clear();
-        for &(sink, _) in &rewired {
-            self.region.insert(sink);
-            for g in nl.tfo(sink) {
-                self.region.insert(g);
-            }
-        }
-        self.dup.clear();
-        // Differences tagged with the primary-output gate that observes
-        // them; folded in sorted gate-id order so the miter's shape does
-        // not depend on the netlist's current (edit-history-sensitive)
-        // topological ordering.
-        let mut diffs: Vec<(GateId, NodeId)> = Vec::new();
-        for &g in &self.topo {
-            if !self.region.contains(&g) {
-                continue;
-            }
-            match nl.kind(g) {
-                GateKind::Input | GateKind::Const(_) => {}
-                GateKind::Output => {
-                    let src = nl.fanins(g)[0];
-                    let new_node = if rewired.contains(&(g, 0)) {
-                        new_src
-                    } else {
-                        self.dup.get(&src).copied().unwrap_or(orig[&src])
-                    };
-                    let old_node = orig[&src];
-                    if new_node != old_node {
-                        diffs.push((g, builder.xor2(old_node, new_node)));
-                    }
-                }
-                GateKind::Cell(cid) => {
-                    let cell = nl.library().cell_ref(cid);
-                    let fanins: Vec<NodeId> = nl
-                        .fanins(g)
-                        .iter()
-                        .enumerate()
-                        .map(|(pin, f)| {
-                            if rewired.contains(&(g, pin as u32)) {
-                                new_src
-                            } else {
-                                self.dup.get(f).copied().unwrap_or(orig[f])
-                            }
-                        })
-                        .collect();
-                    let node = builder.gate(cell.function.clone(), fanins);
-                    self.dup.insert(g, node);
-                }
-            }
-        }
-
-        if diffs.is_empty() {
-            // No primary output can observe the change.
-            return CheckOutcome::Permissible;
-        }
-        diffs.sort_unstable_by_key(|&(g, _)| g);
-        let mut acc = diffs[0].1;
-        for &(_, d) in &diffs[1..] {
-            acc = builder.or2(acc, d);
-        }
-        // Fault-activation conjunct: a primary output can only differ when
-        // the substituted signal and its replacement differ.
-        let stem = sub.substituted_stem(nl);
-        let activation = builder.xor2(orig[&stem], new_src);
-        // First try to refute the activation alone: if the substituting
-        // signal is functionally *equivalent* to the substituted one, the
-        // substitution is permissible outright, and the activation cone is
-        // typically far smaller than the full miter (it skips the
-        // transitive fanout entirely). This is the workhorse for
-        // redundancy-removal merges of duplicated logic.
-        let num_pis = nl.inputs().len();
-        if crate::sat::solve_miter_nodes(builder.nodes(), num_pis, activation, backtrack_limit)
-            == SatOutcome::Unsat
-        {
-            return CheckOutcome::Permissible;
-        }
-        // Otherwise decide the real question: can a difference reach an
-        // output? The activation conjunct stays as an early conflict
-        // detector and backtrace guide.
-        let top = builder.and2(activation, acc);
-        match crate::sat::solve_miter_nodes(builder.nodes(), num_pis, top, backtrack_limit) {
-            SatOutcome::Unsat => CheckOutcome::Permissible,
-            SatOutcome::Sat(witness) => CheckOutcome::NotPermissible(witness),
-            SatOutcome::Aborted => CheckOutcome::Aborted,
-        }
-    }
-
-    /// Window-local permissibility check: the miter is bounded by `scope`
-    /// (a dense gate mask, typically a window's core + halo + boundary
-    /// from `powder_netlist::window`).
-    ///
-    /// Signals crossing *into* the scope become free cut pseudo-inputs,
-    /// and any difference escaping *out of* the scope (a rewired or
-    /// re-converged signal feeding a gate outside it) is treated as
-    /// observable. Both cuts over-approximate: the input side admits
-    /// value combinations no real primary-input vector produces, and the
-    /// output side assumes downstream logic never masks a difference. So
-    /// `Permissible` is sound — the substitution is permissible in the
-    /// full netlist — while a satisfying assignment may be spurious and
-    /// is reported as [`CheckOutcome::Aborted`] (“not proven”), never as
-    /// `NotPermissible`: its witness lives in cut-variable space and must
-    /// not be learned as a simulation pattern.
-    ///
-    /// The payoff is that solver work is bounded by the window, not the
-    /// netlist: on deep circuits the whole-netlist miter drags in
-    /// thousands of gates per proof where the scoped one stays a few
-    /// hundred.
-    #[must_use]
-    pub fn check_scoped(
-        &mut self,
-        nl: &Netlist,
-        sub: &Substitution,
-        backtrack_limit: usize,
-        scope: &[bool],
-    ) -> CheckOutcome {
-        if !sub.is_structurally_valid(nl) {
-            return CheckOutcome::NotPermissible(vec![false; nl.inputs().len()]);
-        }
-        let in_scope = |g: GateId| scope.get(g.0 as usize).copied().unwrap_or(false);
-        self.refresh_scoped(nl, scope, scope_fingerprint(scope));
-        let num_vars = self.num_vars;
+        self.refresh(nl, scope);
         let stem = sub.substituted_stem(nl);
         let (b, c) = sub.sources();
         // The generator only proposes in-scope stems and sources; anything
-        // else cannot be expressed in the scoped base, so refuse to judge.
+        // else cannot be expressed in a scoped base, so refuse to judge.
         if !self.orig.contains_key(&stem)
             || !self.orig.contains_key(&b)
             || c.is_some_and(|c| !self.orig.contains_key(&c))
@@ -499,6 +368,7 @@ impl CheckArena {
         let builder = &mut self.builder;
         let orig = &self.orig;
 
+        // The substituting node.
         let new_src = match *sub {
             Substitution::Os2 { invert, .. } | Substitution::Is2 { invert, .. } => {
                 if invert {
@@ -513,34 +383,35 @@ impl CheckArena {
             }
         };
 
-        // The affected region, bounded by the scope: a breadth-first walk
-        // over fanouts that never leaves the mask. An edge leaving the
-        // mask is an escape — the difference there counts as observed.
+        // The affected region, duplicated with the rewiring applied: the
+        // rewired sinks' fanout closure inside the scope.
         let rewired: HashSet<(GateId, u32)> = sub.rewired_branches(nl).into_iter().collect();
         self.region.clear();
         let mut frontier: Vec<GateId> = Vec::new();
-        // A rewired branch whose sink lies outside the window cannot be
-        // duplicated; it is only safe if old and new stem values agree.
-        let escaped = rewired.iter().any(|&(sink, _)| !in_scope(sink));
         for &(sink, _) in &rewired {
-            if in_scope(sink) && self.region.insert(sink) {
+            if in_scope(scope, sink) && self.region.insert(sink) {
                 frontier.push(sink);
             }
         }
         while let Some(g) = frontier.pop() {
             for conn in nl.fanouts(g) {
-                if in_scope(conn.gate) && self.region.insert(conn.gate) {
+                if in_scope(scope, conn.gate) && self.region.insert(conn.gate) {
                     frontier.push(conn.gate);
                 }
             }
         }
         self.dup.clear();
+        // Differences tagged with the gate that observes them; folded in
+        // sorted gate-id order so the miter's shape does not depend on
+        // the netlist's current (edit-history-sensitive) topological
+        // ordering.
         let mut diffs: Vec<(GateId, NodeId)> = Vec::new();
-        if escaped {
+        // A rewired branch whose sink lies outside the scope cannot be
+        // duplicated; it is only safe if old and new stem values agree.
+        if rewired.iter().any(|&(sink, _)| !in_scope(scope, sink)) {
             diffs.push((stem, builder.xor2(orig[&stem], new_src)));
         }
-        for i in 0..self.topo.len() {
-            let g = self.topo[i];
+        for &g in &self.topo {
             if !self.region.contains(&g) {
                 continue;
             }
@@ -574,9 +445,9 @@ impl CheckArena {
                         .collect();
                     let node = builder.gate(cell.function.clone(), fanins);
                     self.dup.insert(g, node);
-                    if nl.fanouts(g).iter().any(|conn| !in_scope(conn.gate)) {
+                    if scope.is_some() && nl.fanouts(g).iter().any(|c| !in_scope(scope, c.gate)) {
                         // This changed signal feeds logic outside the
-                        // window: observe the difference right here.
+                        // scope: observe the difference right here.
                         diffs.push((g, builder.xor2(orig[&g], node)));
                     }
                 }
@@ -584,6 +455,7 @@ impl CheckArena {
         }
 
         if diffs.is_empty() {
+            // No observation point can see the change.
             return CheckOutcome::Permissible;
         }
         diffs.sort_unstable_by_key(|&(g, _)| g);
@@ -591,18 +463,25 @@ impl CheckArena {
         for &(_, d) in &diffs[1..] {
             acc = builder.or2(acc, d);
         }
+        // Fault-activation conjunct: an observation point can only differ
+        // when the substituted signal and its replacement differ.
         let activation = builder.xor2(orig[&stem], new_src);
-        // Equivalence fast path, as in the whole-netlist check — and
-        // since cut variables make the scoped cone small, this is where
-        // duplicate-logic merges are typically decided.
-        if crate::sat::solve_miter_nodes(builder.nodes(), num_vars, activation, backtrack_limit)
-            == SatOutcome::Unsat
-        {
+        // First try to refute the activation alone: if the substituting
+        // signal is functionally *equivalent* to the substituted one, the
+        // substitution is permissible outright, and the activation cone is
+        // typically far smaller than the full miter (it skips the
+        // transitive fanout entirely). This is the workhorse for
+        // redundancy-removal merges of duplicated logic.
+        if builder.solve(self.num_vars, activation, backtrack_limit) == SatOutcome::Unsat {
             return CheckOutcome::Permissible;
         }
+        // Otherwise decide the real question: can a difference reach an
+        // observation point? The activation conjunct stays as an early
+        // conflict detector and backtrace guide.
         let top = builder.and2(activation, acc);
-        match crate::sat::solve_miter_nodes(builder.nodes(), num_vars, top, backtrack_limit) {
+        match builder.solve(self.num_vars, top, backtrack_limit) {
             SatOutcome::Unsat => CheckOutcome::Permissible,
+            SatOutcome::Sat(witness) if scope.is_none() => CheckOutcome::NotPermissible(witness),
             // Spurious under the cut over-approximation: not a real
             // counterexample, so never learned — just "not proven".
             SatOutcome::Sat(_) | SatOutcome::Aborted => CheckOutcome::Aborted,
@@ -613,16 +492,17 @@ impl CheckArena {
 /// Exact permissibility check for `sub` on `nl` (the paper's
 /// `check_candidate`): builds a cone-local miter between the original and
 /// rewired transitive fanout and runs the PODEM solver with the given
-/// backtrack budget. One-shot convenience over [`CheckArena`]; callers
-/// checking many candidates against the same netlist should hold an
-/// arena to amortize the base-circuit construction.
+/// backtrack budget. One-shot convenience over [`CheckArena::check`]
+/// without a scope; callers checking many candidates against the same
+/// netlist should hold an arena to amortize the base-circuit
+/// construction.
 #[must_use]
 pub fn check_substitution(
     nl: &Netlist,
     sub: &Substitution,
     backtrack_limit: usize,
 ) -> CheckOutcome {
-    CheckArena::new().check(nl, sub, backtrack_limit)
+    CheckArena::new().check(nl, sub, backtrack_limit, None)
 }
 
 #[cfg(test)]

@@ -2,8 +2,9 @@
 //! wrapper around the miter + solver machinery, used to verify optimizer
 //! output exactly (rather than by random simulation alone).
 
+use crate::check::encode;
 use crate::sat::{NodeId, SatBuilder, SatOutcome};
-use powder_netlist::{GateId, GateKind, Netlist};
+use powder_netlist::{GateId, Netlist};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -92,41 +93,34 @@ pub fn check_equivalence(
         });
     }
 
-    // Shared builder: PIs by `a`'s index; both circuits instantiated once.
+    // Shared builder: PIs by `a`'s index; both circuits encoded once,
+    // over the same primary-input nodes.
     let mut builder = SatBuilder::default();
-    let mut pi_nodes: Vec<NodeId> = Vec::with_capacity(a.inputs().len());
-    for i in 0..a.inputs().len() {
-        pi_nodes.push(builder.pi(i));
-    }
-    let node_of = |nl: &Netlist,
-                   input_index: &dyn Fn(GateId) -> usize,
-                   builder: &mut SatBuilder,
-                   pi_nodes: &[NodeId]|
-     -> HashMap<GateId, NodeId> {
-        let mut map = HashMap::new();
-        for g in nl.topo_order() {
-            let node = match nl.kind(g) {
-                GateKind::Input => pi_nodes[input_index(g)],
-                GateKind::Const(v) => builder.constant(v),
-                GateKind::Output => map[&nl.fanins(g)[0]],
-                GateKind::Cell(c) => {
-                    let f = nl.library().cell_ref(c).function.clone();
-                    let fanins = nl.fanins(g).iter().map(|x| map[x]).collect();
-                    builder.gate(f, fanins)
-                }
-            };
-            map.insert(g, node);
-        }
-        map
-    };
+    let pi_nodes: Vec<NodeId> = (0..a.inputs().len()).map(|i| builder.pi(i)).collect();
     let a_index: HashMap<GateId, usize> = a
         .inputs()
         .iter()
         .enumerate()
         .map(|(i, &pi)| (pi, i))
         .collect();
-    let a_map = node_of(a, &|g| a_index[&g], &mut builder, &pi_nodes);
-    let b_map = node_of(b, &|g| b_input_index[&g], &mut builder, &pi_nodes);
+    let mut a_map = HashMap::new();
+    encode(
+        &mut builder,
+        a,
+        &a.topo_order(),
+        None,
+        &mut a_map,
+        |_, g| pi_nodes[a_index[&g]],
+    );
+    let mut b_map = HashMap::new();
+    encode(
+        &mut builder,
+        b,
+        &b.topo_order(),
+        None,
+        &mut b_map,
+        |_, g| pi_nodes[b_input_index[&g]],
+    );
 
     for &po in a.outputs() {
         let name = a.gate_name(po).to_string();
@@ -136,8 +130,7 @@ pub fn check_equivalence(
             });
         };
         let diff = builder.xor2(a_map[&po], b_map[&bpo]);
-        let circuit = builder.snapshot(a.inputs().len(), diff);
-        match crate::sat::solve_miter(&circuit, backtrack_limit) {
+        match builder.solve(a.inputs().len(), diff, backtrack_limit) {
             SatOutcome::Unsat => {}
             SatOutcome::Sat(witness) => {
                 return Ok(EquivOutcome::Inequivalent {

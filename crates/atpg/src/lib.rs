@@ -14,11 +14,17 @@
 //!   on every simulated pattern;
 //! * [`check_substitution`] — the exact proof behind `check_candidate`: a
 //!   cone-local miter between the original and rewired transitive fanout is
-//!   handed to a PODEM-style branch-and-bound circuit-SAT solver
-//!   ([`solve_miter`]); `Unsat` proves permissibility, `Sat` yields a
-//!   distinguishing input vector (which callers feed back into the pattern
-//!   set), and hitting the backtrack limit reports `Aborted` — treated as
-//!   "not permissible", exactly like the paper's aborted ATPG runs.
+//!   handed to a PODEM-style branch-and-bound circuit-SAT solver; `Unsat`
+//!   proves permissibility, `Sat` yields a distinguishing input vector
+//!   (which callers feed back into the pattern set), and hitting the
+//!   backtrack limit reports `Aborted` — treated as "not permissible",
+//!   exactly like the paper's aborted ATPG runs. [`CheckArena::check`] is
+//!   the same proof with a cached base circuit, optionally cut at a window
+//!   scope.
+//!
+//! One netlist encoder (`check::encode`) builds the node tables of both
+//! the permissibility miter and [`check_equivalence`], and one call
+//! (`SatBuilder::solve`) enters the solver.
 //!
 //! # Example
 //!
@@ -64,4 +70,3 @@ pub use candidates::{
 };
 pub use check::{check_substitution, CheckArena, CheckOutcome, Substitution};
 pub use equiv::{check_equivalence, EquivOutcome};
-pub use sat::{solve_miter, SatCircuit, SatOutcome};

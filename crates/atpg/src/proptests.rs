@@ -1,12 +1,13 @@
 //! Property-based tests: the miter solver against brute-force enumeration,
-//! end-to-end soundness of the check pipeline, and the word-major
-//! candidate generator against its row-by-row reference.
+//! end-to-end soundness of the check pipeline, soundness of window-scoped
+//! proofs, and the word-major candidate generator against its row-by-row
+//! reference.
 
 use crate::candidates::reference;
-use crate::sat::{SatBuilder, SatOutcome};
+use crate::sat::{NodeId, SatBuilder, SatOutcome};
 use crate::{
-    check_substitution, generate_candidates_scoped, CandidateConfig, CandidateScope, CheckOutcome,
-    Substitution,
+    check_substitution, generate_candidates_scoped, CandidateConfig, CandidateScope, CheckArena,
+    CheckOutcome, Substitution,
 };
 use powder_library::genlib::{parse_genlib, write_genlib};
 use powder_library::{lib2, Library};
@@ -16,9 +17,9 @@ use powder_sim::{simulate, CellCovers, Patterns};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Builds a random single-output circuit as a SatCircuit; returns the
-/// brute-force SAT answer alongside.
-fn random_sat_case(inputs: usize, ops: &[(u8, u8, u8)]) -> (crate::SatCircuit, bool) {
+/// Builds a random single-output circuit; returns its node table and
+/// output with the brute-force SAT answer alongside.
+fn random_sat_case(inputs: usize, ops: &[(u8, u8, u8)]) -> (SatBuilder, NodeId, bool) {
     let mut b = SatBuilder::default();
     let mut nodes: Vec<(u32, TruthTable)> = Vec::new();
     let mut funcs: Vec<TruthTable> = Vec::new();
@@ -49,7 +50,7 @@ fn random_sat_case(inputs: usize, ops: &[(u8, u8, u8)]) -> (crate::SatCircuit, b
         nodes.push((id, f));
     }
     let (out, f) = nodes.last().expect("nonempty").clone();
-    (b.finish(inputs, out), !f.is_zero())
+    (b, out, !f.is_zero())
 }
 
 proptest! {
@@ -62,8 +63,8 @@ proptest! {
         ops in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..20),
         inputs in 1usize..6,
     ) {
-        let (circuit, satisfiable) = random_sat_case(inputs, &ops);
-        match crate::solve_miter(&circuit, 100_000) {
+        let (circuit, out, satisfiable) = random_sat_case(inputs, &ops);
+        match circuit.solve(inputs, out, 100_000) {
             SatOutcome::Sat(_witness) => prop_assert!(satisfiable),
             SatOutcome::Unsat => prop_assert!(!satisfiable),
             SatOutcome::Aborted => prop_assert!(false, "tiny circuits must not abort"),
@@ -258,5 +259,90 @@ proptest! {
         let expect = reference::generate_candidates_scoped(&nl, &covers, &values, &config, scope.as_ref());
         let got = generate_candidates_scoped(&nl, &covers, &values, &config, scope.as_ref());
         prop_assert!(got == expect, "{config:?}: {} candidates, reference {}", got.len(), expect.len());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Window-scoped proofs are sound, and a scope covering the whole
+    /// netlist decides exactly like no scope. On a random mapped netlist,
+    /// one window of a random partition proposes its own candidates, plus
+    /// arbitrary (mostly impermissible) IS2 and OS2 rewirings of its core
+    /// gates to its scope signals; each is proven unscoped, under a full
+    /// scope and under the window's scope. A full scope may only turn a
+    /// counterexample into `Aborted` (its witness is in cut-variable
+    /// space), and a window-scoped `Permissible` must hold unscoped.
+    #[test]
+    fn scoped_proofs_are_sound(
+        gates in proptest::collection::vec(
+            (any::<u8>(), any::<u16>(), any::<u16>(), any::<u16>(), any::<u16>()),
+            24..96,
+        ),
+        inputs in 3usize..10,
+        seed in any::<u64>(),
+    ) {
+        const LIMIT: usize = 10_000;
+        let nl = random_mapped(Arc::new(lib2()), inputs, &gates);
+        prop_assume!(nl.validate().is_ok());
+        let mut state = seed;
+        let size = 8 + (mix(&mut state) as usize) % 24;
+        let plan = partition_windows(&nl, WindowConfig { size, overlap: size / 4 });
+        let w = &plan.windows[(mix(&mut state) as usize) % plan.windows.len()];
+        let bound = nl.id_bound();
+        let mut scope = CandidateScope { targets: vec![false; bound], sources: vec![false; bound] };
+        for g in &w.core {
+            scope.targets[g.0 as usize] = true;
+        }
+        let signals: Vec<GateId> = w.scope();
+        for g in &signals {
+            scope.sources[g.0 as usize] = true;
+        }
+
+        let covers = CellCovers::new(nl.library());
+        let values = simulate(&nl, &covers, &Patterns::random(inputs, 1, seed));
+        let cands = generate_candidates_scoped(
+            &nl, &covers, &values, &CandidateConfig::default(), Some(&scope),
+        );
+        // An even sample of at most 32 candidates keeps the debug run short.
+        let mut subs: Vec<Substitution> =
+            cands.iter().copied().step_by(cands.len() / 32 + 1).collect();
+        let cores: Vec<GateId> = w
+            .core
+            .iter()
+            .copied()
+            .filter(|&g| matches!(nl.kind(g), GateKind::Cell(_)))
+            .collect();
+        let sources: Vec<GateId> = signals
+            .into_iter()
+            .filter(|&g| !matches!(nl.kind(g), GateKind::Output))
+            .collect();
+        for _ in 0..if cores.is_empty() { 0 } else { 24 } {
+            let r = mix(&mut state) as usize;
+            let g = cores[r % cores.len()];
+            let b = sources[(r >> 16) % sources.len()];
+            let invert = (r >> 40) & 1 == 1;
+            subs.push(if (r >> 41) & 1 == 1 {
+                Substitution::Os2 { a: g, b, invert }
+            } else {
+                let pin = ((r >> 42) % nl.fanins(g).len()) as u32;
+                Substitution::Is2 { sink: g, pin, b, invert }
+            });
+        }
+
+        let full = vec![true; bound];
+        let (mut unscoped, mut covered, mut windowed) =
+            (CheckArena::new(), CheckArena::new(), CheckArena::new());
+        for sub in subs.iter().filter(|s| s.is_structurally_valid(&nl)) {
+            let whole = unscoped.check(&nl, sub, LIMIT, None);
+            let expect = match &whole {
+                CheckOutcome::NotPermissible(_) => CheckOutcome::Aborted,
+                other => other.clone(),
+            };
+            prop_assert_eq!(covered.check(&nl, sub, LIMIT, Some(&full)), expect, "{:?}", sub);
+            if windowed.check(&nl, sub, LIMIT, Some(&scope.sources)) == CheckOutcome::Permissible {
+                prop_assert_eq!(&whole, &CheckOutcome::Permissible, "window proved {:?}", sub);
+            }
+        }
     }
 }

@@ -1,19 +1,22 @@
 //! PODEM-style branch-and-bound circuit satisfiability over a miter.
 //!
-//! The solver decides whether any primary-input assignment drives the miter
-//! output to 1, branching only on primary inputs (the classic PODEM search
+//! The solver decides whether any assignment of the miter's variables
+//! (primary inputs, or a scoped miter's cut variables) drives its output
+//! to 1, branching only on those variables (the classic PODEM search
 //! space) with three-valued forward implication after every decision.
+//! [`SatBuilder::solve`] is its only entry point.
 
 use powder_logic::TruthTable;
 use std::collections::HashMap;
 
-/// Index of a node within a [`SatCircuit`].
+/// Index of a node within a [`SatBuilder`]'s node table.
 pub(crate) type NodeId = u32;
 
 /// A node of the satisfiability circuit.
 #[derive(Clone, Debug)]
 pub(crate) enum Node {
-    /// Primary input `index` (of the underlying netlist's input list).
+    /// Solver variable `index`: a primary input's position in the
+    /// netlist's input list, or a cut variable of a scoped miter.
     Pi(usize),
     /// Constant.
     Const(bool),
@@ -27,21 +30,11 @@ pub(crate) enum Node {
     },
 }
 
-/// A circuit whose single output is tested for satisfiability (= 1).
-#[derive(Clone, Debug)]
-pub struct SatCircuit {
-    pub(crate) nodes: Vec<Node>,
-    /// Number of primary inputs of the underlying netlist (assignment
-    /// vectors returned by the solver use this arity).
-    pub(crate) num_pis: usize,
-    pub(crate) output: NodeId,
-}
-
 /// Result of a satisfiability run.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SatOutcome {
-    /// An input assignment driving the miter output to 1 (indexed like the
-    /// netlist's primary inputs; inputs outside the cone are `false`).
+pub(crate) enum SatOutcome {
+    /// A variable assignment driving the miter output to 1 (indexed by
+    /// variable; variables outside the cone are `false`).
     Sat(Vec<bool>),
     /// Proven: no assignment sets the output.
     Unsat,
@@ -57,11 +50,8 @@ enum Val {
     X,
 }
 
-/// Borrowed view of a node table rooted at one output: the shape the
-/// solver actually works on. [`SatCircuit`] owns its nodes; the
-/// miter-check arena in `check.rs` instead solves directly against its
-/// builder's node table through this view, avoiding a full clone of
-/// the base circuit for every query.
+/// Borrowed view of a builder's node table rooted at one output: the
+/// shape the solver works on, so a query never clones the table.
 #[derive(Clone, Copy)]
 struct View<'a> {
     nodes: &'a [Node],
@@ -104,48 +94,40 @@ impl View<'_> {
     }
 }
 
-impl SatCircuit {
-    /// Number of nodes (for tests and diagnostics).
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
+/// Three-valued evaluation of one gate given fanin values.
+fn eval_gate(function: &TruthTable, fanin_vals: &[Val]) -> Val {
+    // Enumerate completions of the X inputs; if all agree, the value is
+    // determined. Cells have ≤ 6 inputs so this is at most 64 probes.
+    let k = function.vars();
+    let x_positions: Vec<usize> = (0..k).filter(|&i| fanin_vals[i] == Val::X).collect();
+    let mut base = 0u64;
+    for (i, v) in fanin_vals.iter().enumerate() {
+        if *v == Val::One {
+            base |= 1 << i;
+        }
     }
-
-    /// Three-valued evaluation of one gate given fanin values.
-    fn eval_gate(function: &TruthTable, fanin_vals: &[Val]) -> Val {
-        // Enumerate completions of the X inputs; if all agree, the value is
-        // determined. Cells have ≤ 6 inputs so this is at most 64 probes.
-        let k = function.vars();
-        let x_positions: Vec<usize> = (0..k).filter(|&i| fanin_vals[i] == Val::X).collect();
-        let mut base = 0u64;
-        for (i, v) in fanin_vals.iter().enumerate() {
-            if *v == Val::One {
-                base |= 1 << i;
+    let mut saw0 = false;
+    let mut saw1 = false;
+    for c in 0..(1u64 << x_positions.len()) {
+        let mut m = base;
+        for (bit, &pos) in x_positions.iter().enumerate() {
+            if (c >> bit) & 1 == 1 {
+                m |= 1 << pos;
             }
         }
-        let mut saw0 = false;
-        let mut saw1 = false;
-        for c in 0..(1u64 << x_positions.len()) {
-            let mut m = base;
-            for (bit, &pos) in x_positions.iter().enumerate() {
-                if (c >> bit) & 1 == 1 {
-                    m |= 1 << pos;
-                }
-            }
-            if function.eval(m) {
-                saw1 = true;
-            } else {
-                saw0 = true;
-            }
-            if saw0 && saw1 {
-                return Val::X;
-            }
+        if function.eval(m) {
+            saw1 = true;
+        } else {
+            saw0 = true;
         }
-        match (saw0, saw1) {
-            (false, true) => Val::One,
-            (true, false) => Val::Zero,
-            _ => Val::X,
+        if saw0 && saw1 {
+            return Val::X;
         }
+    }
+    match (saw0, saw1) {
+        (false, true) => Val::One,
+        (true, false) => Val::Zero,
+        _ => Val::X,
     }
 }
 
@@ -156,42 +138,7 @@ impl SatCircuit {
 /// without clause learning is exponential on those).
 const EXHAUSTIVE_SUPPORT_LIMIT: usize = 18;
 
-/// Decides whether the miter output of `circuit` can be driven to 1.
-///
-/// Small-support cones are decided exhaustively (bit-parallel, complete);
-/// larger ones use PODEM-style branching on primary inputs in cone order
-/// with three-valued implication. Every backtrack decrements
-/// `backtrack_limit`, and exhaustion yields [`SatOutcome::Aborted`].
-#[must_use]
-pub fn solve_miter(circuit: &SatCircuit, backtrack_limit: usize) -> SatOutcome {
-    solve_view(
-        View {
-            nodes: &circuit.nodes,
-            num_pis: circuit.num_pis,
-            output: circuit.output,
-        },
-        backtrack_limit,
-    )
-}
-
-/// Solves a borrowed node table rooted at `output` (see [`View`]);
-/// used by the check arena to query without cloning the base circuit.
-pub(crate) fn solve_miter_nodes(
-    nodes: &[Node],
-    num_pis: usize,
-    output: NodeId,
-    backtrack_limit: usize,
-) -> SatOutcome {
-    solve_view(
-        View {
-            nodes,
-            num_pis,
-            output,
-        },
-        backtrack_limit,
-    )
-}
-
+/// The solver behind [`SatBuilder::solve`].
 fn solve_view(circuit: View<'_>, backtrack_limit: usize) -> SatOutcome {
     let (order, cone_pis) = circuit.cone();
     if cone_pis.len() <= EXHAUSTIVE_SUPPORT_LIMIT && !cone_pis.is_empty() {
@@ -419,14 +366,15 @@ fn implicate(circuit: View<'_>, order: &[NodeId], assigned: &[(NodeId, bool)]) -
             Node::Gate { function, fanins } => {
                 fanin_vals.clear();
                 fanin_vals.extend(fanins.iter().map(|&f| vals[f as usize]));
-                vals[id as usize] = SatCircuit::eval_gate(function, &fanin_vals);
+                vals[id as usize] = eval_gate(function, &fanin_vals);
             }
         }
     }
     vals
 }
 
-/// Builder used by the miter-construction code in `check.rs`.
+/// Node table of a miter, built by `check.rs` and `equiv.rs` and
+/// decided in place by [`Self::solve`], the solver's only entry point.
 #[derive(Debug, Default)]
 pub(crate) struct SatBuilder {
     nodes: Vec<Node>,
@@ -474,28 +422,28 @@ impl SatBuilder {
     pub(crate) fn truncate(&mut self, len: usize) {
         self.nodes.truncate(len);
     }
-    /// Borrowed view of the node table, for [`solve_miter_nodes`].
-    pub(crate) fn nodes(&self) -> &[Node] {
-        &self.nodes
-    }
-    /// Consumes the builder into an owned circuit (solver tests; the
-    /// check arena solves borrowed nodes via [`solve_miter_nodes`]).
-    #[cfg(test)]
-    pub(crate) fn finish(self, num_pis: usize, output: NodeId) -> SatCircuit {
-        SatCircuit {
-            nodes: self.nodes,
-            num_pis,
-            output,
-        }
-    }
-    /// A circuit over the builder's current nodes rooted at `output`,
-    /// without consuming the builder.
-    pub(crate) fn snapshot(&self, num_pis: usize, output: NodeId) -> SatCircuit {
-        SatCircuit {
-            nodes: self.nodes.clone(),
-            num_pis,
-            output,
-        }
+    /// Decides whether `output` can be driven to 1 by some assignment of
+    /// the `num_vars` solver variables.
+    ///
+    /// Small-support cones are decided exhaustively (bit-parallel,
+    /// complete); larger ones use PODEM-style branching on variables in
+    /// cone order with three-valued implication. Every backtrack
+    /// decrements `backtrack_limit`, and exhaustion yields
+    /// [`SatOutcome::Aborted`].
+    pub(crate) fn solve(
+        &self,
+        num_vars: usize,
+        output: NodeId,
+        backtrack_limit: usize,
+    ) -> SatOutcome {
+        solve_view(
+            View {
+                nodes: &self.nodes,
+                num_pis: num_vars,
+                output,
+            },
+            backtrack_limit,
+        )
     }
 }
 
@@ -513,8 +461,7 @@ mod tests {
         let x = b.pi(0);
         let y = b.pi(1);
         let g = b.gate(and2(), vec![x, y]);
-        let c = b.finish(2, g);
-        match solve_miter(&c, 100) {
+        match b.solve(2, g, 100) {
             SatOutcome::Sat(a) => assert_eq!(a, vec![true, true]),
             other => panic!("expected SAT, got {other:?}"),
         }
@@ -527,8 +474,7 @@ mod tests {
         let x = b.pi(0);
         let nx = b.not(x);
         let g = b.gate(and2(), vec![x, nx]);
-        let c = b.finish(1, g);
-        assert_eq!(solve_miter(&c, 100), SatOutcome::Unsat);
+        assert_eq!(b.solve(1, g, 100), SatOutcome::Unsat);
     }
 
     #[test]
@@ -540,8 +486,7 @@ mod tests {
         let g1 = b.gate(and2(), vec![x, y]);
         let g2 = b.gate(and2(), vec![y, x]);
         let m = b.xor2(g1, g2);
-        let c = b.finish(2, m);
-        assert_eq!(solve_miter(&c, 100), SatOutcome::Unsat);
+        assert_eq!(b.solve(2, m, 100), SatOutcome::Unsat);
     }
 
     #[test]
@@ -554,8 +499,7 @@ mod tests {
         let or = TruthTable::var(0, 2) | TruthTable::var(1, 2);
         let g2 = b.gate(or, vec![x, y]);
         let m = b.xor2(g1, g2);
-        let c = b.finish(2, m);
-        match solve_miter(&c, 100) {
+        match b.solve(2, m, 100) {
             SatOutcome::Sat(a) => assert_ne!(a[0], a[1]),
             other => panic!("expected SAT, got {other:?}"),
         }
@@ -565,12 +509,10 @@ mod tests {
     fn constant_cone() {
         let mut b = SatBuilder::default();
         let k = b.constant(true);
-        let c = b.finish(3, k);
-        assert!(matches!(solve_miter(&c, 10), SatOutcome::Sat(_)));
+        assert!(matches!(b.solve(3, k, 10), SatOutcome::Sat(_)));
         let mut b = SatBuilder::default();
         let k = b.constant(false);
-        let c = b.finish(3, k);
-        assert_eq!(solve_miter(&c, 10), SatOutcome::Unsat);
+        assert_eq!(b.solve(3, k, 10), SatOutcome::Unsat);
     }
 
     #[test]
@@ -586,9 +528,8 @@ mod tests {
         for &x in &pis[1..] {
             acc = b.xor2(acc, x);
         }
-        let c = b.finish(n, acc);
-        assert_eq!(solve_miter(&c, 0), SatOutcome::Aborted);
-        match solve_miter(&c, 100) {
+        assert_eq!(b.solve(n, acc, 0), SatOutcome::Aborted);
+        match b.solve(n, acc, 100) {
             SatOutcome::Sat(a) => {
                 assert_eq!(a.iter().filter(|&&v| v).count() % 2, 1, "odd parity");
             }
@@ -611,8 +552,7 @@ mod tests {
             right = b.xor2(right, x);
         }
         let m = b.xor2(left, right);
-        let c = b.finish(10, m);
-        assert_eq!(solve_miter(&c, 10), SatOutcome::Unsat);
+        assert_eq!(b.solve(10, m, 10), SatOutcome::Unsat);
     }
 
     #[test]
@@ -629,19 +569,18 @@ mod tests {
             p2 = b.gate(xor.clone(), vec![x, p2]);
         }
         let m = b.xor2(p1, p2);
-        let c = b.finish(6, m);
-        assert_eq!(solve_miter(&c, 10_000), SatOutcome::Unsat);
+        assert_eq!(b.solve(6, m, 10_000), SatOutcome::Unsat);
     }
 
     #[test]
     fn three_valued_gate_eval() {
         let f = and2();
         assert_eq!(
-            SatCircuit::eval_gate(&f, &[Val::Zero, Val::X]),
+            eval_gate(&f, &[Val::Zero, Val::X]),
             Val::Zero,
             "0 AND X = 0"
         );
-        assert_eq!(SatCircuit::eval_gate(&f, &[Val::One, Val::X]), Val::X);
-        assert_eq!(SatCircuit::eval_gate(&f, &[Val::One, Val::One]), Val::One);
+        assert_eq!(eval_gate(&f, &[Val::One, Val::X]), Val::X);
+        assert_eq!(eval_gate(&f, &[Val::One, Val::One]), Val::One);
     }
 }

@@ -44,12 +44,14 @@ use crate::optimizer::{
     RoundSnapshot, SharedAnalyses,
 };
 use crate::report::{
-    AppliedSubstitution, GuardStats, IncrementalStats, OptimizeReport, PhaseTimes,
-    QuarantinedCandidate, SubClass,
+    AppliedSubstitution, GuardStats, OptimizeReport, PhaseTimes, QuarantinedCandidate, SubClass,
 };
-use powder_atpg::{generate_candidates_scoped, CheckArena, CheckOutcome, Substitution};
+use powder_atpg::{
+    generate_candidates_scoped, CandidateScope, CheckArena, CheckOutcome, Substitution,
+};
 use powder_engine::{
-    pool::batch_by_key, DirtyBits, EngineStats, Footprint, FootprintScratch, WorkerPool,
+    pool::batch_by_key, DirtyBits, EngineStats, Footprint, FootprintScratch, SessionStats,
+    WorkerPool,
 };
 use powder_faults::{fires, SITE_ATPG_ABORT};
 use powder_netlist::{ConeScratch, GateId, Netlist};
@@ -167,13 +169,14 @@ fn plan_proof_batch(
     plan
 }
 
-/// Runs POWDER on the whole netlist (or the window `config.scope`
-/// names) with `config.jobs` workers; the decisions do not depend on
-/// the worker count.
+/// Runs POWDER on the whole netlist, or on the window `scope` names
+/// (the windowed driver's inner runs), with `config.jobs` workers; the
+/// decisions do not depend on the worker count.
 pub(crate) fn power_optimize(
     nl: &mut Netlist,
     config: &OptimizeConfig,
     shared: &mut SharedAnalyses,
+    scope: Option<&CandidateScope>,
 ) -> OptimizeReport {
     let t0 = Instant::now();
     let jobs = powder_engine::resolve_jobs(config.jobs);
@@ -232,7 +235,7 @@ pub(crate) fn power_optimize(
     let mut atpg_rejections = 0usize;
     let mut delay_rejections = 0usize;
     let mut phase = PhaseTimes::default();
-    let mut inc = IncrementalStats::default();
+    let mut inc = SessionStats::default();
     let mut engine = EngineStats {
         jobs,
         ..EngineStats::default()
@@ -299,13 +302,7 @@ pub(crate) fn power_optimize(
         let cands = {
             let _span = obs::span!(obs::names::span::PHASE_CANDIDATES);
             let values = values.as_ref().expect("simulated above");
-            generate_candidates_scoped(
-                nl,
-                covers,
-                values,
-                &config.candidates,
-                config.scope.as_deref(),
-            )
+            generate_candidates_scoped(nl, covers, values, &config.candidates, scope)
         };
         phase.candidates += t.elapsed().as_secs_f64();
         if cands.is_empty() {
@@ -544,7 +541,10 @@ pub(crate) fn power_optimize(
                     let nl_snap: &Netlist = &*nl;
                     let bl = adaptive_backtrack(config.backtrack_limit, t0, config.deadline);
                     let faults = config.faults.clone();
-                    let scope = config.scope.clone();
+                    // Windowed runs prove on window-local cones: the
+                    // miter is cut at the scope boundary, so solver work
+                    // is bounded by the window.
+                    let sources = scope.map(|s| s.sources.as_slice());
                     // One proof per batch: proofs dominate the
                     // pipeline, so maximal stealing wins.
                     let batches: Vec<Vec<u32>> = (0..todo.len() as u32).map(|k| vec![k]).collect();
@@ -558,14 +558,7 @@ pub(crate) fn power_optimize(
                             if fires(faults.as_ref(), SITE_ATPG_ABORT) {
                                 CheckOutcome::Aborted
                             } else {
-                                match scope.as_deref() {
-                                    // Windowed runs prove on window-local
-                                    // cones: the miter is cut at the
-                                    // scope boundary, so solver work is
-                                    // bounded by the window.
-                                    Some(sc) => arena.check_scoped(nl_snap, s, bl, &sc.sources),
-                                    None => arena.check(nl_snap, s, bl),
-                                }
+                                arena.check(nl_snap, s, bl, sources)
                             }
                         },
                     )

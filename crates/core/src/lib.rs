@@ -65,8 +65,8 @@ pub use optimizer::{
 pub use powder_atpg::{
     check_equivalence, CandidateConfig, CandidateScope, EquivOutcome, Substitution,
 };
-pub use powder_engine::EngineStats;
+pub use powder_engine::{EngineStats, SessionStats};
 pub use report::{
-    AppliedSubstitution, ClassStats, GuardStats, IncrementalStats, OptimizeReport, PhaseTimes,
-    QuarantineReason, QuarantinedCandidate, SubClass, WindowReport,
+    AppliedSubstitution, ClassStats, GuardStats, OptimizeReport, PhaseTimes, QuarantineReason,
+    QuarantinedCandidate, SubClass, WindowReport,
 };

@@ -3,7 +3,7 @@
 //! per-candidate helpers the loop calls.
 
 use crate::report::OptimizeReport;
-use powder_atpg::{CandidateConfig, CandidateScope, Substitution};
+use powder_atpg::{CandidateConfig, Substitution};
 use powder_faults::FaultState;
 use powder_netlist::Netlist;
 use powder_obs as obs;
@@ -98,11 +98,6 @@ pub struct OptimizeConfig {
     /// completed windows for windowed runs. The run executes only the
     /// remaining units. `0` (the default) runs from the start.
     pub rounds_offset: usize,
-    /// Restricts candidate generation to a window of the netlist. Set
-    /// by the windowed driver for its per-window inner runs; also
-    /// disables window dispatch (an inner run never re-windows).
-    /// `None` (the default) considers the whole netlist.
-    pub scope: Option<Arc<CandidateScope>>,
 }
 
 /// Borrowed view of optimizer state at a committed round boundary,
@@ -176,7 +171,6 @@ impl Default for OptimizeConfig {
             window_size: None,
             window_overlap: None,
             rounds_offset: 0,
-            scope: None,
         }
     }
 }
@@ -246,15 +240,10 @@ pub fn optimize_with(
     config: &OptimizeConfig,
     shared: &mut SharedAnalyses,
 ) -> OptimizeReport {
-    // Window dispatch happens only at the top level: the windowed
-    // driver's per-window inner runs carry a scope and fall through to
-    // the whole-netlist (within their scope) loop below.
-    if config.scope.is_none() {
-        if let Some(wcfg) = crate::windowed::resolve_window_config(config, nl.live_gate_count()) {
-            return crate::windowed::optimize_windowed(nl, config, shared, wcfg);
-        }
+    if let Some(wcfg) = crate::windowed::resolve_window_config(config, nl.live_gate_count()) {
+        return crate::windowed::optimize_windowed(nl, config, shared, wcfg);
     }
-    let report = crate::arbiter::power_optimize(nl, config, shared);
+    let report = crate::arbiter::power_optimize(nl, config, shared, None);
     record_arena_gauges(nl);
     report
 }

@@ -1,7 +1,7 @@
 //! Optimization reports and the per-class statistics behind Table 2.
 
 use powder_atpg::Substitution;
-use powder_engine::EngineStats;
+use powder_engine::{EngineStats, SessionStats};
 use std::fmt;
 
 /// The four substitution classes of the paper (inverted variants count
@@ -108,24 +108,6 @@ impl PhaseTimes {
         self.atpg += other.atpg;
         self.apply += other.apply;
     }
-}
-
-/// How often each analysis was refreshed incrementally (over the dirty
-/// cone of the committed edit), and how often the simulation values were
-/// rebuilt from scratch. STA and power are never rebuilt inside the loop.
-/// Only in-loop refreshes are counted; the one-time initial constructions
-/// are not.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct IncrementalStats {
-    /// Incremental STA updates over the dirty region.
-    pub incremental_sta_updates: usize,
-    /// Whole-netlist simulation passes.
-    pub full_resims: usize,
-    /// Post-commit cone resimulations into the retained value buffer.
-    pub incremental_resims: usize,
-    /// Incremental power updates (running-total adjustment over the
-    /// dirty cone).
-    pub incremental_power_updates: usize,
 }
 
 /// Commit-guard activity: every committed substitution passes through a
@@ -240,8 +222,11 @@ pub struct OptimizeReport {
     pub cpu_seconds: f64,
     /// Per-phase wall-clock breakdown of `cpu_seconds`.
     pub phase: PhaseTimes,
-    /// Incremental-versus-full refresh counters.
-    pub incremental: IncrementalStats,
+    /// In-loop analysis refresh counters: incremental STA, simulation
+    /// and power updates over dirty cones, and whole-netlist
+    /// re-simulations. STA and power are never rebuilt inside the loop,
+    /// and the one-time initial constructions are not counted.
+    pub incremental: SessionStats,
     /// Resolved worker count the run used (1 = inline on the caller's
     /// thread).
     pub jobs: usize,
@@ -442,7 +427,7 @@ mod tests {
             delay_rejections: 0,
             cpu_seconds: 0.1,
             phase: PhaseTimes::default(),
-            incremental: IncrementalStats::default(),
+            incremental: SessionStats::default(),
             jobs: 1,
             engine: EngineStats::default(),
             guard: GuardStats {

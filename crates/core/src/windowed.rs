@@ -4,12 +4,16 @@
 //! 100k-gate circuit that is hopeless. This module runs the same
 //! optimizer window-locally instead: the netlist is carved into
 //! MFFC-seeded overlapping regions (`powder_netlist::window`), and each
-//! window gets its own inner [`optimize_with`] run whose candidate
-//! generation is restricted by a [`CandidateScope`] — rewrite targets
-//! are the window core, substitution sources its full scope (core,
-//! halo, boundary). Everything downstream of candidate generation (gain
-//! analysis, delay checks, the ATPG permissibility miter, the commit
-//! guard) is already cone-local and needs no window awareness.
+//! window gets its own inner run of the Fig. 5 loop
+//! (`arbiter::power_optimize`) under a [`CandidateScope`] — rewrite
+//! targets are the window core, substitution sources its full scope
+//! (core, halo, boundary). The scope bounds candidate generation, whose
+//! observability masks count any edge leaving the window as observed,
+//! and the ATPG permissibility miter, which is cut at the window: signals
+//! entering it are free variables, differences leaving it count as
+//! observed, and a counterexample is "not proven" rather than learned.
+//! Gain analysis, delay checks and the commit guard are cone-local and
+//! need no window awareness.
 //!
 //! # Repartition per step
 //!
@@ -30,16 +34,13 @@
 //! window's territory is simply reflected in the repartitioned plan of
 //! step `k+1` — there is no stale-plan reconciliation to do.
 
-use crate::optimizer::{
-    optimize_with, stop_requested, DelayLimit, OptimizeConfig, RoundSnapshot, SharedAnalyses,
-};
-use crate::report::{GuardStats, IncrementalStats, OptimizeReport, PhaseTimes, WindowReport};
+use crate::optimizer::{stop_requested, DelayLimit, OptimizeConfig, RoundSnapshot, SharedAnalyses};
+use crate::report::{GuardStats, OptimizeReport, PhaseTimes, WindowReport};
 use powder_atpg::CandidateScope;
-use powder_engine::EngineStats;
+use powder_engine::{EngineStats, SessionStats};
 use powder_netlist::{partition_windows, Netlist, Window, WindowConfig};
 use powder_obs as obs;
 use powder_timing::{TimingAnalysis, TimingConfig};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Resolves the window configuration a top-level run should use:
@@ -123,7 +124,7 @@ pub(crate) fn optimize_windowed(
         delay_rejections: 0,
         cpu_seconds: 0.0,
         phase: PhaseTimes::default(),
-        incremental: IncrementalStats::default(),
+        incremental: SessionStats::default(),
         jobs,
         engine: EngineStats {
             jobs,
@@ -159,20 +160,17 @@ pub(crate) fn optimize_windowed(
         let (scope, scope_gates) = window_scope(nl.id_bound(), w);
 
         let mut inner = config.clone();
-        inner.scope = Some(Arc::new(scope));
-        inner.window_size = None;
-        inner.window_overlap = None;
         inner.rounds_offset = 0;
         inner.round_hook = None;
         inner.delay_limit = required_time.map(DelayLimit::Absolute);
 
-        let rep = optimize_with(nl, &inner, shared);
+        let rep = crate::arbiter::power_optimize(nl, &inner, shared, Some(&scope));
 
         report.atpg_checks += rep.atpg_checks;
         report.atpg_rejections += rep.atpg_rejections;
         report.delay_rejections += rep.delay_rejections;
         report.phase.accumulate(&rep.phase);
-        accumulate_incremental(&mut report.incremental, &rep.incremental);
+        report.incremental.merge(&rep.incremental);
         report.engine.merge(&rep.engine);
         accumulate_guard(&mut report.guard, &rep.guard);
         let commits = rep.applied.len();
@@ -220,13 +218,6 @@ pub(crate) fn optimize_windowed(
     report
 }
 
-fn accumulate_incremental(into: &mut IncrementalStats, from: &IncrementalStats) {
-    into.incremental_sta_updates += from.incremental_sta_updates;
-    into.full_resims += from.full_resims;
-    into.incremental_resims += from.incremental_resims;
-    into.incremental_power_updates += from.incremental_power_updates;
-}
-
 fn accumulate_guard(into: &mut GuardStats, from: &GuardStats) {
     into.verified += from.verified;
     into.skipped += from.skipped;
@@ -239,7 +230,7 @@ fn accumulate_guard(into: &mut GuardStats, from: &GuardStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::optimize;
+    use crate::optimizer::{optimize, optimize_with};
     use powder_library::lib2;
     use powder_netlist::GateId;
     use powder_sim::{simulate, CellCovers, Patterns};

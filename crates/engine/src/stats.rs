@@ -80,7 +80,9 @@ impl EngineStats {
 /// each analysis was rebuilt from scratch versus repaired over a dirty
 /// cone. The pass pipeline reports a per-pass delta of these, which is
 /// how the "no full re-simulation between passes" guarantee is
-/// asserted.
+/// asserted. The optimizer reports its in-loop refreshes in the same
+/// type (`OptimizeReport::incremental`), leaving the build counters
+/// and `refreshes` at zero.
 ///
 /// [`AnalysisSession`]: https://docs.rs/powder-passes
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -121,9 +121,6 @@ impl Transform for EgraphPass {
                 .filter(|&g| matches!(sess.netlist().kind(g), GateKind::Cell(_)))
                 .collect();
             for root in roots {
-                if edits >= budget.max_edits {
-                    break;
-                }
                 if let Some(stop) = &budget.stop {
                     if stop.load(std::sync::atomic::Ordering::Relaxed) {
                         break;

@@ -206,9 +206,6 @@ impl Transform for SweepPass {
             loop {
                 let mut changed = false;
                 for g in Self::dangling(sess.netlist(), &consts) {
-                    if edits >= budget.max_edits {
-                        break;
-                    }
                     if sess.netlist().is_live(g) {
                         let removed = sess.sweep_dangling(g).len();
                         if removed > 0 {
@@ -221,9 +218,6 @@ impl Transform for SweepPass {
                 let words = values.words();
                 let plan = Self::plan(nl, values, words);
                 for action in plan {
-                    if edits >= budget.max_edits {
-                        break;
-                    }
                     let sub = match action {
                         SweepAction::TieConst(victim, value) => {
                             if !sess.netlist().is_live(victim)
@@ -266,7 +260,7 @@ impl Transform for SweepPass {
                         }
                     }
                 }
-                if !changed || edits >= budget.max_edits {
+                if !changed {
                     break;
                 }
             }
@@ -338,9 +332,6 @@ impl Transform for RedundancyPass {
                     .filter(|&g| matches!(sess.netlist().kind(g), GateKind::Cell(_)))
                     .collect();
                 'gates: for g in gates {
-                    if edits >= budget.max_edits {
-                        break;
-                    }
                     if !sess.netlist().is_live(g) {
                         continue;
                     }
@@ -374,7 +365,7 @@ impl Transform for RedundancyPass {
                         }
                     }
                 }
-                if !changed || edits >= budget.max_edits {
+                if !changed {
                     break;
                 }
             }
@@ -413,7 +404,7 @@ impl Transform for ResizePass {
         "resize"
     }
 
-    fn run(&mut self, sess: &mut AnalysisSession, budget: &PassBudget) -> PassReport {
+    fn run(&mut self, sess: &mut AnalysisSession, _budget: &PassBudget) -> PassReport {
         instrumented("resize", sess, |sess| {
             let required = match self.required_time {
                 Some(t) => t,
@@ -426,9 +417,6 @@ impl Transform for ResizePass {
                 .collect();
             let mut edits = 0usize;
             for g in gates {
-                if edits >= budget.max_edits {
-                    break;
-                }
                 if !sess.netlist().is_live(g) {
                     continue;
                 }

@@ -390,12 +390,8 @@ impl AnalysisSession {
         // metric registry live at each site, so publishing this merge
         // would double-count.
         self.stats.merge(&SessionStats {
-            full_resims: report.incremental.full_resims,
-            incremental_resims: report.incremental.incremental_resims,
-            incremental_power_updates: report.incremental.incremental_power_updates,
-            incremental_sta_updates: report.incremental.incremental_sta_updates,
             refreshes: report.applied.len(),
-            ..SessionStats::default()
+            ..report.incremental
         });
         report
     }

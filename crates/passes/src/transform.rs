@@ -13,8 +13,6 @@ use std::time::Instant;
 pub struct PassBudget {
     /// ATPG backtrack limit per permissibility proof.
     pub backtrack_limit: usize,
-    /// Maximum number of netlist edits the pass may commit.
-    pub max_edits: usize,
     /// Cooperative stop flag: a pass that can stop at a committed
     /// boundary (POWDER stops between rounds) checks it and returns
     /// its best-so-far state.
@@ -36,7 +34,6 @@ impl Default for PassBudget {
     fn default() -> Self {
         PassBudget {
             backtrack_limit: 3_000,
-            max_edits: usize::MAX,
             stop: None,
             round_hook: None,
             rounds_offset: 0,

@@ -35,8 +35,9 @@
 //! it reaches a primary output inside the scope *or any edge leaving it*.
 //! This over-approximates true observability — logic outside the window
 //! might mask the difference — which is exactly the convention of the
-//! window-local permissibility proof (`powder_atpg::CheckArena::check_scoped`):
-//! the filter never rejects a candidate the scoped proof could accept. The
+//! window-local permissibility proof (`powder_atpg::CheckArena::check`
+//! with a scope): the filter never rejects a candidate the scoped proof
+//! could accept. The
 //! sweep's word buffers are sized to the scope, so a windowed call does
 //! work independent of the netlist size.
 //!

@@ -368,6 +368,42 @@ mod bench_script {
             }
         }
     }
+
+    /// The `powder` pass through the windowed driver (64-gate windows,
+    /// 8-gate halos) on three `powder-small` circuits of about 200 cells
+    /// or more, pinned at one and at four workers: window cuts, scoped
+    /// candidates and window-scoped proofs must not move a decision.
+    #[test]
+    fn windowed_powder_outputs_are_pinned() {
+        for (name, hash) in [
+            ("apex6", 0x8e5d_99ef_caaf_6f64_u64),
+            ("x3", 0x0fa8_88a9_c947_146b),
+            ("frg2", 0x929d_cbe5_2fa5_1299),
+        ] {
+            for jobs in [1, 4] {
+                let cfg = OptimizeConfig {
+                    jobs,
+                    window_size: Some(64),
+                    window_overlap: Some(8),
+                    ..bench_config(BENCH_SEED_3)
+                };
+                let mut sess =
+                    AnalysisSession::new(bench_input(name), SessionConfig::from_optimize(&cfg));
+                let report = build_pipeline_with("powder", &cfg, None, &EgraphConfig::default())
+                    .expect("valid spec")
+                    .run(&mut sess);
+                let windows = report
+                    .passes
+                    .iter()
+                    .filter_map(|p| p.optimize.as_ref())
+                    .map(|r| r.windows.len())
+                    .sum::<usize>();
+                assert!(windows > 1, "{name}: {windows} window(s)");
+                let got = fnv1a(write_blif(sess.netlist()).as_bytes());
+                assert_eq!(got, hash, "{name} at jobs {jobs}: {got:#018x}");
+            }
+        }
+    }
 }
 
 proptest! {
