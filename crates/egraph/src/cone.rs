@@ -10,28 +10,13 @@
 
 use crate::extract::{signal_probability, transition_density, Operand, Plan};
 use crate::graph::{ClassId, EGraph, Op, RULE_SEED};
+use crate::table::MAX_CONE_LEAVES;
 use powder_netlist::{GateId, GateKind, Netlist};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Size bounds on cone collection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ConeLimits {
-    /// Maximum non-constant cone leaves (bounds the truth-table width;
-    /// must stay ≤ the `powder-logic` table limit of 8).
-    pub max_leaves: usize,
-    /// Maximum interior gates.
-    pub max_gates: usize,
-}
-
-impl Default for ConeLimits {
-    fn default() -> Self {
-        ConeLimits {
-            max_leaves: 8,
-            max_gates: 16,
-        }
-    }
-}
+/// Maximum interior gates of a cone.
+pub const MAX_CONE_GATES: usize = 16;
 
 /// A fanout-free cone rooted at a cell gate.
 #[derive(Clone, Debug)]
@@ -46,10 +31,12 @@ pub struct Cone {
     pub leaves: Vec<GateId>,
 }
 
-/// Collects the MFFC-bounded cone rooted at `root`, or `None` when
-/// `root` is not a live cell gate or the cone degenerates (no leaves).
+/// Collects the MFFC-bounded cone rooted at `root`, of at most
+/// [`MAX_CONE_GATES`] gates over at most [`MAX_CONE_LEAVES`] leaves, or
+/// `None` when `root` is not a live cell gate or the cone degenerates
+/// (no leaves).
 #[must_use]
-pub fn collect_cone(nl: &Netlist, root: GateId, limits: &ConeLimits) -> Option<Cone> {
+pub fn collect_cone(nl: &Netlist, root: GateId) -> Option<Cone> {
     if !nl.is_live(root) || !matches!(nl.kind(root), GateKind::Cell(_)) {
         return None;
     }
@@ -77,7 +64,7 @@ pub fn collect_cone(nl: &Netlist, root: GateId, limits: &ConeLimits) -> Option<C
             if !matches!(nl.kind(cand), GateKind::Cell(_)) {
                 continue;
             }
-            if interior.len() >= limits.max_gates {
+            if interior.len() >= MAX_CONE_GATES {
                 continue;
             }
             let fo = nl.fanouts(cand);
@@ -95,7 +82,7 @@ pub fn collect_cone(nl: &Netlist, root: GateId, limits: &ConeLimits) -> Option<C
                 .filter(|&&g| !matches!(nl.kind(g), GateKind::Const(_)))
                 .count();
             let cand_is_var = usize::from(!matches!(nl.kind(cand), GateKind::Const(_)));
-            if var_leaves - cand_is_var + fresh_vars > limits.max_leaves {
+            if var_leaves - cand_is_var + fresh_vars > MAX_CONE_LEAVES {
                 continue;
             }
             frontier.remove(pos);
@@ -116,7 +103,7 @@ pub fn collect_cone(nl: &Netlist, root: GateId, limits: &ConeLimits) -> Option<C
         .copied()
         .filter(|&g| !matches!(nl.kind(g), GateKind::Const(_)))
         .collect();
-    if leaves.is_empty() || leaves.len() > limits.max_leaves {
+    if leaves.is_empty() || leaves.len() > MAX_CONE_LEAVES {
         return None;
     }
     // Topological order over the interior: repeatedly emit gates whose
@@ -217,8 +204,8 @@ pub fn current_cost(nl: &Netlist, cone: &Cone, cg: &ConeGraph, leaf_probs: &[f64
             .iter()
             .position(|&x| x == g)
             .expect("interior driver");
-        let tt = cg.eg.class_tt(cg.gate_class[i]);
-        let d = transition_density(signal_probability(tt, leaf_probs));
+        let tt = cg.eg.class_table(cg.gate_class[i]);
+        let d = transition_density(signal_probability(&tt, leaf_probs));
         density.insert(g, d);
         d
     };

@@ -18,20 +18,21 @@
 //! onto the netlist.
 
 use crate::graph::{ClassId, EGraph, Op, RuleId};
+use crate::table::{minterms, ConeTable, MAX_CONE_LEAVES};
 use powder_library::CellId;
-use powder_logic::TruthTable;
 
 /// Strict-improvement threshold used by cost comparisons, mirroring the
 /// pass layer's power-acceptance epsilon.
 pub const COST_EPS: f64 = 1e-12;
 
-/// Exact signal probability of a function given independent leaf
-/// one-probabilities: `Σ_{m ∈ minterms} Π_i (m_i ? p_i : 1−p_i)`.
+/// Exact signal probability of a function of the leaves given their
+/// independent one-probabilities: `Σ_{m ∈ minterms} Π_i (m_i ? p_i :
+/// 1−p_i)`, summed over the minterms in ascending order.
 #[must_use]
-pub fn signal_probability(tt: &TruthTable, leaf_probs: &[f64]) -> f64 {
-    assert_eq!(tt.vars(), leaf_probs.len(), "one probability per leaf");
+pub fn signal_probability(tt: &ConeTable, leaf_probs: &[f64]) -> f64 {
+    assert!(leaf_probs.len() <= MAX_CONE_LEAVES, "too many leaves");
     let mut p = 0.0;
-    for m in tt.minterms() {
+    for m in minterms(tt.words()) {
         let mut term = 1.0;
         for (i, &pi) in leaf_probs.iter().enumerate() {
             term *= if (m >> i) & 1 == 1 { pi } else { 1.0 - pi };
@@ -93,43 +94,18 @@ struct Choice {
 ///
 /// `leaf_probs[i]` is the signal one-probability of cone leaf `i`.
 #[must_use]
-pub fn extract(eg: &mut EGraph, root: ClassId, leaf_probs: &[f64]) -> Option<Plan> {
+pub fn extract(eg: &EGraph, root: ClassId, leaf_probs: &[f64]) -> Option<Plan> {
     assert_eq!(eg.leaves(), leaf_probs.len(), "one probability per leaf");
-    let root = eg.find(root);
-    let n_classes = {
-        // Upper bound: class ids index the union-find table.
-        eg.node_entries()
-            .iter()
-            .map(|e| e.class.0 as usize + 1)
-            .max()
-            .unwrap_or(0)
-    };
+    let n_classes = eg.class_count();
     let mut best: Vec<Option<Choice>> = (0..n_classes).map(|_| None).collect();
-    // Cache each class's transition density (exact, from its tt).
+    // Cache each class's transition density (exact, from its table).
     let mut density: Vec<Option<f64>> = vec![None; n_classes];
-    let entries: Vec<(Op, Vec<ClassId>, ClassId)> = (0..eg.node_count())
-        .map(|i| {
-            let e = &eg.node_entries()[i];
-            (e.node.op, e.node.children.clone(), e.class)
-        })
-        .collect();
-    // Canonicalise up front so the fixpoint below needs no &mut.
-    let entries: Vec<(Op, Vec<ClassId>, ClassId)> = entries
-        .into_iter()
-        .map(|(op, ch, cl)| {
-            (
-                op,
-                ch.into_iter().map(|c| eg.find(c)).collect(),
-                eg.find(cl),
-            )
-        })
-        .collect();
-    let class_density = |eg: &EGraph, d: &mut Vec<Option<f64>>, c: ClassId| -> f64 {
+    let class_density = |d: &mut Vec<Option<f64>>, c: ClassId| -> f64 {
         let i = c.0 as usize;
         if let Some(v) = d[i] {
             return v;
         }
-        let p = signal_probability(eg.class_tt(c), leaf_probs);
+        let p = signal_probability(&eg.class_table(c), leaf_probs);
         let v = transition_density(p);
         d[i] = Some(v);
         v
@@ -140,19 +116,19 @@ pub fn extract(eg: &mut EGraph, root: ClassId, leaf_probs: &[f64]) -> Option<Pla
     // best wins.
     loop {
         let mut changed = false;
-        for (idx, (op, children, class)) in entries.iter().enumerate() {
-            let cost = match op {
+        for (idx, node) in eg.node_entries().iter().enumerate() {
+            let cost = match node.op {
                 Op::Var(_) | Op::Const(_) => Some(0.0),
                 Op::Not | Op::And | Op::Or | Op::Xor => None,
                 Op::Cell(cid) => {
-                    let cell = eg.library().cell(*cid).expect("cell from this library");
+                    let cell = eg.library().cell(cid).expect("cell from this library");
                     let mut total = 0.0;
                     let mut ok = true;
-                    for (pin, &ch) in children.iter().enumerate() {
+                    for (pin, &ch) in eg.children(node).iter().enumerate() {
                         match &best[ch.0 as usize] {
                             Some(choice) => {
                                 total += choice.cost
-                                    + cell.pin_cap(pin) * class_density(eg, &mut density, ch);
+                                    + cell.pin_cap(pin) * class_density(&mut density, ch);
                             }
                             None => {
                                 ok = false;
@@ -168,7 +144,7 @@ pub fn extract(eg: &mut EGraph, root: ClassId, leaf_probs: &[f64]) -> Option<Pla
                 }
             };
             if let Some(cost) = cost {
-                let slot = &mut best[class.0 as usize];
+                let slot = &mut best[node.class.0 as usize];
                 let better = match slot {
                     None => true,
                     Some(prev) => cost < prev.cost - COST_EPS,
@@ -203,15 +179,7 @@ pub fn extract(eg: &mut EGraph, root: ClassId, leaf_probs: &[f64]) -> Option<Pla
     };
     let mut memo: Vec<Option<Operand>> = vec![None; n_classes];
     let mut on_stack = vec![false; n_classes];
-    let root_op = walk(
-        eg,
-        &entries,
-        &best,
-        root,
-        &mut plan,
-        &mut memo,
-        &mut on_stack,
-    )?;
+    let root_op = walk(eg, &best, root, &mut plan, &mut memo, &mut on_stack)?;
     plan.root = root_op;
     plan.rules.sort_unstable();
     plan.rules.dedup();
@@ -221,7 +189,6 @@ pub fn extract(eg: &mut EGraph, root: ClassId, leaf_probs: &[f64]) -> Option<Pla
 /// Emits the steps implementing `class`, returning its operand.
 fn walk(
     eg: &EGraph,
-    entries: &[(Op, Vec<ClassId>, ClassId)],
     best: &[Option<Choice>],
     class: ClassId,
     plan: &mut Plan,
@@ -237,16 +204,16 @@ fn walk(
     }
     on_stack[i] = true;
     let choice = best[i].as_ref()?;
-    let (op, children, _) = &entries[choice.node];
-    let rule = eg.node_entries()[choice.node].rule;
-    let result = match op {
-        Op::Var(v) => Some(Operand::Leaf(*v)),
-        Op::Const(b) => Some(Operand::Const(*b)),
+    let node = &eg.node_entries()[choice.node];
+    let result = match node.op {
+        Op::Var(v) => Some(Operand::Leaf(v)),
+        Op::Const(b) => Some(Operand::Const(b)),
         Op::Cell(cid) => {
+            let children = eg.children(node);
             let mut operands = Vec::with_capacity(children.len());
             let mut ok = true;
             for &ch in children {
-                match walk(eg, entries, best, ch, plan, memo, on_stack) {
+                match walk(eg, best, ch, plan, memo, on_stack) {
                     Some(o) => operands.push(o),
                     None => {
                         ok = false;
@@ -255,12 +222,12 @@ fn walk(
                 }
             }
             if ok {
-                if !plan.rules.contains(&rule) {
-                    plan.rules.push(rule);
+                if !plan.rules.contains(&node.rule) {
+                    plan.rules.push(node.rule);
                 }
                 let step = plan.steps.len();
                 plan.steps.push(PlanStep {
-                    cell: *cid,
+                    cell: cid,
                     operands,
                 });
                 Some(Operand::Step(step))
@@ -281,13 +248,14 @@ fn walk(
 mod tests {
     use super::*;
     use crate::graph::RULE_SEED;
-    use crate::rules::{saturate, RuleCache, SaturationConfig};
+    use crate::rules::{saturate, RuleCache};
+    use crate::EgraphConfig;
     use powder_library::lib2;
     use std::sync::Arc;
 
     #[test]
     fn signal_probability_matches_uniform_fraction() {
-        let tt = TruthTable::var(0, 2) & TruthTable::var(1, 2);
+        let tt = ConeTable::var(0, 2) & ConeTable::var(1, 2);
         let p = signal_probability(&tt, &[0.5, 0.5]);
         assert!((p - 0.25).abs() < 1e-12);
         let skew = signal_probability(&tt, &[0.9, 0.5]);
@@ -301,12 +269,8 @@ mod tests {
         let a = eg.add(Op::Var(0), &[], RULE_SEED);
         let b = eg.add(Op::Var(1), &[], RULE_SEED);
         let root = eg.add(Op::And, &[a, b], RULE_SEED);
-        saturate(
-            &mut eg,
-            &SaturationConfig::default(),
-            &mut RuleCache::new(lib),
-        );
-        let plan = extract(&mut eg, root, &[0.5, 0.5]).expect("AND is mappable");
+        saturate(&mut eg, &EgraphConfig::default(), &mut RuleCache::new(lib));
+        let plan = extract(&eg, root, &[0.5, 0.5]).expect("AND is mappable");
         assert!(!plan.steps.is_empty());
         assert!(matches!(plan.root, Operand::Step(_)));
         assert!(plan.cost > 0.0);
@@ -319,12 +283,8 @@ mod tests {
         let a = eg.add(Op::Var(0), &[], RULE_SEED);
         let na = eg.add(Op::Not, &[a], RULE_SEED);
         let root = eg.add(Op::And, &[a, na], RULE_SEED);
-        saturate(
-            &mut eg,
-            &SaturationConfig::default(),
-            &mut RuleCache::new(lib),
-        );
-        let plan = extract(&mut eg, root, &[0.5]).expect("constant is free");
+        saturate(&mut eg, &EgraphConfig::default(), &mut RuleCache::new(lib));
+        let plan = extract(&eg, root, &[0.5]).expect("constant is free");
         assert_eq!(plan.root, Operand::Const(false));
         assert!(plan.steps.is_empty());
         assert_eq!(plan.cost, 0.0);
@@ -339,13 +299,9 @@ mod tests {
         let a = eg.add(Op::Var(0), &[], RULE_SEED);
         let b = eg.add(Op::Var(1), &[], RULE_SEED);
         let root = eg.add(Op::And, &[a, b], RULE_SEED);
-        saturate(
-            &mut eg,
-            &SaturationConfig::default(),
-            &mut RuleCache::new(lib),
-        );
-        let active = extract(&mut eg, root, &[0.5, 0.5]).unwrap();
-        let quiet = extract(&mut eg, root, &[0.02, 0.02]).unwrap();
+        saturate(&mut eg, &EgraphConfig::default(), &mut RuleCache::new(lib));
+        let active = extract(&eg, root, &[0.5, 0.5]).unwrap();
+        let quiet = extract(&eg, root, &[0.02, 0.02]).unwrap();
         assert!(quiet.cost < active.cost);
     }
 }

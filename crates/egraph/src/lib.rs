@@ -15,38 +15,41 @@
 //! oracle, and guard-style rollback/quarantine; see DESIGN.md §9.
 //!
 //! Everything here is deterministic — node tables are scanned in
-//! insertion order, class representatives are minimal ids, tie-breaks
+//! insertion order, class ids count up in creation order, tie-breaks
 //! are first-wins with a `1e-12` epsilon — so repeated runs and
 //! different `--jobs` values produce identical rewrites.
 
 pub mod cone;
 pub mod extract;
 pub mod graph;
+mod hash;
 #[cfg(test)]
 mod proptests;
 pub mod rules;
+pub mod table;
 
 pub use cone::{
     apply_plan, build_egraph, collect_cone, current_cost, plan_const_needs, plan_root_is_existing,
-    Cone, ConeGraph, ConeLimits,
+    Cone, ConeGraph, MAX_CONE_GATES,
 };
 pub use extract::{
     extract, signal_probability, transition_density, Operand, Plan, PlanStep, COST_EPS,
 };
-pub use graph::{ClassId, EGraph, ENode, NodeEntry, Op, RuleId, RULE_SEED};
-pub use rules::{saturate, RuleCache, SaturationConfig, SaturationStats, RULE_NAMES};
+pub use graph::{ClassId, EGraph, NodeEntry, Op, RuleId, RULE_SEED};
+pub use rules::{saturate, RuleCache, SaturationStats, RULE_NAMES};
+pub use table::{ConeTable, MAX_CONE_LEAVES};
 
-/// Tuning knobs for the egraph pass, carried from the CLI / job spec.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// Minimum modelled `Σ C·E` gain before a rewrite is attempted.
+pub const MIN_GAIN: f64 = 1e-9;
+
+/// Saturation bounds of the egraph pass, carried from the CLI / job
+/// spec.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EgraphConfig {
     /// Per-cone e-node budget (`--egraph-node-limit`).
     pub node_limit: usize,
     /// Per-cone saturation sweep limit (`--egraph-iters`).
     pub iter_limit: usize,
-    /// Cone collection bounds.
-    pub limits: ConeLimits,
-    /// Minimum modelled `Σ C·E` gain before a rewrite is attempted.
-    pub min_gain: f64,
 }
 
 impl Default for EgraphConfig {
@@ -54,19 +57,6 @@ impl Default for EgraphConfig {
         EgraphConfig {
             node_limit: 512,
             iter_limit: 6,
-            limits: ConeLimits::default(),
-            min_gain: 1e-9,
-        }
-    }
-}
-
-impl EgraphConfig {
-    /// The saturation bounds slice of the config.
-    #[must_use]
-    pub fn saturation(&self) -> SaturationConfig {
-        SaturationConfig {
-            node_limit: self.node_limit,
-            iter_limit: self.iter_limit,
         }
     }
 }

@@ -1,12 +1,14 @@
 //! Property-based tests: random mapped cones round-tripped through
 //! saturate → extract must preserve the root function — checked both
-//! by simulation signatures and by an exact miter proof — and random
-//! fold shapes must pack to the function a [`TruthTable`] computes.
+//! by simulation signatures and by an exact miter proof — and cone
+//! tables and random fold shapes must compute what a [`TruthTable`]
+//! computes.
 
 use crate::rules::{local_function, Shape, Variant};
 use crate::{
     apply_plan, build_egraph, collect_cone, current_cost, extract, plan_const_needs,
-    plan_root_is_existing, saturate, ClassId, ConeLimits, Op, Operand, RuleCache, SaturationConfig,
+    plan_root_is_existing, saturate, signal_probability, ClassId, ConeTable, EgraphConfig, Op,
+    Operand, RuleCache,
 };
 use powder_atpg::equiv::{check_equivalence, EquivOutcome};
 use powder_library::lib2;
@@ -62,18 +64,18 @@ proptest! {
         let (nl, root) = random_cone(inputs, &ops);
         prop_assume!(nl.validate().is_ok());
 
-        let Some(cone) = collect_cone(&nl, root, &ConeLimits::default()) else {
+        let Some(cone) = collect_cone(&nl, root) else {
             // Degenerate cone (e.g. constant-only support) — nothing to test.
             return Ok(());
         };
         let mut cg = build_egraph(&nl, &cone);
         let mut cache = RuleCache::new(Arc::clone(nl.library()));
-        let stats = saturate(&mut cg.eg, &SaturationConfig::default(), &mut cache);
-        prop_assert!(stats.nodes <= SaturationConfig::default().node_limit + 64,
+        let stats = saturate(&mut cg.eg, &EgraphConfig::default(), &mut cache);
+        prop_assert!(stats.nodes <= EgraphConfig::default().node_limit + 64,
             "node budget respected (soft overshoot of one rule batch at most)");
 
         let leaf_probs = vec![0.5; cone.leaves.len()];
-        let plan = extract(&mut cg.eg, cg.root_class, &leaf_probs)
+        let plan = extract(&cg.eg, cg.root_class, &leaf_probs)
             .expect("the seeded implementation is always extractable");
         let baseline = current_cost(&nl, &cone, &cg, &leaf_probs);
         prop_assert!(plan.cost <= baseline + 1e-9,
@@ -232,7 +234,73 @@ proptest! {
             let bits = tt.project(&support).as_words()[0] as u16;
             (support.clone(), bits)
         });
-        let got = local_function(&tt).map(|(s, k, bits)| (s[..k].to_vec(), bits));
+        let got = local_function(&ConeTable::from_truth_table(&tt), vars)
+            .map(|(s, k, bits)| (s[..k].to_vec(), bits));
         prop_assert_eq!(got, want);
+    }
+}
+
+/// The table over `vars` variables whose minterm `m` is bit `m % 64` of
+/// `words[m / 64]`.
+fn table_of(vars: usize, words: &[u64]) -> TruthTable {
+    TruthTable::from_fn(vars, |m| (words[(m / 64) as usize] >> (m % 64)) & 1 == 1)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A cone table computes what a [`TruthTable`] computes: the
+    /// constants and projections, `!`, `&`, `|` and `^`, composition
+    /// with a cell of 0 to 6 pins, and the signal probability, the last
+    /// bit for bit.
+    #[test]
+    fn cone_tables_match_truth_tables(
+        vars in 1usize..=8,
+        words in proptest::collection::vec(any::<u64>(), 8),
+        pins in 0usize..=6,
+        cell in any::<u64>(),
+        subs in proptest::collection::vec(any::<u64>(), 24),
+        probs in proptest::collection::vec(any::<u16>(), 8),
+    ) {
+        let cone = |tt: &TruthTable| ConeTable::from_truth_table(tt);
+        let one = ConeTable::one(vars);
+        prop_assert_eq!(one, cone(&TruthTable::one(vars)));
+        prop_assert_eq!(ConeTable::ZERO, cone(&TruthTable::zero(vars)));
+        for i in 0..vars {
+            prop_assert_eq!(ConeTable::var(i, vars), cone(&TruthTable::var(i, vars)));
+        }
+
+        let (ta, tb) = (table_of(vars, &words[..4]), table_of(vars, &words[4..]));
+        let (a, b) = (cone(&ta), cone(&tb));
+        prop_assert_eq!(one ^ a, cone(&!ta.clone()));
+        prop_assert_eq!(a & b, cone(&(ta.clone() & tb.clone())));
+        prop_assert_eq!(a | b, cone(&(ta.clone() | tb.clone())));
+        prop_assert_eq!(a ^ b, cone(&(ta.clone() ^ tb)));
+
+        let f = table_of(pins, &[cell]);
+        let sub_tts: Vec<TruthTable> =
+            (0..pins).map(|i| table_of(vars, &subs[4 * i..4 * i + 4])).collect();
+        let want = match pins {
+            0 if f.eval(0) => TruthTable::one(vars),
+            0 => TruthTable::zero(vars),
+            _ => f.compose(&sub_tts),
+        };
+        let got = ConeTable::compose(&f, |i| cone(&sub_tts[i]), one);
+        prop_assert_eq!(got, cone(&want));
+
+        let p: Vec<f64> = probs[..vars]
+            .iter()
+            .map(|&x| f64::from(x) / f64::from(u16::MAX))
+            .collect();
+        let mut want = 0.0;
+        for m in ta.minterms() {
+            let mut term = 1.0;
+            for (i, &pi) in p.iter().enumerate() {
+                term *= if (m >> i) & 1 == 1 { pi } else { 1.0 - pi };
+            }
+            want += term;
+        }
+        let got = signal_probability(&a, &p);
+        prop_assert!(got == want, "signal probability {} != {}", got, want);
     }
 }

@@ -1,8 +1,8 @@
 //! Rewrite rules and the bounded saturation driver.
 //!
-//! Rules only ever *add* e-nodes: because every e-class carries its
-//! exact truth table, a newly added node whose function matches an
-//! existing class is merged into it automatically ([`EGraph::add`]).
+//! Rules only ever *add* e-nodes: because every e-class is its exact
+//! function, a newly added node whose function matches an existing
+//! class joins it automatically ([`EGraph::add`]).
 //! Absorption, idempotence and constant folding therefore need no
 //! explicit rules — they are consequences of semantic congruence. The
 //! explicit rules below exist to grow *structural variety*, so the
@@ -16,11 +16,13 @@
 //! exhausted, or the iteration limit is hit. No hash map is iterated
 //! anywhere, so runs are bit-reproducible.
 
-use crate::graph::{ClassId, EGraph, Op, RuleId};
+use crate::graph::{ClassId, EGraph, Few, NodeEntry, Op, RuleId, MEMBER_CAP};
+use crate::hash::FastMap;
+use crate::table::{ConeTable, VAR_MASKS};
+use crate::EgraphConfig;
 use powder_library::{CellId, Library, Match};
 use powder_logic::minimize::minimize;
 use powder_logic::{Sop, TruthTable};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Rule id: cell decomposed into its subject-graph (SOP) form.
@@ -53,24 +55,6 @@ pub const RULE_NAMES: [&str; 9] = [
     "cell-fold",
 ];
 
-/// Bounds on a saturation run.
-#[derive(Clone, Copy, Debug)]
-pub struct SaturationConfig {
-    /// Stop once the e-graph holds this many e-nodes.
-    pub node_limit: usize,
-    /// Maximum number of rule-application sweeps.
-    pub iter_limit: usize,
-}
-
-impl Default for SaturationConfig {
-    fn default() -> Self {
-        SaturationConfig {
-            node_limit: 512,
-            iter_limit: 6,
-        }
-    }
-}
-
 /// Outcome of a saturation run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SaturationStats {
@@ -91,10 +75,12 @@ pub struct SaturationStats {
 pub struct RuleCache {
     lib: Arc<Library>,
     /// Minimized SOP of each cell function, by cell id.
-    sops: HashMap<CellId, Sop>,
+    sops: FastMap<CellId, Sop>,
     /// Library match of each function of `k ≤ 4` inputs, keyed by `k`
     /// and its truth table packed into the low `2^k` bits.
-    matches: HashMap<(u8, u16), Option<Match>>,
+    matches: FastMap<(u8, u16), Option<Match>>,
+    /// Reused term and literal classes of `cell_expand`.
+    scratch: Vec<ClassId>,
 }
 
 impl RuleCache {
@@ -103,8 +89,9 @@ impl RuleCache {
     pub fn new(lib: Arc<Library>) -> Self {
         RuleCache {
             lib,
-            sops: HashMap::new(),
-            matches: HashMap::new(),
+            sops: FastMap::default(),
+            matches: FastMap::default(),
+            scratch: Vec::new(),
         }
     }
 
@@ -128,7 +115,7 @@ impl RuleCache {
 /// # Panics
 ///
 /// Panics if `cache` was built for a different library than `eg`.
-pub fn saturate(eg: &mut EGraph, cfg: &SaturationConfig, cache: &mut RuleCache) -> SaturationStats {
+pub fn saturate(eg: &mut EGraph, cfg: &EgraphConfig, cache: &mut RuleCache) -> SaturationStats {
     assert!(
         Arc::ptr_eq(eg.library(), &cache.lib),
         "rule cache built for another library"
@@ -158,14 +145,11 @@ pub fn saturate(eg: &mut EGraph, cfg: &SaturationConfig, cache: &mut RuleCache) 
 
 /// Applies every rule to the node at table index `idx`.
 fn apply_rules(eg: &mut EGraph, idx: usize, cache: &mut RuleCache) {
-    let entry = eg.node_entries()[idx].clone();
-    let op = entry.node.op;
-    let children: Vec<ClassId> = entry.node.children.iter().map(|&c| eg.find(c)).collect();
-    let class = eg.find(entry.class);
-
-    match op {
-        Op::Cell(cid) => cell_expand(eg, cid, &children, cache),
-        Op::And | Op::Or | Op::Xor => {
+    let entry = eg.node_entries()[idx];
+    match entry.op {
+        Op::Cell(cid) => cell_expand(eg, cid, &entry, cache),
+        op @ (Op::And | Op::Or | Op::Xor) => {
+            let children = grandchildren(eg, idx as u32);
             // Commutativity.
             eg.add(op, &[children[1], children[0]], RULE_COMM);
             if op == Op::Xor {
@@ -177,52 +161,54 @@ fn apply_rules(eg: &mut EGraph, idx: usize, cache: &mut RuleCache) {
             cell_fold(eg, op, &children, cache);
         }
         Op::Not => {
-            demorgan(eg, &children);
-            cell_fold(eg, op, &children, cache);
+            let child = eg.children(&entry)[0];
+            demorgan(eg, child);
+            cell_fold(eg, Op::Not, &[child], cache);
         }
         Op::Var(_) | Op::Const(_) => {}
     }
 
-    const_fold(eg, class);
-    class_fold(eg, class, cache);
+    const_fold(eg, entry.class);
+    class_fold(eg, entry.class, cache);
 }
 
 /// Decomposes a cell instance into abstract AND/OR/NOT structure from
 /// the minimized SOP of its function. The resulting subject-graph node
 /// computes the same function, so it lands in the cell's class.
-fn cell_expand(eg: &mut EGraph, cid: CellId, children: &[ClassId], cache: &mut RuleCache) {
-    let lib = &cache.lib;
-    let sop = cache.sops.entry(cid).or_insert_with(|| {
-        let cell = lib.cell(cid).expect("cell from this library");
-        minimize(&cell.function)
-    });
-    let vars = children.len();
+fn cell_expand(eg: &mut EGraph, cid: CellId, cell: &NodeEntry, cache: &mut RuleCache) {
+    let RuleCache {
+        lib, sops, scratch, ..
+    } = cache;
+    let sop = sops
+        .entry(cid)
+        .or_insert_with(|| minimize(&lib.cell(cid).expect("cell from this library").function));
     if sop.cubes().is_empty() {
         eg.add(Op::Const(false), &[], RULE_CELL_EXPAND);
         return;
     }
-    let mut terms: Vec<ClassId> = Vec::new();
+    // Terms collect in `scratch`; each cube's literals follow them
+    // until folded into its term.
+    scratch.clear();
     for cube in sop.cubes() {
-        let mut lits: Vec<ClassId> = Vec::new();
-        for (v, &child) in children.iter().enumerate().take(vars) {
+        let terms = scratch.len();
+        for v in 0..eg.children(cell).len() {
+            let child = eg.children(cell)[v];
             match cube.literal(v) {
-                Some(true) => lits.push(child),
-                Some(false) => {
-                    let n = eg.add(Op::Not, &[child], RULE_CELL_EXPAND);
-                    lits.push(n);
-                }
+                Some(true) => scratch.push(child),
+                Some(false) => scratch.push(eg.add(Op::Not, &[child], RULE_CELL_EXPAND)),
                 None => {}
             }
         }
-        let term = match lits.split_first() {
+        let term = match scratch[terms..].split_first() {
             None => eg.add(Op::Const(true), &[], RULE_CELL_EXPAND),
             Some((&first, rest)) => rest.iter().fold(first, |acc, &l| {
                 eg.add(Op::And, &[acc, l], RULE_CELL_EXPAND)
             }),
         };
-        terms.push(term);
+        scratch.truncate(terms);
+        scratch.push(term);
     }
-    let (&first, rest) = terms.split_first().expect("at least one cube");
+    let (&first, rest) = scratch.split_first().expect("at least one cube");
     rest.iter()
         .fold(first, |acc, &t| eg.add(Op::Or, &[acc, t], RULE_CELL_EXPAND));
 }
@@ -230,13 +216,13 @@ fn cell_expand(eg: &mut EGraph, cid: CellId, children: &[ClassId], cache: &mut R
 /// `op(op(x, y), z) → op(x, op(y, z))` and the mirror, for AND/OR.
 fn assoc(eg: &mut EGraph, op: Op, children: &[ClassId]) {
     // Left child is an `op` node: rotate right.
-    for &m in &member_nodes_with_op(eg, children[0], op) {
+    for &m in &*eg.members_with_op(children[0], op) {
         let inner = grandchildren(eg, m);
         let right = eg.add(op, &[inner[1], children[1]], RULE_ASSOC);
         eg.add(op, &[inner[0], right], RULE_ASSOC);
     }
     // Right child is an `op` node: rotate left.
-    for &m in &member_nodes_with_op(eg, children[1], op) {
+    for &m in &*eg.members_with_op(children[1], op) {
         let inner = grandchildren(eg, m);
         let left = eg.add(op, &[children[0], inner[0]], RULE_ASSOC);
         eg.add(op, &[left, inner[1]], RULE_ASSOC);
@@ -245,11 +231,10 @@ fn assoc(eg: &mut EGraph, op: Op, children: &[ClassId]) {
 
 /// `!(x & y) → !x | !y` and `!(x | y) → !x & !y`; also `!!x → x` falls
 /// out of semantic congruence when the inner NOT is re-added.
-fn demorgan(eg: &mut EGraph, children: &[ClassId]) {
-    let child = children[0];
+fn demorgan(eg: &mut EGraph, child: ClassId) {
     for op in [Op::And, Op::Or] {
         let dual = if op == Op::And { Op::Or } else { Op::And };
-        for &m in &member_nodes_with_op(eg, child, op) {
+        for &m in &*eg.members_with_op(child, op) {
             let inner = grandchildren(eg, m);
             let na = eg.add(Op::Not, &[inner[0]], RULE_DEMORGAN);
             let nb = eg.add(Op::Not, &[inner[1]], RULE_DEMORGAN);
@@ -275,11 +260,11 @@ fn xor_expand(eg: &mut EGraph, children: &[ClassId]) {
 fn factor(eg: &mut EGraph, op: Op, children: &[ClassId]) {
     let dual = if op == Op::And { Op::Or } else { Op::And };
     // Pull-out: both children are `dual` nodes with a shared operand.
-    let left_duals = member_nodes_with_op(eg, children[0], dual);
-    let right_duals = member_nodes_with_op(eg, children[1], dual);
-    for &lm in &left_duals {
+    let left_duals = eg.members_with_op(children[0], dual);
+    let right_duals = eg.members_with_op(children[1], dual);
+    for &lm in &*left_duals {
         let lk = grandchildren(eg, lm);
-        for &rm in &right_duals {
+        for &rm in &*right_duals {
             let rk = grandchildren(eg, rm);
             for (li, ri) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
                 if lk[li] == rk[ri] {
@@ -292,7 +277,7 @@ fn factor(eg: &mut EGraph, op: Op, children: &[ClassId]) {
     }
     // Distribute: one child is a `dual` node.
     for (fixed, varying) in [(children[0], children[1]), (children[1], children[0])] {
-        for &m in &member_nodes_with_op(eg, varying, dual) {
+        for &m in &*eg.members_with_op(varying, dual) {
             let inner = grandchildren(eg, m);
             let l = eg.add(op, &[fixed, inner[0]], RULE_FACTOR);
             let r = eg.add(op, &[fixed, inner[1]], RULE_FACTOR);
@@ -304,45 +289,23 @@ fn factor(eg: &mut EGraph, op: Op, children: &[ClassId]) {
 /// Adds a constant node to a class whose function is constant, so the
 /// extractor can realise it for free.
 fn const_fold(eg: &mut EGraph, class: ClassId) {
-    let tt = eg.class_tt(class).clone();
+    let tt = eg.class_table(class);
     if tt.is_zero() {
         eg.add(Op::Const(false), &[], RULE_CONST_FOLD);
-    } else if tt.is_one() {
+    } else if tt == ConeTable::one(eg.leaves()) {
         eg.add(Op::Const(true), &[], RULE_CONST_FOLD);
     }
 }
 
-/// Cap on class members enumerated when expanding shapes, to bound the
-/// cross product of depth-2 matching.
-const MEMBER_CAP: usize = 3;
-
-/// Node-table indices of members of `class` whose op is `op`, capped at
-/// [`MEMBER_CAP`], in insertion order.
-fn member_nodes_with_op(eg: &EGraph, class: ClassId, op: Op) -> Vec<usize> {
-    eg.class_nodes(class)
-        .iter()
-        .copied()
-        .filter(|&i| eg.node_entries()[i].node.op == op)
-        .take(MEMBER_CAP)
-        .collect()
+/// The two child classes of the binary node at table index `idx`.
+fn grandchildren(eg: &EGraph, idx: u32) -> [ClassId; 2] {
+    let kids = eg.children(&eg.node_entries()[idx as usize]);
+    [kids[0], kids[1]]
 }
 
-/// Canonical child classes of the node at table index `idx`.
-fn grandchildren(eg: &mut EGraph, idx: usize) -> Vec<ClassId> {
-    let kids = eg.node_entries()[idx].node.children.clone();
-    kids.into_iter().map(|c| eg.find(c)).collect()
-}
-
-/// Projection masks of variables 0..6 within one 64-bit table word; the
-/// low 16 bits are the 4-variable tables fold shapes are packed into.
-const VAR_MASKS: [u64; 6] = [
-    0xAAAA_AAAA_AAAA_AAAA,
-    0xCCCC_CCCC_CCCC_CCCC,
-    0xF0F0_F0F0_F0F0_F0F0,
-    0xFF00_FF00_FF00_FF00,
-    0xFFFF_0000_FFFF_0000,
-    0xFFFF_FFFF_0000_0000,
-];
+/// Variants a child class offers a fold shape: itself, plus up to
+/// [`MEMBER_CAP`] members of each of the four abstract ops.
+const MAX_VARIANTS: usize = 1 + 4 * MEMBER_CAP;
 
 /// One child of a fold shape's root: a class used as-is, or one of its
 /// abstract members expanded one level.
@@ -444,14 +407,15 @@ fn gate(op: Op, a: u16, b: u16) -> u16 {
 
 /// One-level variants of a child class: the class itself, plus each of
 /// its first few abstract-op members expanded one level.
-fn child_variants(eg: &EGraph, class: ClassId) -> Vec<Variant> {
-    let mut out = vec![Variant::Leaf(class)];
+fn child_variants(eg: &EGraph, class: ClassId) -> Few<Variant, MAX_VARIANTS> {
+    let mut out = Few::new(Variant::Leaf(class));
+    out.push(Variant::Leaf(class));
     for op in [Op::Not, Op::And, Op::Or, Op::Xor] {
-        for m in member_nodes_with_op(eg, class, op) {
-            let kids = &eg.node_entries()[m].node.children;
+        for &m in &*eg.members_with_op(class, op) {
+            let kids = eg.children(&eg.node_entries()[m as usize]);
             out.push(match op {
-                Op::Not => Variant::Not(eg.find_ref(kids[0])),
-                _ => Variant::Gate(op, eg.find_ref(kids[0]), eg.find_ref(kids[1])),
+                Op::Not => Variant::Not(kids[0]),
+                _ => Variant::Gate(op, kids[0], kids[1]),
             });
         }
     }
@@ -464,15 +428,15 @@ fn child_variants(eg: &EGraph, class: ClassId) -> Vec<Variant> {
 fn cell_fold(eg: &mut EGraph, op: Op, children: &[ClassId], cache: &mut RuleCache) {
     match op {
         Op::Not => {
-            for v in child_variants(eg, children[0]) {
+            for &v in &*child_variants(eg, children[0]) {
                 try_match_shape(eg, Shape::Not(v), cache);
             }
         }
         Op::And | Op::Or | Op::Xor => {
             let left = child_variants(eg, children[0]);
             let right = child_variants(eg, children[1]);
-            for &l in &left {
-                for &r in &right {
+            for &l in &*left {
+                for &r in &*right {
                     try_match_shape(eg, Shape::Gate(op, l, r), cache);
                 }
             }
@@ -497,8 +461,8 @@ fn try_match_shape(eg: &mut EGraph, shape: Shape, cache: &mut RuleCache) {
     }
 }
 
-/// Whether the table `words` (the words of a [`TruthTable`]) depends on
-/// variable `v`: its two cofactors differ.
+/// Whether the table `words` (the words of a [`ConeTable`], or a packed
+/// shape table) depends on variable `v`: its two cofactors differ.
 fn depends_on(words: &[u64], v: usize) -> bool {
     if v < 6 {
         let lo = !VAR_MASKS[v];
@@ -511,14 +475,14 @@ fn depends_on(words: &[u64], v: usize) -> bool {
     }
 }
 
-/// The function of `tt` over its support when that has 1 to 4
-/// variables: the support (ascending, `support[..k]` used), `k`, and
-/// the packed local table.
-pub(crate) fn local_function(tt: &TruthTable) -> Option<([usize; 4], usize, u16)> {
-    let words = tt.as_words();
+/// The function of `tt`, a table over `vars` variables, over its
+/// support when that has 1 to 4 variables: the support (ascending,
+/// `support[..k]` used), `k`, and the packed local table.
+pub(crate) fn local_function(tt: &ConeTable, vars: usize) -> Option<([usize; 4], usize, u16)> {
+    let words = tt.words();
     let mut support = [0usize; 4];
     let mut k = 0;
-    for v in 0..tt.vars() {
+    for v in 0..vars {
         if depends_on(words, v) {
             if k == 4 {
                 return None;
@@ -543,7 +507,7 @@ pub(crate) fn local_function(tt: &TruthTable) -> Option<([usize; 4], usize, u16)
 /// Tries to implement an entire class as a single cell over the cone
 /// leaves, when its function depends on few enough leaves.
 fn class_fold(eg: &mut EGraph, class: ClassId, cache: &mut RuleCache) {
-    let Some((support, k, bits)) = local_function(eg.class_tt(class)) else {
+    let Some((support, k, bits)) = local_function(&eg.class_table(class), eg.leaves()) else {
         return;
     };
     if let Some(m) = cache.lookup(k, bits) {
@@ -571,7 +535,7 @@ mod tests {
         eg.add(Op::And, &[a, b], SEED);
         let stats = saturate(
             &mut eg,
-            &SaturationConfig {
+            &EgraphConfig {
                 node_limit: 400,
                 iter_limit: 10,
             },
@@ -588,15 +552,11 @@ mod tests {
         let a = eg.add(Op::Var(0), &[], SEED);
         let b = eg.add(Op::Var(1), &[], SEED);
         let and = eg.add(Op::And, &[a, b], SEED);
-        saturate(
-            &mut eg,
-            &SaturationConfig::default(),
-            &mut RuleCache::new(lib),
-        );
+        saturate(&mut eg, &EgraphConfig::default(), &mut RuleCache::new(lib));
         let has_cell = eg
-            .class_nodes(and)
+            .node_entries()
             .iter()
-            .any(|&i| matches!(eg.node_entries()[i].node.op, Op::Cell(_)));
+            .any(|e| e.class == and && matches!(e.op, Op::Cell(_)));
         assert!(has_cell, "AND class should gain a mapped-cell member");
     }
 
@@ -611,11 +571,7 @@ mod tests {
             let ab = eg.add(Op::And, &[a, b], SEED);
             let ac = eg.add(Op::And, &[a, c], SEED);
             eg.add(Op::Or, &[ab, ac], SEED);
-            let stats = saturate(
-                &mut eg,
-                &SaturationConfig::default(),
-                &mut RuleCache::new(lib),
-            );
+            let stats = saturate(&mut eg, &EgraphConfig::default(), &mut RuleCache::new(lib));
             (stats.nodes, stats.classes, stats.iters)
         };
         assert_eq!(build(), build());

@@ -33,6 +33,7 @@ use powder_atpg::{check_substitution, CheckOutcome};
 use powder_egraph::{
     apply_plan, build_egraph, collect_cone, current_cost, extract, plan_const_needs,
     plan_root_is_existing, saturate, Cone, EgraphConfig, EgraphReport, Operand, Plan, RuleCache,
+    MIN_GAIN,
 };
 use powder_netlist::{GateId, GateKind};
 use powder_obs as obs;
@@ -46,7 +47,7 @@ const POWER_EPS: f64 = 1e-12;
 /// The equality-saturation rewriting pass.
 #[derive(Clone, Debug, Default)]
 pub struct EgraphPass {
-    /// Saturation, cone, and gain bounds.
+    /// Saturation bounds.
     pub config: EgraphConfig,
 }
 
@@ -75,7 +76,7 @@ enum Reject {
     NoCone,
     /// The extractor found no implementable plan.
     NoPlan,
-    /// The plan does not beat the cone's modelled cost by `min_gain`.
+    /// The plan does not beat the cone's modelled cost by [`MIN_GAIN`].
     NoGain,
     /// The plan's rule chain was quarantined earlier in the pass.
     Quarantined,
@@ -180,12 +181,12 @@ fn try_rewrite(
     // Saturate the cone and extract the cheapest implementation.
     let (cone, plan, old_cost) = {
         let (nl, est) = sess.analyses();
-        let Some(cone) = collect_cone(nl, root, &cfg.limits) else {
+        let Some(cone) = collect_cone(nl, root) else {
             return Verdict::Rejected(Reject::NoCone);
         };
         let leaf_probs: Vec<f64> = cone.leaves.iter().map(|&l| est.probability(l)).collect();
         let mut cg = build_egraph(nl, &cone);
-        let stats = saturate(&mut cg.eg, &cfg.saturation(), cache);
+        let stats = saturate(&mut cg.eg, cfg, cache);
         er.cones += 1;
         er.iters += stats.iters;
         er.nodes += stats.nodes;
@@ -199,12 +200,12 @@ fn try_rewrite(
         )
         .observe(stats.nodes as u64);
         let old_cost = current_cost(nl, &cone, &cg, &leaf_probs);
-        let Some(plan) = extract(&mut cg.eg, cg.root_class, &leaf_probs) else {
+        let Some(plan) = extract(&cg.eg, cg.root_class, &leaf_probs) else {
             return Verdict::Rejected(Reject::NoPlan);
         };
         (cone, plan, old_cost)
     };
-    if old_cost - plan.cost <= cfg.min_gain {
+    if old_cost - plan.cost <= MIN_GAIN {
         return Verdict::Rejected(Reject::NoGain);
     }
     if quarantined_chains.contains(&plan.rules) {
