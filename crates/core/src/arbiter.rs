@@ -40,24 +40,22 @@
 use crate::gain::{analyze_fast_with, analyze_full_with, GainScratch};
 use crate::guard::{adaptive_backtrack, deadline_exceeded, guarded_apply};
 use crate::optimizer::{
-    candidate_alive, stop_requested, substitution_timing, DelayLimit, OptimizeConfig,
-    RoundSnapshot, SharedAnalyses,
+    candidate_alive, stop_requested, substitution_timing, DelayLimit, OptimizeConfig, RoundSnapshot,
 };
 use crate::report::{
     AppliedSubstitution, GuardStats, OptimizeReport, PhaseTimes, QuarantinedCandidate, SubClass,
 };
+use crate::session::AnalysisSession;
 use powder_atpg::{
     generate_candidates_scoped, CandidateScope, CheckArena, CheckOutcome, Substitution,
 };
 use powder_engine::{
-    pool::batch_by_key, DirtyBits, EngineStats, Footprint, FootprintScratch, SessionStats,
-    WorkerPool,
+    pool::batch_by_key, DirtyBits, EngineStats, Footprint, FootprintScratch, WorkerPool,
 };
 use powder_faults::{fires, SITE_ATPG_ABORT};
-use powder_netlist::{ConeScratch, GateId, Netlist};
+use powder_netlist::Netlist;
 use powder_obs as obs;
 use powder_power::PowerEstimator;
-use powder_sim::simulate;
 use powder_timing::{TimingAnalysis, TimingConfig};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
@@ -169,23 +167,19 @@ fn plan_proof_batch(
     plan
 }
 
-/// Runs POWDER on the whole netlist, or on the window `scope` names
-/// (the windowed driver's inner runs), with `config.jobs` workers; the
-/// decisions do not depend on the worker count.
+/// Runs POWDER on the session's whole netlist, or on the window `scope`
+/// names (the windowed driver's inner runs), with `config.jobs` workers;
+/// the decisions do not depend on the worker count. Every commit is
+/// repaired by the session's own repair, so the session's analyses stay
+/// consistent with the edited netlist throughout.
 pub(crate) fn power_optimize(
-    nl: &mut Netlist,
+    sess: &mut AnalysisSession,
     config: &OptimizeConfig,
-    shared: &mut SharedAnalyses,
     scope: Option<&CandidateScope>,
 ) -> OptimizeReport {
     let t0 = Instant::now();
+    let stats_before = sess.stats;
     let jobs = powder_engine::resolve_jobs(config.jobs);
-    let SharedAnalyses {
-        covers,
-        est,
-        patterns,
-        values,
-    } = shared;
     let pool = WorkerPool::new(jobs).with_faults(config.faults.clone());
     obs::gauge!(obs::names::ENGINE_JOBS).set(jobs as f64);
     // A speculative proof batch covers the next few ATPG decisions; a
@@ -204,30 +198,28 @@ pub(crate) fn power_optimize(
         (1, 0)
     };
 
-    let initial_power = est.circuit_power(nl);
-    let initial_area = nl.area();
+    let initial_power = sess.est.circuit_power(&sess.nl);
+    let initial_area = sess.nl.area();
     let output_load = config.power.output_load;
 
     let probe_cfg = TimingConfig {
         output_load,
         required_time: None,
     };
-    let initial_delay = TimingAnalysis::new(nl, &probe_cfg).circuit_delay();
+    let initial_delay = TimingAnalysis::new(&sess.nl, &probe_cfg).circuit_delay();
     let required_time = config.delay_limit.map(|dl| match dl {
         DelayLimit::Absolute(t) => t,
         DelayLimit::Factor(f) => f * initial_delay,
     });
-    let sta_cfg = TimingConfig {
-        output_load,
-        required_time,
-    };
-    let mut sta = required_time.map(|_| TimingAnalysis::new(nl, &sta_cfg));
-
-    // The journal may hold records from netlist construction or earlier
-    // caller edits; the shared analyses reflect the current state (fresh
-    // from `SharedAnalyses::new` or refreshed by the owning session), so
-    // incremental tracking starts from a clean slate.
-    nl.drain_dirty();
+    // A constrained run reads (and its commits repair) the session's
+    // timing view at its required time; an unconstrained one drops any
+    // cached view so that no commit repairs it for nothing.
+    match required_time {
+        Some(t) => {
+            sess.timed_analyses(t);
+        }
+        None => sess.sta = None,
+    }
 
     let mut applied: Vec<AppliedSubstitution> = Vec::new();
     let mut rounds = 0usize;
@@ -235,19 +227,16 @@ pub(crate) fn power_optimize(
     let mut atpg_rejections = 0usize;
     let mut delay_rejections = 0usize;
     let mut phase = PhaseTimes::default();
-    let mut inc = SessionStats::default();
     let mut engine = EngineStats {
         jobs,
         ..EngineStats::default()
     };
 
     // Retained values (possibly carried in from an earlier pass) are
-    // refreshed over dirty cones after commits and fully regenerated
+    // repaired over dirty cones after commits and fully regenerated
     // only when the pattern set itself changes (a learned ATPG
     // counterexample).
     let mut patterns_stale = false;
-    let mut cone_scratch = ConeScratch::new();
-    let mut cone: Vec<GateId> = Vec::new();
     // Per-worker scratch, kept for the whole run: gain scoring allocates
     // nothing per candidate, and a proof arena rebuilds its miter base
     // only when the netlist (or the window scope) changed.
@@ -290,19 +279,18 @@ pub(crate) fn power_optimize(
         let _round_span = obs::span!(obs::names::span::ROUND);
         obs::counter!(obs::names::OPTIMIZER_ROUNDS).inc();
         let t = Instant::now();
-        if patterns_stale || values.is_none() {
+        if patterns_stale || sess.values.is_none() {
             let _span = obs::span!(obs::names::span::PHASE_SIMULATION);
-            *values = Some(simulate(nl, covers, patterns));
+            sess.values = None;
+            sess.signatures();
             patterns_stale = false;
-            inc.full_resims += 1;
-            obs::counter!(obs::names::ANALYSIS_SIM_FULL).inc();
         }
         phase.simulation += t.elapsed().as_secs_f64();
         let t = Instant::now();
         let cands = {
             let _span = obs::span!(obs::names::span::PHASE_CANDIDATES);
-            let values = values.as_ref().expect("simulated above");
-            generate_candidates_scoped(nl, covers, values, &config.candidates, scope)
+            let values = sess.values.as_ref().expect("simulated above");
+            generate_candidates_scoped(&sess.nl, &sess.covers, values, &config.candidates, scope)
         };
         phase.candidates += t.elapsed().as_secs_f64();
         if cands.is_empty() {
@@ -313,8 +301,8 @@ pub(crate) fn power_optimize(
         let t = Instant::now();
         let fast: Vec<Option<f64>> = {
             let _span = obs::span!(obs::names::span::PHASE_GAIN);
-            let nl_snap: &Netlist = &*nl;
-            let est_ref: &PowerEstimator = est;
+            let nl_snap: &Netlist = &sess.nl;
+            let est_ref: &PowerEstimator = &sess.est;
             let batches = batch_by_key(
                 (0..cands.len() as u32).map(|i| (i, cands[i as usize].substituted_stem(nl_snap))),
                 FAST_BATCH,
@@ -381,7 +369,7 @@ pub(crate) fn power_optimize(
                     let s = &scored[i].0;
                     if quarantine.contains(s) {
                         consumed[i] = true;
-                    } else if !candidate_alive(nl, s) || !s.is_structurally_valid(nl) {
+                    } else if !candidate_alive(&sess.nl, s) || !s.is_structurally_valid(&sess.nl) {
                         consumed[i] = true;
                         engine.filtered += 1;
                         obs::counter!(obs::names::ENGINE_FILTERED).inc();
@@ -408,7 +396,7 @@ pub(crate) fn power_optimize(
                 while j < n && seen_live < lookahead {
                     if !consumed[j] {
                         let s = &scored[j].0;
-                        if candidate_alive(nl, s) && s.is_structurally_valid(nl) {
+                        if candidate_alive(&sess.nl, s) && s.is_structurally_valid(&sess.nl) {
                             seen_live += 1;
                             if !gain_memo.contains_key(s) {
                                 want.push(*s);
@@ -422,8 +410,8 @@ pub(crate) fn power_optimize(
                 let t = Instant::now();
                 let _span = obs::span!(obs::names::span::PHASE_GAIN);
                 let results = {
-                    let nl_snap: &Netlist = &*nl;
-                    let est_ref: &PowerEstimator = est;
+                    let nl_snap: &Netlist = &sess.nl;
+                    let est_ref: &PowerEstimator = &sess.est;
                     let batches = batch_by_key(
                         (0u32..)
                             .zip(&want)
@@ -491,13 +479,15 @@ pub(crate) fn power_optimize(
             consumed[idx] = true;
 
             // check_delay (Section 3.4) — always live: timing state is
-            // cheap to query and changes with every commit.
-            if let Some(sta_ref) = &sta {
+            // cheap to query and changes with every commit. The view is
+            // rebuilt here if a guard rollback dropped it.
+            if let Some(required) = required_time {
                 let t = Instant::now();
                 let ok = {
                     let _span = obs::span!(obs::names::span::PHASE_TIMING);
-                    let timing = substitution_timing(nl, sta_ref, &sub, output_load);
-                    sta_ref.check_substitution(&timing)
+                    let (nl, _, sta) = sess.timed_analyses(required);
+                    let timing = substitution_timing(nl, sta, &sub, output_load);
+                    sta.check_substitution(&timing)
                 };
                 phase.timing += t.elapsed().as_secs_f64();
                 if !ok {
@@ -518,8 +508,10 @@ pub(crate) fn power_optimize(
             } else {
                 let t = Instant::now();
                 let _span = obs::span!(obs::names::span::PHASE_ATPG);
+                // A constrained run checked this candidate's delay just
+                // above, so its timing view is present.
                 let plan = plan_proof_batch(
-                    nl,
+                    &sess.nl,
                     &scored,
                     &gain_memo,
                     &consumed,
@@ -527,7 +519,7 @@ pub(crate) fn power_optimize(
                     cursor,
                     idx,
                     rejections_this_round,
-                    sta.as_ref(),
+                    sess.sta.as_ref(),
                     output_load,
                     config,
                     proof_batch,
@@ -538,7 +530,7 @@ pub(crate) fn power_optimize(
                     .filter(|s| !proof_memo.contains_key(s))
                     .collect();
                 let results = {
-                    let nl_snap: &Netlist = &*nl;
+                    let nl_snap: &Netlist = &sess.nl;
                     let bl = adaptive_backtrack(config.backtrack_limit, t0, config.deadline);
                     let faults = config.faults.clone();
                     // Windowed runs prove on window-local cones: the
@@ -596,30 +588,28 @@ pub(crate) fn power_optimize(
                 CheckOutcome::Permissible => {
                     let t_apply = Instant::now();
                     let apply_span = obs::span!(obs::names::span::PHASE_APPLY);
-                    let power_before = est.total_power();
-                    let area_before = nl.area();
-                    // Transactional apply: checkpoint, edit, verify the
-                    // dirty cone's primary outputs, roll back and
-                    // quarantine on mismatch. One shared dirty region
-                    // drives every analysis refresh below. On the Err
-                    // path the netlist (journal generation included) is
+                    let power_before = sess.est.total_power();
+                    let area_before = sess.nl.area();
+                    // Transactional apply: checkpoint, edit, repair the
+                    // session's analyses over the dirty cone, whose
+                    // re-simulation verifies the primary outputs; roll
+                    // back and quarantine on mismatch. On the Err path
+                    // the netlist (journal generation included) is
                     // bit-identical to before the apply, so no memoized
                     // result needs invalidating.
-                    let region = match guarded_apply(
-                        nl,
+                    let guarded = guarded_apply(
+                        sess,
                         &sub,
-                        covers,
-                        values.as_mut(),
                         config.backtrack_limit,
                         config.faults.as_ref(),
-                        &mut cone_scratch,
-                        &mut cone,
                         &mut guard_stats,
-                    ) {
+                    );
+                    let power_after = sess.est.total_power();
+                    drop(apply_span);
+                    phase.apply += t_apply.elapsed().as_secs_f64();
+                    let region = match guarded {
                         Ok(region) => region,
                         Err(q) => {
-                            drop(apply_span);
-                            phase.apply += t_apply.elapsed().as_secs_f64();
                             quarantine.insert(q.substitution);
                             quarantined_list.push(q);
                             rejections_this_round += 1;
@@ -627,50 +617,16 @@ pub(crate) fn power_optimize(
                         }
                     };
                     obs::counter!(obs::names::OPTIMIZER_COMMITS).inc();
-                    obs::counter!(obs::names::ANALYSIS_REFRESHES).inc();
-                    obs::histogram!(
-                        obs::names::ANALYSIS_CONE_GATES,
-                        obs::names::CONE_GATES_BOUNDS
-                    )
-                    .observe(cone.len() as u64);
-                    est.retire_gates(region.removed());
-                    est.update_cone(nl, &cone);
-                    inc.incremental_power_updates += 1;
-                    obs::counter!(obs::names::ANALYSIS_POWER_INCREMENTAL).inc();
-                    let power_after = est.total_power();
-                    drop(apply_span);
-                    phase.apply += t_apply.elapsed().as_secs_f64();
                     applied.push(AppliedSubstitution {
                         substitution: sub,
                         class: SubClass::of(&sub),
                         power_saved: power_before - power_after,
-                        area_delta: nl.area() - area_before,
+                        area_delta: sess.nl.area() - area_before,
                     });
-                    if values.is_some() {
-                        // The guard already resimulated the cone as
-                        // part of its verification.
-                        inc.incremental_resims += 1;
-                        obs::counter!(obs::names::ANALYSIS_SIM_INCREMENTAL).inc();
-                    }
-                    if let Some(sta_ref) = sta.as_mut() {
-                        let t = Instant::now();
-                        let _span = obs::span!(obs::names::span::PHASE_TIMING);
-                        sta_ref.update(nl, &region);
-                        inc.incremental_sta_updates += 1;
-                        obs::counter!(obs::names::ANALYSIS_STA_INCREMENTAL).inc();
-                        phase.timing += t.elapsed().as_secs_f64();
-                    }
+                    // A counterexample learned earlier this round grew
+                    // the pattern set past the retained values.
                     #[cfg(test)]
-                    crate::optimizer::cross_check_state(
-                        nl,
-                        covers,
-                        patterns,
-                        est,
-                        // A counterexample learned earlier this round
-                        // grew the pattern set past the retained values.
-                        values.as_ref().filter(|_| !patterns_stale),
-                        sta.as_ref(),
-                    );
+                    crate::optimizer::cross_check_state(sess, !patterns_stale);
                     // Invalidate exactly the memoized results that read
                     // what this commit wrote. Gains read the
                     // estimator's probabilities, which shift all the
@@ -684,7 +640,7 @@ pub(crate) fn power_optimize(
                     let dirty = DirtyBits::from_commit(
                         region.touched().iter().copied(),
                         region.removed(),
-                        &cone,
+                        &sess.cone,
                     );
                     let structural = DirtyBits::from_commit(
                         region.touched().iter().copied(),
@@ -720,8 +676,11 @@ pub(crate) fn power_optimize(
                     // circuits, so adding it to the pattern set kills
                     // this candidate class in future rounds. Memoized
                     // gains and proofs do not read the pattern set, so
-                    // nothing invalidates.
-                    patterns.push_pattern(&witness);
+                    // nothing invalidates. The retained values keep
+                    // verifying this round's commits under the old
+                    // set; masks under them would be stale.
+                    sess.patterns.push_pattern(&witness);
+                    sess.masks = None;
                     patterns_stale = true;
                     learned = true;
                 }
@@ -745,8 +704,8 @@ pub(crate) fn power_optimize(
         if let Some(hook) = &config.round_hook {
             hook.call(RoundSnapshot {
                 rounds_done: rounds,
-                nl,
-                patterns,
+                nl: &sess.nl,
+                patterns: &sess.patterns,
                 commits: applied.len(),
                 required_time,
             });
@@ -759,11 +718,10 @@ pub(crate) fn power_optimize(
         }
     }
 
-    // Uphold the shared-analyses contract: retained values must match
-    // the pattern set exactly, and learned counterexamples grew
-    // `patterns` past the buffer.
+    // Retained values must match the pattern set exactly, and learned
+    // counterexamples grew it past the buffer.
     if patterns_stale {
-        *values = None;
+        sess.values = None;
     }
 
     // Fold the pool's containment counters into the run's engine stats.
@@ -772,12 +730,12 @@ pub(crate) fn power_optimize(
     engine.quarantined_batches += resilience.quarantined_batches() as usize;
     engine.degraded_phases += resilience.degraded_phases() as usize;
 
-    let final_delay = TimingAnalysis::new(nl, &probe_cfg).circuit_delay();
+    let final_delay = TimingAnalysis::new(&sess.nl, &probe_cfg).circuit_delay();
     OptimizeReport {
         initial_power,
-        final_power: est.circuit_power(nl),
+        final_power: sess.est.circuit_power(&sess.nl),
         initial_area,
-        final_area: nl.area(),
+        final_area: sess.nl.area(),
         initial_delay,
         final_delay,
         applied,
@@ -787,7 +745,7 @@ pub(crate) fn power_optimize(
         delay_rejections,
         cpu_seconds: t0.elapsed().as_secs_f64(),
         phase,
-        incremental: inc,
+        incremental: sess.stats.delta(&stats_before),
         jobs,
         engine,
         guard: guard_stats,

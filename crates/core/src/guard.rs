@@ -5,27 +5,28 @@
 //! is applied — but the proof, the incremental analyses, and the apply
 //! machinery are all software, and on a multi-hour run a single wrong
 //! answer silently corrupts the output netlist. The guard makes each
-//! commit transactional: a cheap [`Netlist::checkpoint`] over the
-//! edit's conservative write set, the edit itself, then an
-//! *independent* post-apply verification — the dirty cone is
-//! re-simulated and every primary output inside it must keep its
-//! signature (a permissible substitution cannot change any PO under any
-//! pattern). On mismatch the commit rolls back bit-for-bit, the
-//! candidate is re-checked by ATPG at an escalated budget to classify
-//! the failure, and it is quarantined for the rest of the run.
+//! commit transactional: a cheap session checkpoint over the edit's
+//! conservative write set, the edit itself, then a post-apply
+//! verification that rides the session's repair — its cone
+//! re-simulation, independent of the proof, reports whether any primary
+//! output changed its signature (a permissible substitution cannot
+//! change any PO under any pattern). On mismatch the commit rolls back
+//! bit-for-bit, the candidate is re-checked by ATPG at an escalated
+//! budget to classify the failure, and it is quarantined for the rest of
+//! the run.
 //!
 //! With fault injection disabled and a healthy stack the verification
 //! always passes, so guarded runs stay bit-identical to unguarded ones;
-//! the cost is one cone re-simulation that the incremental path already
-//! paid plus `O(write set)` gate clones per commit.
+//! the cost is one comparison per primary output the repair re-simulates
+//! plus `O(write set)` gate clones per commit.
 
 use crate::apply::apply_substitution;
 use crate::report::{GuardStats, QuarantineReason, QuarantinedCandidate, SubClass};
+use crate::session::AnalysisSession;
 use powder_atpg::{check_substitution, CheckOutcome, Substitution};
 use powder_faults::{fires, FaultState, SITE_VERIFY_MISMATCH};
-use powder_netlist::{ConeScratch, DirtyRegion, GateId, GateKind, Netlist};
+use powder_netlist::{DirtyRegion, GateId, GateKind, Netlist};
 use powder_obs as obs;
-use powder_sim::{resimulate_cone, CellCovers, SimValues};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
@@ -95,58 +96,42 @@ pub(crate) fn write_set(nl: &Netlist, sub: &Substitution) -> Vec<GateId> {
     set
 }
 
-/// Applies `sub` transactionally: checkpoint, apply, drain the dirty
-/// region, compute its cone into `cone`, then (when retained simulation
-/// values exist) re-simulate the cone and verify that no primary output
-/// inside it changed its signature.
+/// Applies `sub` transactionally: checkpoint the write set, apply, and
+/// repair the session's analyses (the repair every pass uses), whose
+/// cone re-simulation reports whether a primary output's signature
+/// changed. When retained simulation values exist, such a change (or
+/// the `verify-mismatch` fault site) is a mismatch.
 ///
-/// On success the caller proceeds exactly as with a bare apply — the
-/// region is returned, `cone` holds the refreshed cone in topological
-/// order, and `values` (if any) are already re-simulated over it. On a
-/// verification mismatch the netlist and values are restored
-/// bit-for-bit (the journal generation included, so epoch-keyed caches
-/// stay valid), the candidate is re-proved at an escalated ATPG budget
-/// to classify the failure, and the quarantine record is returned.
-#[allow(clippy::too_many_arguments)]
+/// On success the caller proceeds exactly as after a bare apply: the
+/// drained region is returned, and `sess.cone` holds its repaired cone in
+/// topological order. On a mismatch the session rolls back to the
+/// checkpoint — the netlist bit-for-bit (the journal generation
+/// included, so epoch-keyed caches stay valid), probabilities and
+/// signatures repaired over the restored cone, the timing view dropped —
+/// the candidate is re-proved at an escalated ATPG budget to classify
+/// the failure, and the quarantine record is returned.
 pub(crate) fn guarded_apply(
-    nl: &mut Netlist,
+    sess: &mut AnalysisSession,
     sub: &Substitution,
-    covers: &CellCovers,
-    values: Option<&mut SimValues>,
     backtrack_limit: usize,
     faults: Option<&Arc<FaultState>>,
-    cone_scratch: &mut ConeScratch,
-    cone: &mut Vec<GateId>,
     stats: &mut GuardStats,
 ) -> Result<DirtyRegion, QuarantinedCandidate> {
-    let roots = write_set(nl, sub);
-    let cp = nl.checkpoint(&roots);
-    apply_substitution(nl, sub);
-    let region = nl.drain_dirty();
-    cone.clear();
-    cone_scratch.cone_topo(nl, region.touched().iter().copied(), cone);
+    let roots = write_set(&sess.nl, sub);
+    let cp = sess.checkpoint(&roots);
+    apply_substitution(&mut sess.nl, sub);
+    let (region, po_changed) = sess
+        .repair()
+        .expect("an applied substitution journals its edits");
 
-    let Some(values) = values else {
+    if sess.values.is_none() {
         // No retained signatures to check against — count it so a run
         // that silently skipped every verification is visible.
         stats.skipped += 1;
         obs::counter!(obs::names::GUARD_SKIPPED).inc();
         return Ok(region);
-    };
-
-    let saved = values.save(cone);
-    let po_before: Vec<(GateId, Vec<u64>)> = cone
-        .iter()
-        .filter(|&&g| matches!(nl.kind(g), GateKind::Output) && (g.0 as usize) < values.id_bound())
-        .map(|&g| (g, values.get(g).to_vec()))
-        .collect();
-    resimulate_cone(nl, covers, values, cone);
-
-    let mismatch = fires(faults, SITE_VERIFY_MISMATCH)
-        || po_before
-            .iter()
-            .any(|(g, before)| values.get(*g) != &before[..]);
-    if !mismatch {
+    }
+    if !fires(faults, SITE_VERIFY_MISMATCH) && !po_changed {
         stats.verified += 1;
         obs::counter!(obs::names::GUARD_VERIFIED).inc();
         return Ok(region);
@@ -154,8 +139,7 @@ pub(crate) fn guarded_apply(
 
     stats.mismatches += 1;
     obs::counter!(obs::names::GUARD_MISMATCHES).inc();
-    values.restore(&saved);
-    nl.rollback(cp);
+    sess.rollback(cp);
     stats.rollbacks += 1;
     obs::counter!(obs::names::GUARD_ROLLBACKS).inc();
 
@@ -164,7 +148,7 @@ pub(crate) fn guarded_apply(
     stats.escalations += 1;
     obs::counter!(obs::names::GUARD_ESCALATIONS).inc();
     let budget = backtrack_limit.saturating_mul(ESCALATION_FACTOR).max(1);
-    let reason = match check_substitution(nl, sub, budget) {
+    let reason = match check_substitution(&sess.nl, sub, budget) {
         CheckOutcome::Permissible => QuarantineReason::Inconsistent,
         CheckOutcome::NotPermissible(_) => QuarantineReason::Refuted,
         CheckOutcome::Aborted => QuarantineReason::Unproven,
@@ -215,6 +199,7 @@ pub(crate) fn deadline_exceeded(deadline: Option<Instant>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::SessionConfig;
     use powder_library::lib2;
     use std::time::Duration;
 
@@ -252,6 +237,63 @@ mod tests {
         nl.validate().unwrap();
         assert_eq!(nl.generation(), gen_before);
         assert_eq!(powder_netlist::blif::write_blif(&nl), blif_before);
+    }
+
+    /// An impermissible OS2 forced through the guard: in f = (a & b) | c,
+    /// replacing the AND by c changes f wherever a & b & !c. The output
+    /// comparison must catch it, roll back, classify it as refuted, and
+    /// leave the netlist and its analyses exactly as they were.
+    #[test]
+    fn guard_rolls_back_a_changed_output() {
+        let lib = std::sync::Arc::new(lib2());
+        let and2 = lib.find_by_name("and2").unwrap();
+        let or2 = lib.find_by_name("or2").unwrap();
+        let mut nl = Netlist::new("t", lib);
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let c = nl.add_input("c");
+        let g1 = nl.add_cell("g1", and2, &[a, b]);
+        let g2 = nl.add_cell("g2", or2, &[g1, c]);
+        nl.add_output("f", g2);
+        let mut sess = AnalysisSession::new(nl, SessionConfig::default());
+        sess.signatures();
+        let blif_before = powder_netlist::blif::write_blif(sess.netlist());
+        let gen_before = sess.netlist().generation();
+        let live: Vec<GateId> = sess.netlist().iter_live().collect();
+        let probs = |sess: &AnalysisSession| -> Vec<u64> {
+            live.iter()
+                .map(|&g| sess.est.probability(g).to_bits())
+                .collect()
+        };
+        let sigs = |sess: &AnalysisSession| -> Vec<Vec<u64>> {
+            let values = sess.values.as_ref().expect("materialized");
+            live.iter().map(|&g| values.get(g).to_vec()).collect()
+        };
+        let (probs_before, sigs_before) = (probs(&sess), sigs(&sess));
+
+        let sub = Substitution::Os2 {
+            a: g1,
+            b: c,
+            invert: false,
+        };
+        let mut stats = GuardStats::default();
+        let q = guarded_apply(&mut sess, &sub, 1_000, None, &mut stats)
+            .expect_err("the output changes, so the guard must refuse the commit");
+        assert_eq!(q.reason, QuarantineReason::Refuted);
+        assert_eq!((stats.mismatches, stats.rollbacks), (1, 1));
+
+        sess.netlist().validate().unwrap();
+        assert_eq!(
+            powder_netlist::blif::write_blif(sess.netlist()),
+            blif_before
+        );
+        assert_eq!(sess.netlist().generation(), gen_before);
+        assert_eq!(
+            probs(&sess),
+            probs_before,
+            "probabilities restored bit for bit"
+        );
+        assert_eq!(sigs(&sess), sigs_before, "signatures restored");
     }
 
     #[test]

@@ -18,8 +18,15 @@
 //! | `check_delay` (§3.4) | `powder_timing::TimingAnalysis::check_substitution` |
 //! | `check_candidate` (ATPG) | `powder_atpg::check_substitution` |
 //! | `perform_substitution` | [`apply::apply_substitution`] |
-//! | `power_estimate_update` | `powder_power::PowerEstimator::update_cone` |
-//! | Fig. 5 `power_optimize` | [`optimize`] |
+//! | `power_estimate_update` | [`AnalysisSession::refresh`] (`PowerEstimator::update_cone` over the dirty cone) |
+//! | Fig. 5 `power_optimize` | [`optimize`], [`AnalysisSession::run_powder`] |
+//!
+//! [`AnalysisSession`] owns the netlist and every analysis the loop reads
+//! (power estimator, simulation patterns and signatures, timing view) and
+//! repairs them over each edit's dirty cone; every commit of the loop goes
+//! through that one repair, as do the edits of the passes in
+//! `powder-passes`, which run on the same session. [`optimize`] is
+//! [`AnalysisSession::run_powder`] on a fresh session.
 //!
 //! # Quickstart
 //!
@@ -57,11 +64,10 @@ mod guard;
 mod optimizer;
 pub mod report;
 pub mod resize;
+mod session;
 mod windowed;
 
-pub use optimizer::{
-    optimize, optimize_with, DelayLimit, OptimizeConfig, RoundHook, RoundSnapshot, SharedAnalyses,
-};
+pub use optimizer::{optimize, DelayLimit, OptimizeConfig, RoundHook, RoundSnapshot};
 pub use powder_atpg::{
     check_equivalence, CandidateConfig, CandidateScope, EquivOutcome, Substitution,
 };
@@ -70,3 +76,4 @@ pub use report::{
     AppliedSubstitution, ClassStats, GuardStats, OptimizeReport, PhaseTimes, QuarantineReason,
     QuarantinedCandidate, SubClass, WindowReport,
 };
+pub use session::{AnalysisSession, SessionCheckpoint, SessionConfig};

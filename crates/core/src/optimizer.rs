@@ -3,12 +3,13 @@
 //! per-candidate helpers the loop calls.
 
 use crate::report::OptimizeReport;
+use crate::session::{AnalysisSession, SessionConfig};
 use powder_atpg::{CandidateConfig, Substitution};
 use powder_faults::FaultState;
 use powder_netlist::Netlist;
 use powder_obs as obs;
-use powder_power::{PowerConfig, PowerEstimator};
-use powder_sim::{CellCovers, Patterns, SimValues};
+use powder_power::PowerConfig;
+use powder_sim::Patterns;
 use powder_timing::{SubstitutionTiming, TimingAnalysis};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -175,48 +176,6 @@ impl Default for OptimizeConfig {
     }
 }
 
-/// The analyses POWDER shares with the other passes of a pipeline: the
-/// per-cell cube covers, the power estimator, the simulation pattern
-/// set, and (optionally) retained simulation values under those
-/// patterns.
-///
-/// A fresh bundle from [`SharedAnalyses::new`] reproduces the
-/// standalone [`optimize`] entry point bit for bit. A bundle carried
-/// across passes (by `powder_passes::AnalysisSession`) lets the
-/// optimizer skip its initial full simulation when the owner kept
-/// `values` refreshed over every intervening edit — the contract is
-/// that `est` always matches the netlist and `values`, when `Some`,
-/// matches `patterns` exactly; [`optimize_with`] upholds the same
-/// contract on return (it sets `values` to `None` when the retained
-/// buffer went stale, e.g. after a learned ATPG counterexample grew the
-/// pattern set).
-pub struct SharedAnalyses {
-    /// Per-cell cube covers for word-parallel simulation.
-    pub covers: CellCovers,
-    /// Power estimator, kept consistent with the netlist by the owner.
-    pub est: PowerEstimator,
-    /// Simulation pattern set; grows by learned ATPG counterexamples.
-    pub patterns: Patterns,
-    /// Retained simulation values under `patterns`; `None` when stale.
-    pub values: Option<SimValues>,
-}
-
-impl SharedAnalyses {
-    /// Builds the bundle [`optimize`] would construct internally:
-    /// estimator from the current netlist, `sim_words × 64` random
-    /// patterns from `seed`, and no retained values (the first round
-    /// simulates from scratch).
-    #[must_use]
-    pub fn new(nl: &Netlist, power: &PowerConfig, sim_words: usize, seed: u64) -> Self {
-        SharedAnalyses {
-            covers: CellCovers::new(nl.library()),
-            est: PowerEstimator::new(nl, power),
-            patterns: Patterns::random(nl.inputs().len(), sim_words.max(1), seed),
-            values: None,
-        }
-    }
-}
-
 /// Runs POWDER on `nl` in place and reports what happened.
 ///
 /// This is the paper's `power_optimize(netlist, repeat, delay_limit)`:
@@ -225,26 +184,14 @@ impl SharedAnalyses {
 /// full `PG_C` analysis, discard candidates violating the delay constraint,
 /// prove the survivor permissible by ATPG, commit it, and incrementally
 /// re-estimate — until no power-reducing substitution remains.
+///
+/// The run is [`AnalysisSession::run_powder`] on a fresh session that
+/// takes `nl` over for its duration.
 pub fn optimize(nl: &mut Netlist, config: &OptimizeConfig) -> OptimizeReport {
-    let mut shared = SharedAnalyses::new(nl, &config.power, config.sim_words, config.seed);
-    optimize_with(nl, config, &mut shared)
-}
-
-/// [`optimize`] against caller-owned [`SharedAnalyses`] — the
-/// pass-pipeline entry point. The caller must hand over a bundle whose
-/// estimator (and retained values, if any) reflect the current netlist;
-/// on return the bundle is consistent again and reusable by the next
-/// pass.
-pub fn optimize_with(
-    nl: &mut Netlist,
-    config: &OptimizeConfig,
-    shared: &mut SharedAnalyses,
-) -> OptimizeReport {
-    if let Some(wcfg) = crate::windowed::resolve_window_config(config, nl.live_gate_count()) {
-        return crate::windowed::optimize_windowed(nl, config, shared, wcfg);
-    }
-    let report = crate::arbiter::power_optimize(nl, config, shared, None);
-    record_arena_gauges(nl);
+    let owned = std::mem::replace(nl, Netlist::new("", Arc::clone(nl.library())));
+    let mut sess = AnalysisSession::new(owned, SessionConfig::from_optimize(config));
+    let report = sess.run_powder(config);
+    *nl = sess.into_netlist();
     report
 }
 
@@ -275,19 +222,14 @@ pub(crate) fn candidate_alive(nl: &Netlist, sub: &Substitution) -> bool {
     }
 }
 
-/// Compares every piece of incrementally maintained state against a
-/// from-scratch recomputation, panicking on divergence. The unit tests
-/// of this crate run it after every commit. `values` is `None` when
-/// the retained buffer predates the current pattern set.
+/// Compares every piece of incrementally maintained session state
+/// against a from-scratch recomputation, panicking on divergence. The
+/// unit tests of this crate run it after every commit. The retained
+/// values are checked only when `values_fresh`: a counterexample learned
+/// earlier in the round grew the pattern set past them.
 #[cfg(test)]
-pub(crate) fn cross_check_state(
-    nl: &Netlist,
-    covers: &CellCovers,
-    patterns: &Patterns,
-    est: &PowerEstimator,
-    values: Option<&SimValues>,
-    sta: Option<&TimingAnalysis>,
-) {
+pub(crate) fn cross_check_state(sess: &AnalysisSession, values_fresh: bool) {
+    let (nl, est) = (&sess.nl, &sess.est);
     let close = |x: f64, y: f64| (x == y) || (x - y).abs() <= 1e-9;
 
     let scan = est.circuit_power(nl);
@@ -297,7 +239,7 @@ pub(crate) fn cross_check_state(
         (total - scan).abs() <= tol,
         "running power total {total} diverged from scan {scan}"
     );
-    let fresh = PowerEstimator::new(nl, est.config());
+    let fresh = powder_power::PowerEstimator::new(nl, est.config());
     for g in nl.iter_live() {
         assert!(
             close(est.probability(g), fresh.probability(g)),
@@ -308,8 +250,8 @@ pub(crate) fn cross_check_state(
         );
     }
 
-    if let Some(values) = values {
-        let full = powder_sim::simulate(nl, covers, patterns);
+    if let Some(values) = sess.values.as_ref().filter(|_| values_fresh) {
+        let full = powder_sim::simulate(nl, &sess.covers, &sess.patterns);
         for g in nl.iter_live() {
             assert_eq!(
                 values.get(g),
@@ -320,7 +262,7 @@ pub(crate) fn cross_check_state(
         }
     }
 
-    if let Some(sta) = sta {
+    if let Some(sta) = &sess.sta {
         let fresh = TimingAnalysis::new(nl, &sta.config());
         for g in nl.iter_live() {
             assert!(
@@ -407,7 +349,8 @@ mod tests {
     use super::*;
     use powder_atpg::{check_substitution, CheckOutcome};
     use powder_library::lib2;
-    use powder_sim::{simulate as sim, Patterns as Pats};
+    use powder_power::PowerEstimator;
+    use powder_sim::{simulate as sim, CellCovers, Patterns as Pats};
     use powder_timing::TimingConfig;
     use std::sync::Arc;
 

@@ -73,21 +73,22 @@ pub struct ClassStats {
 /// Wall-clock seconds the optimizer spent in each phase of its loop.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseTimes {
-    /// Logic simulation: initial/full passes plus post-commit cone
-    /// resimulation.
+    /// Logic simulation: whole-netlist passes (the first, and one after
+    /// each round that learned a counterexample).
     pub simulation: f64,
     /// Candidate generation (fault-simulation filtering).
     pub candidates: f64,
     /// Power-gain analysis: `PG_A + PG_B` scoring and full `PG_C`
     /// what-if re-estimation of pre-selected candidates.
     pub gain: f64,
-    /// Static timing: per-candidate §3.4 checks plus post-commit
-    /// arrival/required refreshes.
+    /// Static timing: the per-candidate §3.4 delay checks (and the view
+    /// rebuild after a guard rollback).
     pub timing: f64,
     /// Exact ATPG permissibility checks.
     pub atpg: f64,
-    /// Committing substitutions: netlist edits, dirty-region drains,
-    /// cone computation, and power bookkeeping.
+    /// Committing substitutions: netlist edits and the commit guard,
+    /// with the session's repair of power, simulation values and timing
+    /// over each dirty cone.
     pub apply: f64,
 }
 
@@ -222,10 +223,13 @@ pub struct OptimizeReport {
     pub cpu_seconds: f64,
     /// Per-phase wall-clock breakdown of `cpu_seconds`.
     pub phase: PhaseTimes,
-    /// In-loop analysis refresh counters: incremental STA, simulation
-    /// and power updates over dirty cones, and whole-netlist
-    /// re-simulations. STA and power are never rebuilt inside the loop,
-    /// and the one-time initial constructions are not counted.
+    /// The session's analysis counters over the run: one refresh per
+    /// commit (plus one rollback repair per guard rollback), incremental
+    /// STA, simulation and power updates over dirty cones, whole-netlist
+    /// re-simulations, and the full STA builds of a constrained run (the
+    /// run's own view, when the session held none at its required time,
+    /// and a rebuild after each rollback). Power is never rebuilt, and
+    /// the session's initial power build is not counted.
     pub incremental: SessionStats,
     /// Resolved worker count the run used (1 = inline on the caller's
     /// thread).

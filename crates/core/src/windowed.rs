@@ -34,11 +34,12 @@
 //! window's territory is simply reflected in the repartitioned plan of
 //! step `k+1` — there is no stale-plan reconciliation to do.
 
-use crate::optimizer::{stop_requested, DelayLimit, OptimizeConfig, RoundSnapshot, SharedAnalyses};
+use crate::optimizer::{stop_requested, DelayLimit, OptimizeConfig, RoundSnapshot};
 use crate::report::{GuardStats, OptimizeReport, PhaseTimes, WindowReport};
+use crate::session::AnalysisSession;
 use powder_atpg::CandidateScope;
 use powder_engine::{EngineStats, SessionStats};
-use powder_netlist::{partition_windows, Netlist, Window, WindowConfig};
+use powder_netlist::{partition_windows, Window, WindowConfig};
 use powder_obs as obs;
 use powder_timing::{TimingAnalysis, TimingConfig};
 use std::time::Instant;
@@ -82,26 +83,27 @@ fn window_scope(bound: usize, w: &Window) -> (CandidateScope, usize) {
     (CandidateScope { targets, sources }, scope_gates)
 }
 
-/// Runs POWDER window by window (see the module docs). `wcfg` comes
-/// from [`resolve_window_config`]; panics if it is degenerate
-/// (`size == 0` or `overlap >= size`) — the CLI validates user input
-/// before it gets here.
+/// Runs POWDER window by window (see the module docs) on the session,
+/// whose timing view every window shares. `wcfg` comes from
+/// [`resolve_window_config`]; panics if it is degenerate (`size == 0`
+/// or `overlap >= size`) — the CLI validates user input before it gets
+/// here.
 pub(crate) fn optimize_windowed(
-    nl: &mut Netlist,
+    sess: &mut AnalysisSession,
     config: &OptimizeConfig,
-    shared: &mut SharedAnalyses,
     wcfg: WindowConfig,
 ) -> OptimizeReport {
     let t0 = Instant::now();
+    let stats_before = sess.stats;
     let jobs = powder_engine::resolve_jobs(config.jobs);
     let output_load = config.power.output_load;
-    let initial_power = shared.est.circuit_power(nl);
-    let initial_area = nl.area();
+    let initial_power = sess.est.circuit_power(&sess.nl);
+    let initial_area = sess.nl.area();
     let probe_cfg = TimingConfig {
         output_load,
         required_time: None,
     };
-    let initial_delay = TimingAnalysis::new(nl, &probe_cfg).circuit_delay();
+    let initial_delay = TimingAnalysis::new(&sess.nl, &probe_cfg).circuit_delay();
     // Resolve a Factor constraint once, against the initial circuit:
     // per-window inner runs get an Absolute limit, so later windows
     // never re-anchor the constraint to an already-optimized delay.
@@ -149,7 +151,7 @@ pub(crate) fn optimize_windowed(
             report.interrupted = true;
             break;
         }
-        let plan = partition_windows(nl, wcfg);
+        let plan = partition_windows(&sess.nl, wcfg);
         obs::gauge!(obs::names::WINDOW_PLAN_SIZE).set(plan.len() as f64);
         if k >= plan.len() {
             break;
@@ -157,20 +159,19 @@ pub(crate) fn optimize_windowed(
         let w = &plan.windows[k];
         let t_window = Instant::now();
         let _span = obs::span!(obs::names::span::WINDOW);
-        let (scope, scope_gates) = window_scope(nl.id_bound(), w);
+        let (scope, scope_gates) = window_scope(sess.nl.id_bound(), w);
 
         let mut inner = config.clone();
         inner.rounds_offset = 0;
         inner.round_hook = None;
         inner.delay_limit = required_time.map(DelayLimit::Absolute);
 
-        let rep = crate::arbiter::power_optimize(nl, &inner, shared, Some(&scope));
+        let rep = crate::arbiter::power_optimize(sess, &inner, Some(&scope));
 
         report.atpg_checks += rep.atpg_checks;
         report.atpg_rejections += rep.atpg_rejections;
         report.delay_rejections += rep.delay_rejections;
         report.phase.accumulate(&rep.phase);
-        report.incremental.merge(&rep.incremental);
         report.engine.merge(&rep.engine);
         accumulate_guard(&mut report.guard, &rep.guard);
         let commits = rep.applied.len();
@@ -200,8 +201,8 @@ pub(crate) fn optimize_windowed(
         if let Some(hook) = &config.round_hook {
             hook.call(RoundSnapshot {
                 rounds_done: windows_done,
-                nl,
-                patterns: &shared.patterns,
+                nl: &sess.nl,
+                patterns: &sess.patterns,
                 commits: report.applied.len(),
                 required_time,
             });
@@ -210,10 +211,10 @@ pub(crate) fn optimize_windowed(
     }
 
     report.rounds = report.windows.len();
-    crate::optimizer::record_arena_gauges(nl);
-    report.final_power = shared.est.circuit_power(nl);
-    report.final_area = nl.area();
-    report.final_delay = TimingAnalysis::new(nl, &probe_cfg).circuit_delay();
+    report.incremental = sess.stats.delta(&stats_before);
+    report.final_power = sess.est.circuit_power(&sess.nl);
+    report.final_area = sess.nl.area();
+    report.final_delay = TimingAnalysis::new(&sess.nl, &probe_cfg).circuit_delay();
     report.cpu_seconds = t0.elapsed().as_secs_f64();
     report
 }
@@ -230,9 +231,10 @@ fn accumulate_guard(into: &mut GuardStats, from: &GuardStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::{optimize, optimize_with};
+    use crate::optimizer::optimize;
+    use crate::session::SessionConfig;
     use powder_library::lib2;
-    use powder_netlist::GateId;
+    use powder_netlist::{GateId, Netlist};
     use powder_sim::{simulate, CellCovers, Patterns};
     use std::sync::Arc;
 
@@ -337,11 +339,10 @@ mod tests {
         );
 
         // Interrupted run: process exactly one window, then resume a
-        // second invocation with rounds_offset = 1 against the same
-        // netlist and carried analyses (the checkpoint protocol restores
-        // the pattern set, which learned counterexamples may have grown).
-        let mut nl = layered(6, 6);
-        let mut shared = SharedAnalyses::new(&nl, &cfg.power, cfg.sim_words, cfg.seed);
+        // second invocation with rounds_offset = 1 on the same session
+        // (the checkpoint protocol restores the pattern set, which
+        // learned counterexamples may have grown).
+        let mut sess = AnalysisSession::new(layered(6, 6), SessionConfig::from_optimize(&cfg));
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let stop_in_hook = stop.clone();
         let first = OptimizeConfig {
@@ -351,13 +352,13 @@ mod tests {
             })),
             ..cfg.clone()
         };
-        let r1 = optimize_with(&mut nl, &first, &mut shared);
+        let r1 = sess.run_powder(&first);
         assert_eq!(r1.windows.len(), 1, "stop after the first window");
         let resumed = OptimizeConfig {
             rounds_offset: 1,
             ..cfg.clone()
         };
-        let r2 = optimize_with(&mut nl, &resumed, &mut shared);
+        let r2 = sess.run_powder(&resumed);
 
         let seq_ref: Vec<_> = ref_report.applied.iter().map(|a| a.substitution).collect();
         let seq_split: Vec<_> = r1
@@ -367,6 +368,6 @@ mod tests {
             .map(|a| a.substitution)
             .collect();
         assert_eq!(seq_ref, seq_split, "resume diverged from one-shot run");
-        assert!((nl_ref.area() - nl.area()).abs() < 1e-9);
+        assert!((nl_ref.area() - sess.netlist().area()).abs() < 1e-9);
     }
 }

@@ -80,11 +80,12 @@ impl EngineStats {
 /// each analysis was rebuilt from scratch versus repaired over a dirty
 /// cone. The pass pipeline reports a per-pass delta of these, which is
 /// how the "no full re-simulation between passes" guarantee is
-/// asserted. The optimizer reports its in-loop refreshes in the same
-/// type (`OptimizeReport::incremental`), leaving the build counters
-/// and `refreshes` at zero.
+/// asserted. The optimizer reports the delta over its run in the same
+/// type (`OptimizeReport::incremental`): its commits' refreshes, their
+/// repairs, and any full build the run needed (its timing view, or a
+/// re-simulation under a grown pattern set).
 ///
-/// [`AnalysisSession`]: https://docs.rs/powder-passes
+/// [`AnalysisSession`]: https://docs.rs/powder
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Whole-netlist simulations (initial materialization or a stale

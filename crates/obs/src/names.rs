@@ -2,9 +2,9 @@
 //!
 //! Every counter the stack reports lives here as one constant, so the
 //! same concept carries the same name no matter which code path
-//! increments it — the optimizer's inner loop and the pass pipeline's
-//! `AnalysisSession` both report analysis refreshes under the
-//! `core.analysis.*` names.
+//! increments it — every analysis refresh, whether after a POWDER commit
+//! or another pass's edit, is counted by `powder::AnalysisSession` under
+//! the `core.analysis.*` names.
 //!
 //! Wall-clock-derived metrics end in `_ns` (or `_seconds`); everything
 //! else is a deterministic function of the input netlist and
@@ -17,8 +17,8 @@ pub fn is_duration(name: &str) -> bool {
     name.ends_with("_ns") || name.ends_with("_seconds")
 }
 
-// --- core.analysis.* — analysis refreshes (shared by the optimizer's
-// inner loop and the pass pipeline's AnalysisSession) ---
+// --- core.analysis.* — analysis refreshes (counted by the
+// AnalysisSession every pass, the optimizer's loop included, runs on) ---
 
 /// Whole-netlist simulations (initial materialization or stale patterns).
 pub const ANALYSIS_SIM_FULL: &str = "core.analysis.sim_full";

@@ -27,7 +27,7 @@
 //! recomputation is bit-identical).
 
 use crate::integrity::crc32;
-use crate::session::{AnalysisSession, SessionConfig};
+use powder::{AnalysisSession, SessionConfig};
 use powder_library::Library;
 use powder_netlist::Netlist;
 use powder_sim::Patterns;

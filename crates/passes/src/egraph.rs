@@ -26,8 +26,8 @@
 //! e-graph and extractor are deterministic by construction, and no
 //! decision depends on `--jobs`.
 
-use crate::session::AnalysisSession;
 use crate::transform::{instrumented, PassBudget, PassReport, Transform};
+use powder::AnalysisSession;
 use powder::Substitution;
 use powder_atpg::{check_substitution, CheckOutcome};
 use powder_egraph::{
@@ -343,7 +343,7 @@ fn find_or_add_const(sess: &mut AnalysisSession, value: bool) -> GateId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::SessionConfig;
+    use powder::SessionConfig;
     use powder_library::lib2;
     use powder_netlist::Netlist;
     use std::sync::Arc;

@@ -8,7 +8,7 @@
 //!
 //! | type | role |
 //! |------|------|
-//! | [`AnalysisSession`] | owns the netlist plus every analysis, kept consistent through the edit journal (lazy, cone-local repair) |
+//! | [`AnalysisSession`] | owns the netlist plus every analysis, kept consistent through the edit journal (lazy, cone-local repair); defined in `powder`, whose Fig. 5 loop commits through the same repair, and re-exported here |
 //! | [`Transform`] | a pass: reads analyses through the session, commits edits through it |
 //! | [`Pipeline`] | runs a scripted pass sequence, optionally to a fixpoint, and accounts per-pass effects |
 //!
@@ -58,7 +58,6 @@ mod egraph;
 pub mod integrity;
 mod passes;
 mod pipeline;
-mod session;
 mod transform;
 
 pub use checkpoint::{ResumePoint, RunCheckpoint, CHECKPOINT_MAGIC};
@@ -68,5 +67,5 @@ pub use pipeline::{
     build_pipeline, build_pipeline_with, validate_passes, CheckpointSink, Pipeline, PipelineReport,
     KNOWN_PASSES,
 };
-pub use session::{AnalysisSession, SessionCheckpoint, SessionConfig};
+pub use powder::{AnalysisSession, SessionCheckpoint, SessionConfig};
 pub use transform::{PassBudget, PassReport, Transform};

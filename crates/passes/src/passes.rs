@@ -10,10 +10,10 @@
 //!
 //! [`SessionStats`]: powder_engine::SessionStats
 
-use crate::session::AnalysisSession;
 use crate::transform::{instrumented, PassBudget, PassReport, Transform};
 use powder::gain::analyze_full;
 use powder::resize::best_swap;
+use powder::AnalysisSession;
 use powder::{DelayLimit, OptimizeConfig, Substitution};
 use powder_atpg::{check_substitution, CheckOutcome};
 use powder_netlist::{Conn, GateId, GateKind, Netlist};
@@ -434,7 +434,7 @@ impl Transform for ResizePass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::SessionConfig;
+    use powder::SessionConfig;
     use powder_library::lib2;
     use powder_sim::{simulate, CellCovers, Patterns};
     use std::sync::Arc;

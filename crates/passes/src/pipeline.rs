@@ -3,8 +3,8 @@
 use crate::checkpoint::{ResumePoint, RunCheckpoint};
 use crate::egraph::EgraphPass;
 use crate::passes::{PowderPass, RedundancyPass, ResizePass, SweepPass};
-use crate::session::AnalysisSession;
 use crate::transform::{PassBudget, PassReport, Transform};
+use powder::AnalysisSession;
 use powder::{OptimizeConfig, RoundHook};
 use powder_engine::{EngineStats, SessionStats};
 use powder_obs as obs;

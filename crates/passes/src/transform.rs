@@ -1,6 +1,6 @@
 //! The pass interface: [`Transform`], its budget, and per-pass reports.
 
-use crate::session::AnalysisSession;
+use powder::AnalysisSession;
 use powder::{OptimizeReport, RoundHook};
 use powder_engine::SessionStats;
 use std::fmt;

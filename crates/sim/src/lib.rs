@@ -40,4 +40,4 @@ pub use observe::{
     ObservabilityMasks,
 };
 pub use patterns::Patterns;
-pub use simulate::{ones_fraction, resimulate_cone, simulate, SavedValues, SimValues};
+pub use simulate::{ones_fraction, resimulate_cone, simulate, SimValues};

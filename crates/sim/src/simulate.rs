@@ -51,36 +51,6 @@ impl SimValues {
     pub fn identical(&self, a: GateId, b: GateId) -> bool {
         self.get(a) == self.get(b)
     }
-
-    /// Saves the signatures of `gates` so a speculative
-    /// [`resimulate_cone`] can be undone. Ids beyond the current buffer
-    /// (gates created after the values were materialized) are skipped —
-    /// after a rollback they no longer exist, so their leftover words
-    /// are unobservable.
-    #[must_use]
-    pub fn save(&self, gates: &[GateId]) -> SavedValues {
-        SavedValues {
-            entries: gates
-                .iter()
-                .filter(|id| (id.0 as usize) < self.id_bound())
-                .map(|&id| (id, self.get(id).to_vec()))
-                .collect(),
-        }
-    }
-
-    /// Writes back signatures captured by [`SimValues::save`].
-    pub fn restore(&mut self, saved: &SavedValues) {
-        for (id, words) in &saved.entries {
-            self.get_mut(*id).copy_from_slice(words);
-        }
-    }
-}
-
-/// Signatures of a gate set captured by [`SimValues::save`], used to
-/// rewind a cone re-simulation when a commit is rolled back.
-#[derive(Clone, Debug, Default)]
-pub struct SavedValues {
-    entries: Vec<(GateId, Vec<u64>)>,
 }
 
 /// Simulates `patterns` through `nl`, producing a signature per gate.
@@ -105,66 +75,52 @@ pub fn simulate(nl: &Netlist, covers: &CellCovers, patterns: &Patterns) -> SimVa
     for (i, &pi) in nl.inputs().iter().enumerate() {
         values.get_mut(pi).copy_from_slice(patterns.input_bits(i));
     }
-    let order = nl.topo_order();
-    let mut fanin_words: Vec<u64> = Vec::with_capacity(8);
-    for id in order {
-        match nl.kind(id) {
-            GateKind::Input => {}
-            GateKind::Const(v) => {
-                let fill = if v { u64::MAX } else { 0 };
-                values.get_mut(id).fill(fill);
-            }
-            GateKind::Output => {
-                let src = nl.fanins(id)[0];
-                let src_vals: Vec<u64> = values.get(src).to_vec();
-                values.get_mut(id).copy_from_slice(&src_vals);
-            }
-            GateKind::Cell(c) => {
-                let fanins = nl.fanins(id).to_vec();
-                for w in 0..words {
-                    fanin_words.clear();
-                    fanin_words.extend(fanins.iter().map(|f| values.get(*f)[w]));
-                    let out = covers.eval_word(c, &fanin_words);
-                    values.get_mut(id)[w] = out;
-                }
-            }
-        }
-    }
+    resimulate_cone(nl, covers, &mut values, &nl.topo_order());
     values
 }
 
 /// Re-simulates only the gates in `cone` (which must be in topological
-/// order), updating `values` in place. Used after a netlist edit to refresh
-/// the transitive fanout of the substituted signal. A constant in the cone
-/// gets its words written: one added after `values` was materialized
-/// starts out zero-filled by [`SimValues::grow`].
-pub fn resimulate_cone(nl: &Netlist, covers: &CellCovers, values: &mut SimValues, cone: &[GateId]) {
+/// order), updating `values` in place, and reports whether a primary
+/// output's signature changed. Used after a netlist edit to refresh the
+/// transitive fanout of the substituted signal, and by [`simulate`] over
+/// the whole netlist. A constant in the cone gets its words written: one
+/// added after `values` was materialized starts out zero-filled by
+/// [`SimValues::grow`].
+pub fn resimulate_cone(
+    nl: &Netlist,
+    covers: &CellCovers,
+    values: &mut SimValues,
+    cone: &[GateId],
+) -> bool {
     values.grow(nl.id_bound());
     let words = values.words();
+    let data = &mut values.data;
+    let mut po_changed = false;
     let mut fanin_words: Vec<u64> = Vec::with_capacity(8);
     for &id in cone {
+        let at = id.0 as usize * words;
         match nl.kind(id) {
             GateKind::Input => {}
             GateKind::Const(v) => {
                 let fill = if v { u64::MAX } else { 0 };
-                values.get_mut(id).fill(fill);
+                data[at..at + words].fill(fill);
             }
             GateKind::Output => {
-                let src = nl.fanins(id)[0];
-                let src_vals: Vec<u64> = values.get(src).to_vec();
-                values.get_mut(id).copy_from_slice(&src_vals);
+                let src = nl.fanins(id)[0].0 as usize * words;
+                po_changed |= data[src..src + words] != data[at..at + words];
+                data.copy_within(src..src + words, at);
             }
             GateKind::Cell(c) => {
-                let fanins = nl.fanins(id).to_vec();
+                let fanins = nl.fanins(id);
                 for w in 0..words {
                     fanin_words.clear();
-                    fanin_words.extend(fanins.iter().map(|f| values.get(*f)[w]));
-                    let out = covers.eval_word(c, &fanin_words);
-                    values.get_mut(id)[w] = out;
+                    fanin_words.extend(fanins.iter().map(|f| data[f.0 as usize * words + w]));
+                    data[at + w] = covers.eval_word(c, &fanin_words);
                 }
             }
         }
     }
+    po_changed
 }
 
 /// Fraction of simulated patterns on which each gate is 1, indexed by raw
@@ -253,9 +209,11 @@ mod tests {
         let covers = CellCovers::new(nl.library());
         let p = Patterns::exhaustive(3);
         let mut v = simulate(&nl, &covers, &p);
-        // Rewire f's first pin from d to a; re-simulate f and the PO.
+        // Rewire f's first pin from d to a; re-simulate f and the PO,
+        // which changes. A second pass finds nothing left to change.
         nl.replace_fanin(ids[4], 0, ids[0]);
-        resimulate_cone(&nl, &covers, &mut v, &[ids[4], ids[5]]);
+        assert!(resimulate_cone(&nl, &covers, &mut v, &[ids[4], ids[5]]));
+        assert!(!resimulate_cone(&nl, &covers, &mut v, &[ids[4], ids[5]]));
         for m in 0..8usize {
             let bit = |id: GateId| (v.get(id)[m / 64] >> (m % 64)) & 1 == 1;
             let (a, b) = (m & 1 != 0, m & 2 != 0);
@@ -284,36 +242,6 @@ mod tests {
             assert_eq!(bit(g), !((a ^ c) && b));
             assert_eq!(bit(ids[5]), !((a ^ c) && b));
         }
-    }
-
-    #[test]
-    fn save_restore_round_trips_a_cone() {
-        let (mut nl, ids) = xor_and_netlist();
-        let covers = CellCovers::new(nl.library());
-        let p = Patterns::exhaustive(3);
-        let mut v = simulate(&nl, &covers, &p);
-        let before: Vec<Vec<u64>> = ids.iter().map(|&id| v.get(id).to_vec()).collect();
-        let saved = v.save(&[ids[4], ids[5]]);
-        nl.replace_fanin(ids[4], 0, ids[0]);
-        resimulate_cone(&nl, &covers, &mut v, &[ids[4], ids[5]]);
-        assert_ne!(v.get(ids[4]), &before[4][..], "edit visibly resimulated");
-        v.restore(&saved);
-        for (i, &id) in ids.iter().enumerate() {
-            assert_eq!(v.get(id), &before[i][..], "gate {i} restored");
-        }
-    }
-
-    #[test]
-    fn save_skips_ids_beyond_the_buffer() {
-        let (nl, ids) = xor_and_netlist();
-        let covers = CellCovers::new(nl.library());
-        let p = Patterns::exhaustive(3);
-        let v = simulate(&nl, &covers, &p);
-        let phantom = GateId(nl.id_bound() as u32 + 5);
-        let saved = v.save(&[ids[0], phantom]);
-        let mut v2 = v.clone();
-        v2.restore(&saved);
-        assert_eq!(v2.get(ids[0]), v.get(ids[0]));
     }
 
     #[test]

@@ -177,17 +177,18 @@ impl TimingAnalysis {
     }
 
     /// Incrementally refreshes the analysis after the journaled edits in
-    /// `region`: arrivals (and gate delays) are recomputed over the
-    /// dirty cone — the touched gates plus their transitive fanout —
-    /// and required times over the cone plus its transitive fanin,
-    /// reusing the stored values at the unaffected frontier. Runs in
-    /// time proportional to the affected region, not the netlist.
+    /// `region`: arrivals (and gate delays) are recomputed over `cone`,
+    /// the region's dirty cone ([`Netlist::dirty_cone`]: the touched
+    /// gates plus their transitive fanout, in topological order), and
+    /// required times over the cone plus its transitive fanin, reusing
+    /// the stored values at the unaffected frontier. Runs in time
+    /// proportional to the affected region, not the netlist.
     ///
     /// Only valid when the required time is fixed
     /// (`TimingConfig::required_time` was `Some`); with a floating
     /// required time every slack depends on the global circuit delay, so
     /// this falls back to a full rebuild.
-    pub fn update(&mut self, nl: &Netlist, region: &DirtyRegion) {
+    pub fn update(&mut self, nl: &Netlist, region: &DirtyRegion, cone: &[GateId]) {
         if !self.fixed_required {
             *self = Self::new(nl, &self.config());
             return;
@@ -209,8 +210,7 @@ impl TimingAnalysis {
 
         // Forward: arrivals over the dirty cone, in topological order.
         // Fanins outside the cone have valid stored arrivals.
-        let cone = nl.dirty_cone(region);
-        for &id in &cone {
+        for &id in cone {
             match nl.kind(id) {
                 GateKind::Input | GateKind::Const(_) => {
                     self.arrivals[id.0 as usize] = 0.0;
@@ -245,7 +245,7 @@ impl TimingAnalysis {
         // propagate in reverse topological order via Kahn's algorithm on
         // the member-internal fanout counts.
         let mut in_region = vec![false; bound];
-        let mut members = cone;
+        let mut members = cone.to_vec();
         for &id in &members {
             in_region[id.0 as usize] = true;
         }
@@ -557,7 +557,7 @@ mod tests {
         nl.replace_fanin(ids[4], 0, ids[2]);
         nl.sweep_from(ids[3]);
         let region = nl.drain_dirty();
-        sta.update(&nl, &region);
+        sta.update(&nl, &region, &nl.dirty_cone(&region));
         assert_matches_full(&nl, &sta);
     }
 
@@ -577,7 +577,7 @@ mod tests {
         let g = nl.add_cell("late", inv, &[ids[2]]);
         nl.replace_fanin(ids[3], 0, g);
         let region = nl.drain_dirty();
-        sta.update(&nl, &region);
+        sta.update(&nl, &region, &nl.dirty_cone(&region));
         assert_matches_full(&nl, &sta);
         assert!(sta.arrival(g) > sta.arrival(ids[2]));
     }
@@ -590,7 +590,7 @@ mod tests {
         nl.replace_fanin(ids[4], 0, ids[2]);
         nl.sweep_from(ids[3]);
         let region = nl.drain_dirty();
-        sta.update(&nl, &region);
+        sta.update(&nl, &region, &nl.dirty_cone(&region));
         // Floating required time tracks the (now shorter) circuit delay.
         let full = TimingAnalysis::new(&nl, &TimingConfig::default());
         assert!((sta.required_time() - full.required_time()).abs() < 1e-9);

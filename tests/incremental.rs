@@ -177,7 +177,7 @@ proptest! {
             est.retire_gates(region.removed());
             est.update_cone(nl, &cone);
             resimulate_cone(nl, &covers, &mut values, &cone);
-            sta.update(nl, &region);
+            sta.update(nl, &region, &cone);
 
             check_against_scratch(nl, &covers, &pats, &est, &values, &sta)?;
         }

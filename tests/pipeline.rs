@@ -346,6 +346,46 @@ mod bench_script {
         }
     }
 
+    /// Scripts whose passes hand analyses to each other through the
+    /// session, pinned: (a) `resize,powder,resize` bound to the input
+    /// delay, where every pass reads the timing view at one required time;
+    /// (b) the unconstrained full script at fixpoint 2, with no resize
+    /// anchor, where no pass holds a timing view across its edits.
+    #[test]
+    fn session_sharing_outputs_are_pinned() {
+        for (name, hash) in [
+            ("bw", 0x1074_ae8e_0495_12a3_u64),
+            ("x3", 0xe043_ee11_045b_5599),
+            ("ex4", 0xcd0e_155c_35e8_d0b1),
+        ] {
+            let sess = run_bench_script(bench_input(name), "resize,powder,resize", BENCH_SEED_3, 1);
+            let got = fnv1a(write_blif(sess.netlist()).as_bytes());
+            assert_eq!(got, hash, "{name} resize,powder,resize: {got:#018x}");
+        }
+        let cfg = OptimizeConfig {
+            delay_limit: None,
+            ..bench_config(BENCH_SEED_3)
+        };
+        for (name, hash) in [
+            ("bw", 0x7630_52e7_ceb2_0853_u64),
+            ("ex4", 0x63dd_4b37_33ec_1c33),
+        ] {
+            let mut sess =
+                AnalysisSession::new(bench_input(name), SessionConfig::from_optimize(&cfg));
+            build_pipeline_with(
+                "sweep,egraph,powder,resize,redundancy",
+                &cfg,
+                None,
+                &EgraphConfig::default(),
+            )
+            .expect("valid spec")
+            .with_fixpoint(2)
+            .run(&mut sess);
+            let got = fnv1a(write_blif(sess.netlist()).as_bytes());
+            assert_eq!(got, hash, "{name} unconstrained at fixpoint 2: {got:#018x}");
+        }
+    }
+
     /// The `powder` pass alone on the benchmark's `powder-small` circuits,
     /// pinned at one and at four workers: the Fig. 5 loop must make the
     /// same decisions at every width.
