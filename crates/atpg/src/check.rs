@@ -1,9 +1,8 @@
 //! Substitution descriptions and the exact ATPG permissibility check.
 
-use crate::sat::{NodeId, SatBuilder, SatOutcome};
+use crate::sat::{FuncId, NodeId, SatBuilder, SatOutcome};
 use powder_library::CellId;
 use powder_netlist::{GateId, GateKind, Netlist};
-use std::collections::{HashMap, HashSet};
 
 /// A structural signal substitution, as defined in the paper's
 /// Definitions 1 and 2.
@@ -185,7 +184,9 @@ pub enum CheckOutcome {
 /// truncate after each query. Since the builder performs no
 /// hash-consing, truncate-and-rebuild produces a node table identical
 /// to a from-scratch construction, so arena-backed checks return
-/// bit-identical outcomes to [`check_substitution`].
+/// bit-identical outcomes to [`check_substitution`]. Every table the
+/// arena keeps is dense (indexed by `GateId`) and reused: by the next
+/// check, and by the next base when the netlist changes.
 ///
 /// An arena is tied to one netlist instance; the parallel evaluation
 /// engine keeps one per worker, which is what makes ATPG state
@@ -195,7 +196,7 @@ pub enum CheckOutcome {
 pub struct CheckArena {
     builder: SatBuilder,
     base_len: usize,
-    orig: HashMap<GateId, NodeId>,
+    orig: Encoding,
     topo: Vec<GateId>,
     /// `(journal generation, id bound, scope fingerprint)` the base table
     /// was built for; `None` in the last slot means the whole netlist.
@@ -203,8 +204,45 @@ pub struct CheckArena {
     /// Number of solver variables: real primary inputs for a whole-netlist
     /// base, cut pseudo-inputs for a scoped one.
     num_vars: usize,
-    region: HashSet<GateId>,
-    dup: HashMap<GateId, NodeId>,
+    /// Position of each primary input in the netlist's input list.
+    pi_index: Vec<u32>,
+    /// Per-gate state of the check in progress; default between checks.
+    marks: Vec<Mark>,
+    /// The gates whose mark the check in progress has set.
+    touched: Vec<GateId>,
+    frontier: Vec<GateId>,
+    diffs: Vec<(GateId, NodeId)>,
+    fanins: Vec<NodeId>,
+}
+
+/// What one check knows about one gate.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Mark {
+    /// The gate lies in the affected region.
+    region: bool,
+    /// Its rewired input pins, one bit per pin.
+    rewired: u32,
+    /// Its node in the rewired duplicate, once built.
+    dup: NodeId,
+}
+
+impl Default for Mark {
+    fn default() -> Self {
+        Mark {
+            region: false,
+            rewired: 0,
+            dup: NONE,
+        }
+    }
+}
+
+/// The mark of `g`, recorded in `touched` on its first change.
+fn touch<'a>(marks: &'a mut [Mark], touched: &mut Vec<GateId>, g: GateId) -> &'a mut Mark {
+    let mark = &mut marks[g.0 as usize];
+    if *mark == Mark::default() {
+        touched.push(g);
+    }
+    mark
 }
 
 /// Order-sensitive fingerprint of a scope mask, used to key the cached
@@ -229,6 +267,41 @@ fn in_scope(scope: Option<&[bool]>, g: GateId) -> bool {
     scope.is_none_or(|s| s.get(g.0 as usize).copied().unwrap_or(false))
 }
 
+/// Entry of a dense table for a gate without a node, or a cell not yet
+/// interned.
+const NONE: u32 = u32::MAX;
+
+/// One netlist's encoding into a [`SatBuilder`]: the node of each gate
+/// (dense, indexed by `GateId.0`), and the interned function of each
+/// library cell met so far. Reused across encodings.
+#[derive(Debug, Default)]
+pub(crate) struct Encoding {
+    nodes: Vec<NodeId>,
+    cells: Vec<FuncId>,
+    fanins: Vec<NodeId>,
+}
+
+impl Encoding {
+    /// The node of `g`, if it was encoded or entered as a leaf.
+    pub(crate) fn node(&self, g: GateId) -> Option<NodeId> {
+        self.nodes.get(g.0 as usize).copied().filter(|&n| n != NONE)
+    }
+
+    /// The node of `g`, which must have one.
+    pub(crate) fn at(&self, g: GateId) -> NodeId {
+        self.node(g).expect("signal is encoded")
+    }
+
+    /// The interned function of `nl`'s library cell `cell`.
+    fn func(&mut self, builder: &mut SatBuilder, nl: &Netlist, cell: CellId) -> FuncId {
+        let func = &mut self.cells[cell.0 as usize];
+        if *func == NONE {
+            *func = builder.intern(&nl.library().cell_ref(cell).function);
+        }
+        *func
+    }
+}
+
 /// Encodes the gates of `topo` that lie in `scope` into `builder`, in
 /// that (topological) order, and records each gate's node in `map`. A
 /// primary output aliases its driver's node. `leaf` supplies the node of
@@ -240,30 +313,39 @@ pub(crate) fn encode(
     nl: &Netlist,
     topo: &[GateId],
     scope: Option<&[bool]>,
-    map: &mut HashMap<GateId, NodeId>,
+    map: &mut Encoding,
     mut leaf: impl FnMut(&mut SatBuilder, GateId) -> NodeId,
 ) {
+    map.nodes.clear();
+    map.nodes.resize(nl.id_bound(), NONE);
+    map.cells.clear();
+    map.cells.resize(nl.library().len(), NONE);
+    let mut signal = |nodes: &mut [NodeId], builder: &mut SatBuilder, f: GateId| {
+        let node = &mut nodes[f.0 as usize];
+        if *node == NONE {
+            *node = leaf(builder, f);
+        }
+        *node
+    };
     for &g in topo {
         if !in_scope(scope, g) {
             continue;
         }
         let node = match nl.kind(g) {
-            GateKind::Input => leaf(builder, g),
+            GateKind::Input => signal(&mut map.nodes, builder, g),
             GateKind::Const(v) => builder.constant(v),
-            GateKind::Output => {
-                let f = nl.fanins(g)[0];
-                *map.entry(f).or_insert_with(|| leaf(builder, f))
-            }
+            GateKind::Output => signal(&mut map.nodes, builder, nl.fanins(g)[0]),
             GateKind::Cell(c) => {
-                let fanins = nl
-                    .fanins(g)
-                    .iter()
-                    .map(|&f| *map.entry(f).or_insert_with(|| leaf(builder, f)))
-                    .collect();
-                builder.gate(nl.library().cell_ref(c).function.clone(), fanins)
+                let func = map.func(builder, nl, c);
+                map.fanins.clear();
+                for &f in nl.fanins(g) {
+                    let node = signal(&mut map.nodes, builder, f);
+                    map.fanins.push(node);
+                }
+                builder.gate(func, &map.fanins)
             }
         };
-        map.insert(g, node);
+        map.nodes[g.0 as usize] = node;
     }
 }
 
@@ -288,18 +370,15 @@ impl CheckArena {
             self.builder.truncate(self.base_len);
             return;
         }
-        self.builder = SatBuilder::default();
-        self.orig.clear();
-        self.topo = nl.topo_order();
-        let pi_index: HashMap<GateId, usize> = match scope {
-            None => nl
-                .inputs()
-                .iter()
-                .enumerate()
-                .map(|(i, &g)| (g, i))
-                .collect(),
-            Some(_) => HashMap::new(),
-        };
+        self.builder.truncate(0);
+        nl.topo_order_into(&mut self.topo);
+        self.marks.clear();
+        self.marks.resize(nl.id_bound(), Mark::default());
+        let pi_index = &mut self.pi_index;
+        pi_index.resize(nl.id_bound(), 0);
+        for (i, &g) in nl.inputs().iter().enumerate() {
+            pi_index[g.0 as usize] = i as u32;
+        }
         let mut cuts = 0usize;
         encode(
             &mut self.builder,
@@ -308,7 +387,7 @@ impl CheckArena {
             scope,
             &mut self.orig,
             |builder, g| match scope {
-                None => builder.pi(pi_index[&g]),
+                None => builder.pi(pi_index[g.0 as usize] as usize),
                 Some(_) => {
                     cuts += 1;
                     builder.pi(cuts - 1)
@@ -355,100 +434,123 @@ impl CheckArena {
             return CheckOutcome::NotPermissible(vec![false; nl.inputs().len()]);
         }
         self.refresh(nl, scope);
+        let outcome = self.decide(nl, sub, backtrack_limit, scope);
+        for g in self.touched.drain(..) {
+            self.marks[g.0 as usize] = Mark::default();
+        }
+        outcome
+    }
+
+    /// Builds the miter of `sub` on the refreshed base and decides it.
+    fn decide(
+        &mut self,
+        nl: &Netlist,
+        sub: &Substitution,
+        backtrack_limit: usize,
+        scope: Option<&[bool]>,
+    ) -> CheckOutcome {
         let stem = sub.substituted_stem(nl);
         let (b, c) = sub.sources();
+        let orig = &mut self.orig;
         // The generator only proposes in-scope stems and sources; anything
         // else cannot be expressed in a scoped base, so refuse to judge.
-        if !self.orig.contains_key(&stem)
-            || !self.orig.contains_key(&b)
-            || c.is_some_and(|c| !self.orig.contains_key(&c))
+        if orig.node(stem).is_none()
+            || orig.node(b).is_none()
+            || c.is_some_and(|c| orig.node(c).is_none())
         {
             return CheckOutcome::Aborted;
         }
         let builder = &mut self.builder;
-        let orig = &self.orig;
+        let marks = &mut self.marks;
+        let touched = &mut self.touched;
 
         // The substituting node.
         let new_src = match *sub {
             Substitution::Os2 { invert, .. } | Substitution::Is2 { invert, .. } => {
                 if invert {
-                    builder.not(orig[&b])
+                    builder.not(orig.at(b))
                 } else {
-                    orig[&b]
+                    orig.at(b)
                 }
             }
             Substitution::Os3 { cell, .. } | Substitution::Is3 { cell, .. } => {
-                let f = nl.library().cell_ref(cell).function.clone();
-                builder.gate(f, vec![orig[&b], orig[&c.expect("3-sub has c")]])
+                let func = orig.func(builder, nl, cell);
+                builder.gate(func, &[orig.at(b), orig.at(c.expect("3-sub has c"))])
             }
         };
 
         // The affected region, duplicated with the rewiring applied: the
         // rewired sinks' fanout closure inside the scope.
-        let rewired: HashSet<(GateId, u32)> = sub.rewired_branches(nl).into_iter().collect();
-        self.region.clear();
-        let mut frontier: Vec<GateId> = Vec::new();
-        for &(sink, _) in &rewired {
-            if in_scope(scope, sink) && self.region.insert(sink) {
-                frontier.push(sink);
-            }
+        let mut sink_outside = false;
+        for (sink, pin) in sub.rewired_branches(nl) {
+            touch(marks, touched, sink).rewired |= 1 << pin;
+            sink_outside |= !in_scope(scope, sink);
+        }
+        let frontier = &mut self.frontier;
+        frontier.clear();
+        frontier.extend(touched.iter().copied().filter(|&g| in_scope(scope, g)));
+        for &g in frontier.iter() {
+            marks[g.0 as usize].region = true;
         }
         while let Some(g) = frontier.pop() {
             for conn in nl.fanouts(g) {
-                if in_scope(scope, conn.gate) && self.region.insert(conn.gate) {
+                if in_scope(scope, conn.gate) && !marks[conn.gate.0 as usize].region {
+                    touch(marks, touched, conn.gate).region = true;
                     frontier.push(conn.gate);
                 }
             }
         }
-        self.dup.clear();
         // Differences tagged with the gate that observes them; folded in
         // sorted gate-id order so the miter's shape does not depend on
         // the netlist's current (edit-history-sensitive) topological
         // ordering.
-        let mut diffs: Vec<(GateId, NodeId)> = Vec::new();
+        let diffs = &mut self.diffs;
+        diffs.clear();
         // A rewired branch whose sink lies outside the scope cannot be
         // duplicated; it is only safe if old and new stem values agree.
-        if rewired.iter().any(|&(sink, _)| !in_scope(scope, sink)) {
-            diffs.push((stem, builder.xor2(orig[&stem], new_src)));
+        if sink_outside {
+            diffs.push((stem, builder.xor2(orig.at(stem), new_src)));
         }
+        // A fanin's node in the rewired circuit.
+        let current = |marks: &[Mark], orig: &Encoding, f: GateId| match marks[f.0 as usize].dup {
+            NONE => orig.at(f),
+            dup => dup,
+        };
         for &g in &self.topo {
-            if !self.region.contains(&g) {
+            let mark = marks[g.0 as usize];
+            if !mark.region {
                 continue;
             }
             match nl.kind(g) {
                 GateKind::Input | GateKind::Const(_) => {}
                 GateKind::Output => {
                     let src = nl.fanins(g)[0];
-                    let new_node = if rewired.contains(&(g, 0)) {
+                    let new_node = if mark.rewired & 1 == 1 {
                         new_src
                     } else {
-                        self.dup.get(&src).copied().unwrap_or(orig[&src])
+                        current(marks, orig, src)
                     };
-                    let old_node = orig[&src];
+                    let old_node = orig.at(src);
                     if new_node != old_node {
                         diffs.push((g, builder.xor2(old_node, new_node)));
                     }
                 }
                 GateKind::Cell(cid) => {
-                    let cell = nl.library().cell_ref(cid);
-                    let fanins: Vec<NodeId> = nl
-                        .fanins(g)
-                        .iter()
-                        .enumerate()
-                        .map(|(pin, f)| {
-                            if rewired.contains(&(g, pin as u32)) {
-                                new_src
-                            } else {
-                                self.dup.get(f).copied().unwrap_or(orig[f])
-                            }
-                        })
-                        .collect();
-                    let node = builder.gate(cell.function.clone(), fanins);
-                    self.dup.insert(g, node);
+                    let func = orig.func(builder, nl, cid);
+                    self.fanins.clear();
+                    for (pin, &f) in nl.fanins(g).iter().enumerate() {
+                        self.fanins.push(if (mark.rewired >> pin) & 1 == 1 {
+                            new_src
+                        } else {
+                            current(marks, orig, f)
+                        });
+                    }
+                    let node = builder.gate(func, &self.fanins);
+                    marks[g.0 as usize].dup = node;
                     if scope.is_some() && nl.fanouts(g).iter().any(|c| !in_scope(scope, c.gate)) {
                         // This changed signal feeds logic outside the
                         // scope: observe the difference right here.
-                        diffs.push((g, builder.xor2(orig[&g], node)));
+                        diffs.push((g, builder.xor2(orig.at(g), node)));
                     }
                 }
             }
@@ -465,7 +567,7 @@ impl CheckArena {
         }
         // Fault-activation conjunct: an observation point can only differ
         // when the substituted signal and its replacement differ.
-        let activation = builder.xor2(orig[&stem], new_src);
+        let activation = builder.xor2(orig.at(stem), new_src);
         // First try to refute the activation alone: if the substituting
         // signal is functionally *equivalent* to the substituted one, the
         // substitution is permissible outright, and the activation cone is

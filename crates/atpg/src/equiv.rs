@@ -2,7 +2,7 @@
 //! wrapper around the miter + solver machinery, used to verify optimizer
 //! output exactly (rather than by random simulation alone).
 
-use crate::check::encode;
+use crate::check::{encode, Encoding};
 use crate::sat::{NodeId, SatBuilder, SatOutcome};
 use powder_netlist::{GateId, Netlist};
 use std::collections::HashMap;
@@ -69,7 +69,8 @@ pub fn check_equivalence(
             ),
         });
     }
-    let mut b_input_index: HashMap<GateId, usize> = HashMap::new();
+    // Position in `a`'s input list of each of `b`'s inputs.
+    let mut b_input_index = vec![0u32; b.id_bound()];
     for &pi in b.inputs() {
         let name = b.gate_name(pi);
         let Some(&idx) = a_inputs.get(name) else {
@@ -77,7 +78,7 @@ pub fn check_equivalence(
                 message: format!("input {name:?} missing from the first netlist"),
             });
         };
-        b_input_index.insert(pi, idx);
+        b_input_index[pi.0 as usize] = idx as u32;
     }
     let mut b_outputs: HashMap<&str, GateId> = HashMap::new();
     for &po in b.outputs() {
@@ -97,29 +98,27 @@ pub fn check_equivalence(
     // over the same primary-input nodes.
     let mut builder = SatBuilder::default();
     let pi_nodes: Vec<NodeId> = (0..a.inputs().len()).map(|i| builder.pi(i)).collect();
-    let a_index: HashMap<GateId, usize> = a
-        .inputs()
-        .iter()
-        .enumerate()
-        .map(|(i, &pi)| (pi, i))
-        .collect();
-    let mut a_map = HashMap::new();
+    let mut a_index = vec![0u32; a.id_bound()];
+    for (i, &pi) in a.inputs().iter().enumerate() {
+        a_index[pi.0 as usize] = i as u32;
+    }
+    let mut a_map = Encoding::default();
     encode(
         &mut builder,
         a,
         &a.topo_order(),
         None,
         &mut a_map,
-        |_, g| pi_nodes[a_index[&g]],
+        |_, g| pi_nodes[a_index[g.0 as usize] as usize],
     );
-    let mut b_map = HashMap::new();
+    let mut b_map = Encoding::default();
     encode(
         &mut builder,
         b,
         &b.topo_order(),
         None,
         &mut b_map,
-        |_, g| pi_nodes[b_input_index[&g]],
+        |_, g| pi_nodes[b_input_index[g.0 as usize] as usize],
     );
 
     for &po in a.outputs() {
@@ -129,7 +128,7 @@ pub fn check_equivalence(
                 message: format!("output {name:?} missing from the second netlist"),
             });
         };
-        let diff = builder.xor2(a_map[&po], b_map[&bpo]);
+        let diff = builder.xor2(a_map.at(po), b_map.at(bpo));
         match builder.solve(a.inputs().len(), diff, backtrack_limit) {
             SatOutcome::Unsat => {}
             SatOutcome::Sat(witness) => {

@@ -1,10 +1,12 @@
 //! Property-based tests: the miter solver against brute-force enumeration,
+//! the chunked exhaustive path against its whole-column reference,
 //! end-to-end soundness of the check pipeline, soundness of window-scoped
 //! proofs, and the word-major candidate generator against its row-by-row
 //! reference.
 
 use crate::candidates::reference;
-use crate::sat::{NodeId, SatBuilder, SatOutcome};
+use crate::sat::{self, NodeId, SatBuilder, SatOutcome};
+use crate::tests_support::{add_gate, mix, random_miter, MiterShape};
 use crate::{
     check_substitution, generate_candidates_scoped, CandidateConfig, CandidateScope, CheckArena,
     CheckOutcome, Substitution,
@@ -18,8 +20,8 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 /// Builds a random single-output circuit; returns its node table and
-/// output with the brute-force SAT answer alongside.
-fn random_sat_case(inputs: usize, ops: &[(u8, u8, u8)]) -> (SatBuilder, NodeId, bool) {
+/// output with its brute-force function alongside.
+fn random_sat_case(inputs: usize, ops: &[(u8, u8, u8)]) -> (SatBuilder, NodeId, TruthTable) {
     let mut b = SatBuilder::default();
     let mut nodes: Vec<(u32, TruthTable)> = Vec::new();
     let mut funcs: Vec<TruthTable> = Vec::new();
@@ -42,7 +44,7 @@ fn random_sat_case(inputs: usize, ops: &[(u8, u8, u8)]) -> (SatBuilder, NodeId, 
                     !((TruthTable::var(0, 3) & TruthTable::var(1, 3)) | TruthTable::var(2, 3));
                 let d = nodes[(*x as usize + *y as usize) % nodes.len()].clone();
                 (
-                    b.gate(aoi.clone(), vec![a.0, c.0, d.0]),
+                    add_gate(&mut b, &aoi, &[a.0, c.0, d.0]),
                     aoi.compose(&[a.1, c.1, d.1]),
                 )
             }
@@ -50,23 +52,26 @@ fn random_sat_case(inputs: usize, ops: &[(u8, u8, u8)]) -> (SatBuilder, NodeId, 
         nodes.push((id, f));
     }
     let (out, f) = nodes.last().expect("nonempty").clone();
-    (b, out, !f.is_zero())
+    (b, out, f)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The solver's verdict equals brute force, and SAT witnesses actually
-    /// satisfy the circuit.
+    /// satisfy the circuit, from one pattern word up to 2^18 patterns.
     #[test]
     fn solver_matches_brute_force(
         ops in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..20),
-        inputs in 1usize..6,
+        inputs in 1usize..19,
     ) {
-        let (circuit, out, satisfiable) = random_sat_case(inputs, &ops);
+        let (mut circuit, out, f) = random_sat_case(inputs, &ops);
         match circuit.solve(inputs, out, 100_000) {
-            SatOutcome::Sat(_witness) => prop_assert!(satisfiable),
-            SatOutcome::Unsat => prop_assert!(!satisfiable),
+            SatOutcome::Sat(witness) => {
+                let m = (0..inputs).filter(|&i| witness[i]).fold(0u64, |m, i| m | 1 << i);
+                prop_assert!(f.eval(m), "witness {witness:?} does not satisfy");
+            }
+            SatOutcome::Unsat => prop_assert!(f.is_zero()),
             SatOutcome::Aborted => prop_assert!(false, "tiny circuits must not abort"),
         }
     }
@@ -128,6 +133,34 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The chunked exhaustive path returns exactly the outcome of its
+    /// whole-column reference, witness bits included, on seeded random
+    /// miters of 1 to 18 support: random functions of 1 to 6 inputs, a
+    /// 7-input one, supports below 6 (the padding mask), and on half
+    /// the cases supports of 15 to 18 whose guard variables put the first
+    /// satisfying pattern in a late chunk of many.
+    #[test]
+    fn chunked_exhaustive_matches_reference(seed in any::<u64>(), knobs in any::<u64>()) {
+        let mut state = knobs;
+        let late = mix(&mut state) & 1 == 1;
+        let support = if late { 15 + mix(&mut state) as usize % 4 } else { 1 + mix(&mut state) as usize % 18 };
+        let shape = MiterShape {
+            support,
+            gates: 1 + mix(&mut state) as usize % 24,
+            max_arity: 1 + mix(&mut state) as usize % 6,
+            wide: mix(&mut state).is_multiple_of(4),
+            guard: if late { 1 + mix(&mut state) as usize % 4 } else { 0 },
+            perturb: !mix(&mut state).is_multiple_of(4),
+        };
+        let (mut b, out) = random_miter(seed, shape);
+        let expect = sat::reference::solve_exhaustive(&b, support, out);
+        prop_assert_eq!(b.solve(support, out, 0), expect, "{:?}", shape);
+    }
+}
+
 /// lib2 as genlib text without `xnor2` and `nor2`: OS3 then has no XNOR
 /// partner and no NOR family.
 fn lib2_without_xnor_nor() -> Library {
@@ -165,15 +198,6 @@ fn random_mapped(lib: Arc<Library>, inputs: usize, gates: &[(u8, u16, u16, u16, 
         sigs.push(g);
     }
     nl
-}
-
-/// Splitmix64 step, for the scope masks.
-fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// No scope, independent random target/source masks of random length,

@@ -27,9 +27,17 @@ impl Netlist {
     /// if the netlist contains a cycle.
     #[must_use]
     pub fn topo_order_checked(&self) -> Option<Vec<GateId>> {
+        let mut order = Vec::new();
+        self.kahn_order(&mut order).then_some(order)
+    }
+
+    /// Fills `order` with the live gates in topological order; `false` if
+    /// the netlist contains a cycle.
+    fn kahn_order(&self, order: &mut Vec<GateId>) -> bool {
         let bound = self.id_bound();
         let mut indeg = vec![0u32; bound];
-        let mut order = Vec::with_capacity(bound);
+        order.clear();
+        order.reserve(bound);
         let mut stack = Vec::new();
         let mut live = 0usize;
         for id in self.iter_live() {
@@ -53,7 +61,7 @@ impl Netlist {
                 }
             }
         }
-        (order.len() == live).then_some(order)
+        order.len() == live
     }
 
     /// Live gates in topological order.
@@ -64,8 +72,21 @@ impl Netlist {
     /// [`Netlist::topo_order_checked`] to probe.
     #[must_use]
     pub fn topo_order(&self) -> Vec<GateId> {
-        self.topo_order_checked()
-            .expect("netlist contains a combinational cycle")
+        let mut order = Vec::new();
+        self.topo_order_into(&mut order);
+        order
+    }
+
+    /// [`Netlist::topo_order`] into a reused buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the netlist contains a combinational cycle.
+    pub fn topo_order_into(&self, order: &mut Vec<GateId>) {
+        assert!(
+            self.kahn_order(order),
+            "netlist contains a combinational cycle"
+        );
     }
 
     /// Logic level of every gate (inputs/constants at level 0), indexed by
