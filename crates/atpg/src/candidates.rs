@@ -71,15 +71,6 @@ impl Default for CandidateConfig {
     }
 }
 
-/// Word-parallel compatibility: `(sig_a ^ sig_y) & care == 0`.
-fn compatible(sig_a: &[u64], sig_y: &[u64], care: &[u64], inverted: bool) -> bool {
-    sig_a
-        .iter()
-        .zip(sig_y)
-        .zip(care)
-        .all(|((&a, &y), &m)| ((a ^ if inverted { !y } else { y }) & m) == 0)
-}
-
 /// The two-input cells of `library` usable for OS3/IS3, keyed by role.
 struct PairCells {
     and2: Option<CellId>,
@@ -223,17 +214,6 @@ fn has(set: &[u64], i: usize) -> bool {
     (set[i / 64] >> (i % 64)) & 1 == 1
 }
 
-/// The word with the most bits set in `relevant`; the first on a tie.
-fn best_word(relevant: impl Iterator<Item = u64>) -> usize {
-    let mut best = (0, 0);
-    for (w, x) in relevant.enumerate() {
-        if x.count_ones() > best.1 {
-            best = (w, x.count_ones());
-        }
-    }
-    best.0
-}
-
 /// The combining operator of an AND- or OR-type 3-input family.
 #[derive(Clone, Copy)]
 enum Op {
@@ -242,32 +222,40 @@ enum Op {
 }
 
 impl Op {
-    /// The pool condition on one word of `a` (already complemented for
-    /// the NAND/NOR families): an AND operand must cover `a`'s care
-    /// onset, an OR operand must avoid its care offset.
-    fn pool_word(self, a: u64, y: u64, m: u64) -> bool {
+    /// The bits of one word where `y` breaks the pool condition (`a`
+    /// already complemented for the NAND/NOR families): an AND operand
+    /// must cover `a`'s care onset, an OR operand must avoid its care
+    /// offset.
+    fn pool_miss(self, a: u64, y: u64, m: u64) -> u64 {
         match self {
-            Op::And => a & !y & m == 0,
-            Op::Or => !a & y & m == 0,
+            Op::And => a & !y & m,
+            Op::Or => !a & y & m,
         }
     }
 
-    /// The bits of `a`'s care set the pool condition constrains.
-    fn pool_relevant(self, a: u64, m: u64) -> u64 {
-        match self {
-            Op::And => a & m,
-            Op::Or => !a & m,
-        }
-    }
-
-    /// The pair condition on one word: `b op c` equals `a` on the care set.
-    fn pair_word(self, a: u64, b: u64, c: u64, m: u64) -> bool {
+    /// The bits of one word where `b op c` differs from `a` on the care
+    /// set.
+    fn pair_miss(self, a: u64, b: u64, c: u64, m: u64) -> u64 {
         let v = match self {
             Op::And => b & c,
             Op::Or => b | c,
         };
-        (v ^ a) & m == 0
+        (v ^ a) & m
     }
+}
+
+/// The OR over every word of `miss(word of each slice)`: zero iff the
+/// word-wise condition holds everywhere. Branch-free: full-width checks
+/// run only on one-word survivors, where stopping at the first miss
+/// measured slower than OR-ing every word.
+fn misses<const N: usize>(rows: [&[u64]; N], miss: impl Fn([u64; N]) -> u64) -> u64 {
+    let n = rows[0].len();
+    let rows = rows.map(|r| &r[..n]);
+    let mut acc = 0;
+    for w in 0..n {
+        acc |= miss(rows.map(|r| r[w]));
+    }
+    acc
 }
 
 /// The sources of one call, with their signatures both row-major (the
@@ -275,11 +263,18 @@ impl Op {
 struct Sources<'a> {
     values: &'a SimValues,
     ids: Vec<GateId>,
-    /// `words × ids.len()`: word `w` of source `i` at `w * ids.len() + i`.
+    /// `words × 64·blocks`: word `w` of source `i` at `w * 64·blocks + i`,
+    /// zero past the last source, so every scan block is whole.
     cols: Vec<u64>,
     /// `(word 0, source index)` of every source, sorted: the XOR/XNOR
     /// partner index.
     by_word0: Vec<(u64, u32)>,
+    /// One bit per hash bucket of word 0, set iff some source's word 0
+    /// falls in it: a clear bit proves `by_word0` holds no such key, so
+    /// the partner scan skips the binary search.
+    word0_present: Vec<u64>,
+    /// `64 - log2(buckets)`: [`Sources::bucket`] keeps the top bits.
+    word0_shift: u32,
 }
 
 /// One substituted signal — an OS stem or an IS branch — and what every
@@ -289,15 +284,46 @@ struct Target<'a> {
     care: &'a [u64],
     /// [`SourceReach::allowed_into`] of the rewired gate.
     allowed: &'a [u64],
+    /// The words with the most care bits, care-onset bits (`sig & care`)
+    /// and care-offset bits (`!sig & care`): where the one-word tests
+    /// look.
+    care_word: usize,
+    on_word: usize,
+    off_word: usize,
+}
+
+impl<'a> Target<'a> {
+    fn new(sig: &'a [u64], care: &'a [u64], allowed: &'a [u64]) -> Self {
+        // (word, bits) of the best so far, the first word on a tie.
+        let mut best = [(0, 0); 3];
+        for (w, (&a, &m)) in sig.iter().zip(care).enumerate() {
+            let (all, on) = (m.count_ones(), (a & m).count_ones());
+            for (b, bits) in best.iter_mut().zip([all, on, all - on]) {
+                if bits > b.1 {
+                    *b = (w, bits);
+                }
+            }
+        }
+        let [care_word, on_word, off_word] = best.map(|b| b.0);
+        Target {
+            sig,
+            care,
+            allowed,
+            care_word,
+            on_word,
+            off_word,
+        }
+    }
 }
 
 impl<'a> Sources<'a> {
     fn new(values: &'a SimValues, ids: Vec<GateId>) -> Self {
         let n = ids.len();
-        let mut cols = vec![0u64; values.words() * n];
+        let stride = n.div_ceil(64) * 64;
+        let mut cols = vec![0u64; values.words() * stride];
         for (i, &s) in ids.iter().enumerate() {
             for (w, &x) in values.get(s).iter().enumerate() {
-                cols[w * n + i] = x;
+                cols[w * stride + i] = x;
             }
         }
         let mut by_word0: Vec<(u64, u32)> = cols[..n.min(cols.len())]
@@ -306,22 +332,37 @@ impl<'a> Sources<'a> {
             .map(|(&x, i)| (x, i))
             .collect();
         by_word0.sort_unstable();
-        Sources {
+        // At least 64 buckets per source, so at most about one lookup in
+        // 64 for an absent key still reaches the binary search.
+        let buckets = (64 * n).next_power_of_two().max(64);
+        let mut src = Sources {
             values,
             ids,
             cols,
             by_word0,
+            word0_present: vec![0; buckets / 64],
+            word0_shift: 64 - buckets.trailing_zeros(),
+        };
+        for i in 0..src.by_word0.len() {
+            let b = src.bucket(src.by_word0[i].0);
+            src.word0_present[b / 64] |= 1 << (b % 64);
         }
+        src
+    }
+
+    /// The presence-bitmap bucket of word-0 value `x` (Fibonacci hashing).
+    fn bucket(&self, x: u64) -> usize {
+        (x.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.word0_shift) as usize
     }
 
     fn sig(&self, i: usize) -> &'a [u64] {
         self.values.get(self.ids[i])
     }
 
-    /// Word `w` of every source.
+    /// Word `w` of every source, padded to whole blocks.
     fn column(&self, w: usize) -> &[u64] {
-        let n = self.ids.len();
-        &self.cols[w * n..(w + 1) * n]
+        let stride = self.ids.len().div_ceil(64) * 64;
+        &self.cols[w * stride..(w + 1) * stride]
     }
 
     /// The sources set in `allowed` whose word `w` passes `test`, in
@@ -333,16 +374,20 @@ impl<'a> Sources<'a> {
         w: usize,
         test: impl Fn(u64) -> bool + 's,
     ) -> impl Iterator<Item = usize> + 's {
-        let col = self.column(w);
-        allowed.iter().enumerate().flat_map(move |(k, &allow)| {
-            let mut pass = 0u64;
-            if allow != 0 {
-                for (j, &y) in col[k * 64..col.len().min(k * 64 + 64)].iter().enumerate() {
-                    pass |= u64::from(test(y)) << j;
+        let blocks = self.column(w).chunks_exact(64);
+        allowed
+            .iter()
+            .zip(blocks)
+            .enumerate()
+            .flat_map(move |(k, (&allow, block))| {
+                let mut pass = 0u64;
+                if allow != 0 {
+                    for (j, &y) in block.iter().enumerate() {
+                        pass |= u64::from(test(y)) << j;
+                    }
                 }
-            }
-            Bits(allow & pass).map(move |j| k * 64 + j)
-        })
+                Bits(allow & pass).map(move |j| k * 64 + j)
+            })
     }
 
     /// The OS2/IS2 scan: allowed sources compatible with the target
@@ -350,7 +395,7 @@ impl<'a> Sources<'a> {
     /// `max_per_signal` are kept.
     fn two_input(&self, t: &Target, config: &CandidateConfig, mut emit: impl FnMut(GateId, bool)) {
         let max = config.max_per_signal;
-        let w = best_word(t.care.iter().copied());
+        let w = t.care_word;
         let a = t.sig[w];
         // `kept >= max` is tested after every examined source, so a zero
         // limit examines exactly the first allowed one: an empty mask
@@ -363,10 +408,20 @@ impl<'a> Sources<'a> {
             d == 0 || (inverted && d == m)
         }) {
             let sig_b = self.sig(i);
-            if compatible(t.sig, sig_b, t.care, false) {
+            // Where `b` differs from `a` on the care set, and where it
+            // agrees: the plain and the inverted miss.
+            let (plain, inv) = t
+                .sig
+                .iter()
+                .zip(sig_b)
+                .zip(t.care)
+                .fold((0, 0), |(plain, inv), ((&a, &y), &m)| {
+                    (plain | ((a ^ y) & m), inv | (!(a ^ y) & m))
+                });
+            if plain == 0 {
                 emit(self.ids[i], false);
                 kept += 1;
-            } else if inverted && compatible(t.sig, sig_b, t.care, true) {
+            } else if inverted && inv == 0 {
                 emit(self.ids[i], true);
                 kept += 1;
             }
@@ -388,11 +443,10 @@ impl<'a> Sources<'a> {
         t: &Target,
         families: &[(Op, bool, Option<CellId>)],
         config: &CandidateConfig,
-        pool: &mut Vec<usize>,
+        pool: &mut Vec<(usize, u64)>,
         mut emit: impl FnMut(CellId, GateId, GateId),
     ) -> usize {
         let max = config.max_per_signal;
-        let w_pair = best_word(t.care.iter().copied());
         let mut kept = 0usize;
         for (f, &(op, negated, cell)) in families.iter().enumerate() {
             if f > 0 && kept >= max {
@@ -400,40 +454,38 @@ impl<'a> Sources<'a> {
             }
             let Some(cell) = cell else { continue };
             let flip = if negated { !0 } else { 0 };
-            let w = best_word(
-                t.sig
-                    .iter()
-                    .zip(t.care)
-                    .map(|(&a, &m)| op.pool_relevant(a ^ flip, m)),
-            );
+            // Each one-word test reads the word with the most bits its
+            // condition can fail on. The AND and NOR pools constrain
+            // `a`'s care onset (the NAND and OR pools its offset), and a
+            // pair of pool members can then only miss on the other side.
+            // The pool keeps each member's pair word.
+            let (w, w_pair) = if matches!(op, Op::And) != negated {
+                (t.on_word, t.off_word)
+            } else {
+                (t.off_word, t.on_word)
+            };
             let (a, m) = (t.sig[w] ^ flip, t.care[w]);
             pool.clear();
             pool.extend(
-                self.survivors(t.allowed, w, |y| op.pool_word(a, y, m))
+                self.survivors(t.allowed, w, |y| op.pool_miss(a, y, m) == 0)
                     .filter(|&i| {
-                        t.sig
-                            .iter()
-                            .zip(self.sig(i))
-                            .zip(t.care)
-                            .all(|((&a, &y), &m)| op.pool_word(a ^ flip, y, m))
+                        misses([t.sig, self.sig(i), t.care], |[a, y, m]| {
+                            op.pool_miss(a ^ flip, y, m)
+                        }) == 0
                     })
-                    .take(config.pair_pool_cap),
+                    .take(config.pair_pool_cap)
+                    .map(|i| (i, self.sig(i)[w_pair])),
             );
-            let col = self.column(w_pair);
             let (a, m) = (t.sig[w_pair] ^ flip, t.care[w_pair]);
-            for (k, &b) in pool.iter().enumerate() {
-                for &c in &pool[k + 1..] {
-                    if !op.pair_word(a, col[b], col[c], m) {
+            for (k, &(b, yb)) in pool.iter().enumerate() {
+                for &(c, yc) in &pool[k + 1..] {
+                    if op.pair_miss(a, yb, yc, m) != 0 {
                         continue;
                     }
-                    let ok = t
-                        .sig
-                        .iter()
-                        .zip(self.sig(b))
-                        .zip(self.sig(c))
-                        .zip(t.care)
-                        .all(|(((&a, &b), &c), &m)| op.pair_word(a ^ flip, b, c, m));
-                    if ok {
+                    let miss = misses([t.sig, self.sig(b), self.sig(c), t.care], |[a, b, c, m]| {
+                        op.pair_miss(a ^ flip, b, c, m)
+                    });
+                    if miss == 0 {
                         emit(cell, self.ids[b], self.ids[c]);
                         kept += 1;
                         if kept >= max {
@@ -449,8 +501,9 @@ impl<'a> Sources<'a> {
     /// The OS3 XOR/XNOR scan: for each allowed `b`, every allowed
     /// `c ≠ b` whose signature is exactly `sig(a) ^ sig(b)` (XOR) or its
     /// complement (XNOR), in source order, until `kept` reaches
-    /// `max_per_signal`. Partners come from the word-0 index; each hit
-    /// is confirmed on every word.
+    /// `max_per_signal`. Partners come from the word-0 index, searched
+    /// only when the presence bitmap admits the key; each hit is
+    /// confirmed on every word.
     fn xor_pairs(
         &self,
         t: &Target,
@@ -460,25 +513,26 @@ impl<'a> Sources<'a> {
         mut emit: impl FnMut(CellId, GateId, GateId),
     ) {
         let allowed = t.allowed;
+        let col0 = self.column(0);
         for (k, &block) in allowed.iter().enumerate() {
             for j in Bits(block) {
                 let b = k * 64 + j;
-                let sig_b = self.sig(b);
                 for (cell, flip) in [(cells.xor2, 0), (cells.xnor2, !0u64)] {
                     let Some(cell) = cell else { continue };
-                    let key0 = t.sig[0] ^ sig_b[0] ^ flip;
+                    let key0 = t.sig[0] ^ col0[b] ^ flip;
+                    let bucket = self.bucket(key0);
+                    if (self.word0_present[bucket / 64] >> (bucket % 64)) & 1 == 0 {
+                        continue;
+                    }
+                    let sig_b = self.sig(b);
                     let lo = self.by_word0.partition_point(|&(x, _)| x < key0);
                     for &(x, c) in &self.by_word0[lo..] {
                         if x != key0 {
                             break;
                         }
                         let c = c as usize;
-                        let exact = self
-                            .sig(c)
-                            .iter()
-                            .zip(t.sig)
-                            .zip(sig_b)
-                            .all(|((&c, &a), &b)| c == a ^ b ^ flip);
+                        let exact =
+                            misses([self.sig(c), t.sig, sig_b], |[c, a, b]| c ^ a ^ b ^ flip) == 0;
                         if exact && c != b && has(allowed, c) {
                             emit(cell, self.ids[b], self.ids[c]);
                             kept += 1;
@@ -560,7 +614,7 @@ pub fn generate_candidates_scoped(
     // and exact for paths that leave and re-enter a window.
     let reach = SourceReach::build(nl, &src.ids);
     let mut allowed: Vec<u64> = Vec::new();
-    let mut pool: Vec<usize> = Vec::new();
+    let mut pool: Vec<(usize, u64)> = Vec::new();
 
     // ---------------- output substitutions (OS2 / OS3) ----------------
     for &a in &src.ids {
@@ -576,11 +630,7 @@ pub fn generate_candidates_scoped(
             continue;
         }
         reach.allowed_into(a, a, &mut allowed);
-        let t = Target {
-            sig: values.get(a),
-            care,
-            allowed: &allowed,
-        };
+        let t = Target::new(values.get(a), care, &allowed);
         if config.enable_os2 {
             src.two_input(&t, config, |b, invert| {
                 out.push(Substitution::Os2 { a, b, invert });
@@ -621,11 +671,7 @@ pub fn generate_candidates_scoped(
                     continue;
                 }
                 reach.allowed_into(conn.gate, a, &mut allowed);
-                let t = Target {
-                    sig: values.get(a),
-                    care,
-                    allowed: &allowed,
-                };
+                let t = Target::new(values.get(a), care, &allowed);
                 let (sink, pin) = (conn.gate, conn.pin);
                 if config.enable_is2 {
                     src.two_input(&t, config, |b, invert| {

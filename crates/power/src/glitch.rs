@@ -74,11 +74,17 @@ pub fn glitch_power(
                 unreachable!("only cells are evaluated")
             }
             GateKind::Cell(c) => {
-                let mut word_in = [0u64; 8];
-                for (pin, &f) in nl.fanins(g).iter().enumerate() {
-                    word_in[pin] = if value[f.0 as usize] { u64::MAX } else { 0 };
-                }
-                covers.eval_word(c, &word_in[..nl.fanins(g).len()]) & 1 == 1
+                let fanins = nl.fanins(g);
+                let mut out = [0u64];
+                let pin = |p: usize| -> &[u64] {
+                    if value[fanins[p].0 as usize] {
+                        &[u64::MAX]
+                    } else {
+                        &[0]
+                    }
+                };
+                covers.eval(c, pin, 0, &mut out);
+                out[0] & 1 == 1
             }
         }
     };

@@ -48,8 +48,6 @@
 
 use crate::{CellCovers, SimValues};
 use powder_netlist::{Conn, GateId, GateKind, Netlist};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Sentinel of [`ObservabilityMasks`]' position map: no mask.
 const NONE: u32 = u32::MAX;
@@ -126,7 +124,6 @@ pub fn observability_sweep(
     let mut stems = vec![0u64; n * words];
     let mut branches = vec![0u64; slots as usize * words];
     let mut prop = Propagator::new(n, words);
-    let mut fanin_words: Vec<u64> = Vec::with_capacity(8);
 
     for i in (0..n).rev() {
         let g = order[i];
@@ -147,17 +144,14 @@ pub fn observability_sweep(
                 unreachable!("only cells have fanins")
             };
             let sink_obs = &stems[j as usize * words..][..words];
-            let sink_val = values.get(conn.gate);
+            if sink_obs.iter().all(|&m| m == 0) {
+                dst.fill(0);
+                continue;
+            }
             let fanins = nl.fanins(conn.gate);
-            for w in 0..words {
-                if sink_obs[w] == 0 {
-                    dst[w] = 0;
-                    continue;
-                }
-                fanin_words.clear();
-                fanin_words.extend(fanins.iter().map(|&f| values.get(f)[w]));
-                fanin_words[conn.pin as usize] = !fanin_words[conn.pin as usize];
-                dst[w] = sink_obs[w] & (covers.eval_word(cell, &fanin_words) ^ sink_val[w]);
+            covers.eval(cell, |p| values.get(fanins[p]), 1 << conn.pin, dst);
+            for ((d, &m), &v) in dst.iter_mut().zip(sink_obs).zip(values.get(conn.gate)) {
+                *d = m & (*d ^ v);
             }
         }
         let mask: &[u64] = match fanouts.len() {
@@ -235,20 +229,53 @@ fn sweep_order(nl: &Netlist, scope: Option<&[bool]>) -> (Vec<GateId>, Vec<u32>) 
 /// Scratch for forward difference propagation from reconvergent stems,
 /// reused across all stems of one sweep. Gates are addressed by sweep
 /// position; per-gate stamps equal to `epoch` mark the current stem's
-/// propagation, so nothing is cleared between stems.
+/// changed gates, so nothing is cleared between stems.
 struct Propagator {
     words: usize,
     epoch: u32,
     /// Value of each changed gate under the difference, `words` each.
     vals: Vec<u64>,
     changed: Vec<u32>,
-    queued: Vec<u32>,
-    pending: BinaryHeap<Reverse<u32>>,
-    /// Fanin values of the gate being evaluated, `words` per pin.
-    fanin_vals: Vec<u64>,
-    fanin_words: Vec<u64>,
-    diff: Vec<u64>,
+    pending: EventQueue,
     obs: Vec<u64>,
+}
+
+/// The pending gates of one stem's propagation: a bitset over sweep
+/// positions plus the number of bits set. Every event lies after the
+/// gate that raised it, so a cursor that only moves back on a push pops
+/// them in topological order; the set is empty again whenever a stem's
+/// propagation ends, so it is never cleared.
+struct EventQueue {
+    bits: Vec<u64>,
+    len: usize,
+    /// No bit is set in a block before this one.
+    cursor: usize,
+}
+
+impl EventQueue {
+    fn push(&mut self, j: usize) {
+        let (block, bit) = (j / 64, 1u64 << (j % 64));
+        if self.bits[block] & bit == 0 {
+            self.bits[block] |= bit;
+            self.len += 1;
+            self.cursor = self.cursor.min(block);
+        }
+    }
+
+    /// Removes and returns the lowest pending position.
+    fn pop(&mut self) -> Option<usize> {
+        if self.len == 0 {
+            return None;
+        }
+        while self.bits[self.cursor] == 0 {
+            self.cursor += 1;
+        }
+        let block = &mut self.bits[self.cursor];
+        let j = self.cursor * 64 + block.trailing_zeros() as usize;
+        *block &= *block - 1;
+        self.len -= 1;
+        Some(j)
+    }
 }
 
 impl Propagator {
@@ -258,19 +285,12 @@ impl Propagator {
             epoch: 0,
             vals: vec![0; n * words],
             changed: vec![0; n],
-            queued: vec![0; n],
-            pending: BinaryHeap::new(),
-            fanin_vals: Vec::new(),
-            fanin_words: Vec::new(),
-            diff: vec![0; words],
+            pending: EventQueue {
+                bits: vec![0; n.div_ceil(64)],
+                len: 0,
+                cursor: 0,
+            },
             obs: vec![0; words],
-        }
-    }
-
-    fn enqueue(&mut self, j: u32) {
-        if self.queued[j as usize] != self.epoch {
-            self.queued[j as usize] = self.epoch;
-            self.pending.push(Reverse(j));
         }
     }
 
@@ -300,64 +320,57 @@ impl Propagator {
         }
         self.changed[i] = self.epoch;
         for c in nl.fanouts(g) {
-            self.enqueue(pos[c.gate.0 as usize]);
+            self.pending.push(pos[c.gate.0 as usize] as usize);
         }
-        while let Some(Reverse(j)) = self.pending.pop() {
-            let h = order[j as usize];
+        while let Some(j) = self.pending.pop() {
+            let h = order[j];
             let GateKind::Cell(cell) = nl.kind(h) else {
                 unreachable!("only cells have fanins")
             };
             let fanins = nl.fanins(h);
-            self.fanin_vals.clear();
-            for &f in fanins {
-                let p = pos[f.0 as usize];
-                if p != NONE && self.changed[p as usize] == self.epoch {
-                    let at = p as usize * words;
-                    self.fanin_vals
-                        .extend_from_slice(&self.vals[at..at + words]);
-                } else {
-                    self.fanin_vals.extend_from_slice(values.get(f));
+            // Fanins precede `h` in the order, so their changed values
+            // all lie before `h`'s own slot, which takes its new value.
+            let (before, from_h) = self.vals.split_at_mut(j * words);
+            let new = &mut from_h[..words];
+            let (changed, epoch) = (&self.changed, self.epoch);
+            let pin = |p: usize| {
+                let f = fanins[p];
+                match pos[f.0 as usize] {
+                    q if q != NONE && changed[q as usize] == epoch => {
+                        &before[q as usize * words..][..words]
+                    }
+                    _ => values.get(f),
                 }
-            }
+            };
+            covers.eval(cell, pin, 0, new);
             let old = values.get(h);
-            let mut any = 0u64;
-            for (w, (d, &o)) in self.diff.iter_mut().zip(old).enumerate() {
-                self.fanin_words.clear();
-                self.fanin_words
-                    .extend((0..fanins.len()).map(|p| self.fanin_vals[p * words + w]));
-                *d = covers.eval_word(cell, &self.fanin_words) ^ o;
-                any |= *d;
-            }
-            if any == 0 {
+            if new == old {
                 continue;
             }
-            if self.pending.is_empty() {
+            if self.pending.len == 0 {
                 // Every remaining difference flows through `h`: from here
                 // on it is a flip of `h` on the changed patterns.
-                let h_obs = &stems[j as usize * words..][..words];
-                for ((acc, &d), &m) in self.obs.iter_mut().zip(&self.diff).zip(h_obs) {
-                    *acc |= d & m;
+                let h_obs = &stems[j * words..][..words];
+                for (((acc, &n), &o), &m) in self.obs.iter_mut().zip(&*new).zip(old).zip(h_obs) {
+                    *acc |= (n ^ o) & m;
                 }
                 break;
             }
-            let vals = &mut self.vals[j as usize * words..][..words];
-            for ((v, &o), &d) in vals.iter_mut().zip(old).zip(&self.diff) {
-                *v = o ^ d;
-            }
-            self.changed[j as usize] = self.epoch;
+            self.changed[j] = self.epoch;
+            let mut escapes = false;
             for c in nl.fanouts(h) {
-                let k = pos[c.gate.0 as usize];
-                if k == NONE {
+                match pos[c.gate.0 as usize] {
                     // A primary output or an edge leaving the scope.
-                    for (acc, &d) in self.obs.iter_mut().zip(&self.diff) {
-                        *acc |= d;
-                    }
-                } else {
-                    self.enqueue(k);
+                    NONE => escapes = true,
+                    k => self.pending.push(k as usize),
+                }
+            }
+            if escapes {
+                for ((acc, &n), &o) in self.obs.iter_mut().zip(&*new).zip(old) {
+                    *acc |= n ^ o;
                 }
             }
         }
-        self.pending.clear();
         &self.obs
     }
 }

@@ -1,18 +1,22 @@
 //! Property-based tests: the bit-parallel simulator against a naive
-//! per-pattern reference evaluator, and observability against brute-force
-//! output flipping.
+//! per-pattern reference evaluator, the cell evaluator against truth
+//! tables, and observability against brute-force output flipping.
 
 use crate::{
     branch_observability, observability_sweep, simulate, stem_observability, CellCovers,
     ObservabilityMasks, Patterns,
 };
-use powder_library::lib2;
+use powder_library::genlib::parse_genlib;
+use powder_library::{lib2, CellId, Library};
 use powder_netlist::{Conn, GateId, GateKind, Netlist};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+/// A netlist over eight classic cells of at most 3 pins.
 fn build(inputs: usize, ops: &[(u8, u8, u8)]) -> Netlist {
     let lib = Arc::new(lib2());
     let names = [
@@ -22,6 +26,20 @@ fn build(inputs: usize, ops: &[(u8, u8, u8)]) -> Netlist {
         .iter()
         .map(|n| lib.find_by_name(n).expect("cell"))
         .collect();
+    build_from(lib, &cells, inputs, ops)
+}
+
+/// A netlist over every lib2 cell, up to `nand4`, `aoi22`, `oai22` and
+/// `mux21`.
+fn build_lib2(inputs: usize, ops: &[(u8, u8, u8)]) -> Netlist {
+    let lib = Arc::new(lib2());
+    let cells: Vec<CellId> = lib.iter().map(|(id, _)| id).collect();
+    build_from(lib, &cells, inputs, ops)
+}
+
+/// One gate per op, its cell drawn from `cells` and its fanins from the
+/// inputs and earlier gates; the last two signals drive outputs.
+fn build_from(lib: Arc<Library>, cells: &[CellId], inputs: usize, ops: &[(u8, u8, u8)]) -> Netlist {
     let mut nl = Netlist::new("p", lib);
     let mut sigs: Vec<GateId> = (0..inputs).map(|i| nl.add_input(format!("x{i}"))).collect();
     for (k, (op, a, b)) in ops.iter().enumerate() {
@@ -33,7 +51,7 @@ fn build(inputs: usize, ops: &[(u8, u8, u8)]) -> Netlist {
             let pick = match j {
                 0 => *a as usize,
                 1 => *b as usize,
-                _ => (*a as usize) ^ (*b as usize).rotate_left(3),
+                _ => (*a as usize) ^ (*b as usize).rotate_left(3 * (j as u32 - 1)),
             };
             fanins.push(sigs[pick % sigs.len()]);
         }
@@ -72,11 +90,11 @@ fn reference_eval(nl: &Netlist, assignment: &[bool]) -> HashMap<GateId, bool> {
     val
 }
 
-/// One random word of patterns plus `extra` learned ones appended the way
-/// ATPG counterexamples are, so the count is not a multiple of 64 and the
-/// last word carries the replicated padding.
-fn learned_patterns(inputs: usize, extra: usize, seed: u64) -> Patterns {
-    let mut pats = Patterns::random(inputs, 1, seed);
+/// `words` random words of patterns plus `extra` learned ones appended the
+/// way ATPG counterexamples are, so the count is not a multiple of 64 and
+/// the last word carries the replicated padding.
+fn learned_patterns(inputs: usize, words: usize, extra: usize, seed: u64) -> Patterns {
+    let mut pats = Patterns::random(inputs, words, seed);
     for k in 0..extra {
         let bits = seed
             .rotate_left(k as u32)
@@ -160,8 +178,23 @@ fn flip_observed(
     false
 }
 
+/// The pattern words [`check_sweep`] checks bit by bit: all of a short
+/// set; of a long one the first two, the three around the evaluator's
+/// 64-word block boundary and the last two, the partly learned tail
+/// among them.
+fn checked_words(words: usize) -> Vec<usize> {
+    let mut picked: Vec<usize> = [0, 1, 63, 64, 65, words.saturating_sub(2), words - 1]
+        .into_iter()
+        .filter(|&w| w < words)
+        .collect();
+    picked.sort_unstable();
+    picked.dedup();
+    picked
+}
+
 /// Checks every stem and branch mask of `masks` against [`flip_observed`]
-/// on every packed pattern bit; gates outside `scope` must have no masks.
+/// on every bit of the [`checked_words`]; gates outside `scope` must
+/// have no masks.
 fn check_sweep(
     nl: &Netlist,
     pats: &Patterns,
@@ -182,7 +215,10 @@ fn check_sweep(
             g
         );
     }
-    for t in 0..pats.words() * 64 {
+    for t in checked_words(pats.words())
+        .into_iter()
+        .flat_map(|w| w * 64..w * 64 + 64)
+    {
         let reference = reference_eval(nl, &assignment_at(pats, t));
         let bit = |m: &[u64]| (m[t / 64] >> (t % 64)) & 1 == 1;
         for &g in stems.iter().filter(|&&g| inside(g)) {
@@ -310,19 +346,21 @@ proptest! {
     }
 
     /// Every stem and branch mask of the whole-netlist sweep equals the
-    /// brute-force flip oracle, on a pattern count that is not a multiple
-    /// of 64 (learned counterexamples appended to a random word).
+    /// brute-force flip oracle, over every lib2 cell and 1–70 random
+    /// words, on a pattern count that is not a multiple of 64 (learned
+    /// counterexamples appended in a partial tail word).
     #[test]
     fn sweep_matches_brute_force(
         ops in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 3..16),
         inputs in 2usize..6,
+        words in 1usize..=70,
         extra in 1usize..64,
         seed in any::<u64>(),
     ) {
-        let nl = build(inputs, &ops);
+        let nl = build_lib2(inputs, &ops);
         prop_assume!(nl.validate().is_ok());
         let covers = CellCovers::new(nl.library());
-        let pats = learned_patterns(inputs, extra, seed);
+        let pats = learned_patterns(inputs, words, extra, seed);
         prop_assert!((1..64).contains(&pats.tail_used()), "last word partly learned");
         let vals = simulate(&nl, &covers, &pats);
         let masks = observability_sweep(&nl, &covers, &vals, None);
@@ -336,14 +374,15 @@ proptest! {
     fn scoped_sweep_matches_brute_force(
         ops in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 3..16),
         inputs in 2usize..6,
+        words in 1usize..=70,
         extra in 1usize..64,
         seed in any::<u64>(),
         scope_bits in any::<u64>(),
     ) {
-        let nl = build(inputs, &ops);
+        let nl = build_lib2(inputs, &ops);
         prop_assume!(nl.validate().is_ok());
         let covers = CellCovers::new(nl.library());
-        let pats = learned_patterns(inputs, extra, seed);
+        let pats = learned_patterns(inputs, words, extra, seed);
         let vals = simulate(&nl, &covers, &pats);
         // Ids at or beyond the mask's length are out of scope, too.
         let len = nl.id_bound() - (scope_bits >> 62) as usize % 2;
@@ -351,4 +390,79 @@ proptest! {
         let masks = observability_sweep(&nl, &covers, &vals, Some(&scope));
         check_sweep(&nl, &pats, &masks, Some(&scope))?;
     }
+
+    /// The evaluator equals each cell's truth table bit for bit, for
+    /// every lib2 cell and for genlib cells of 0, 5 and 6 pins (the
+    /// constants have an empty cover and a cover of one empty cube), over
+    /// 1–130 words read at a fanin stride longer than the word count,
+    /// with pins complemented by `flip`.
+    #[test]
+    fn evaluator_matches_truth_tables(
+        words in 1usize..=130,
+        pad in 1usize..4,
+        flip in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let stride = words + pad;
+        for lib in [lib2(), wide_cells()] {
+            let covers = CellCovers::new(&lib);
+            for (id, cell) in lib.iter() {
+                let k = cell.inputs();
+                let fanins: Vec<u64> = (0..k * stride).map(|_| rng.gen()).collect();
+                let mut out = vec![0; words];
+                covers.eval(id, |p| &fanins[p * stride..][..words], flip, &mut out);
+                for t in 0..words * 64 {
+                    let (w, b) = (t / 64, t % 64);
+                    let m = (0..k).fold(0u64, |m, p| {
+                        m | ((((fanins[p * stride + w] >> b) ^ (flip >> p)) & 1) << p)
+                    });
+                    prop_assert_eq!(
+                        (out[w] >> b) & 1 == 1,
+                        cell.function.eval(m),
+                        "cell {} bit {}",
+                        &cell.name,
+                        t
+                    );
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The sweep equals the brute-force flip oracle on netlists of more
+    /// than 64 gates, whose propagation queue spans several bitset
+    /// blocks.
+    #[test]
+    fn sweep_matches_brute_force_past_one_queue_block(
+        ops in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 70..90),
+        extra in 1usize..64,
+        seed in any::<u64>(),
+    ) {
+        let nl = build_lib2(5, &ops);
+        prop_assume!(nl.validate().is_ok());
+        let covers = CellCovers::new(nl.library());
+        let pats = learned_patterns(5, 1, extra, seed);
+        let vals = simulate(&nl, &covers, &pats);
+        let masks = observability_sweep(&nl, &covers, &vals, None);
+        check_sweep(&nl, &pats, &masks, None)?;
+    }
+}
+
+/// Genlib cells beyond lib2's: both constants and wide covers of 5 and 6
+/// pins, mixing literal phases.
+fn wide_cells() -> Library {
+    parse_genlib(
+        "wide",
+        "GATE zero 0 O=CONST0;
+         GATE one 0 O=CONST1;
+         GATE f5 1 O=a*b*!c + !a*d*e + b*!d*!e + c*e;
+             PIN * UNKNOWN 1 999 1 0.2 1 0.2
+         GATE f6 1 O=a*!b*c + !a*d + b*e*!f + !c*!d*f + a*b*c*d*e*f;
+             PIN * UNKNOWN 1 999 1 0.2 1 0.2",
+    )
+    .expect("genlib parses")
 }

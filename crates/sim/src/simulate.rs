@@ -20,6 +20,7 @@ impl SimValues {
     }
 
     /// The signature of gate `id`.
+    #[inline]
     #[must_use]
     pub fn get(&self, id: GateId) -> &[u64] {
         let s = id.0 as usize * self.words;
@@ -96,7 +97,7 @@ pub fn resimulate_cone(
     let words = values.words();
     let data = &mut values.data;
     let mut po_changed = false;
-    let mut fanin_words: Vec<u64> = Vec::with_capacity(8);
+    let mut out = vec![0u64; words];
     for &id in cone {
         let at = id.0 as usize * words;
         match nl.kind(id) {
@@ -112,11 +113,9 @@ pub fn resimulate_cone(
             }
             GateKind::Cell(c) => {
                 let fanins = nl.fanins(id);
-                for w in 0..words {
-                    fanin_words.clear();
-                    fanin_words.extend(fanins.iter().map(|f| data[f.0 as usize * words + w]));
-                    data[at + w] = covers.eval_word(c, &fanin_words);
-                }
+                let pin = |p: usize| &data[fanins[p].0 as usize * words..][..words];
+                covers.eval(c, pin, 0, &mut out);
+                data[at..at + words].copy_from_slice(&out);
             }
         }
     }
