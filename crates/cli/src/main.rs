@@ -60,17 +60,22 @@
 //!
 //! [`ErrorCode`]: powder_serve::ErrorCode
 
-use powder::{check_equivalence, DelayLimit, EquivOutcome, OptimizeConfig};
+use powder::{check_equivalence, EquivOutcome};
 use powder_faults::FaultPlan;
 use powder_library::{genlib::parse_genlib, lib2, Library};
 use powder_netlist::blif::{read_blif, write_blif};
 use powder_netlist::Netlist;
-use powder_passes::{build_pipeline_with, AnalysisSession, SessionConfig};
+use powder_passes::{AnalysisSession, SessionConfig};
 use powder_power::{PowerConfig, PowerEstimator};
+use powder_serve::job::{deadline_after, SpecError};
+use powder_serve::JobSpec;
 use powder_timing::{TimingAnalysis, TimingConfig};
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Backtrack budget for `powder equiv` miter solves — generous because
 /// an exact verdict matters more than latency here.
@@ -80,31 +85,9 @@ struct Options {
     positional: Vec<String>,
     output: Option<String>,
     library: Option<String>,
-    delay_limit: Option<f64>,
-    repeat: usize,
-    patterns: usize,
-    seed: u64,
-    /// Evaluation worker threads; 0 = auto (`POWDER_JOBS` env, else
-    /// available parallelism). Any value gives identical results.
-    jobs: usize,
-    /// Wall-clock budget for `optimize`; None = unbounded.
-    deadline_secs: Option<f64>,
-    /// Window core size for large-netlist optimization; None = the
-    /// automatic policy (whole-netlist below the threshold, windowed
-    /// above it).
-    window_size: Option<usize>,
-    /// Halo budget for windowed optimization; None = derived from the
-    /// window size.
-    window_overlap: Option<usize>,
-    /// Comma-separated pass pipeline
-    /// (`sweep,powder,resize,redundancy,egraph`).
-    passes: Option<String>,
-    /// Fixpoint iterations of the whole pass sequence.
-    fixpoint: usize,
-    /// `egraph` pass: per-cone e-node budget; None = pass default.
-    egraph_node_limit: Option<usize>,
-    /// `egraph` pass: saturation iteration bound; None = pass default.
-    egraph_iters: Option<usize>,
+    /// The run (`optimize`) or job (`submit`): every run flag plus
+    /// `--tenant`, `--priority` and `--job-key`.
+    spec: JobSpec,
     /// Write a Chrome/Perfetto trace of the run here (enables tracing).
     trace_out: Option<String>,
     /// Write a JSON snapshot of the metric registry here.
@@ -127,15 +110,8 @@ struct Options {
     drain_deadline_secs: Option<f64>,
     /// `submit`: daemon address (overrides the state-dir addr file).
     addr: Option<String>,
-    /// `submit`: fair-scheduling tenant.
-    tenant: Option<String>,
-    /// `submit`: priority (higher runs first).
-    priority: i64,
     /// `submit`: block until the job finishes and fetch the result.
     wait: bool,
-    /// `submit`: idempotency key — resubmitting the same key returns
-    /// the original job instead of enqueueing a duplicate.
-    job_key: Option<String>,
 }
 
 /// A CLI failure: the message printed to stderr plus the process exit
@@ -171,23 +147,34 @@ impl From<powder_serve::client::ClientError> for CliError {
     }
 }
 
+/// Parses a flag's value, naming the flag on failure.
+fn num<T: FromStr>(flag: &str, raw: String) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    raw.parse().map_err(|e| format!("bad {flag}: {e}"))
+}
+
+/// A refused [`JobSpec`] field, named by its flag.
+fn flag_error(e: SpecError) -> String {
+    format!("bad --{}: {}", e.field.replace('_', "-"), e.reason)
+}
+
+/// `secs` if [`deadline_after`] accepts it (the check `--deadline-secs`
+/// gets from [`JobSpec::validate`]), else the refusal naming the flag of
+/// `field`.
+fn seconds(field: &'static str, secs: f64) -> Result<f64, String> {
+    deadline_after(field, secs)
+        .map(|_| secs)
+        .map_err(flag_error)
+}
+
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut o = Options {
         positional: Vec::new(),
         output: None,
         library: None,
-        delay_limit: None,
-        repeat: 10,
-        patterns: 1024,
-        seed: 0xB0D1E5,
-        jobs: 0,
-        deadline_secs: None,
-        window_size: None,
-        window_overlap: None,
-        passes: None,
-        fixpoint: 1,
-        egraph_node_limit: None,
-        egraph_iters: None,
+        spec: JobSpec::default(),
         trace_out: None,
         metrics_out: None,
         listen: None,
@@ -199,221 +186,76 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         read_timeout_secs: None,
         drain_deadline_secs: None,
         addr: None,
-        tenant: None,
-        priority: 0,
         wait: false,
-        job_key: None,
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut val = |name: &str| -> Result<String, String> {
+        let flag = a.as_str();
+        let mut val = || -> Result<String, String> {
             it.next()
                 .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
+                .ok_or_else(|| format!("{flag} requires a value"))
         };
-        match a.as_str() {
-            "-o" | "--output" => o.output = Some(val("-o")?),
-            "--library" => o.library = Some(val("--library")?),
-            "--delay-limit" => {
-                o.delay_limit = Some(
-                    val("--delay-limit")?
-                        .parse::<f64>()
-                        .map_err(|e| format!("bad --delay-limit: {e}"))?,
-                )
-            }
-            "--repeat" => {
-                o.repeat = val("--repeat")?
-                    .parse()
-                    .map_err(|e| format!("bad --repeat: {e}"))?
-            }
-            "--patterns" => {
-                o.patterns = val("--patterns")?
-                    .parse()
-                    .map_err(|e| format!("bad --patterns: {e}"))?
-            }
-            "--seed" => {
-                o.seed = val("--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?
-            }
+        let spec = &mut o.spec;
+        match flag {
+            "-o" | "--output" => o.output = Some(val()?),
+            "--library" => o.library = Some(val()?),
+            "--delay-limit" => spec.delay_limit_percent = Some(num(flag, val()?)?),
+            "--repeat" => spec.repeat = num(flag, val()?)?,
+            "--patterns" => spec.patterns = num(flag, val()?)?,
+            "--seed" => spec.seed = num(flag, val()?)?,
             "--jobs" => {
-                let jobs: usize = val("--jobs")?
-                    .parse()
-                    .map_err(|e| format!("bad --jobs: {e}"))?;
-                if jobs == 0 {
+                spec.jobs = num(flag, val()?)?;
+                if spec.jobs == 0 {
                     return Err(
                         "bad --jobs: 0 is not a worker count (omit the flag to auto-detect)".into(),
                     );
                 }
-                o.jobs = jobs;
             }
-            "--deadline-secs" => {
-                let raw = val("--deadline-secs")?;
-                let secs: f64 = raw
-                    .parse()
-                    .map_err(|e| format!("bad --deadline-secs {raw:?}: {e}"))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(format!(
-                        "bad --deadline-secs {raw:?}: need a finite number of seconds > 0"
-                    ));
-                }
-                o.deadline_secs = Some(secs);
-            }
-            "--window-size" => {
-                let size: usize = val("--window-size")?
-                    .parse()
-                    .map_err(|e| format!("bad --window-size: {e}"))?;
-                if size == 0 {
-                    return Err(
-                        "bad --window-size: 0 is not a window size (omit the flag for the \
-                         automatic policy)"
-                            .into(),
-                    );
-                }
-                o.window_size = Some(size);
-            }
-            "--window-overlap" => {
-                o.window_overlap = Some(
-                    val("--window-overlap")?
-                        .parse()
-                        .map_err(|e| format!("bad --window-overlap: {e}"))?,
-                );
-            }
-            "--passes" => o.passes = Some(val("--passes")?),
-            "--fixpoint" => {
-                o.fixpoint = val("--fixpoint")?
-                    .parse()
-                    .map_err(|e| format!("bad --fixpoint: {e}"))?
-            }
-            "--egraph-node-limit" => {
-                let n: usize = val("--egraph-node-limit")?
-                    .parse()
-                    .map_err(|e| format!("bad --egraph-node-limit: {e}"))?;
-                if n == 0 {
-                    return Err("bad --egraph-node-limit: need at least one e-node \
-                         (omit the flag for the default budget)"
-                        .into());
-                }
-                o.egraph_node_limit = Some(n);
-            }
-            "--egraph-iters" => {
-                let n: usize = val("--egraph-iters")?
-                    .parse()
-                    .map_err(|e| format!("bad --egraph-iters: {e}"))?;
-                if n == 0 {
-                    return Err("bad --egraph-iters: need at least one iteration \
-                         (omit the flag for the default bound)"
-                        .into());
-                }
-                o.egraph_iters = Some(n);
-            }
-            "--trace-out" => o.trace_out = Some(val("--trace-out")?),
-            "--metrics-out" => o.metrics_out = Some(val("--metrics-out")?),
-            "--listen" => o.listen = Some(val("--listen")?),
-            "--state-dir" => o.state_dir = Some(val("--state-dir")?),
+            "--deadline-secs" => spec.deadline_secs = Some(num(flag, val()?)?),
+            "--window-size" => spec.window_size = Some(num(flag, val()?)?),
+            "--window-overlap" => spec.window_overlap = Some(num(flag, val()?)?),
+            "--passes" => spec.passes = val()?,
+            "--fixpoint" => spec.fixpoint = num(flag, val()?)?,
+            "--egraph-node-limit" => spec.egraph_node_limit = Some(num(flag, val()?)?),
+            "--egraph-iters" => spec.egraph_iters = Some(num(flag, val()?)?),
+            "--tenant" => spec.tenant = val()?,
+            "--priority" => spec.priority = num(flag, val()?)?,
+            "--job-key" => spec.job_key = Some(val()?),
+            "--trace-out" => o.trace_out = Some(val()?),
+            "--metrics-out" => o.metrics_out = Some(val()?),
+            "--listen" => o.listen = Some(val()?),
+            "--state-dir" => o.state_dir = Some(val()?),
             "--max-active" => {
-                let n: usize = val("--max-active")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-active: {e}"))?;
-                if n == 0 {
+                o.max_active = num(flag, val()?)?;
+                if o.max_active == 0 {
                     return Err("bad --max-active: need at least one runner".into());
                 }
-                o.max_active = n;
             }
-            "--threads" => {
-                o.threads = val("--threads")?
-                    .parse()
-                    .map_err(|e| format!("bad --threads: {e}"))?
-            }
+            "--threads" => o.threads = num(flag, val()?)?,
             "--max-queued" => {
-                let n: usize = val("--max-queued")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-queued: {e}"))?;
+                let n = num(flag, val()?)?;
                 if n == 0 {
                     return Err("bad --max-queued: need at least one queue slot".into());
                 }
                 o.max_queued = Some(n);
             }
-            "--max-request-bytes" => {
-                o.max_request_bytes = Some(
-                    val("--max-request-bytes")?
-                        .parse()
-                        .map_err(|e| format!("bad --max-request-bytes: {e}"))?,
-                );
-            }
+            "--max-request-bytes" => o.max_request_bytes = Some(num(flag, val()?)?),
             "--read-timeout-secs" => {
-                let secs: f64 = val("--read-timeout-secs")?
-                    .parse()
-                    .map_err(|e| format!("bad --read-timeout-secs: {e}"))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err("bad --read-timeout-secs: need seconds > 0".into());
-                }
-                o.read_timeout_secs = Some(secs);
+                o.read_timeout_secs = Some(seconds("read_timeout_secs", num(flag, val()?)?)?);
             }
             "--drain-deadline-secs" => {
-                let secs: f64 = val("--drain-deadline-secs")?
-                    .parse()
-                    .map_err(|e| format!("bad --drain-deadline-secs: {e}"))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err("bad --drain-deadline-secs: need seconds > 0".into());
-                }
-                o.drain_deadline_secs = Some(secs);
+                o.drain_deadline_secs = Some(seconds("drain_deadline_secs", num(flag, val()?)?)?);
             }
-            "--addr" => o.addr = Some(val("--addr")?),
-            "--tenant" => o.tenant = Some(val("--tenant")?),
-            "--priority" => {
-                o.priority = val("--priority")?
-                    .parse()
-                    .map_err(|e| format!("bad --priority: {e}"))?
-            }
+            "--addr" => o.addr = Some(val()?),
             "--wait" => o.wait = true,
-            "--job-key" => {
-                let key = val("--job-key")?;
-                if key.is_empty() {
-                    return Err("bad --job-key: must be non-empty".into());
-                }
-                o.job_key = Some(key);
-            }
             other if other.starts_with('-') => return Err(format!("unknown option {other:?}")),
             other => o.positional.push(other.to_string()),
         }
     }
-    if let Some(spec) = &o.passes {
-        // Fail unknown pass names at parse time, before any file I/O,
-        // with the full vocabulary in the message.
-        powder_passes::validate_passes(spec).map_err(|e| format!("bad --passes: {e}"))?;
-    }
-    if let Some(overlap) = o.window_overlap {
-        // Against an explicit size, or the automatic policy's size when
-        // only the overlap was given.
-        let size = o
-            .window_size
-            .unwrap_or(powder_netlist::WindowConfig::AUTO_SIZE);
-        if overlap >= size {
-            return Err(format!(
-                "bad --window-overlap: {overlap} must be smaller than the window size ({size})"
-            ));
-        }
-    }
+    // Unknown pass names and bad bounds fail here, before any file I/O.
+    o.spec.validate().map_err(flag_error)?;
     Ok(o)
-}
-
-/// The pass pipeline: the `--passes` list, else `powder` alone.
-fn pass_spec(opts: &Options) -> &str {
-    opts.passes.as_deref().unwrap_or("powder")
-}
-
-/// Resolves the `egraph` pass configuration: explicit flags override
-/// the crate defaults field by field.
-fn egraph_config(opts: &Options) -> powder_egraph::EgraphConfig {
-    let mut cfg = powder_egraph::EgraphConfig::default();
-    if let Some(n) = opts.egraph_node_limit {
-        cfg.node_limit = n;
-    }
-    if let Some(n) = opts.egraph_iters {
-        cfg.iter_limit = n;
-    }
-    cfg
 }
 
 fn load_library(opts: &Options) -> Result<Arc<Library>, String> {
@@ -600,9 +442,6 @@ fn run() -> Result<(), CliError> {
             let lib = load_library(&opts)?;
             require_inverter(&lib, &opts)?;
             let nl = load_netlist(path, lib)?;
-            let deadline = opts
-                .deadline_secs
-                .map(|secs| Instant::now() + Duration::from_secs_f64(secs));
             let faults = FaultPlan::from_env()
                 .map_err(|e| format!("bad POWDER_FAULTS: {e}"))?
                 .map(FaultPlan::into_state);
@@ -612,40 +451,14 @@ fn run() -> Result<(), CliError> {
             // Ctrl-C stops the run at the next committed boundary and
             // still writes the best-so-far netlist below.
             powder_serve::signal::install_stop_flag();
-            let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let stop = Arc::new(AtomicBool::new(false));
             let _sig_guard = powder_serve::signal::forward_into(Arc::clone(&stop));
-            let cfg = OptimizeConfig {
-                repeat: opts.repeat,
-                sim_words: opts.patterns.div_ceil(64).max(1),
-                seed: opts.seed,
-                delay_limit: opts
-                    .delay_limit
-                    .map(|pct| DelayLimit::Factor(1.0 + pct / 100.0)),
-                jobs: opts.jobs,
-                deadline,
-                faults,
-                stop: Some(Arc::clone(&stop)),
-                window_size: opts.window_size,
-                window_overlap: opts.window_overlap,
-                ..OptimizeConfig::default()
-            };
-            let spec = pass_spec(&opts);
-            // The resize pass's slack budget is anchored to the delay of
-            // the *input* circuit.
-            let resize_required = opts.delay_limit.map(|pct| {
-                let probe = TimingConfig {
-                    output_load: cfg.power.output_load,
-                    required_time: None,
-                };
-                (1.0 + pct / 100.0) * TimingAnalysis::new(&nl, &probe).circuit_delay()
-            });
-            let mut pipeline =
-                build_pipeline_with(spec, &cfg, resize_required, &egraph_config(&opts))
-                    .map_err(|e| format!("bad --passes: {e}"))?
-                    .with_fixpoint(opts.fixpoint)
-                    .with_deadline(deadline)
-                    .with_stop(Some(Arc::clone(&stop)));
-            let mut sess = AnalysisSession::new(nl, SessionConfig::from_optimize(&cfg));
+            let mut pipeline = opts
+                .spec
+                .pipeline(&nl, opts.spec.jobs, stop, faults)
+                .map_err(flag_error)?;
+            let mut sess =
+                AnalysisSession::new(nl, SessionConfig::from_optimize(pipeline.config()));
             let report = pipeline.run(&mut sess);
             for pass in &report.passes {
                 if let Some(opt) = &pass.optimize {
@@ -733,24 +546,7 @@ fn cmd_submit(opts: &Options) -> Result<(), CliError> {
                 .ok_or(format!("no addr file in {dir} (is the daemon running?)"))?
         }
     };
-    let spec = powder_serve::JobSpec {
-        tenant: opts.tenant.clone().unwrap_or_else(|| "default".to_string()),
-        priority: opts.priority,
-        passes: pass_spec(opts).to_string(),
-        fixpoint: opts.fixpoint,
-        repeat: opts.repeat,
-        patterns: opts.patterns,
-        seed: opts.seed,
-        jobs: opts.jobs,
-        delay_limit_percent: opts.delay_limit,
-        deadline_secs: opts.deadline_secs,
-        window_size: opts.window_size,
-        window_overlap: opts.window_overlap,
-        egraph_node_limit: opts.egraph_node_limit,
-        egraph_iters: opts.egraph_iters,
-        job_key: opts.job_key.clone(),
-    };
-    let id = powder_serve::client::submit(&addr, &spec, &netlist)?;
+    let id = powder_serve::client::submit(&addr, &opts.spec, &netlist)?;
     eprintln!("submitted {id} to {addr}");
     if !opts.wait {
         println!("{id}");
@@ -815,11 +611,11 @@ mod tests {
         .unwrap();
         assert_eq!(o.positional, vec!["in.blif"]);
         assert_eq!(o.output.as_deref(), Some("out.blif"));
-        assert_eq!(o.delay_limit, Some(20.0));
-        assert_eq!(o.repeat, 5);
-        assert_eq!(o.patterns, 512);
-        assert_eq!(o.seed, 7);
-        assert_eq!(o.jobs, 4);
+        assert_eq!(o.spec.delay_limit_percent, Some(20.0));
+        assert_eq!(o.spec.repeat, 5);
+        assert_eq!(o.spec.patterns, 512);
+        assert_eq!(o.spec.seed, 7);
+        assert_eq!(o.spec.jobs, 4);
     }
 
     #[test]
@@ -831,20 +627,19 @@ mod tests {
             "3",
         ]))
         .unwrap();
-        assert_eq!(o.passes.as_deref(), Some("sweep,powder,resize"));
-        assert_eq!(o.fixpoint, 3);
-        assert_eq!(pass_spec(&o), "sweep,powder,resize");
-        assert_eq!(pass_spec(&parse_args(&[]).unwrap()), "powder");
+        assert_eq!(o.spec.passes, "sweep,powder,resize");
+        assert_eq!(o.spec.fixpoint, 3);
+        assert_eq!(parse_args(&[]).unwrap().spec.passes, "powder");
         assert!(parse_args(&args(&["--fixpoint", "x"])).is_err());
     }
 
     #[test]
     fn parses_window_flags() {
         let o = parse_args(&args(&["--window-size", "512", "--window-overlap", "64"])).unwrap();
-        assert_eq!(o.window_size, Some(512));
-        assert_eq!(o.window_overlap, Some(64));
+        assert_eq!(o.spec.window_size, Some(512));
+        assert_eq!(o.spec.window_overlap, Some(64));
         let o = parse_args(&[]).unwrap();
-        assert!(o.window_size.is_none() && o.window_overlap.is_none());
+        assert!(o.spec.window_size.is_none() && o.spec.window_overlap.is_none());
     }
 
     #[test]
@@ -901,15 +696,11 @@ mod tests {
             "4",
         ]))
         .unwrap();
-        assert_eq!(o.egraph_node_limit, Some(256));
-        assert_eq!(o.egraph_iters, Some(4));
-        let cfg = egraph_config(&o);
-        assert_eq!(cfg.node_limit, 256);
-        assert_eq!(cfg.iter_limit, 4);
+        assert_eq!(o.spec.egraph_node_limit, Some(256));
+        assert_eq!(o.spec.egraph_iters, Some(4));
         // Absent flags keep the crate defaults.
         let o = parse_args(&[]).unwrap();
-        assert!(o.egraph_node_limit.is_none() && o.egraph_iters.is_none());
-        assert_eq!(egraph_config(&o), powder_egraph::EgraphConfig::default());
+        assert!(o.spec.egraph_node_limit.is_none() && o.spec.egraph_iters.is_none());
     }
 
     #[test]
@@ -926,7 +717,7 @@ mod tests {
     #[test]
     fn jobs_defaults_to_auto() {
         let o = parse_args(&[]).unwrap();
-        assert_eq!(o.jobs, 0, "0 means auto-resolve");
+        assert_eq!(o.spec.jobs, 0, "0 means auto-resolve");
         assert!(parse_args(&args(&["--jobs", "x"])).is_err());
     }
 
@@ -942,14 +733,32 @@ mod tests {
     #[test]
     fn deadline_secs_requires_positive_finite() {
         let o = parse_args(&args(&["--deadline-secs", "2.5"])).unwrap();
-        assert_eq!(o.deadline_secs, Some(2.5));
+        assert_eq!(o.spec.deadline_secs, Some(2.5));
         let o = parse_args(&[]).unwrap();
-        assert!(o.deadline_secs.is_none());
-        for bad in ["0", "-1", "inf", "nan", "soon"] {
+        assert!(o.spec.deadline_secs.is_none());
+        for bad in ["0", "-1", "inf", "nan", "soon", "1e300"] {
             assert!(
                 parse_args(&args(&["--deadline-secs", bad])).is_err(),
                 "{bad} should be rejected"
             );
+        }
+    }
+
+    /// Spans no deadline can hold are refused at parse time, naming the
+    /// flag, instead of panicking when the run or the daemon converts
+    /// them.
+    #[test]
+    fn second_spans_must_fit_a_deadline() {
+        for flag in [
+            "--deadline-secs",
+            "--read-timeout-secs",
+            "--drain-deadline-secs",
+        ] {
+            assert!(parse_args(&args(&[flag, "2.5"])).is_ok(), "{flag}");
+            for bad in ["0", "-1", "inf", "1e300"] {
+                let err = parse_args(&args(&[flag, bad])).err().unwrap();
+                assert!(err.contains(flag), "{flag} {bad}: {err}");
+            }
         }
     }
 

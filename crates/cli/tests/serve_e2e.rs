@@ -196,6 +196,76 @@ fn concurrent_jobs_are_bit_identical_to_standalone_runs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every run flag `submit` forwards reaches the served pipeline exactly
+/// as `optimize` applies it: the full pass list with a fixpoint, a delay
+/// limit (which anchors `resize`), forced windows, e-graph bounds, and a
+/// seed.
+#[test]
+fn every_run_flag_serves_bit_identically() {
+    let dir = temp_dir("all-flags");
+    let input = bench_blif(&dir, "c8");
+    let reference = dir.join("standalone.blif");
+    let flags = [
+        "--passes",
+        "sweep,egraph,powder,resize,redundancy",
+        "--fixpoint",
+        "2",
+        "--delay-limit",
+        "10",
+        "--window-size",
+        "32",
+        "--window-overlap",
+        "4",
+        "--egraph-node-limit",
+        "256",
+        "--egraph-iters",
+        "4",
+        "--seed",
+        "7",
+        "--repeat",
+        REPEAT,
+        "--patterns",
+        PATTERNS,
+        "--jobs",
+        JOBS,
+    ];
+    let ok = Command::new(BIN)
+        .arg("optimize")
+        .arg(&input)
+        .args(flags)
+        .arg("-o")
+        .arg(&reference)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status()
+        .expect("run powder optimize")
+        .success();
+    assert!(ok, "standalone optimize failed");
+
+    let daemon = Daemon::start(&dir.join("state"), None);
+    let served = dir.join("served.blif");
+    let ok = Command::new(BIN)
+        .arg("submit")
+        .arg(&input)
+        .args(["--addr", &daemon.addr, "--wait", "-o"])
+        .arg(&served)
+        .args(flags)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status()
+        .expect("run powder submit")
+        .success();
+    assert!(ok, "submit failed");
+    assert_eq!(
+        std::fs::read(&served).unwrap(),
+        std::fs::read(&reference).unwrap(),
+        "served result differs from standalone optimize with the same flags"
+    );
+
+    client::shutdown(&daemon.addr, true).expect("drain");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn tight_deadline_job_still_terminates_with_valid_result() {
     let dir = temp_dir("deadline");

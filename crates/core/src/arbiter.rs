@@ -21,7 +21,7 @@
 //!    [`CheckArena`]s that live for the whole run.
 //! 4. **Arbitration** — the arbiter consumes memoized results in the
 //!    paper's decision order: pre-selection scan, last-max tie-break,
-//!    `min_gain` cut-off, live delay checks. Every memoized value is a
+//!    [`MIN_GAIN`] cut-off, live delay checks. Every memoized value is a
 //!    pure function of the netlist and bit-identical to an in-place
 //!    recomputation, so any `jobs` value commits the same
 //!    substitutions in the same order. With one worker the pool runs
@@ -40,7 +40,8 @@
 use crate::gain::{analyze_fast_with, analyze_full_with, GainScratch};
 use crate::guard::{adaptive_backtrack, deadline_exceeded, guarded_apply};
 use crate::optimizer::{
-    candidate_alive, stop_requested, substitution_timing, DelayLimit, OptimizeConfig, RoundSnapshot,
+    candidate_alive, stop_requested, substitution_timing, DelayLimit, OptimizeConfig,
+    RoundSnapshot, MIN_GAIN,
 };
 use crate::report::{
     AppliedSubstitution, GuardStats, OptimizeReport, PhaseTimes, QuarantinedCandidate, SubClass,
@@ -87,7 +88,7 @@ fn footprint_of(fs: &mut FootprintScratch, nl: &Netlist, sub: &Substitution) -> 
 /// flags and the rejection budget — evolves without a netlist edit).
 /// The prediction replays the arbiter's own scan on a cloned `consumed`
 /// and stops as soon as a window member's gain is not memoized, the
-/// best gain drops below `min_gain`, or the rejection budget runs out —
+/// best gain drops below [`MIN_GAIN`], or the rejection budget runs out —
 /// under-prediction only shortens the speculative batch.
 #[allow(clippy::too_many_arguments)]
 fn plan_proof_batch(
@@ -150,7 +151,7 @@ fn plan_proof_batch(
             break;
         }
         let (bi, bg) = best.expect("window is non-empty");
-        if bg <= config.min_gain {
+        if bg <= MIN_GAIN {
             break;
         }
         pred_consumed[bi] = true;
@@ -470,7 +471,7 @@ pub(crate) fn power_optimize(
                 .max_by(|x, y| x.1.total_cmp(&y.1))
                 .expect("pre-selection is non-empty");
             let (idx, gain) = best;
-            if gain <= config.min_gain {
+            if gain <= MIN_GAIN {
                 // The most promising candidates no longer reduce power;
                 // end this round (fresh candidates may still exist).
                 break 'inner;

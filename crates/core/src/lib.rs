@@ -67,7 +67,7 @@ pub mod resize;
 mod session;
 mod windowed;
 
-pub use optimizer::{optimize, DelayLimit, OptimizeConfig, RoundHook, RoundSnapshot};
+pub use optimizer::{optimize, DelayLimit, OptimizeConfig, RoundHook, RoundSnapshot, MIN_GAIN};
 pub use powder_atpg::{
     check_equivalence, CandidateConfig, CandidateScope, EquivOutcome, Substitution,
 };

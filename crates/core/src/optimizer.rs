@@ -15,6 +15,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Substitutions with total gain (`PG_A + PG_B + PG_C`) at or below
+/// this are not applied.
+pub const MIN_GAIN: f64 = 1e-9;
+
 /// How the delay constraint of Section 3.4 is specified.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum DelayLimit {
@@ -45,8 +49,6 @@ pub struct OptimizeConfig {
     pub preselect: usize,
     /// Upper bound on candidate-generation rounds.
     pub max_rounds: usize,
-    /// Substitutions with total gain at or below this are not applied.
-    pub min_gain: f64,
     /// Candidates rejected (by delay or ATPG) per round before the round
     /// is cut short and fresh candidates are generated.
     pub max_rejections_per_round: usize,
@@ -160,7 +162,6 @@ impl Default for OptimizeConfig {
             backtrack_limit: 3_000,
             preselect: 8,
             max_rounds: 60,
-            min_gain: 1e-9,
             max_rejections_per_round: 250,
             jobs: 0,
             candidates: CandidateConfig::default(),

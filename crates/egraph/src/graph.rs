@@ -61,12 +61,6 @@ pub enum Op {
 }
 
 impl Op {
-    /// Whether extraction may realise this op as netlist structure.
-    #[must_use]
-    pub fn is_implementable(self) -> bool {
-        matches!(self, Op::Var(_) | Op::Const(_) | Op::Cell(_))
-    }
-
     /// The op as one hash word: a tag in the low byte, its argument
     /// above.
     fn word(self) -> u64 {

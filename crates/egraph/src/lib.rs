@@ -82,17 +82,3 @@ pub struct EgraphReport {
     /// Modelled `Σ C·E` delta of kept rewrites (negative is gain).
     pub cost_delta: f64,
 }
-
-impl EgraphReport {
-    /// Accumulates another report (e.g. across windows or rounds).
-    pub fn absorb(&mut self, other: &EgraphReport) {
-        self.cones += other.cones;
-        self.iters += other.iters;
-        self.nodes += other.nodes;
-        self.saturated += other.saturated;
-        self.applied += other.applied;
-        self.rejected += other.rejected;
-        self.rollbacks += other.rollbacks;
-        self.cost_delta += other.cost_delta;
-    }
-}

@@ -17,16 +17,6 @@ pub struct KernelPair {
     pub kernel: Sop,
 }
 
-/// True if no single literal appears in every cube (the SOP is *cube-free*).
-#[must_use]
-pub fn is_cube_free(sop: &Sop) -> bool {
-    if sop.cube_count() < 2 {
-        return sop.cube_count() == 1 && sop.cubes()[0].literal_count() == 0
-            || sop.cube_count() >= 2;
-    }
-    common_cube(sop).literal_count() == 0
-}
-
 /// The largest cube dividing every cube of the SOP.
 #[must_use]
 pub fn common_cube(sop: &Sop) -> Cube {

@@ -159,15 +159,6 @@ impl WindowPlan {
     pub fn is_empty(&self) -> bool {
         self.windows.is_empty()
     }
-
-    /// The window owning `id`'s core slot, if any.
-    #[must_use]
-    pub fn core_window_of(&self, id: GateId) -> Option<usize> {
-        self.windows
-            .iter()
-            .find(|w| w.core.binary_search(&id).is_ok())
-            .map(|w| w.index)
-    }
 }
 
 /// Partitions the live gates of `nl` into overlapping MFFC-seeded

@@ -77,14 +77,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// The value as an object.
-    pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
-        match self {
-            Value::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
 }
 
 /// Parses a complete JSON document.

@@ -86,6 +86,18 @@ pub struct RunCheckpoint {
 }
 
 impl RunCheckpoint {
+    /// The checkpoint of `nl` and its pattern set at `position`.
+    pub(crate) fn capture(position: ResumePoint, nl: &Netlist, patterns: &Patterns) -> Self {
+        RunCheckpoint {
+            position,
+            netlist: powder_netlist::write_snapshot(nl),
+            pattern_bits: (0..patterns.inputs())
+                .map(|i| patterns.input_bits(i).to_vec())
+                .collect(),
+            pattern_tail: patterns.tail_used(),
+        }
+    }
+
     /// Serializes to the line-oriented `powder-checkpoint v2` text
     /// format: magic line, `crc32 <hex8> <len>` integrity line over
     /// the remainder, then the body. Floats are stored as bit

@@ -26,7 +26,6 @@
 //! e-graph and extractor are deterministic by construction, and no
 //! decision depends on `--jobs`.
 
-use crate::transform::{instrumented, PassBudget, PassReport, Transform};
 use powder::AnalysisSession;
 use powder::Substitution;
 use powder_atpg::{check_substitution, CheckOutcome};
@@ -38,26 +37,12 @@ use powder_egraph::{
 use powder_netlist::{GateId, GateKind};
 use powder_obs as obs;
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Power-improvement threshold for accepting a committed rewrite,
 /// matching the monotonicity epsilon used by the other passes.
 const POWER_EPS: f64 = 1e-12;
-
-/// The equality-saturation rewriting pass.
-#[derive(Clone, Debug, Default)]
-pub struct EgraphPass {
-    /// Saturation bounds.
-    pub config: EgraphConfig,
-}
-
-impl EgraphPass {
-    /// An egraph pass with the given configuration.
-    #[must_use]
-    pub fn new(config: EgraphConfig) -> Self {
-        EgraphPass { config }
-    }
-}
 
 /// Why one candidate cone did not produce a committed rewrite.
 enum Verdict {
@@ -100,71 +85,65 @@ impl Reject {
     }
 }
 
-impl Transform for EgraphPass {
-    fn name(&self) -> &str {
-        "egraph"
-    }
-
-    fn run(&mut self, sess: &mut AnalysisSession, budget: &PassBudget) -> PassReport {
-        let cfg = self.config;
-        let mut er = EgraphReport::default();
-        let mut report = instrumented("egraph", sess, |sess| {
-            let mut edits = 0usize;
-            // Library matches memoised for every cone of this run.
-            let mut cache = RuleCache::new(Arc::clone(sess.netlist().library()));
-            // Roots whose extraction the guard refuted, and the rule
-            // chains that produced those plans: neither is tried again.
-            let mut quarantined_roots: HashSet<GateId> = HashSet::new();
-            let mut quarantined_chains: HashSet<Vec<u8>> = HashSet::new();
-            let roots: Vec<GateId> = sess
-                .netlist()
-                .iter_live()
-                .filter(|&g| matches!(sess.netlist().kind(g), GateKind::Cell(_)))
-                .collect();
-            for root in roots {
-                if let Some(stop) = &budget.stop {
-                    if stop.load(std::sync::atomic::Ordering::Relaxed) {
-                        break;
-                    }
-                }
-                if !sess.netlist().is_live(root) || quarantined_roots.contains(&root) {
-                    continue;
-                }
-                let verdict = try_rewrite(
-                    sess,
-                    root,
-                    &cfg,
-                    budget,
-                    &quarantined_chains,
-                    &mut cache,
-                    &mut er,
-                );
-                match verdict {
-                    Verdict::Kept(delta) => {
-                        edits += 1;
-                        er.applied += 1;
-                        er.cost_delta += delta;
-                        obs::counter!(obs::names::EGRAPH_APPLIED).inc();
-                    }
-                    Verdict::Rejected(reason) => {
-                        er.rejected += 1;
-                        obs::counter!(obs::names::EGRAPH_REJECTED).inc();
-                        reason.count();
-                    }
-                    Verdict::RolledBack(chain) => {
-                        er.rollbacks += 1;
-                        obs::counter!(obs::names::EGRAPH_ROLLBACKS).inc();
-                        obs::counter!(obs::names::EGRAPH_QUARANTINED).inc();
-                        quarantined_roots.insert(root);
-                        quarantined_chains.insert(chain);
-                    }
-                }
+/// The `egraph` pass: saturates every cell-rooted cone under `cfg`'s
+/// bounds and commits the extractions that prove out, proving each with
+/// `backtrack_limit`. A set `stop` flag ends the pass between cones.
+/// Its edits are the report's `applied` rewrites.
+pub(crate) fn egraph(
+    sess: &mut AnalysisSession,
+    cfg: &EgraphConfig,
+    backtrack_limit: usize,
+    stop: Option<&AtomicBool>,
+) -> EgraphReport {
+    let mut er = EgraphReport::default();
+    // Library matches memoised for every cone of this run.
+    let mut cache = RuleCache::new(Arc::clone(sess.netlist().library()));
+    // Roots whose extraction the guard refuted, and the rule chains
+    // that produced those plans: neither is tried again.
+    let mut quarantined_roots: HashSet<GateId> = HashSet::new();
+    let mut quarantined_chains: HashSet<Vec<u8>> = HashSet::new();
+    let roots: Vec<GateId> = sess
+        .netlist()
+        .iter_live()
+        .filter(|&g| matches!(sess.netlist().kind(g), GateKind::Cell(_)))
+        .collect();
+    for root in roots {
+        if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
+            break;
+        }
+        if !sess.netlist().is_live(root) || quarantined_roots.contains(&root) {
+            continue;
+        }
+        let verdict = try_rewrite(
+            sess,
+            root,
+            cfg,
+            backtrack_limit,
+            &quarantined_chains,
+            &mut cache,
+            &mut er,
+        );
+        match verdict {
+            Verdict::Kept(delta) => {
+                er.applied += 1;
+                er.cost_delta += delta;
+                obs::counter!(obs::names::EGRAPH_APPLIED).inc();
             }
-            (edits, None)
-        });
-        report.egraph = Some(er);
-        report
+            Verdict::Rejected(reason) => {
+                er.rejected += 1;
+                obs::counter!(obs::names::EGRAPH_REJECTED).inc();
+                reason.count();
+            }
+            Verdict::RolledBack(chain) => {
+                er.rollbacks += 1;
+                obs::counter!(obs::names::EGRAPH_ROLLBACKS).inc();
+                obs::counter!(obs::names::EGRAPH_QUARANTINED).inc();
+                quarantined_roots.insert(root);
+                quarantined_chains.insert(chain);
+            }
+        }
     }
+    er
 }
 
 /// Runs the saturate→extract→prove→commit protocol on one root.
@@ -172,7 +151,7 @@ fn try_rewrite(
     sess: &mut AnalysisSession,
     root: GateId,
     cfg: &EgraphConfig,
-    budget: &PassBudget,
+    backtrack_limit: usize,
     quarantined_chains: &HashSet<Vec<u8>>,
     cache: &mut RuleCache,
     er: &mut EgraphReport,
@@ -212,7 +191,7 @@ fn try_rewrite(
         return Verdict::Rejected(Reject::Quarantined);
     }
 
-    commit_plan(sess, root, &cone, &plan, old_cost, budget)
+    commit_plan(sess, root, &cone, &plan, old_cost, backtrack_limit)
 }
 
 /// Stages the plan next to the old cone, proves the substitution, and
@@ -223,7 +202,7 @@ fn commit_plan(
     cone: &Cone,
     plan: &Plan,
     old_cost: f64,
-    budget: &PassBudget,
+    backtrack_limit: usize,
 ) -> Verdict {
     // Constant drivers the plan references must exist before the
     // checkpoint so a rollback never strands a dangling tie cell.
@@ -286,7 +265,7 @@ fn commit_plan(
         obs::counter!(obs::names::PASSES_ATPG_CHECKS).inc();
         let outcome = {
             let _span = obs::span!(obs::names::span::PASSES_ATPG_CHECK);
-            check_substitution(nl, &sub, budget.backtrack_limit)
+            check_substitution(nl, &sub, backtrack_limit)
         };
         match outcome {
             CheckOutcome::Permissible => {}
@@ -343,10 +322,19 @@ fn find_or_add_const(sess: &mut AnalysisSession, value: bool) -> GateId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use powder::SessionConfig;
+    use crate::{build_pipeline, PassReport};
+    use powder::{OptimizeConfig, SessionConfig};
     use powder_library::lib2;
     use powder_netlist::Netlist;
     use std::sync::Arc;
+
+    /// The one-pass `egraph` pipeline at the default bounds and
+    /// backtrack limit.
+    fn run_default(sess: &mut AnalysisSession) -> PassReport {
+        let mut pipeline =
+            build_pipeline("egraph", &OptimizeConfig::default(), None).expect("valid spec");
+        pipeline.run(sess).passes.remove(0)
+    }
 
     /// `f = (a&b) | (a&c)`: factoring pulls `a` out, so the cone can be
     /// rebuilt as `a & (b|c)` — one fewer 2-input gate, strictly less
@@ -370,8 +358,7 @@ mod tests {
     fn egraph_pass_factors_shared_literal() {
         let mut sess = AnalysisSession::new(factorable(), SessionConfig::default());
         let before = sess.power();
-        let mut pass = EgraphPass::default();
-        let report = pass.run(&mut sess, &PassBudget::default());
+        let report = run_default(&mut sess);
         let er = report.egraph.expect("egraph stats attached");
         assert!(er.cones > 0, "at least the output cone is explored");
         assert!(report.edits >= 1, "the factorable cone is rewritten");
@@ -389,8 +376,7 @@ mod tests {
     fn egraph_pass_is_deterministic() {
         let run = || {
             let mut sess = AnalysisSession::new(factorable(), SessionConfig::default());
-            let mut pass = EgraphPass::default();
-            let report = pass.run(&mut sess, &PassBudget::default());
+            let report = run_default(&mut sess);
             let nl = sess.into_netlist();
             (report.edits, powder_netlist::blif::write_blif(&nl))
         };
@@ -408,8 +394,7 @@ mod tests {
         nl.add_output("f", g);
         let mut sess = AnalysisSession::new(nl, SessionConfig::default());
         let before = sess.power();
-        let mut pass = EgraphPass::default();
-        let report = pass.run(&mut sess, &PassBudget::default());
+        let report = run_default(&mut sess);
         assert!(report.power_after <= before + 1e-12);
         sess.into_netlist().validate().unwrap();
     }

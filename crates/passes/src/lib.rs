@@ -4,21 +4,24 @@
 //! technology mapping) is one transformation among several that read
 //! the same expensive analyses: logic-simulation signatures, the
 //! switched-capacitance power estimator, and static timing. This crate
-//! factors that observation into three pieces:
+//! factors that observation into two pieces:
 //!
 //! | type | role |
 //! |------|------|
 //! | [`AnalysisSession`] | owns the netlist plus every analysis, kept consistent through the edit journal (lazy, cone-local repair); defined in `powder`, whose Fig. 5 loop commits through the same repair, and re-exported here |
-//! | [`Transform`] | a pass: reads analyses through the session, commits edits through it |
-//! | [`Pipeline`] | runs a scripted pass sequence, optionally to a fixpoint, and accounts per-pass effects |
+//! | [`Pipeline`] | runs a scripted pass sequence under one [`OptimizeConfig`](powder::OptimizeConfig), optionally to a fixpoint, and accounts per-pass effects |
 //!
-//! Five passes ship with the crate — [`PowderPass`] (the paper's
-//! Fig. 5 loop), [`SweepPass`] (constant propagation and duplicate
-//! merging keyed on simulation signatures), [`ResizePass`]
-//! (slack-constrained cell downsizing), [`RedundancyPass`]
-//! (ATPG redundancy removal), and [`EgraphPass`] (equality-saturation
-//! cone rewriting, DESIGN.md §9) — all sharing one invariant: between
-//! passes, no analysis is ever rebuilt from scratch. The session's
+//! The pass set is closed: [`KNOWN_PASSES`] names `powder` (the paper's
+//! Fig. 5 loop), `sweep` (constant propagation and duplicate merging
+//! keyed on simulation signatures), `resize` (slack-constrained cell
+//! downsizing), `redundancy` (ATPG redundancy removal), and `egraph`
+//! (equality-saturation cone rewriting, DESIGN.md §9). The pipeline
+//! runs each through one `match`, and every setting a pass reads comes
+//! from the pipeline's one config: the backtrack limit, the stop flag
+//! and deadline, and the POWDER parameters. Only the e-graph bounds and
+//! the `resize` anchor sit beside it ([`build_pipeline_with`]). All
+//! passes share one invariant: between passes, no analysis is ever
+//! rebuilt from scratch. The session's
 //! [`SessionStats`](powder_engine::SessionStats) counters prove it.
 //!
 //! # Quickstart
@@ -58,14 +61,10 @@ mod egraph;
 pub mod integrity;
 mod passes;
 mod pipeline;
-mod transform;
 
 pub use checkpoint::{ResumePoint, RunCheckpoint, CHECKPOINT_MAGIC};
-pub use egraph::EgraphPass;
-pub use passes::{PowderPass, RedundancyPass, ResizePass, SweepPass};
 pub use pipeline::{
-    build_pipeline, build_pipeline_with, validate_passes, CheckpointSink, Pipeline, PipelineReport,
-    KNOWN_PASSES,
+    build_pipeline, build_pipeline_with, validate_passes, CheckpointSink, PassReport, Pipeline,
+    PipelineReport, KNOWN_PASSES,
 };
 pub use powder::{AnalysisSession, SessionCheckpoint, SessionConfig};
-pub use transform::{PassBudget, PassReport, Transform};

@@ -1,69 +1,23 @@
-//! The built-in passes: `powder`, `sweep`, `resize`, `redundancy`.
+//! The bodies of the `sweep`, `redundancy` and `resize` passes.
 //!
-//! Every pass is a [`Transform`] over the shared [`AnalysisSession`]:
-//! it consults the session's maintained analyses (power estimator,
-//! simulation signatures, timing) and commits edits through the
-//! session, which repairs those analyses over the dirty cone. None of
-//! the passes rebuilds one of them from scratch — the pipeline asserts
-//! as much through the per-pass [`SessionStats`] deltas. Only the
-//! observability masks `redundancy` reads are rebuilt after each edit.
+//! Each reads the shared [`AnalysisSession`]'s maintained analyses
+//! (power estimator, simulation signatures, timing) and commits edits
+//! through the session, which repairs those analyses over the dirty
+//! cone. None of them rebuilds one of them from scratch — the pipeline
+//! asserts as much through the per-pass [`SessionStats`] deltas. Only
+//! the observability masks `redundancy` reads are rebuilt after each
+//! edit. Each returns the number of edits it committed.
 //!
 //! [`SessionStats`]: powder_engine::SessionStats
 
-use crate::transform::{instrumented, PassBudget, PassReport, Transform};
 use powder::gain::analyze_full;
 use powder::resize::best_swap;
 use powder::AnalysisSession;
-use powder::{DelayLimit, OptimizeConfig, Substitution};
+use powder::Substitution;
 use powder_atpg::{check_substitution, CheckOutcome};
 use powder_netlist::{Conn, GateId, GateKind, Netlist};
 use powder_obs as obs;
 use std::collections::{BTreeMap, HashSet};
-
-/// The POWDER permissible-substitution loop (the paper's Fig. 5),
-/// run against the session's shared analyses.
-#[derive(Clone, Debug, Default)]
-pub struct PowderPass {
-    /// Optimizer configuration for this invocation.
-    pub config: OptimizeConfig,
-}
-
-impl PowderPass {
-    /// A powder pass with the given optimizer configuration.
-    #[must_use]
-    pub fn new(config: OptimizeConfig) -> Self {
-        PowderPass { config }
-    }
-}
-
-impl Transform for PowderPass {
-    fn name(&self) -> &str {
-        "powder"
-    }
-
-    fn run(&mut self, sess: &mut AnalysisSession, budget: &PassBudget) -> PassReport {
-        let mut config = self.config.clone();
-        config.backtrack_limit = config.backtrack_limit.min(budget.backtrack_limit);
-        if budget.stop.is_some() {
-            config.stop = budget.stop.clone();
-        }
-        if budget.round_hook.is_some() {
-            config.round_hook = budget.round_hook.clone();
-        }
-        // Resume support: a checkpointed pass re-runs only its remaining
-        // work units (candidate rounds, or windows in windowed mode),
-        // against the required time the interrupted invocation resolved
-        // (re-resolving a Factor mid-run would move the goal).
-        config.rounds_offset = budget.rounds_offset;
-        if let Some(t) = budget.required_time {
-            config.delay_limit = Some(DelayLimit::Absolute(t));
-        }
-        instrumented("powder", sess, |sess| {
-            let report = sess.run_powder(&config);
-            (report.applied.len(), Some(report))
-        })
-    }
-}
 
 /// Lazily-created constant drivers shared by the constant-tying passes.
 #[derive(Default)]
@@ -118,13 +72,6 @@ fn try_commit(sess: &mut AnalysisSession, sub: &Substitution, backtrack_limit: u
     true
 }
 
-/// Netlist cleanup: removes dangling logic, then uses the session's
-/// simulation signatures to find constant and duplicate gates, proving
-/// each suspicion exactly (ATPG) before rewiring. Iterates to a
-/// fixpoint — merging duplicates can strand more logic.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SweepPass;
-
 /// What a signature class suggests doing with one victim gate.
 #[derive(Clone, Copy)]
 enum SweepAction {
@@ -134,140 +81,132 @@ enum SweepAction {
     Merge(GateId, GateId),
 }
 
-impl SweepPass {
-    /// Live cell/const gates with no fanout (dangling roots). The tie
-    /// constants are exempt while the pass runs: sweeping one after a
-    /// failed tie attempt would register as progress and re-arm the
-    /// same doomed suspicion, so the fixpoint loop would never exit.
-    fn dangling(nl: &Netlist, keep: &TieConsts) -> Vec<GateId> {
-        nl.iter_live()
-            .filter(|&g| matches!(nl.kind(g), GateKind::Cell(_) | GateKind::Const(_)))
-            .filter(|&g| nl.fanouts(g).is_empty() && !keep.gates.contains(&Some(g)))
-            .collect()
-    }
-
-    /// Groups live non-output gates by simulation signature and plans
-    /// one action per provable-looking victim. Deterministic: classes
-    /// iterate in signature order, members in gate-id order.
-    fn plan(nl: &Netlist, values: &powder_sim::SimValues, words: usize) -> Vec<SweepAction> {
-        let mut classes: BTreeMap<&[u64], Vec<GateId>> = BTreeMap::new();
-        for g in nl.iter_live() {
-            if matches!(nl.kind(g), GateKind::Output) {
-                continue;
-            }
-            classes.entry(values.get(g)).or_default().push(g);
-        }
-        let zeros = vec![0u64; words];
-        let ones = vec![!0u64; words];
-        let mut plan = Vec::new();
-        for (sig, members) in &classes {
-            let constant = if *sig == zeros.as_slice() {
-                Some(false)
-            } else if *sig == ones.as_slice() {
-                Some(true)
-            } else {
-                None
-            };
-            if let Some(value) = constant {
-                for &g in members {
-                    if matches!(nl.kind(g), GateKind::Cell(_)) {
-                        plan.push(SweepAction::TieConst(g, value));
-                    }
-                }
-            } else if members.len() > 1 {
-                let canon = members[0];
-                for &g in &members[1..] {
-                    if matches!(nl.kind(g), GateKind::Cell(_)) {
-                        plan.push(SweepAction::Merge(g, canon));
-                    }
-                }
-            }
-        }
-        plan
-    }
+/// Live cell/const gates with no fanout (dangling roots). The tie
+/// constants are exempt while the pass runs: sweeping one after a
+/// failed tie attempt would register as progress and re-arm the same
+/// doomed suspicion, so the fixpoint loop would never exit.
+fn dangling(nl: &Netlist, keep: &TieConsts) -> Vec<GateId> {
+    nl.iter_live()
+        .filter(|&g| matches!(nl.kind(g), GateKind::Cell(_) | GateKind::Const(_)))
+        .filter(|&g| nl.fanouts(g).is_empty() && !keep.gates.contains(&Some(g)))
+        .collect()
 }
 
-impl Transform for SweepPass {
-    fn name(&self) -> &str {
-        "sweep"
+/// Groups live non-output gates by simulation signature and plans one
+/// action per provable-looking victim. Deterministic: classes iterate
+/// in signature order, members in gate-id order.
+fn plan_sweep(nl: &Netlist, values: &powder_sim::SimValues, words: usize) -> Vec<SweepAction> {
+    let mut classes: BTreeMap<&[u64], Vec<GateId>> = BTreeMap::new();
+    for g in nl.iter_live() {
+        if matches!(nl.kind(g), GateKind::Output) {
+            continue;
+        }
+        classes.entry(values.get(g)).or_default().push(g);
     }
-
-    fn run(&mut self, sess: &mut AnalysisSession, budget: &PassBudget) -> PassReport {
-        instrumented("sweep", sess, |sess| {
-            let mut edits = 0usize;
-            let mut consts = TieConsts::default();
-            // Suspicions that failed their exact proof. A signature
-            // match that ATPG refuted will be suggested again verbatim
-            // on the next iteration (the patterns don't change), so
-            // re-checking it is pure waste — and re-arming a failed
-            // constant tie is what used to keep the loop alive forever.
-            let mut failed_const: HashSet<(GateId, bool)> = HashSet::new();
-            let mut failed_merge: HashSet<(GateId, GateId)> = HashSet::new();
-            loop {
-                let mut changed = false;
-                for g in Self::dangling(sess.netlist(), &consts) {
-                    if sess.netlist().is_live(g) {
-                        let removed = sess.sweep_dangling(g).len();
-                        if removed > 0 {
-                            edits += removed;
-                            changed = true;
-                        }
-                    }
-                }
-                let (nl, values) = sess.signatures();
-                let words = values.words();
-                let plan = Self::plan(nl, values, words);
-                for action in plan {
-                    let sub = match action {
-                        SweepAction::TieConst(victim, value) => {
-                            if !sess.netlist().is_live(victim)
-                                || failed_const.contains(&(victim, value))
-                            {
-                                continue;
-                            }
-                            let b = consts.get(sess, value);
-                            Substitution::Os2 {
-                                a: victim,
-                                b,
-                                invert: false,
-                            }
-                        }
-                        SweepAction::Merge(victim, canon) => {
-                            if !sess.netlist().is_live(victim)
-                                || !sess.netlist().is_live(canon)
-                                || failed_merge.contains(&(victim, canon))
-                            {
-                                continue;
-                            }
-                            Substitution::Os2 {
-                                a: victim,
-                                b: canon,
-                                invert: false,
-                            }
-                        }
-                    };
-                    if try_commit(sess, &sub, budget.backtrack_limit) {
-                        edits += 1;
-                        changed = true;
-                    } else {
-                        match action {
-                            SweepAction::TieConst(victim, value) => {
-                                failed_const.insert((victim, value));
-                            }
-                            SweepAction::Merge(victim, canon) => {
-                                failed_merge.insert((victim, canon));
-                            }
-                        }
-                    }
-                }
-                if !changed {
-                    break;
+    let zeros = vec![0u64; words];
+    let ones = vec![!0u64; words];
+    let mut plan = Vec::new();
+    for (sig, members) in &classes {
+        let constant = if *sig == zeros.as_slice() {
+            Some(false)
+        } else if *sig == ones.as_slice() {
+            Some(true)
+        } else {
+            None
+        };
+        if let Some(value) = constant {
+            for &g in members {
+                if matches!(nl.kind(g), GateKind::Cell(_)) {
+                    plan.push(SweepAction::TieConst(g, value));
                 }
             }
-            consts.sweep_unused(sess);
-            (edits, None)
-        })
+        } else if members.len() > 1 {
+            let canon = members[0];
+            for &g in &members[1..] {
+                if matches!(nl.kind(g), GateKind::Cell(_)) {
+                    plan.push(SweepAction::Merge(g, canon));
+                }
+            }
+        }
     }
+    plan
+}
+
+/// The `sweep` pass, netlist cleanup: removes dangling logic, then uses
+/// the session's simulation signatures to find constant and duplicate
+/// gates, proving each suspicion exactly (ATPG) before rewiring.
+/// Iterates to a fixpoint — merging duplicates can strand more logic.
+pub(crate) fn sweep(sess: &mut AnalysisSession, backtrack_limit: usize) -> usize {
+    let mut edits = 0usize;
+    let mut consts = TieConsts::default();
+    // Suspicions that failed their exact proof. A signature match that
+    // ATPG refuted will be suggested again verbatim on the next
+    // iteration (the patterns don't change), so re-checking it is pure
+    // waste — and re-arming a failed constant tie is what used to keep
+    // the loop alive forever.
+    let mut failed_const: HashSet<(GateId, bool)> = HashSet::new();
+    let mut failed_merge: HashSet<(GateId, GateId)> = HashSet::new();
+    loop {
+        let mut changed = false;
+        for g in dangling(sess.netlist(), &consts) {
+            if sess.netlist().is_live(g) {
+                let removed = sess.sweep_dangling(g).len();
+                if removed > 0 {
+                    edits += removed;
+                    changed = true;
+                }
+            }
+        }
+        let (nl, values) = sess.signatures();
+        let words = values.words();
+        let plan = plan_sweep(nl, values, words);
+        for action in plan {
+            let sub = match action {
+                SweepAction::TieConst(victim, value) => {
+                    if !sess.netlist().is_live(victim) || failed_const.contains(&(victim, value)) {
+                        continue;
+                    }
+                    let b = consts.get(sess, value);
+                    Substitution::Os2 {
+                        a: victim,
+                        b,
+                        invert: false,
+                    }
+                }
+                SweepAction::Merge(victim, canon) => {
+                    if !sess.netlist().is_live(victim)
+                        || !sess.netlist().is_live(canon)
+                        || failed_merge.contains(&(victim, canon))
+                    {
+                        continue;
+                    }
+                    Substitution::Os2 {
+                        a: victim,
+                        b: canon,
+                        invert: false,
+                    }
+                }
+            };
+            if try_commit(sess, &sub, backtrack_limit) {
+                edits += 1;
+                changed = true;
+            } else {
+                match action {
+                    SweepAction::TieConst(victim, value) => {
+                        failed_const.insert((victim, value));
+                    }
+                    SweepAction::Merge(victim, canon) => {
+                        failed_merge.insert((victim, canon));
+                    }
+                }
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    consts.sweep_unused(sess);
+    edits
 }
 
 /// Whether a retained simulation pattern refutes tying pin `pin` of `g`
@@ -295,146 +234,115 @@ fn refuted_by_simulation(sess: &mut AnalysisSession, g: GateId, pin: u32, value:
         .any(|(&sig, &obs)| (sig ^ tie) & obs != 0)
 }
 
-/// ATPG redundancy removal through the shared session: ties provably
-/// redundant gate-input pins to constants (each tie is an IS2 whose
-/// source is a constant driver, proven by the same cone-local miter as
-/// POWDER's substitutions) and sweeps the logic that dangles.
+/// The `redundancy` pass, ATPG redundancy removal through the shared
+/// session: ties provably redundant gate-input pins to constants (each
+/// tie is an IS2 whose source is a constant driver, proven by the same
+/// cone-local miter as POWDER's substitutions) and sweeps the logic
+/// that dangles.
 ///
 /// A tie goes to ATPG only if no retained simulation pattern refutes it
 /// under the session's observability masks
 /// ([`AnalysisSession::observability`]); the filter is exact, so it
-/// changes no decision. Each tie must also be
-/// non-increasing in `Σ C·E`, keeping any pipeline ordering monotone in
-/// power.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RedundancyPass;
-
-impl Transform for RedundancyPass {
-    fn name(&self) -> &str {
-        "redundancy"
-    }
-
-    fn run(&mut self, sess: &mut AnalysisSession, budget: &PassBudget) -> PassReport {
-        instrumented("redundancy", sess, |sess| {
-            let mut edits = 0usize;
-            let mut consts = TieConsts::default();
-            // Pins whose tie was refuted. Later edits could in
-            // principle make such a pin redundant, but re-paying the
-            // ATPG budget for every refuted pin on every re-scan is
-            // what the cache avoids; skipping only forgoes an optional
-            // tie, never correctness.
-            let mut failed: HashSet<(GateId, u32, bool)> = HashSet::new();
-            loop {
-                let mut changed = false;
-                let gates: Vec<GateId> = sess
-                    .netlist()
-                    .iter_live()
-                    .filter(|&g| matches!(sess.netlist().kind(g), GateKind::Cell(_)))
-                    .collect();
-                'gates: for g in gates {
-                    if !sess.netlist().is_live(g) {
+/// changes no decision. Each tie must also be non-increasing in
+/// `Σ C·E`, keeping any pipeline ordering monotone in power.
+pub(crate) fn redundancy(sess: &mut AnalysisSession, backtrack_limit: usize) -> usize {
+    let mut edits = 0usize;
+    let mut consts = TieConsts::default();
+    // Pins whose tie was refuted. Later edits could in principle make
+    // such a pin redundant, but re-paying the ATPG budget for every
+    // refuted pin on every re-scan is what the cache avoids; skipping
+    // only forgoes an optional tie, never correctness.
+    let mut failed: HashSet<(GateId, u32, bool)> = HashSet::new();
+    loop {
+        let mut changed = false;
+        let gates: Vec<GateId> = sess
+            .netlist()
+            .iter_live()
+            .filter(|&g| matches!(sess.netlist().kind(g), GateKind::Cell(_)))
+            .collect();
+        'gates: for g in gates {
+            if !sess.netlist().is_live(g) {
+                continue;
+            }
+            for pin in 0..sess.netlist().fanins(g).len() as u32 {
+                let driver = sess.netlist().fanins(g)[pin as usize];
+                if matches!(sess.netlist().kind(driver), GateKind::Const(_)) {
+                    continue;
+                }
+                for value in [false, true] {
+                    if failed.contains(&(g, pin, value)) {
                         continue;
                     }
-                    for pin in 0..sess.netlist().fanins(g).len() as u32 {
-                        let driver = sess.netlist().fanins(g)[pin as usize];
-                        if matches!(sess.netlist().kind(driver), GateKind::Const(_)) {
-                            continue;
-                        }
-                        for value in [false, true] {
-                            if failed.contains(&(g, pin, value)) {
-                                continue;
-                            }
-                            let b = consts.get(sess, value);
-                            if refuted_by_simulation(sess, g, pin, value) {
-                                obs::counter!(obs::names::PASSES_SIM_REFUTED).inc();
-                                failed.insert((g, pin, value));
-                                continue;
-                            }
-                            let sub = Substitution::Is2 {
-                                sink: g,
-                                pin,
-                                b,
-                                invert: false,
-                            };
-                            if try_commit(sess, &sub, budget.backtrack_limit) {
-                                edits += 1;
-                                changed = true;
-                                continue 'gates;
-                            }
-                            failed.insert((g, pin, value));
-                        }
+                    let b = consts.get(sess, value);
+                    if refuted_by_simulation(sess, g, pin, value) {
+                        obs::counter!(obs::names::PASSES_SIM_REFUTED).inc();
+                        failed.insert((g, pin, value));
+                        continue;
                     }
-                }
-                if !changed {
-                    break;
+                    let sub = Substitution::Is2 {
+                        sink: g,
+                        pin,
+                        b,
+                        invert: false,
+                    };
+                    if try_commit(sess, &sub, backtrack_limit) {
+                        edits += 1;
+                        changed = true;
+                        continue 'gates;
+                    }
+                    failed.insert((g, pin, value));
                 }
             }
-            consts.sweep_unused(sess);
-            (edits, None)
-        })
+        }
+        if !changed {
+            break;
+        }
     }
+    consts.sweep_unused(sess);
+    edits
 }
 
-/// Gate resizing for power through the shared session: for each cell
-/// gate, picks the functionally identical library cell with the lowest
-/// input-pin switched capacitance whose extra delay fits the slack at
-/// a fixed required time ([`powder::resize::best_swap`]).
+/// The `resize` pass, gate resizing for power through the shared
+/// session: for each cell gate, picks the functionally identical
+/// library cell with the lowest input-pin switched capacitance whose
+/// extra delay fits the slack at a fixed required time
+/// ([`powder::resize::best_swap`]). `required_time` pins that time;
+/// `None` pins it to the circuit delay when the pass starts (resizing
+/// then never degrades the critical path).
 ///
 /// Timing and power come from the session: timing is built once
 /// (pinned to the required time) and repaired incrementally after each
 /// swap.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ResizePass {
-    /// Absolute required time for the slack computation; `None` pins it
-    /// to the circuit delay measured when the pass starts (resizing
-    /// then never degrades the critical path).
-    pub required_time: Option<f64>,
-}
-
-impl ResizePass {
-    /// A resize pass constrained to the given required time.
-    #[must_use]
-    pub fn new(required_time: Option<f64>) -> Self {
-        ResizePass { required_time }
+pub(crate) fn resize(sess: &mut AnalysisSession, required_time: Option<f64>) -> usize {
+    let required = match required_time {
+        Some(t) => t,
+        None => sess.delay(),
+    };
+    let gates: Vec<GateId> = sess
+        .netlist()
+        .iter_live()
+        .filter(|&g| matches!(sess.netlist().kind(g), GateKind::Cell(_)))
+        .collect();
+    let mut edits = 0usize;
+    for g in gates {
+        if !sess.netlist().is_live(g) {
+            continue;
+        }
+        let (nl, est, sta) = sess.timed_analyses(required);
+        if let Some(cell) = best_swap(nl, est, sta, g) {
+            sess.swap_gate_cell(g, cell);
+            edits += 1;
+        }
     }
-}
-
-impl Transform for ResizePass {
-    fn name(&self) -> &str {
-        "resize"
-    }
-
-    fn run(&mut self, sess: &mut AnalysisSession, _budget: &PassBudget) -> PassReport {
-        instrumented("resize", sess, |sess| {
-            let required = match self.required_time {
-                Some(t) => t,
-                None => sess.delay(),
-            };
-            let gates: Vec<GateId> = sess
-                .netlist()
-                .iter_live()
-                .filter(|&g| matches!(sess.netlist().kind(g), GateKind::Cell(_)))
-                .collect();
-            let mut edits = 0usize;
-            for g in gates {
-                if !sess.netlist().is_live(g) {
-                    continue;
-                }
-                let (nl, est, sta) = sess.timed_analyses(required);
-                if let Some(cell) = best_swap(nl, est, sta, g) {
-                    sess.swap_gate_cell(g, cell);
-                    edits += 1;
-                }
-            }
-            (edits, None)
-        })
-    }
+    edits
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use powder::SessionConfig;
+    use crate::{build_pipeline_with, PassReport};
+    use powder::{OptimizeConfig, SessionConfig};
+    use powder_egraph::EgraphConfig;
     use powder_library::lib2;
     use powder_sim::{simulate, CellCovers, Patterns};
     use std::sync::Arc;
@@ -446,14 +354,18 @@ mod tests {
         nl.outputs().iter().map(|&o| vals.get(o).to_vec()).collect()
     }
 
-    /// Runs one pass on a fresh session over `nl`.
-    fn run(pass: &mut dyn Transform, nl: Netlist) -> (PassReport, Netlist) {
+    /// Runs the one-pass pipeline `pass` (with `resize` anchored to
+    /// `required_time`) on a fresh session over `nl`.
+    fn run(pass: &str, required_time: Option<f64>, nl: Netlist) -> (PassReport, Netlist) {
         let mut sess = AnalysisSession::new(nl, SessionConfig::default());
-        let budget = PassBudget {
+        let config = OptimizeConfig {
             backtrack_limit: 10_000,
-            ..PassBudget::default()
+            ..OptimizeConfig::default()
         };
-        let report = pass.run(&mut sess, &budget);
+        let mut pipeline =
+            build_pipeline_with(pass, &config, required_time, &EgraphConfig::default())
+                .expect("valid spec");
+        let report = pipeline.run(&mut sess).passes.remove(0);
         let nl = sess.into_netlist();
         nl.validate().expect("valid after the pass");
         (report, nl)
@@ -472,7 +384,7 @@ mod tests {
         let g2 = nl.add_cell("g2", or2, &[g1, a]);
         nl.add_output("f", g2);
         let before = po_sigs(&nl);
-        let (report, nl) = run(&mut RedundancyPass, nl);
+        let (report, nl) = run("redundancy", None, nl);
         assert_eq!(po_sigs(&nl), before, "function preserved");
         assert!(report.edits >= 1, "{report}");
         assert!(report.area_after < report.area_before, "{report}");
@@ -487,7 +399,7 @@ mod tests {
         let b = nl.add_input("b");
         let g = nl.add_cell("g", xor2, &[a, b]);
         nl.add_output("f", g);
-        let (report, nl) = run(&mut RedundancyPass, nl);
+        let (report, nl) = run("redundancy", None, nl);
         assert_eq!(report.edits, 0, "{report}");
         assert_eq!(nl.cell_count(), 1);
     }
@@ -508,7 +420,7 @@ mod tests {
         let g3 = nl.add_cell("g3", or2, &[g2, g1]);
         nl.add_output("f", g3);
         let before = po_sigs(&nl);
-        let (report, nl) = run(&mut RedundancyPass, nl);
+        let (report, nl) = run("redundancy", None, nl);
         assert_eq!(po_sigs(&nl), before);
         assert!(report.edits >= 1, "{report}");
     }
@@ -533,7 +445,7 @@ mod tests {
         let g = nl.add_cell("g", and2, &[big, chain]);
         nl.add_output("f", g);
 
-        let (report, nl) = run(&mut ResizePass::new(None), nl);
+        let (report, nl) = run("resize", None, nl);
         assert_eq!(report.edits, 1, "{report}");
         assert!(report.power_saved() > 0.0, "{report}");
         let remaining: Vec<&str> = nl
@@ -557,9 +469,9 @@ mod tests {
             nl.add_output("f", big);
             nl
         };
-        let (report, _) = run(&mut ResizePass::new(None), build());
+        let (report, _) = run("resize", None, build());
         assert_eq!(report.edits, 0, "{report}");
-        let (report, _) = run(&mut ResizePass::new(Some(100.0)), build());
+        let (report, _) = run("resize", Some(100.0), build());
         assert_eq!(report.edits, 1, "{report}");
     }
 }

@@ -1,15 +1,16 @@
-//! Scripted pass sequences with optional fixpoint iteration.
+//! Scripted pass sequences with optional fixpoint iteration: the closed
+//! set of passes, the [`Pipeline`] that runs them under one
+//! [`OptimizeConfig`], and their reports.
 
 use crate::checkpoint::{ResumePoint, RunCheckpoint};
-use crate::egraph::EgraphPass;
-use crate::passes::{PowderPass, RedundancyPass, ResizePass, SweepPass};
-use crate::transform::{PassBudget, PassReport, Transform};
-use powder::AnalysisSession;
-use powder::{OptimizeConfig, RoundHook};
+use crate::egraph::egraph;
+use crate::passes::{redundancy, resize, sweep};
+use powder::{AnalysisSession, DelayLimit, OptimizeConfig, OptimizeReport, RoundHook};
+use powder_egraph::EgraphConfig;
 use powder_engine::{EngineStats, SessionStats};
 use powder_obs as obs;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -17,25 +18,82 @@ use std::time::Instant;
 /// boundaries (the serving layer points this at a state directory).
 pub type CheckpointSink = Arc<dyn Fn(RunCheckpoint) + Send + Sync>;
 
+/// Pass names the pipeline language recognises, in canonical order.
+pub const KNOWN_PASSES: &[&str] = &["sweep", "powder", "resize", "redundancy", "egraph"];
+
+/// The closed set of passes, declared in [`KNOWN_PASSES`] order so a
+/// pass's discriminant indexes its name.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Pass {
+    /// Constant propagation and duplicate merging keyed on simulation
+    /// signatures.
+    Sweep,
+    /// The paper's Fig. 5 permissible-substitution loop.
+    Powder,
+    /// Slack-constrained cell downsizing.
+    Resize,
+    /// ATPG redundancy removal.
+    Redundancy,
+    /// Equality-saturation cone rewriting (DESIGN.md §9).
+    Egraph,
+}
+
+impl Pass {
+    /// Every pass, in [`KNOWN_PASSES`] order.
+    const ALL: [Pass; 5] = [
+        Pass::Sweep,
+        Pass::Powder,
+        Pass::Resize,
+        Pass::Redundancy,
+        Pass::Egraph,
+    ];
+
+    /// Pipeline-language name.
+    fn name(self) -> &'static str {
+        KNOWN_PASSES[self as usize]
+    }
+}
+
+/// Parses a `--passes` list: every name must be one of [`KNOWN_PASSES`]
+/// and the list must be non-empty (blank entries are skipped).
+fn parse_passes(spec: &str) -> Result<Vec<Pass>, String> {
+    let mut passes = Vec::new();
+    for name in spec.split(',').map(str::trim).filter(|n| !n.is_empty()) {
+        let i = KNOWN_PASSES
+            .iter()
+            .position(|&known| known == name)
+            .ok_or_else(|| {
+                format!(
+                    "unknown pass '{name}' (expected {})",
+                    KNOWN_PASSES.join(", ")
+                )
+            })?;
+        passes.push(Pass::ALL[i]);
+    }
+    if passes.is_empty() {
+        return Err("empty pass list".to_string());
+    }
+    Ok(passes)
+}
+
 /// An ordered sequence of passes run against one shared
-/// [`AnalysisSession`].
+/// [`AnalysisSession`] under one [`OptimizeConfig`].
+///
+/// The config parameterizes every `powder` pass and supplies every
+/// pass's ATPG backtrack limit. Its `deadline` and `stop` flag end the
+/// run early: the pipeline checks both before each pass, POWDER between
+/// rounds, and `egraph` checks `stop` between cones. The report flags
+/// the early stop and describes the best-so-far state.
 pub struct Pipeline {
-    passes: Vec<Box<dyn Transform>>,
-    /// Budget handed to every pass.
-    pub budget: PassBudget,
+    passes: Vec<Pass>,
+    config: OptimizeConfig,
+    egraph: EgraphConfig,
+    /// Absolute required time of every `resize` pass (`None` = the
+    /// circuit delay when the pass starts).
+    resize_required: Option<f64>,
     /// How many times to repeat the whole sequence (the driver stops
     /// early once an iteration commits no edits).
     pub fixpoint: usize,
-    /// Optional wall-clock deadline: no further pass starts once it has
-    /// passed, and the report flags the early stop. (Passes that honour
-    /// a deadline internally — POWDER via `OptimizeConfig::deadline` —
-    /// also stop mid-pass; the pipeline check bounds the rest.)
-    pub deadline: Option<Instant>,
-    /// Cooperative stop flag (SIGINT, daemon drain, job cancellation):
-    /// checked before each pass and threaded into every pass's budget
-    /// so POWDER stops between rounds. The report flags the interrupt
-    /// and describes the best-so-far state.
-    pub stop: Option<Arc<AtomicBool>>,
     /// Checkpoint destination. When set, the pipeline emits a
     /// [`RunCheckpoint`] after every completed POWDER round and after
     /// every completed pass.
@@ -50,46 +108,11 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
-    /// A pipeline over the given passes, run once with default budget.
-    #[must_use]
-    pub fn new(passes: Vec<Box<dyn Transform>>) -> Self {
-        Pipeline {
-            passes,
-            budget: PassBudget::default(),
-            fixpoint: 1,
-            deadline: None,
-            stop: None,
-            checkpoint_sink: None,
-            resume: None,
-        }
-    }
-
-    /// Replaces the per-pass budget.
-    #[must_use]
-    pub fn with_budget(mut self, budget: PassBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
     /// Repeats the sequence up to `n` times (at least once), stopping
     /// early at a fixpoint.
     #[must_use]
     pub fn with_fixpoint(mut self, n: usize) -> Self {
         self.fixpoint = n.max(1);
-        self
-    }
-
-    /// Sets the wall-clock deadline after which no further pass starts.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Option<Instant>) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
-    /// Installs the cooperative stop flag.
-    #[must_use]
-    pub fn with_stop(mut self, stop: Option<Arc<AtomicBool>>) -> Self {
-        self.stop = stop;
         self
     }
 
@@ -107,9 +130,11 @@ impl Pipeline {
         self
     }
 
-    /// Names of the scheduled passes, in order.
-    pub fn pass_names(&self) -> Vec<&str> {
-        self.passes.iter().map(|p| p.name()).collect()
+    /// The run's configuration (its session is built from the same
+    /// one, [`SessionConfig::from_optimize`](powder::SessionConfig::from_optimize)).
+    #[must_use]
+    pub fn config(&self) -> &OptimizeConfig {
+        &self.config
     }
 
     /// Runs every scheduled pass (repeating per `fixpoint`) against the
@@ -133,9 +158,6 @@ impl Pipeline {
         let mut iterations = 0usize;
         let mut deadline_hit = false;
         let mut interrupted = false;
-        let past_deadline = |d: Option<Instant>| d.is_some_and(|d| Instant::now() >= d);
-        let stop_set =
-            |s: &Option<Arc<AtomicBool>>| s.as_ref().is_some_and(|s| s.load(Ordering::Relaxed));
         let resume = self.resume.unwrap_or_default();
         'iterations: for iter_idx in resume.iteration..self.fixpoint {
             iterations += 1;
@@ -150,64 +172,37 @@ impl Pipeline {
             } else {
                 0
             };
-            for (pass_idx, pass) in self.passes.iter_mut().enumerate().skip(skip) {
-                if past_deadline(self.deadline) {
+            for (pass_idx, &pass) in self.passes.iter().enumerate().skip(skip) {
+                if self.config.deadline.is_some_and(|d| Instant::now() >= d) {
                     deadline_hit = true;
                     break 'iterations;
                 }
-                if stop_set(&self.stop) {
+                if self
+                    .config
+                    .stop
+                    .as_ref()
+                    .is_some_and(|s| s.load(Ordering::Relaxed))
+                {
                     interrupted = true;
                     break 'iterations;
                 }
-                let mut budget = self.budget.clone();
-                budget.stop = self.stop.clone();
                 // The first resumed pass is the one the checkpoint
-                // interrupted mid-POWDER: run only its remaining rounds
-                // against the required time it originally resolved, and
-                // count its pre-interrupt commits as this iteration's.
-                let resumed_here = first_iter && pass_idx == skip && resume.mid_powder();
-                let (rounds_off, commits_off) = if resumed_here {
-                    budget.rounds_offset = resume.powder_rounds_done;
-                    budget.required_time = resume.required_time;
-                    (resume.powder_rounds_done, resume.powder_commits)
-                } else {
-                    (0, 0)
+                // interrupted mid-POWDER.
+                let resumed =
+                    (first_iter && pass_idx == skip && resume.mid_powder()).then_some(resume);
+                let position = ResumePoint {
+                    iteration: iter_idx,
+                    passes_done: pass_idx,
+                    iteration_edits,
+                    ..ResumePoint::default()
                 };
-                if let Some(sink) = &self.checkpoint_sink {
-                    if pass.name() == "powder" {
-                        let sink = sink.clone();
-                        let position = ResumePoint {
-                            iteration: iter_idx,
-                            passes_done: pass_idx,
-                            iteration_edits,
-                            powder_rounds_done: 0,
-                            powder_commits: 0,
-                            required_time: None,
-                        };
-                        budget.round_hook = Some(RoundHook::new(move |snap| {
-                            sink(RunCheckpoint {
-                                position: ResumePoint {
-                                    powder_rounds_done: rounds_off + snap.rounds_done,
-                                    powder_commits: commits_off + snap.commits,
-                                    required_time: snap.required_time,
-                                    ..position
-                                },
-                                netlist: powder_netlist::write_snapshot(snap.nl),
-                                pattern_bits: (0..snap.patterns.inputs())
-                                    .map(|i| snap.patterns.input_bits(i).to_vec())
-                                    .collect(),
-                                pattern_tail: snap.patterns.tail_used(),
-                            });
-                        }));
-                    }
-                }
                 let report = {
                     let _span =
                         obs::span!(format!("{}{}", obs::names::span::PASS_PREFIX, pass.name()));
                     obs::counter!(obs::names::PIPELINE_PASSES_RUN).inc();
-                    pass.run(sess, &budget)
+                    self.run_pass(pass, sess, position, resumed)
                 };
-                iteration_edits += report.edits + commits_off;
+                iteration_edits += report.edits + resumed.map_or(0, |r| r.powder_commits);
                 obs::counter!(obs::names::PIPELINE_EDITS).add(report.edits as u64);
                 let mut pass_stopped = false;
                 let mut pass_deadline = false;
@@ -230,21 +225,16 @@ impl Pipeline {
                 }
                 if let Some(sink) = &self.checkpoint_sink {
                     sess.refresh();
-                    sink(RunCheckpoint {
-                        position: ResumePoint {
-                            iteration: iter_idx,
-                            passes_done: pass_idx + 1,
-                            iteration_edits,
-                            powder_rounds_done: 0,
-                            powder_commits: 0,
-                            required_time: None,
-                        },
-                        netlist: powder_netlist::write_snapshot(sess.netlist()),
-                        pattern_bits: (0..sess.patterns().inputs())
-                            .map(|i| sess.patterns().input_bits(i).to_vec())
-                            .collect(),
-                        pattern_tail: sess.patterns().tail_used(),
-                    });
+                    let position = ResumePoint {
+                        passes_done: pass_idx + 1,
+                        iteration_edits,
+                        ..position
+                    };
+                    sink(RunCheckpoint::capture(
+                        position,
+                        sess.netlist(),
+                        sess.patterns(),
+                    ));
                 }
             }
             if iteration_edits == 0 {
@@ -269,6 +259,139 @@ impl Pipeline {
             deadline_hit,
             interrupted,
         }
+    }
+
+    /// Runs one pass at `position` and measures it: power and area from
+    /// the refreshed session on both sides, wall time, and the
+    /// session-stat delta attributable to the pass. `resumed` is the
+    /// checkpoint an interrupted POWDER pass resumes from: the pass runs
+    /// only its remaining rounds, against the required time it
+    /// originally resolved (re-resolving a `Factor` mid-run would move
+    /// the goal).
+    fn run_pass(
+        &self,
+        pass: Pass,
+        sess: &mut AnalysisSession,
+        position: ResumePoint,
+        resumed: Option<ResumePoint>,
+    ) -> PassReport {
+        let t0 = Instant::now();
+        // Refresh (via `power()`) before snapshotting the counters so
+        // that repairs owed to a previous pass's trailing edits are not
+        // billed to this one.
+        let power_before = sess.power();
+        let area_before = sess.netlist().area();
+        let stats_before = sess.stats();
+        let limit = self.config.backtrack_limit;
+        let (mut optimize, mut egraph_report) = (None, None);
+        let edits = match pass {
+            Pass::Sweep => sweep(sess, limit),
+            Pass::Redundancy => redundancy(sess, limit),
+            Pass::Resize => resize(sess, self.resize_required),
+            Pass::Egraph => {
+                let er = egraph(sess, &self.egraph, limit, self.config.stop.as_deref());
+                egraph_report = Some(er);
+                er.applied
+            }
+            Pass::Powder => {
+                let mut config = self.config.clone();
+                let (rounds_off, commits_off) =
+                    resumed.map_or((0, 0), |r| (r.powder_rounds_done, r.powder_commits));
+                config.rounds_offset = rounds_off;
+                if let Some(t) = resumed.and_then(|r| r.required_time) {
+                    config.delay_limit = Some(DelayLimit::Absolute(t));
+                }
+                if let Some(sink) = &self.checkpoint_sink {
+                    let sink = Arc::clone(sink);
+                    config.round_hook = Some(RoundHook::new(move |snap| {
+                        let position = ResumePoint {
+                            powder_rounds_done: rounds_off + snap.rounds_done,
+                            powder_commits: commits_off + snap.commits,
+                            required_time: snap.required_time,
+                            ..position
+                        };
+                        sink(RunCheckpoint::capture(position, snap.nl, snap.patterns));
+                    }));
+                }
+                let report = sess.run_powder(&config);
+                let edits = report.applied.len();
+                optimize = Some(report);
+                edits
+            }
+        };
+        let power_after = sess.power();
+        let area_after = sess.netlist().area();
+        PassReport {
+            name: pass.name().to_string(),
+            power_before,
+            power_after,
+            area_before,
+            area_after,
+            edits,
+            seconds: t0.elapsed().as_secs_f64(),
+            session: sess.stats().delta(&stats_before),
+            optimize,
+            egraph: egraph_report,
+        }
+    }
+}
+
+/// What one pass did to the circuit, measured against the shared
+/// session's analyses before and after.
+#[derive(Clone, Debug)]
+pub struct PassReport {
+    /// Pass name (as accepted by the pipeline language).
+    pub name: String,
+    /// `Σ C·E` when the pass started.
+    pub power_before: f64,
+    /// `Σ C·E` when the pass finished.
+    pub power_after: f64,
+    /// Gate area before.
+    pub area_before: f64,
+    /// Gate area after.
+    pub area_after: f64,
+    /// Netlist edits the pass committed (substitutions, cell swaps, or
+    /// gates removed).
+    pub edits: usize,
+    /// Wall-clock seconds spent in the pass.
+    pub seconds: f64,
+    /// Analysis refreshes this pass caused: the session counter delta
+    /// over the pass. A well-behaved pass performs zero
+    /// `full_resims`/`full_power_builds` after the session's initial
+    /// materialization — everything rides the edit journal.
+    pub session: SessionStats,
+    /// The full optimizer report, for passes that wrap the POWDER loop.
+    pub optimize: Option<OptimizeReport>,
+    /// Equality-saturation statistics, for the `egraph` pass.
+    pub egraph: Option<powder_egraph::EgraphReport>,
+}
+
+impl PassReport {
+    /// Power saved by this pass (positive = reduced).
+    #[must_use]
+    pub fn power_saved(&self) -> f64 {
+        self.power_before - self.power_after
+    }
+}
+
+impl fmt::Display for PassReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{:<10} power {:.3} -> {:.3}, {} edits, {:.2}s \
+             (resim {}i/{}f, power {}i/{}f, sta {}i/{}f)",
+            self.name,
+            self.power_before,
+            self.power_after,
+            self.edits,
+            self.seconds,
+            self.session.incremental_resims,
+            self.session.full_resims,
+            self.session.incremental_power_updates,
+            self.session.full_power_builds,
+            self.session.incremental_sta_updates,
+            self.session.full_sta_builds,
+        )
     }
 }
 
@@ -366,9 +489,6 @@ impl fmt::Display for PipelineReport {
     }
 }
 
-/// Pass names the pipeline language recognises, in canonical order.
-pub const KNOWN_PASSES: &[&str] = &["sweep", "powder", "resize", "redundancy", "egraph"];
-
 /// Checks a `--passes` spec without building anything: every name must
 /// be one of [`KNOWN_PASSES`] and the list must be non-empty. Callers
 /// (the CLI, the daemon's submit validation) use this to fail fast at
@@ -379,24 +499,7 @@ pub const KNOWN_PASSES: &[&str] = &["sweep", "powder", "resize", "redundancy", "
 /// Returns a message naming the offending pass and listing the valid
 /// ones.
 pub fn validate_passes(spec: &str) -> Result<(), String> {
-    let mut any = false;
-    for name in spec.split(',') {
-        let name = name.trim();
-        if name.is_empty() {
-            continue;
-        }
-        if !KNOWN_PASSES.contains(&name) {
-            return Err(format!(
-                "unknown pass '{name}' (expected {})",
-                KNOWN_PASSES.join(", ")
-            ));
-        }
-        any = true;
-    }
-    if !any {
-        return Err("empty pass list".to_string());
-    }
-    Ok(())
+    parse_passes(spec).map(drop)
 }
 
 /// Builds a pipeline from the comma-separated pass language used by
@@ -411,41 +514,31 @@ pub fn build_pipeline(
         spec,
         powder_config,
         resize_required,
-        &powder_egraph::EgraphConfig::default(),
+        &EgraphConfig::default(),
     )
 }
 
 /// Builds a pipeline from the comma-separated pass language used by
-/// `powder optimize --passes`.
+/// `powder optimize --passes`, run once (see [`Pipeline::with_fixpoint`]).
 ///
 /// Recognised passes: [`KNOWN_PASSES`]. A pass may appear any number of
-/// times. `powder_config` parameterizes every `powder` pass (and
-/// supplies the ATPG budget for the others); `resize_required` pins the
-/// resize slack computation to an absolute required time (`None` = the
-/// circuit delay when the pass starts); `egraph_config` parameterizes
-/// every `egraph` pass.
+/// times. `powder_config` is the run's one configuration (see
+/// [`Pipeline`]); `resize_required` pins the resize slack computation to
+/// an absolute required time (`None` = the circuit delay when the pass
+/// starts); `egraph_config` parameterizes every `egraph` pass.
 pub fn build_pipeline_with(
     spec: &str,
     powder_config: &OptimizeConfig,
     resize_required: Option<f64>,
-    egraph_config: &powder_egraph::EgraphConfig,
+    egraph_config: &EgraphConfig,
 ) -> Result<Pipeline, String> {
-    validate_passes(spec)?;
-    let mut passes: Vec<Box<dyn Transform>> = Vec::new();
-    for name in spec.split(',') {
-        let name = name.trim();
-        match name {
-            "sweep" => passes.push(Box::new(SweepPass)),
-            "powder" => passes.push(Box::new(PowderPass::new(powder_config.clone()))),
-            "resize" => passes.push(Box::new(ResizePass::new(resize_required))),
-            "redundancy" => passes.push(Box::new(RedundancyPass)),
-            "egraph" => passes.push(Box::new(EgraphPass::new(*egraph_config))),
-            _ => {}
-        }
-    }
-    let budget = PassBudget {
-        backtrack_limit: powder_config.backtrack_limit,
-        ..PassBudget::default()
-    };
-    Ok(Pipeline::new(passes).with_budget(budget))
+    Ok(Pipeline {
+        passes: parse_passes(spec)?,
+        config: powder_config.clone(),
+        egraph: *egraph_config,
+        resize_required,
+        fixpoint: 1,
+        checkpoint_sink: None,
+        resume: None,
+    })
 }

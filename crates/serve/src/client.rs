@@ -216,27 +216,7 @@ pub fn request_with_retry(addr: &str, line: &str, attempts: u32) -> Result<Value
 /// Builds the submit request line for a spec + netlist.
 #[must_use]
 pub fn submit_line(spec: &JobSpec, netlist: &str) -> String {
-    JsonObj::new()
-        .str("op", "submit")
-        .str("netlist", netlist)
-        .str("tenant", &spec.tenant)
-        .i64("priority", spec.priority)
-        .str("passes", &spec.passes)
-        .u64("fixpoint", spec.fixpoint as u64)
-        .u64("repeat", spec.repeat as u64)
-        .u64("patterns", spec.patterns as u64)
-        .u64("seed", spec.seed)
-        .u64("jobs", spec.jobs as u64)
-        .opt_f64("delay_limit_percent", spec.delay_limit_percent)
-        .opt_f64("deadline_secs", spec.deadline_secs)
-        .opt_u64("window_size", spec.window_size.map(|n| n as u64))
-        .opt_u64("window_overlap", spec.window_overlap.map(|n| n as u64))
-        .opt_u64(
-            "egraph_node_limit",
-            spec.egraph_node_limit.map(|n| n as u64),
-        )
-        .opt_u64("egraph_iters", spec.egraph_iters.map(|n| n as u64))
-        .opt_str("job_key", spec.job_key.as_deref())
+    spec.encode(JsonObj::new().str("op", "submit").str("netlist", netlist))
         .finish()
 }
 

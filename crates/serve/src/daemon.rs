@@ -10,9 +10,10 @@
 //!   shared [`ThreadBudget`] so concurrent jobs shrink their worker
 //!   pools instead of oversubscribing the machine. Shrinking is safe:
 //!   POWDER's results are bit-identical at any worker count.
-//! - A job runs the *exact* pipeline `powder optimize` would build for
-//!   the same flags, so a serve result is bit-identical to a
-//!   standalone CLI run with the same spec (and faults off).
+//! - A job runs the pipeline [`JobSpec::pipeline`] builds, the one
+//!   `powder optimize` runs for the same flags, so a serve result is
+//!   bit-identical to a standalone CLI run with the same spec (and
+//!   faults off).
 //!
 //! # Durability
 //!
@@ -53,17 +54,12 @@ use crate::protocol::{self, JsonObj, Request};
 use crate::scheduler::Scheduler;
 use crate::signal;
 use crate::store::JobStore;
-use powder::{DelayLimit, OptimizeConfig};
 use powder_engine::{resolve_jobs, ThreadBudget};
 use powder_faults::{fires, FaultState, SITE_SERVE_CRASH, SITE_SERVE_HOLD};
 use powder_library::Library;
 use powder_netlist::blif::{read_blif, write_blif};
 use powder_obs as obs;
-use powder_passes::{
-    build_pipeline_with, validate_passes, AnalysisSession, PipelineReport, RunCheckpoint,
-    SessionConfig,
-};
-use powder_timing::{TimingAnalysis, TimingConfig};
+use powder_passes::{AnalysisSession, PipelineReport, RunCheckpoint, SessionConfig};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -430,19 +426,6 @@ fn report_json(report: &PipelineReport) -> String {
         .finish()
 }
 
-/// Resolves the `egraph` pass configuration from a job spec: explicit
-/// fields override the crate defaults, mirroring the CLI flags.
-fn egraph_config(spec: &JobSpec) -> powder_egraph::EgraphConfig {
-    let mut cfg = powder_egraph::EgraphConfig::default();
-    if let Some(n) = spec.egraph_node_limit {
-        cfg.node_limit = n;
-    }
-    if let Some(n) = spec.egraph_iters {
-        cfg.iter_limit = n;
-    }
-    cfg
-}
-
 /// Executes one job end to end: build the exact `powder optimize`
 /// pipeline for its spec, resume from the latest checkpoint if one is
 /// on disk, persist every checkpoint, and write terminal artifacts.
@@ -489,39 +472,20 @@ fn run_job(shared: &Shared, job: &Arc<JobRecord>) -> Result<(), String> {
     nl.validate().map_err(|e| e.to_string())?;
 
     // Shrink rather than queue when the machine is busy: a smaller
-    // worker count changes nothing about the result.
+    // worker count changes nothing about the result. The daemon's plan
+    // reaches the pipeline too, so the chaos leg can combine storage
+    // faults with optimizer-site faults. Plans naming only serve/store
+    // sites (the common case) never fire in there, preserving
+    // bit-identity to standalone runs.
     let lease = shared.budget.lease(resolve_jobs(spec.jobs));
-    let deadline = spec
-        .deadline_secs
-        .map(|secs| Instant::now() + Duration::from_secs_f64(secs));
-    let cfg = OptimizeConfig {
-        repeat: spec.repeat,
-        sim_words: spec.patterns.div_ceil(64).max(1),
-        seed: spec.seed,
-        delay_limit: spec
-            .delay_limit_percent
-            .map(|pct| DelayLimit::Factor(1.0 + pct / 100.0)),
-        jobs: lease.granted(),
-        deadline,
-        stop: Some(Arc::clone(&job.stop)),
-        window_size: spec.window_size,
-        window_overlap: spec.window_overlap,
-        // The daemon's plan reaches the pipeline too, so the chaos leg
-        // can combine storage faults with optimizer-site faults. Plans
-        // naming only serve/store sites (the common case) never fire
-        // in here, preserving bit-identity to standalone runs.
-        faults: shared.faults.clone(),
-        ..OptimizeConfig::default()
-    };
-    // Anchored to the *input* circuit, exactly like `powder optimize`
-    // — and therefore stable across resumes.
-    let resize_required = spec.delay_limit_percent.map(|pct| {
-        let probe = TimingConfig {
-            output_load: cfg.power.output_load,
-            required_time: None,
-        };
-        (1.0 + pct / 100.0) * TimingAnalysis::new(&nl, &probe).circuit_delay()
-    });
+    let mut pipeline = spec
+        .pipeline(
+            &nl,
+            lease.granted(),
+            Arc::clone(&job.stop),
+            shared.faults.clone(),
+        )
+        .map_err(|e| format!("bad spec: {e}"))?;
 
     let sink_job = Arc::clone(job);
     let faults = shared.faults.clone();
@@ -557,20 +521,14 @@ fn run_job(shared: &Shared, job: &Arc<JobRecord>) -> Result<(), String> {
         }
     });
 
-    let mut pipeline =
-        build_pipeline_with(&spec.passes, &cfg, resize_required, &egraph_config(&spec))
-            .map_err(|e| format!("bad passes: {e}"))?
-            .with_fixpoint(spec.fixpoint)
-            .with_deadline(deadline)
-            .with_stop(Some(Arc::clone(&job.stop)))
-            .with_checkpoint_sink(Some(sink));
+    pipeline.checkpoint_sink = Some(sink);
 
-    let session_cfg = SessionConfig::from_optimize(&cfg);
+    let session_cfg = SessionConfig::from_optimize(pipeline.config());
     let mut sess = match &resuming {
         Some(text) => {
             let cp =
                 RunCheckpoint::from_text(text).map_err(|e| format!("corrupt checkpoint: {e}"))?;
-            pipeline = pipeline.with_resume(Some(cp.position));
+            pipeline.resume = Some(cp.position);
             job.update(|s| {
                 s.progress.iteration = cp.position.iteration;
                 s.progress.passes_done = cp.position.passes_done;
@@ -590,6 +548,7 @@ fn run_job(shared: &Shared, job: &Arc<JobRecord>) -> Result<(), String> {
     // Deterministic hold site: park until the job is stopped (cancel
     // or drain) or its deadline passes.
     if fires(shared.faults.as_ref(), SITE_SERVE_HOLD) {
+        let deadline = pipeline.config().deadline;
         while !job.stop.load(Ordering::Acquire) && deadline.is_none_or(|d| Instant::now() < d) {
             std::thread::sleep(Duration::from_millis(10));
         }
@@ -942,9 +901,6 @@ fn submit(shared: &Shared, spec: JobSpec, netlist: &str) -> Result<(String, bool
     };
     if let Err(e) = nl.validate() {
         return reject(ErrorCode::BadRequest, e.to_string());
-    }
-    if let Err(e) = validate_passes(&spec.passes) {
-        return reject(ErrorCode::BadRequest, format!("bad passes: {e}"));
     }
 
     let id = format!("j{:06}", shared.next_id.fetch_add(1, Ordering::SeqCst));

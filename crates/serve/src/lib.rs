@@ -9,7 +9,7 @@
 //!
 //! | module | provides |
 //! |--------|----------|
-//! | [`job`] | [`JobSpec`], the [`JobPhase`] state machine, shared [`JobRecord`] |
+//! | [`job`] | [`JobSpec`] with its one codec, validator and run builder, the [`JobPhase`] state machine, shared [`JobRecord`] |
 //! | [`protocol`] | line-JSON request parsing and the compact response writer |
 //! | [`error`] | the [`ErrorCode`] taxonomy shared by daemon, client, and CLI |
 //! | [`scheduler`] | priority + per-tenant round-robin blocking queue |
@@ -20,8 +20,8 @@
 //!
 //! # Fidelity invariant
 //!
-//! A serve job builds the *same* pipeline `powder optimize` builds for
-//! the same flags, so its output netlist
+//! A serve job and `powder optimize` build their run with the same
+//! [`JobSpec::pipeline`] from the same flags, so its output netlist
 //! is bit-identical to a standalone CLI run — including when the job
 //! was checkpointed, killed, and resumed, and regardless of how many
 //! evaluation threads the daemon granted. The checkpoint layer's

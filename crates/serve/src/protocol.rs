@@ -36,7 +36,7 @@ use powder_obs::json::{self, Value};
 pub enum Request {
     /// Enqueue a new job over the given BLIF netlist.
     Submit {
-        /// Job parameters (defaults applied for absent fields).
+        /// Job parameters (defaults applied for absent fields), validated.
         spec: JobSpec,
         /// BLIF source of the circuit to optimize.
         netlist: String,
@@ -90,7 +90,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 
     Ok(match op {
         "submit" => Request::Submit {
-            spec: spec_from(&v)?,
+            spec: JobSpec::decode(&v).map_err(|e| e.to_string())?,
             netlist: v
                 .get("netlist")
                 .and_then(Value::as_str)
@@ -124,115 +124,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         },
         other => return Err(format!("unknown op {other:?}")),
     })
-}
-
-/// Reads the optional non-negative integer field `name` exactly:
-/// absent or `null` gives `None`, and a negative, fractional or
-/// out-of-range value is an error, never a rounded or saturated cast.
-pub(crate) fn uint_field<T: TryFrom<u64>>(v: &Value, name: &str) -> Result<Option<T>, String> {
-    match v.get(name) {
-        None | Some(Value::Null) => Ok(None),
-        Some(f) => f
-            .as_u64()
-            .and_then(|n| T::try_from(n).ok())
-            .map(Some)
-            .ok_or_else(|| format!("field {name:?} must be a non-negative integer in range")),
-    }
-}
-
-/// Reads the optional signed integer field `name` exactly, like
-/// [`uint_field`].
-pub(crate) fn int_field(v: &Value, name: &str) -> Result<Option<i64>, String> {
-    match v.get(name) {
-        None | Some(Value::Null) => Ok(None),
-        Some(f) => f
-            .as_i64()
-            .map(Some)
-            .ok_or_else(|| format!("field {name:?} must be an integer in range")),
-    }
-}
-
-/// Builds a [`JobSpec`] from a submit object, rejecting bad types but
-/// filling defaults for absent fields.
-fn spec_from(v: &Value) -> Result<JobSpec, String> {
-    let mut spec = JobSpec::default();
-
-    let f64_field = |name: &str, v: &Value| -> Result<Option<f64>, String> {
-        match v.get(name) {
-            None | Some(Value::Null) => Ok(None),
-            Some(f) => f
-                .as_f64()
-                .map(Some)
-                .ok_or_else(|| format!("field {name:?} must be a number")),
-        }
-    };
-
-    if let Some(t) = v.get("tenant") {
-        spec.tenant = t
-            .as_str()
-            .ok_or("field \"tenant\" must be a string")?
-            .to_string();
-    }
-    if let Some(n) = int_field(v, "priority")? {
-        spec.priority = n;
-    }
-    if let Some(p) = v.get("passes") {
-        spec.passes = p
-            .as_str()
-            .ok_or("field \"passes\" must be a string")?
-            .to_string();
-    }
-    if let Some(n) = uint_field::<usize>(v, "fixpoint")? {
-        spec.fixpoint = n.max(1);
-    }
-    if let Some(n) = uint_field(v, "repeat")? {
-        spec.repeat = n;
-    }
-    if let Some(n) = uint_field(v, "patterns")? {
-        spec.patterns = n;
-    }
-    if let Some(n) = uint_field(v, "seed")? {
-        spec.seed = n;
-    }
-    if let Some(n) = uint_field(v, "jobs")? {
-        spec.jobs = n;
-    }
-    spec.delay_limit_percent = f64_field("delay_limit_percent", v)?;
-    spec.deadline_secs = f64_field("deadline_secs", v)?;
-    spec.window_size = uint_field(v, "window_size")?;
-    if spec.window_size == Some(0) {
-        return Err("field \"window_size\" must be at least 1".to_string());
-    }
-    spec.window_overlap = uint_field(v, "window_overlap")?;
-    if let Some(overlap) = spec.window_overlap {
-        let size = spec
-            .window_size
-            .unwrap_or(powder_netlist::WindowConfig::AUTO_SIZE);
-        if overlap >= size {
-            return Err(format!(
-                "field \"window_overlap\" ({overlap}) must be smaller than the window size ({size})"
-            ));
-        }
-    }
-    spec.egraph_node_limit = uint_field(v, "egraph_node_limit")?;
-    if spec.egraph_node_limit == Some(0) {
-        return Err("field \"egraph_node_limit\" must be at least 1".to_string());
-    }
-    spec.egraph_iters = uint_field(v, "egraph_iters")?;
-    if spec.egraph_iters == Some(0) {
-        return Err("field \"egraph_iters\" must be at least 1".to_string());
-    }
-    match v.get("job_key") {
-        None | Some(Value::Null) => {}
-        Some(k) => {
-            let key = k.as_str().ok_or("field \"job_key\" must be a string")?;
-            if key.is_empty() {
-                return Err("field \"job_key\" must not be empty".to_string());
-            }
-            spec.job_key = Some(key.to_string());
-        }
-    }
-    Ok(spec)
 }
 
 /// Escapes a string for embedding in JSON output.
@@ -508,6 +399,19 @@ mod tests {
                 .unwrap_err()
                 .contains("egraph_iters")
         );
+    }
+
+    /// A deadline no `Instant` can hold is refused at submit, not left
+    /// to panic in the runner.
+    #[test]
+    fn unrepresentable_deadlines_are_refused() {
+        for bad in ["-1", "0", "1e300"] {
+            let line = format!(r#"{{"op":"submit","netlist":"x","deadline_secs":{bad}}}"#);
+            assert!(
+                parse_request(&line).unwrap_err().contains("deadline_secs"),
+                "deadline_secs {bad} must be rejected"
+            );
+        }
     }
 
     #[test]

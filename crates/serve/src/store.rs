@@ -39,7 +39,7 @@
 //! above in CI.
 
 use crate::job::{JobPhase, JobSpec};
-use crate::protocol::{int_field, uint_field, JsonObj};
+use crate::protocol::JsonObj;
 use powder_faults::{FaultState, SITE_CHECKPOINT_TRUNCATE, SITE_STORE_TORN_WRITE};
 use powder_obs::json::{self, Value};
 use powder_passes::integrity::{seal, unseal};
@@ -181,36 +181,15 @@ impl JobStore {
         phase: JobPhase,
         error: Option<&str>,
     ) -> io::Result<()> {
-        let mut obj = JsonObj::new()
-            .str("id", id)
-            .str("state", phase.as_str())
-            .str("tenant", &spec.tenant)
-            .i64("priority", spec.priority)
-            .str("passes", &spec.passes)
-            .u64("fixpoint", spec.fixpoint as u64)
-            .u64("repeat", spec.repeat as u64)
-            .u64("patterns", spec.patterns as u64)
-            .u64("seed", spec.seed)
-            .u64("jobs", spec.jobs as u64)
-            .opt_f64("delay_limit_percent", spec.delay_limit_percent)
-            .opt_f64("deadline_secs", spec.deadline_secs)
-            .opt_u64("window_size", spec.window_size.map(|n| n as u64))
-            .opt_u64("window_overlap", spec.window_overlap.map(|n| n as u64))
-            .opt_u64(
-                "egraph_node_limit",
-                spec.egraph_node_limit.map(|n| n as u64),
-            )
-            .opt_u64("egraph_iters", spec.egraph_iters.map(|n| n as u64))
-            .opt_str("job_key", spec.job_key.as_deref());
-        obj = match error {
-            Some(e) => obj.str("error", e),
-            None => obj.null("error"),
-        };
+        let record = spec
+            .encode(JsonObj::new().str("id", id).str("state", phase.as_str()))
+            .opt_str("error", error)
+            .finish();
         let dir = self.job_dir(id);
         write_atomic_keep_prev(
             &dir.join("job.json"),
             &dir.join("job.json.prev"),
-            &seal(&obj.finish()),
+            &seal(&record),
         )?;
         if self.fault_fires(SITE_STORE_TORN_WRITE) {
             tear_file(&dir.join("job.json"), 2, 3);
@@ -389,8 +368,9 @@ impl JobStore {
     }
 }
 
-/// Parses a persisted `job.json` line back into spec + phase. The
-/// caller is expected to have already stripped the seal envelope (see
+/// Parses a persisted `job.json` line back into spec + phase (+ error),
+/// decoding the spec as a submit is ([`JobSpec::decode`]). The caller is
+/// expected to have already stripped the seal envelope (see
 /// [`powder_passes::integrity::unseal`]).
 pub fn parse_state(text: &str) -> Result<(JobSpec, JobPhase, Option<String>), String> {
     let v = json::parse(text.trim()).map_err(|e| format!("bad JSON: {e}"))?;
@@ -399,40 +379,7 @@ pub fn parse_state(text: &str) -> Result<(JobSpec, JobPhase, Option<String>), St
             .and_then(Value::as_str)
             .ok_or("missing \"state\"")?,
     )?;
-    let str_of = |k: &str| v.get(k).and_then(Value::as_str).map(str::to_string);
-    let num_of = |k: &str| v.get(k).and_then(Value::as_f64);
-    let mut spec = JobSpec::default();
-    if let Some(t) = str_of("tenant") {
-        spec.tenant = t;
-    }
-    if let Some(p) = str_of("passes") {
-        spec.passes = p;
-    }
-    if let Some(n) = int_field(&v, "priority")? {
-        spec.priority = n;
-    }
-    if let Some(n) = uint_field::<usize>(&v, "fixpoint")? {
-        spec.fixpoint = n.max(1);
-    }
-    if let Some(n) = uint_field(&v, "repeat")? {
-        spec.repeat = n;
-    }
-    if let Some(n) = uint_field(&v, "patterns")? {
-        spec.patterns = n;
-    }
-    if let Some(n) = uint_field(&v, "seed")? {
-        spec.seed = n;
-    }
-    if let Some(n) = uint_field(&v, "jobs")? {
-        spec.jobs = n;
-    }
-    spec.delay_limit_percent = num_of("delay_limit_percent");
-    spec.deadline_secs = num_of("deadline_secs");
-    spec.window_size = uint_field(&v, "window_size")?;
-    spec.window_overlap = uint_field(&v, "window_overlap")?;
-    spec.egraph_node_limit = uint_field(&v, "egraph_node_limit")?;
-    spec.egraph_iters = uint_field(&v, "egraph_iters")?;
-    spec.job_key = str_of("job_key");
+    let spec = JobSpec::decode(&v).map_err(|e| e.to_string())?;
     let error = match v.get("error") {
         Some(Value::Str(s)) => Some(s.clone()),
         _ => None,

@@ -30,36 +30,6 @@ impl Patterns {
         }
     }
 
-    /// Random patterns where input `i` is 1 with probability `probs[i]`.
-    ///
-    /// Used for Monte-Carlo activity estimation under non-uniform input
-    /// statistics.
-    #[must_use]
-    pub fn random_biased(probs: &[f64], words: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let bits = probs
-            .iter()
-            .map(|&p| {
-                (0..words)
-                    .map(|_| {
-                        let mut w = 0u64;
-                        for b in 0..64 {
-                            if rng.gen::<f64>() < p {
-                                w |= 1 << b;
-                            }
-                        }
-                        w
-                    })
-                    .collect()
-            })
-            .collect();
-        Patterns {
-            words,
-            bits,
-            tail_used: 0,
-        }
-    }
-
     /// All `2^inputs` exhaustive patterns (padded to whole words by
     /// repeating the last pattern).
     ///
@@ -86,16 +56,6 @@ impl Patterns {
             bits,
             tail_used: 0,
         }
-    }
-
-    /// Builds patterns from explicit per-input words (testing hook).
-    ///
-    /// # Panics
-    ///
-    /// Panics if rows have differing lengths.
-    #[must_use]
-    pub fn from_words(bits: Vec<Vec<u64>>) -> Self {
-        Self::from_raw(bits, 0)
     }
 
     /// Rebuilds a pattern set from its exact raw state, including the
@@ -192,20 +152,6 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(a.count(), 128);
-    }
-
-    #[test]
-    fn biased_probability_converges() {
-        let p = Patterns::random_biased(&[0.1, 0.9], 64, 42);
-        let frac = |i: usize| {
-            p.input_bits(i)
-                .iter()
-                .map(|w| w.count_ones() as f64)
-                .sum::<f64>()
-                / p.count() as f64
-        };
-        assert!((frac(0) - 0.1).abs() < 0.03, "{}", frac(0));
-        assert!((frac(1) - 0.9).abs() < 0.03, "{}", frac(1));
     }
 
     #[test]

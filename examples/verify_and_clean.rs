@@ -9,9 +9,7 @@ use powder::OptimizeConfig;
 use powder_atpg::equiv::{check_equivalence, EquivOutcome};
 use powder_library::lib2;
 use powder_netlist::{verilog, Netlist};
-use powder_passes::{
-    AnalysisSession, PassBudget, PowderPass, RedundancyPass, SessionConfig, Transform,
-};
+use powder_passes::{build_pipeline, AnalysisSession, SessionConfig};
 use std::sync::Arc;
 
 fn main() {
@@ -35,21 +33,22 @@ fn main() {
     let golden = nl.clone();
     println!("initial : {} cells, area {:.0}", nl.cell_count(), nl.area());
 
-    let config = OptimizeConfig::default();
-    let mut sess = AnalysisSession::new(nl, SessionConfig::from_optimize(&config));
-    let budget = PassBudget {
+    let config = OptimizeConfig {
         backtrack_limit: 10_000,
-        ..PassBudget::default()
+        ..OptimizeConfig::default()
     };
-    let red = RedundancyPass.run(&mut sess, &budget);
+    let mut sess = AnalysisSession::new(nl, SessionConfig::from_optimize(&config));
+    let mut pipeline = build_pipeline("redundancy,powder", &config, None).expect("valid spec");
+    let report = pipeline.run(&mut sess);
+    let (red, powder_pass) = (&report.passes[0], &report.passes[1]);
     println!(
         "redundancy removal: {} pins tied, area −{:.0}",
         red.edits,
         red.area_before - red.area_after
     );
 
-    let report = PowderPass::new(config).run(&mut sess, &budget);
-    println!("POWDER  : {}", report.optimize.expect("powder report"));
+    let optimize = powder_pass.optimize.as_ref().expect("powder report");
+    println!("POWDER  : {optimize}");
     let nl = sess.into_netlist();
 
     match check_equivalence(&golden, &nl, 100_000).expect("same interface") {

@@ -10,7 +10,7 @@
 //! * [`powder_sim`], [`powder_power`], [`powder_timing`], [`powder_atpg`]
 //!   — the engines;
 //! * [`powder_passes`] — the pass pipeline (shared analysis session,
-//!   `Transform` trait, scripted pass sequences);
+//!   the closed pass set, scripted pass sequences);
 //! * [`powder_synth`], [`powder_benchmarks`] — the POSE-substitute flow and
 //!   the benchmark suite.
 

@@ -158,11 +158,14 @@ fn stop_flag_interrupts_and_resume_completes() {
         })
     };
     let mut sess = session(&cfg);
-    let mut pipeline = build_pipeline(SPEC, &cfg, None)
+    let stopping = OptimizeConfig {
+        stop: Some(stop),
+        ..cfg.clone()
+    };
+    let mut pipeline = build_pipeline(SPEC, &stopping, None)
         .expect("valid spec")
         .with_fixpoint(FIXPOINT)
-        .with_checkpoint_sink(Some(sink))
-        .with_stop(Some(stop));
+        .with_checkpoint_sink(Some(sink));
     let report = pipeline.run(&mut sess);
     assert!(report.interrupted, "stop flag must be reported");
 

@@ -5,9 +5,7 @@
 use powder::OptimizeConfig;
 use powder_library::lib2;
 use powder_netlist::Netlist;
-use powder_passes::{
-    AnalysisSession, PassBudget, PowderPass, RedundancyPass, ResizePass, SessionConfig, Transform,
-};
+use powder_passes::{build_pipeline, AnalysisSession, PassReport, SessionConfig};
 use powder_power::glitch::glitch_power;
 use powder_power::{PowerConfig, PowerEstimator};
 use powder_sim::{simulate, CellCovers, Patterns};
@@ -24,10 +22,18 @@ fn power(nl: &Netlist) -> f64 {
     PowerEstimator::new(nl, &PowerConfig::default()).circuit_power(nl)
 }
 
-fn budget(backtrack_limit: usize) -> PassBudget {
-    PassBudget {
+/// Runs the one-pass pipeline `pass` on `sess` under `cfg` (`resize`
+/// anchored to the circuit delay when it starts).
+fn run(sess: &mut AnalysisSession, pass: &str, cfg: &OptimizeConfig) -> PassReport {
+    let mut pipeline = build_pipeline(pass, cfg, None).expect("valid spec");
+    pipeline.run(sess).passes.remove(0)
+}
+
+/// The default configuration at the given ATPG backtrack limit.
+fn limit(backtrack_limit: usize) -> OptimizeConfig {
+    OptimizeConfig {
         backtrack_limit,
-        ..PassBudget::default()
+        ..OptimizeConfig::default()
     }
 }
 
@@ -46,7 +52,7 @@ fn full_pipeline_composes() {
     };
     let mut sess = AnalysisSession::new(nl, SessionConfig::from_optimize(&cfg));
 
-    RedundancyPass.run(&mut sess, &budget(5_000));
+    run(&mut sess, "redundancy", &limit(5_000));
     sess.netlist().validate().unwrap();
     assert_eq!(
         po_sigs(sess.netlist(), &pats),
@@ -59,7 +65,7 @@ fn full_pipeline_composes() {
         "redundancy removal must not increase power"
     );
 
-    let report = PowderPass::new(cfg.clone()).run(&mut sess, &budget(cfg.backtrack_limit));
+    let report = run(&mut sess, "powder", &cfg);
     sess.netlist().validate().unwrap();
     assert_eq!(
         po_sigs(sess.netlist(), &pats),
@@ -69,7 +75,7 @@ fn full_pipeline_composes() {
     let report = report.optimize.expect("powder report");
     assert!(report.final_power <= p1 + 1e-9);
 
-    let rs = ResizePass::new(None).run(&mut sess, &budget(cfg.backtrack_limit));
+    let rs = run(&mut sess, "resize", &cfg);
     sess.netlist().validate().unwrap();
     assert_eq!(
         po_sigs(sess.netlist(), &pats),
@@ -86,7 +92,7 @@ fn resize_respects_delay() {
     let nl = powder_benchmarks::build("alu2", lib).expect("alu2 builds");
     let before = TimingAnalysis::new(&nl, &TimingConfig::default()).circuit_delay();
     let mut sess = AnalysisSession::new(nl, SessionConfig::default());
-    ResizePass::new(None).run(&mut sess, &PassBudget::default());
+    run(&mut sess, "resize", &OptimizeConfig::default());
     let nl = sess.netlist();
     let after = TimingAnalysis::new(nl, &TimingConfig::default()).circuit_delay();
     assert!(after <= before + 1e-9, "{before} -> {after}");
@@ -118,8 +124,8 @@ fn redundancy_pass_idempotent() {
     let lib = Arc::new(lib2());
     let nl = powder_benchmarks::build("frg1", lib).expect("frg1 builds");
     let mut sess = AnalysisSession::new(nl, SessionConfig::default());
-    RedundancyPass.run(&mut sess, &budget(3_000));
-    let second = RedundancyPass.run(&mut sess, &budget(3_000));
+    run(&mut sess, "redundancy", &limit(3_000));
+    let second = run(&mut sess, "redundancy", &limit(3_000));
     assert_eq!(second.edits, 0, "{second}");
 }
 
@@ -147,7 +153,7 @@ fn resize_with_multi_strength_library() {
     nl.add_output("f2", chain);
 
     let mut sess = AnalysisSession::new(nl, SessionConfig::default());
-    let report = ResizePass::new(None).run(&mut sess, &PassBudget::default());
+    let report = run(&mut sess, "resize", &OptimizeConfig::default());
     let nl = sess.into_netlist();
     nl.validate().unwrap();
     assert!(report.edits >= 1, "{report}");
