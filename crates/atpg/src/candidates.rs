@@ -16,8 +16,8 @@
 //! found by exact signature lookup.
 //!
 //! Every scan is word-major. The sources' signatures are copied once per
-//! call into columns (word `w` of every source, contiguous), so a scan
-//! first tests the one word with the most relevant care bits for 64
+//! [`CandidateScan`] into columns (word `w` of every source, contiguous),
+//! so a scan first tests the one word with the most relevant care bits for 64
 //! sources at a time, as a bitmask ANDed with the complement of the
 //! rewired gate's `SourceReach` row, and runs the full-width test only
 //! on the survivors, in source order. The one-word test is a necessary
@@ -26,13 +26,13 @@
 //!
 //! The output is a pure function of the netlist, the simulation values,
 //! the config and the scope, with no dependence on hash-map iteration
-//! order: the optimizer's commit arbiter identifies candidates by their
-//! position in this list.
+//! order: the optimizer ranks candidates by score and breaks ties by
+//! their position in this list (target index, then emission order).
 
 use crate::Substitution;
 use powder_library::CellId;
-use powder_netlist::{GateId, GateKind, Netlist};
-use powder_sim::{observability_sweep, CellCovers, SimValues};
+use powder_netlist::{Conn, GateId, GateKind, Netlist};
+use powder_sim::{observability_sweep, CellCovers, ObservabilityMasks, SimValues};
 
 #[cfg(test)]
 pub(crate) mod reference;
@@ -258,11 +258,15 @@ fn misses<const N: usize>(rows: [&[u64]; N], miss: impl Fn([u64; N]) -> u64) -> 
     acc
 }
 
-/// The sources of one call, with their signatures both row-major (the
-/// simulation values) and word-major (a copy made once per call).
-struct Sources<'a> {
-    values: &'a SimValues,
+/// The sources of one scan, with their signatures copied both row-major
+/// and word-major, so the scan reads no simulation values after it is
+/// built.
+struct Sources {
     ids: Vec<GateId>,
+    /// Number of words per signature.
+    words: usize,
+    /// `sources × words`: the signature of source `i` at `i * words`.
+    rows: Vec<u64>,
     /// `words × 64·blocks`: word `w` of source `i` at `w * 64·blocks + i`,
     /// zero past the last source, so every scan block is whole.
     cols: Vec<u64>,
@@ -316,12 +320,15 @@ impl<'a> Target<'a> {
     }
 }
 
-impl<'a> Sources<'a> {
-    fn new(values: &'a SimValues, ids: Vec<GateId>) -> Self {
+impl Sources {
+    fn new(values: &SimValues, ids: Vec<GateId>) -> Self {
         let n = ids.len();
+        let words = values.words();
         let stride = n.div_ceil(64) * 64;
-        let mut cols = vec![0u64; values.words() * stride];
+        let mut rows = Vec::with_capacity(n * words);
+        let mut cols = vec![0u64; words * stride];
         for (i, &s) in ids.iter().enumerate() {
+            rows.extend_from_slice(values.get(s));
             for (w, &x) in values.get(s).iter().enumerate() {
                 cols[w * stride + i] = x;
             }
@@ -336,8 +343,9 @@ impl<'a> Sources<'a> {
         // 64 for an absent key still reaches the binary search.
         let buckets = (64 * n).next_power_of_two().max(64);
         let mut src = Sources {
-            values,
             ids,
+            words,
+            rows,
             cols,
             by_word0,
             word0_present: vec![0; buckets / 64],
@@ -355,8 +363,8 @@ impl<'a> Sources<'a> {
         (x.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.word0_shift) as usize
     }
 
-    fn sig(&self, i: usize) -> &'a [u64] {
-        self.values.get(self.ids[i])
+    fn sig(&self, i: usize) -> &[u64] {
+        &self.rows[i * self.words..][..self.words]
     }
 
     /// Word `w` of every source, padded to whole blocks.
@@ -547,6 +555,207 @@ impl<'a> Sources<'a> {
     }
 }
 
+/// One substituted signal of a [`CandidateScan`]: an OS stem, or an IS
+/// branch (one sink pin of a stem).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ScanTarget {
+    /// The substituted stem: an OS target's `a`, an IS target's driver.
+    pub stem: GateId,
+    /// The rewired sink pin of an IS target; `None` for an OS target.
+    pub branch: Option<Conn>,
+    /// Index of `stem` among the scan's sources.
+    src: u32,
+    /// Position of `branch` in `stem`'s fanout list.
+    k: u32,
+}
+
+/// One round's candidate generation, built once and scanned target by
+/// target: the observability masks, the sources' signatures, the
+/// `SourceReach` cycle filter and the target list. It owns everything a
+/// scan reads, so targets can be scanned in any order, and after the
+/// netlist and its values have moved on, with the same result as at
+/// construction.
+///
+/// The targets are in the generator's order: every OS stem (a cell with
+/// fanouts), then every IS branch (a stem's fanout into a cell), both in
+/// source order and only when a class of their kind is enabled, each
+/// only if its care mask is nonzero and, under a scope, its rewired gate
+/// is a scope target. Scanning every target in
+/// that order emits exactly [`generate_candidates_scoped`]'s list.
+pub struct CandidateScan {
+    config: CandidateConfig,
+    obs: ObservabilityMasks,
+    src: Sources,
+    reach: SourceReach,
+    pair_cells: PairCells,
+    targets: Vec<ScanTarget>,
+    allowed: Vec<u64>,
+    pool: Vec<(usize, u64)>,
+}
+
+impl CandidateScan {
+    /// Sweeps the observability masks and indexes the sources of `nl`
+    /// under `values`, restricted to `scope` when given.
+    #[must_use]
+    pub fn new(
+        nl: &Netlist,
+        covers: &CellCovers,
+        values: &SimValues,
+        config: &CandidateConfig,
+        scope: Option<&CandidateScope>,
+    ) -> Self {
+        // Observability masks of every stem and branch, from one sweep.
+        // Masks are only ever read for scope sources (IS branch drivers)
+        // and scope targets (OS stems), so a scoped scan sweeps just the
+        // window and measures it window-locally: edges leaving the scope
+        // count as observed, the same over-approximation as the scoped
+        // permissibility proof.
+        let obs = observability_sweep(nl, covers, values, scope.map(|s| s.sources.as_slice()));
+        let is_target = |g: GateId| scope.is_none_or(|s| s.is_target(g));
+        // All stems usable as substituting sources.
+        let src = Sources::new(
+            values,
+            nl.iter_live()
+                .filter(|&g| !matches!(nl.kind(g), GateKind::Output))
+                .filter(|&g| scope.is_none_or(|s| s.is_source(g)))
+                .collect(),
+        );
+        // A stem that is never observable on these patterns would pass any
+        // filter with any source; such fully redundant gates are skipped
+        // to avoid a candidate explosion.
+        let cares =
+            |care: Option<&[u64]>| care.expect("sources have masks").iter().any(|&w| w != 0);
+        let mut targets = Vec::new();
+        if config.enable_os2 || config.enable_os3 {
+            for (i, &a) in src.ids.iter().enumerate() {
+                if matches!(nl.kind(a), GateKind::Cell(_))
+                    && !nl.fanouts(a).is_empty()
+                    && is_target(a)
+                    && cares(obs.stem(a))
+                {
+                    targets.push(ScanTarget {
+                        stem: a,
+                        branch: None,
+                        src: i as u32,
+                        k: 0,
+                    });
+                }
+            }
+        }
+        if config.enable_is2 || config.enable_is3 {
+            for (i, &a) in src.ids.iter().enumerate() {
+                for (k, &conn) in nl.fanouts(a).iter().enumerate() {
+                    // Rewiring a PO branch is an output substitution in
+                    // disguise; OS2 handles it with full bookkeeping.
+                    if !matches!(nl.kind(conn.gate), GateKind::Output)
+                        && is_target(conn.gate)
+                        && cares(obs.branch(a, k))
+                    {
+                        targets.push(ScanTarget {
+                            stem: a,
+                            branch: Some(conn),
+                            src: i as u32,
+                            k: k as u32,
+                        });
+                    }
+                }
+            }
+        }
+        // Cycle filter: a substituting source must not lie in the
+        // transitive fanout of the rewired stem/sink. Source-reach sets
+        // for the whole netlist come from one reverse-topological sweep —
+        // `O(netlist · sources/64)` total instead of
+        // `O(targets · netlist)`, and exact for paths that leave and
+        // re-enter a window.
+        let reach = SourceReach::build(nl, &src.ids);
+        CandidateScan {
+            config: config.clone(),
+            obs,
+            src,
+            reach,
+            pair_cells: PairCells::detect(nl),
+            targets,
+            allowed: Vec::new(),
+            pool: Vec::new(),
+        }
+    }
+
+    /// The targets, in scan order.
+    #[must_use]
+    pub fn targets(&self) -> &[ScanTarget] {
+        &self.targets
+    }
+
+    /// Appends the candidates of target `t` to `out`, in emission order.
+    pub fn scan(&mut self, t: usize, out: &mut Vec<Substitution>) {
+        let ScanTarget {
+            stem: a,
+            branch,
+            src: own,
+            k,
+        } = self.targets[t];
+        let (src, config, cells) = (&self.src, &self.config, &self.pair_cells);
+        // The AND/OR-type 3-input families in scan order; IS3 uses the
+        // first two (the paper finds IS3 contributes least).
+        let families = [
+            (Op::And, false, cells.and2),
+            (Op::Or, false, cells.or2),
+            (Op::And, true, cells.nand2),
+            (Op::Or, true, cells.nor2),
+        ];
+        let sig = src.sig(own as usize);
+        match branch {
+            None => {
+                self.reach.allowed_into(a, a, &mut self.allowed);
+                let care = self.obs.stem(a).expect("targets have masks");
+                let t = Target::new(sig, care, &self.allowed);
+                if config.enable_os2 {
+                    src.two_input(&t, config, |b, invert| {
+                        out.push(Substitution::Os2 { a, b, invert });
+                    });
+                }
+                if config.enable_os3 {
+                    let kept =
+                        src.three_input(&t, &families, config, &mut self.pool, |cell, b, c| {
+                            out.push(Substitution::Os3 { a, cell, b, c });
+                        });
+                    if kept < config.max_per_signal {
+                        src.xor_pairs(&t, cells, config.max_per_signal, kept, |cell, b, c| {
+                            out.push(Substitution::Os3 { a, cell, b, c });
+                        });
+                    }
+                }
+            }
+            Some(Conn { gate: sink, pin }) => {
+                self.reach.allowed_into(sink, a, &mut self.allowed);
+                let care = self.obs.branch(a, k as usize).expect("targets have masks");
+                let t = Target::new(sig, care, &self.allowed);
+                if config.enable_is2 {
+                    src.two_input(&t, config, |b, invert| {
+                        out.push(Substitution::Is2 {
+                            sink,
+                            pin,
+                            b,
+                            invert,
+                        });
+                    });
+                }
+                if config.enable_is3 {
+                    src.three_input(&t, &families[..2], config, &mut self.pool, |cell, b, c| {
+                        out.push(Substitution::Is3 {
+                            sink,
+                            pin,
+                            cell,
+                            b,
+                            c,
+                        });
+                    });
+                }
+            }
+        }
+    }
+}
+
 /// Generates potentially-permissible substitutions for the current netlist
 /// from simulated `values`.
 ///
@@ -566,7 +775,8 @@ pub fn generate_candidates(
 /// [`generate_candidates`] restricted to `scope`: substituted stems and
 /// rewired sinks must be scope targets, substituting signals must be
 /// scope sources. `scope: None` is exactly the unrestricted generator —
-/// same candidates in the same order.
+/// same candidates in the same order. It scans every target of a
+/// [`CandidateScan`] in order.
 ///
 /// Every candidate names its target (the OS stem or the IS sink pin), and
 /// each target's scans emit each (class, cell, `b`, `c`) at most once, so
@@ -579,125 +789,11 @@ pub fn generate_candidates_scoped(
     config: &CandidateConfig,
     scope: Option<&CandidateScope>,
 ) -> Vec<Substitution> {
-    // Observability masks of every stem and branch, from one sweep. Masks
-    // are only ever read for scope sources (IS branch drivers) and scope
-    // targets (OS stems), so a scoped call sweeps just the window and
-    // measures it window-locally: edges leaving the scope count as
-    // observed, the same over-approximation as the scoped permissibility
-    // proof.
-    let obs = observability_sweep(nl, covers, values, scope.map(|s| s.sources.as_slice()));
-    let mut out: Vec<Substitution> = Vec::new();
-    let is_target = |g: GateId| scope.is_none_or(|s| s.is_target(g));
-
-    // All stems usable as substituting sources.
-    let src = Sources::new(
-        values,
-        nl.iter_live()
-            .filter(|&g| !matches!(nl.kind(g), GateKind::Output))
-            .filter(|&g| scope.is_none_or(|s| s.is_source(g)))
-            .collect(),
-    );
-    let pair_cells = PairCells::detect(nl);
-    // The AND/OR-type 3-input families in scan order; IS3 uses the first
-    // two (the paper finds IS3 contributes least).
-    let families = [
-        (Op::And, false, pair_cells.and2),
-        (Op::Or, false, pair_cells.or2),
-        (Op::And, true, pair_cells.nand2),
-        (Op::Or, true, pair_cells.nor2),
-    ];
-
-    // Cycle filter: a substituting source must not lie in the transitive
-    // fanout of the rewired stem/sink. Source-reach sets for the whole
-    // netlist come from one reverse-topological sweep —
-    // `O(netlist · sources/64)` total instead of `O(targets · netlist)`,
-    // and exact for paths that leave and re-enter a window.
-    let reach = SourceReach::build(nl, &src.ids);
-    let mut allowed: Vec<u64> = Vec::new();
-    let mut pool: Vec<(usize, u64)> = Vec::new();
-
-    // ---------------- output substitutions (OS2 / OS3) ----------------
-    for &a in &src.ids {
-        if !matches!(nl.kind(a), GateKind::Cell(_)) || nl.fanouts(a).is_empty() || !is_target(a) {
-            continue;
-        }
-        let care = obs.stem(a).expect("sources have stem masks");
-        if care.iter().all(|&w| w == 0) {
-            // a is never observable on these patterns; substituting it by a
-            // constant-ish signal would pass any filter but such fully
-            // redundant gates are better left to the OS2 scan below with
-            // any source — skip to avoid a candidate explosion.
-            continue;
-        }
-        reach.allowed_into(a, a, &mut allowed);
-        let t = Target::new(values.get(a), care, &allowed);
-        if config.enable_os2 {
-            src.two_input(&t, config, |b, invert| {
-                out.push(Substitution::Os2 { a, b, invert });
-            });
-        }
-        if config.enable_os3 {
-            let kept = src.three_input(&t, &families, config, &mut pool, |cell, b, c| {
-                out.push(Substitution::Os3 { a, cell, b, c });
-            });
-            if kept < config.max_per_signal {
-                src.xor_pairs(
-                    &t,
-                    &pair_cells,
-                    config.max_per_signal,
-                    kept,
-                    |cell, b, c| {
-                        out.push(Substitution::Os3 { a, cell, b, c });
-                    },
-                );
-            }
-        }
+    let mut scan = CandidateScan::new(nl, covers, values, config, scope);
+    let mut out = Vec::new();
+    for t in 0..scan.targets().len() {
+        scan.scan(t, &mut out);
     }
-
-    // ---------------- input substitutions (IS2 / IS3) ----------------
-    if config.enable_is2 || config.enable_is3 {
-        for &a in &src.ids {
-            for (k, &conn) in nl.fanouts(a).iter().enumerate() {
-                if matches!(nl.kind(conn.gate), GateKind::Output) {
-                    // Rewiring a PO branch is an output substitution in
-                    // disguise; OS2 handles it with full bookkeeping.
-                    continue;
-                }
-                if !is_target(conn.gate) {
-                    continue;
-                }
-                let care = obs.branch(a, k).expect("sources have branch masks");
-                if care.iter().all(|&w| w == 0) {
-                    continue;
-                }
-                reach.allowed_into(conn.gate, a, &mut allowed);
-                let t = Target::new(values.get(a), care, &allowed);
-                let (sink, pin) = (conn.gate, conn.pin);
-                if config.enable_is2 {
-                    src.two_input(&t, config, |b, invert| {
-                        out.push(Substitution::Is2 {
-                            sink,
-                            pin,
-                            b,
-                            invert,
-                        });
-                    });
-                }
-                if config.enable_is3 {
-                    src.three_input(&t, &families[..2], config, &mut pool, |cell, b, c| {
-                        out.push(Substitution::Is3 {
-                            sink,
-                            pin,
-                            cell,
-                            b,
-                            c,
-                        });
-                    });
-                }
-            }
-        }
-    }
-
     // Structural validity holds by construction — every scan filtered
     // sources through the allowed (non-TFO) set, which is exactly the
     // acyclicity condition `is_structurally_valid` re-derives with an

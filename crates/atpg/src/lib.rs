@@ -66,7 +66,8 @@ mod sat;
 mod tests_support;
 
 pub use candidates::{
-    generate_candidates, generate_candidates_scoped, CandidateConfig, CandidateScope,
+    generate_candidates, generate_candidates_scoped, CandidateConfig, CandidateScan,
+    CandidateScope, ScanTarget,
 };
 pub use check::{check_substitution, CheckArena, CheckOutcome, Substitution};
 pub use equiv::{check_equivalence, EquivOutcome};

@@ -157,7 +157,11 @@ where
 
 /// A refused [`JobSpec`] field, named by its flag.
 fn flag_error(e: SpecError) -> String {
-    format!("bad --{}: {}", e.field.replace('_', "-"), e.reason)
+    let flag = match e.field {
+        "delay_limit_percent" => "delay-limit".to_string(),
+        field => field.replace('_', "-"),
+    };
+    format!("bad --{flag}: {}", e.reason)
 }
 
 /// `secs` if [`deadline_after`] accepts it (the check `--deadline-secs`
@@ -740,6 +744,22 @@ mod tests {
             assert!(
                 parse_args(&args(&["--deadline-secs", bad])).is_err(),
                 "{bad} should be rejected"
+            );
+        }
+    }
+
+    /// A delay limit that means no limit (NaN, infinite) or no run (a
+    /// factor of zero or less) is refused, naming the flag.
+    #[test]
+    fn delay_limit_must_be_a_finite_percentage_above_minus_100() {
+        for bad in ["nan", "inf", "-inf", "-100", "-150"] {
+            let err = parse_args(&args(&["--delay-limit", bad])).err().unwrap();
+            assert!(err.starts_with("bad --delay-limit:"), "{bad}: {err}");
+        }
+        for good in ["-99", "0", "110"] {
+            assert!(
+                parse_args(&args(&["--delay-limit", good])).is_ok(),
+                "{good}"
             );
         }
     }

@@ -4,13 +4,15 @@
 //! POWDER's inner loop spends almost all of its time on three pure
 //! functions of the current netlist: fast `PG_A + PG_B` scoring, full
 //! `PG_C` what-if analysis, and ATPG permissibility proofs. This module
-//! runs those on a work-stealing [`WorkerPool`] against an immutable
-//! netlist snapshot, while a sequential *commit arbiter* makes every
-//! decision in one fixed order:
+//! ranks by the first lazily, on its own thread, and runs the other two
+//! on a work-stealing [`WorkerPool`] against an immutable netlist
+//! snapshot, while a sequential *commit arbiter* makes every decision in
+//! one fixed order:
 //!
-//! 1. **Filter** — every surviving candidate is fast-scored, sharded
-//!    into per-stem batches, then stable-sorted by score (the
-//!    candidate's position in this ordering is its id for the round).
+//! 1. **Filter** — the round's [`Ranking`] hands out candidates by
+//!    descending fast score, scanning and scoring targets only until
+//!    the rank read is certain (a candidate's rank is its id for the
+//!    round). The order is exactly the eager stable sort's.
 //! 2. **Gain** — full what-if gains for the arbiter's pre-selection
 //!    window, plus a speculative lookahead when more than one worker
 //!    can speculate, are computed on the pool; each result is memoized
@@ -37,19 +39,18 @@
 //! the hardware threads actually available, not the requested worker
 //! count — extra in-flight work only pays for itself on idle cores.
 
-use crate::gain::{analyze_fast_with, analyze_full_with, GainScratch};
+use crate::gain::{analyze_full_with, GainScratch};
 use crate::guard::{adaptive_backtrack, deadline_exceeded, guarded_apply};
 use crate::optimizer::{
     candidate_alive, stop_requested, substitution_timing, DelayLimit, OptimizeConfig,
     RoundSnapshot, MIN_GAIN,
 };
+use crate::ranking::Ranking;
 use crate::report::{
     AppliedSubstitution, GuardStats, OptimizeReport, PhaseTimes, QuarantinedCandidate, SubClass,
 };
 use crate::session::AnalysisSession;
-use powder_atpg::{
-    generate_candidates_scoped, CandidateScope, CheckArena, CheckOutcome, Substitution,
-};
+use powder_atpg::{CandidateScope, CheckArena, CheckOutcome, Substitution};
 use powder_engine::{
     pool::batch_by_key, DirtyBits, EngineStats, Footprint, FootprintScratch, WorkerPool,
 };
@@ -61,14 +62,31 @@ use powder_timing::{TimingAnalysis, TimingConfig};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
-/// Per-stem batch ceiling for the cheap fast-scoring stage.
-const FAST_BATCH: usize = 64;
 /// Per-stem batch ceiling for full what-if gain evaluation.
 const GAIN_BATCH: usize = 4;
 
 /// Results memoized across rounds, keyed by candidate, each with the
 /// footprint its computation read.
 type Memo<V> = BTreeMap<Substitution, (Footprint, V)>;
+
+/// The ranks consumed this round. Ranks are certified on demand, so the
+/// flags grow with the certain prefix; a rank past them reads as
+/// unconsumed.
+#[derive(Clone, Default)]
+struct Consumed(Vec<bool>);
+
+impl Consumed {
+    fn get(&self, i: usize) -> bool {
+        self.0.get(i).copied().unwrap_or(false)
+    }
+
+    fn set(&mut self, i: usize) {
+        if self.0.len() <= i {
+            self.0.resize(i + 1, false);
+        }
+        self.0[i] = true;
+    }
+}
 
 /// The read footprint of one candidate: inclusive TFO of the rewired
 /// sinks plus the stem and replacement sources, closed under TFI. This
@@ -93,9 +111,9 @@ fn footprint_of(fs: &mut FootprintScratch, nl: &Netlist, sub: &Substitution) -> 
 #[allow(clippy::too_many_arguments)]
 fn plan_proof_batch(
     nl: &Netlist,
-    scored: &[(Substitution, f64)],
+    ranking: &mut Ranking,
     gains: &Memo<f64>,
-    consumed: &[bool],
+    consumed: &Consumed,
     quarantine: &BTreeSet<Substitution>,
     cursor: usize,
     first: usize,
@@ -106,21 +124,23 @@ fn plan_proof_batch(
     max_batch: usize,
 ) -> Vec<usize> {
     let mut plan = vec![first];
-    let mut pred_consumed = consumed.to_vec();
+    let mut pred_consumed = consumed.clone();
     let mut pred_cursor = cursor;
     let mut pred_rej = rejections + 1;
     while plan.len() < max_batch && pred_rej < config.max_rejections_per_round {
-        while pred_cursor < scored.len() && pred_consumed[pred_cursor] {
+        while pred_consumed.get(pred_cursor) {
             pred_cursor += 1;
         }
         let mut pre: Vec<usize> = Vec::with_capacity(config.preselect);
         let mut i = pred_cursor;
-        while i < scored.len() && pre.len() < config.preselect {
-            if !pred_consumed[i] {
-                let s = &scored[i].0;
-                if quarantine.contains(s) || !candidate_alive(nl, s) || !s.is_structurally_valid(nl)
+        while pre.len() < config.preselect {
+            let Some((s, _)) = ranking.get(i) else { break };
+            if !pred_consumed.get(i) {
+                if quarantine.contains(&s)
+                    || !candidate_alive(nl, &s)
+                    || !s.is_structurally_valid(nl)
                 {
-                    pred_consumed[i] = true;
+                    pred_consumed.set(i);
                 } else {
                     pre.push(i);
                 }
@@ -135,7 +155,7 @@ fn plan_proof_batch(
         let mut best: Option<(usize, f64)> = None;
         let mut complete = true;
         for &i in &pre {
-            match gains.get(&scored[i].0) {
+            match gains.get(&ranking.at(i)) {
                 Some(&(_, g)) => {
                     if best.is_none_or(|(_, bg)| g.total_cmp(&bg).is_ge()) {
                         best = Some((i, g));
@@ -154,9 +174,9 @@ fn plan_proof_batch(
         if bg <= MIN_GAIN {
             break;
         }
-        pred_consumed[bi] = true;
+        pred_consumed.set(bi);
         if let Some(sta_ref) = sta {
-            let timing = substitution_timing(nl, sta_ref, &scored[bi].0, output_load);
+            let timing = substitution_timing(nl, sta_ref, &ranking.at(bi), output_load);
             if !sta_ref.check_substitution(&timing) {
                 pred_rej += 1;
                 continue;
@@ -166,6 +186,16 @@ fn plan_proof_batch(
         pred_rej += 1;
     }
     plan
+}
+
+/// Folds a finished round's ranking work into the run's phase times
+/// (scans under candidates, snapshot, bounds and scores under gain) and
+/// engine counters.
+fn account(ranking: &Ranking, phase: &mut PhaseTimes, engine: &mut EngineStats) {
+    phase.candidates += ranking.scan_seconds;
+    phase.gain += ranking.score_seconds;
+    engine.evaluated += ranking.evaluated;
+    obs::counter!(obs::names::ENGINE_EVALUATED).add(ranking.evaluated as u64);
 }
 
 /// Runs POWDER on the session's whole netlist, or on the window `scope`
@@ -241,7 +271,6 @@ pub(crate) fn power_optimize(
     // Per-worker scratch, kept for the whole run: gain scoring allocates
     // nothing per candidate, and a proof arena rebuilds its miter base
     // only when the netlist (or the window scope) changed.
-    let mut fast_ctxs: Vec<GainScratch> = Vec::new();
     let mut gain_ctxs: Vec<(GainScratch, FootprintScratch)> = Vec::new();
     let mut proof_ctxs: Vec<CheckArena> = Vec::new();
 
@@ -287,57 +316,22 @@ pub(crate) fn power_optimize(
             patterns_stale = false;
         }
         phase.simulation += t.elapsed().as_secs_f64();
-        let t = Instant::now();
-        let cands = {
-            let _span = obs::span!(obs::names::span::PHASE_CANDIDATES);
+        let mut ranking = {
             let values = sess.values.as_ref().expect("simulated above");
-            generate_candidates_scoped(&sess.nl, &sess.covers, values, &config.candidates, scope)
-        };
-        phase.candidates += t.elapsed().as_secs_f64();
-        if cands.is_empty() {
-            break;
-        }
-
-        // --- Stage 1: fast scoring, sharded per stem. ---
-        let t = Instant::now();
-        let fast: Vec<Option<f64>> = {
-            let _span = obs::span!(obs::names::span::PHASE_GAIN);
-            let nl_snap: &Netlist = &sess.nl;
-            let est_ref: &PowerEstimator = &sess.est;
-            let batches = batch_by_key(
-                (0..cands.len() as u32).map(|i| (i, cands[i as usize].substituted_stem(nl_snap))),
-                FAST_BATCH,
-            );
-            pool.run_batches(
-                obs::names::span::STAGE_FILTER,
-                &cands,
-                &batches,
-                &mut fast_ctxs,
-                GainScratch::default,
-                |gs, _, s| analyze_fast_with(nl_snap, est_ref, s, gs).fast(),
+            Ranking::new(
+                &sess.nl,
+                &sess.covers,
+                values,
+                &sess.est,
+                &config.candidates,
+                scope,
             )
         };
-        // A quarantined worker batch leaves its slots `None`; those
-        // candidates simply sit this round out (they reappear at the
-        // next candidate generation).
-        let mut scored: Vec<(Substitution, f64)> = cands
-            .into_iter()
-            .zip(fast)
-            .filter_map(|(s, f)| f.map(|f| (s, f)))
-            .collect();
-        if scored.is_empty() {
+        if ranking.get(0).is_none() {
+            account(&ranking, &mut phase, &mut engine);
             break;
         }
-        scored.sort_by(|x, y| y.1.total_cmp(&x.1));
-        let wall = t.elapsed().as_secs_f64();
-        phase.gain += wall;
-        engine.filter_seconds += wall;
-        engine.evaluated += scored.len();
-        obs::counter!(obs::names::ENGINE_FILTER_NS).add((wall * 1e9) as u64);
-        obs::counter!(obs::names::ENGINE_EVALUATED).add(scored.len() as u64);
-
-        let n = scored.len();
-        let mut consumed = vec![false; n];
+        let mut consumed = Consumed::default();
 
         let mut progress = false;
         let mut learned = false;
@@ -348,7 +342,10 @@ pub(crate) fn power_optimize(
         // rescanning the whole candidate list.
         let mut cursor = 0usize;
         let t_inner = Instant::now();
-        let mut round_parallel_wall = 0.0f64;
+        // Wall time of the stages (ranking, gains, proofs) inside the
+        // inner loop, which is not arbitration.
+        let mut round_stage_wall = 0.0f64;
+        let ranking_before = ranking.scan_seconds + ranking.score_seconds;
         'inner: while repeat_left > 0 && rejections_this_round < config.max_rejections_per_round {
             if deadline_exceeded(config.deadline) {
                 deadline_hit = true;
@@ -359,19 +356,19 @@ pub(crate) fn power_optimize(
                 interrupted = true;
                 break 'inner;
             }
-            while cursor < n && consumed[cursor] {
+            while consumed.get(cursor) {
                 cursor += 1;
             }
             // Pre-select the next `preselect` live candidates.
             let mut pre: Vec<usize> = Vec::with_capacity(config.preselect);
             let mut i = cursor;
-            while i < n && pre.len() < config.preselect {
-                if !consumed[i] {
-                    let s = &scored[i].0;
-                    if quarantine.contains(s) {
-                        consumed[i] = true;
-                    } else if !candidate_alive(&sess.nl, s) || !s.is_structurally_valid(&sess.nl) {
-                        consumed[i] = true;
+            while pre.len() < config.preselect {
+                let Some((s, _)) = ranking.get(i) else { break };
+                if !consumed.get(i) {
+                    if quarantine.contains(&s) {
+                        consumed.set(i);
+                    } else if !candidate_alive(&sess.nl, &s) || !s.is_structurally_valid(&sess.nl) {
+                        consumed.set(i);
                         engine.filtered += 1;
                         obs::counter!(obs::names::ENGINE_FILTERED).inc();
                     } else {
@@ -388,20 +385,21 @@ pub(crate) fn power_optimize(
             // the candidates behind it. ---
             let mut want: Vec<Substitution> = pre
                 .iter()
-                .map(|&id| scored[id].0)
+                .map(|&id| ranking.at(id))
                 .filter(|s| !gain_memo.contains_key(s))
                 .collect();
             {
                 let mut seen_live = 0usize;
                 let mut j = i;
-                while j < n && seen_live < lookahead {
-                    if !consumed[j] {
-                        let s = &scored[j].0;
-                        if candidate_alive(&sess.nl, s) && s.is_structurally_valid(&sess.nl) {
-                            seen_live += 1;
-                            if !gain_memo.contains_key(s) {
-                                want.push(*s);
-                            }
+                while seen_live < lookahead {
+                    let Some((s, _)) = ranking.get(j) else { break };
+                    if !consumed.get(j)
+                        && candidate_alive(&sess.nl, &s)
+                        && s.is_structurally_valid(&sess.nl)
+                    {
+                        seen_live += 1;
+                        if !gain_memo.contains_key(&s) {
+                            want.push(s);
                         }
                     }
                     j += 1;
@@ -445,7 +443,7 @@ pub(crate) fn power_optimize(
                 let wall = t.elapsed().as_secs_f64();
                 phase.gain += wall;
                 engine.gain_seconds += wall;
-                round_parallel_wall += wall;
+                round_stage_wall += wall;
                 obs::counter!(obs::names::ENGINE_FULL_GAINS).add(want.len() as u64);
                 obs::counter!(obs::names::ENGINE_GAIN_NS).add((wall * 1e9) as u64);
             }
@@ -457,17 +455,17 @@ pub(crate) fn power_optimize(
             let missing: Vec<usize> = pre
                 .iter()
                 .copied()
-                .filter(|&id| !gain_memo.contains_key(&scored[id].0))
+                .filter(|&id| !gain_memo.contains_key(&ranking.at(id)))
                 .collect();
             if !missing.is_empty() {
                 for id in missing {
-                    consumed[id] = true;
+                    consumed.set(id);
                 }
                 continue 'inner;
             }
             let best = pre
                 .iter()
-                .map(|&id| (id, gain_memo[&scored[id].0].1))
+                .map(|&id| (id, gain_memo[&ranking.at(id)].1))
                 .max_by(|x, y| x.1.total_cmp(&y.1))
                 .expect("pre-selection is non-empty");
             let (idx, gain) = best;
@@ -476,8 +474,8 @@ pub(crate) fn power_optimize(
                 // end this round (fresh candidates may still exist).
                 break 'inner;
             }
-            let sub = scored[idx].0;
-            consumed[idx] = true;
+            let sub = ranking.at(idx);
+            consumed.set(idx);
 
             // check_delay (Section 3.4) — always live: timing state is
             // cheap to query and changes with every commit. The view is
@@ -513,7 +511,7 @@ pub(crate) fn power_optimize(
                 // above, so its timing view is present.
                 let plan = plan_proof_batch(
                     &sess.nl,
-                    &scored,
+                    &mut ranking,
                     &gain_memo,
                     &consumed,
                     &quarantine,
@@ -527,7 +525,7 @@ pub(crate) fn power_optimize(
                 );
                 let todo: Vec<Substitution> = plan
                     .iter()
-                    .map(|&id| scored[id].0)
+                    .map(|&id| ranking.at(id))
                     .filter(|s| !proof_memo.contains_key(s))
                     .collect();
                 let results = {
@@ -575,7 +573,7 @@ pub(crate) fn power_optimize(
                 let wall = t.elapsed().as_secs_f64();
                 phase.atpg += wall;
                 engine.proof_seconds += wall;
-                round_parallel_wall += wall;
+                round_stage_wall += wall;
                 obs::counter!(obs::names::ENGINE_PROVED).add(todo.len() as u64);
                 obs::counter!(obs::names::ENGINE_PROOF_NS).add((wall * 1e9) as u64);
             }
@@ -693,7 +691,9 @@ pub(crate) fn power_optimize(
                 }
             }
         }
-        let arbiter_wall = (t_inner.elapsed().as_secs_f64() - round_parallel_wall).max(0.0);
+        round_stage_wall += ranking.scan_seconds + ranking.score_seconds - ranking_before;
+        account(&ranking, &mut phase, &mut engine);
+        let arbiter_wall = (t_inner.elapsed().as_secs_f64() - round_stage_wall).max(0.0);
         engine.arbiter_seconds += arbiter_wall;
         obs::counter!(obs::names::ENGINE_ARBITER_NS).add((arbiter_wall * 1e9) as u64);
         if deadline_hit || interrupted {

@@ -18,7 +18,7 @@
 mod reference;
 
 use powder_atpg::Substitution;
-use powder_netlist::{GateId, GateKind, Netlist};
+use powder_netlist::{Conn, GateId, GateKind, Netlist};
 use powder_power::{PowerEstimator, WhatIfEdit, WhatIfScratch, WhatIfSource};
 
 /// The decomposed power gain of a substitution. Positive totals reduce
@@ -101,9 +101,18 @@ impl GainScratch {
         s
     }
 
-    /// Starts a query: computes the removal set of `sub` (see
-    /// [`removal_set`]) into `self.removed` and marks it in the slots.
-    fn removal(&mut self, nl: &Netlist, sub: &Substitution) {
+    /// Starts a query: computes into `self.removed`, and marks in the
+    /// slots, the removal set of a substitution on `stem` (all its
+    /// branches when `branch` is `None`, else that one branch) whose
+    /// substituting `sources` each gain one reference (see
+    /// [`removal_set`]).
+    fn removal(
+        &mut self,
+        nl: &Netlist,
+        stem: GateId,
+        branch: Option<Conn>,
+        sources: [Option<GateId>; 2],
+    ) {
         if self.slots.len() < nl.id_bound() {
             self.slots.resize(nl.id_bound(), Slot::default());
         }
@@ -117,16 +126,13 @@ impl GainScratch {
 
         // Extra references from the substitution itself: the sources feed
         // the moved branches / the new gate / the new inverter.
-        let stem = sub.substituted_stem(nl);
-        let (b, c) = sub.sources();
-        self.slot(nl, b).refs += 1;
-        if let Some(c) = c {
-            self.slot(nl, c).refs += 1;
+        for s in sources.into_iter().flatten() {
+            self.slot(nl, s).refs += 1;
         }
         // The substituted stem loses branches.
-        match *sub {
-            Substitution::Os2 { a, .. } | Substitution::Os3 { a, .. } => self.slot(nl, a).refs = 0,
-            Substitution::Is2 { .. } | Substitution::Is3 { .. } => self.slot(nl, stem).refs -= 1,
+        match branch {
+            None => self.slot(nl, stem).refs = 0,
+            Some(_) => self.slot(nl, stem).refs -= 1,
         }
 
         self.stack.clear();
@@ -172,8 +178,25 @@ impl GainScratch {
 #[must_use]
 pub fn removal_set(nl: &Netlist, sub: &Substitution) -> Vec<GateId> {
     let mut scratch = GainScratch::default();
-    scratch.removal(nl, sub);
+    let (b, c) = sub.sources();
+    scratch.removal(
+        nl,
+        sub.substituted_stem(nl),
+        rewired_branch(sub),
+        [Some(b), c],
+    );
     scratch.removed
+}
+
+/// The one branch an input substitution moves; `None` for an output
+/// substitution, which moves all of its stem's branches.
+fn rewired_branch(sub: &Substitution) -> Option<Conn> {
+    match *sub {
+        Substitution::Os2 { .. } | Substitution::Os3 { .. } => None,
+        Substitution::Is2 { sink, pin, .. } | Substitution::Is3 { sink, pin, .. } => {
+            Some(Conn { gate: sink, pin })
+        }
+    }
 }
 
 /// Computes `PG_A` and `PG_B` (no re-estimation); `pg_c` is left unset.
@@ -193,9 +216,28 @@ pub(crate) fn analyze_fast_with(
     sub: &Substitution,
     scratch: &mut GainScratch,
 ) -> PowerGain {
-    let output_load = est.config().output_load;
     let stem = sub.substituted_stem(nl);
-    scratch.removal(nl, sub);
+    let branch = rewired_branch(sub);
+    let (b, c) = sub.sources();
+    scratch.removal(nl, stem, branch, [Some(b), c]);
+    let (pg_a, moved_cap) = pg_a(nl, est, stem, branch, scratch);
+    PowerGain {
+        pg_a,
+        pg_b: pg_b(nl, est, sub, moved_cap),
+        pg_c: None,
+    }
+}
+
+/// `PG_A` of the removal set of `scratch`'s current query, and the
+/// capacitance the substitution moves off `stem`.
+fn pg_a(
+    nl: &Netlist,
+    est: &PowerEstimator,
+    stem: GateId,
+    branch: Option<Conn>,
+    scratch: &mut GainScratch,
+) -> (f64, f64) {
+    let output_load = est.config().output_load;
     let removed = std::mem::take(&mut scratch.removed);
 
     // --- PG_A: removed stems' full switched capacitance + load relief. ---
@@ -218,10 +260,9 @@ pub(crate) fn analyze_fast_with(
     scratch.removed = removed;
     // For input substitutions where the stem itself survives, the moved
     // branch relieves the stem's load.
-    let moved_cap = match *sub {
-        Substitution::Os2 { a, .. } | Substitution::Os3 { a, .. } => nl.load_cap(a, output_load),
-        Substitution::Is2 { sink, pin, .. } | Substitution::Is3 { sink, pin, .. } => {
-            let conn = powder_netlist::Conn { gate: sink, pin };
+    let moved_cap = match branch {
+        None => nl.load_cap(stem, output_load),
+        Some(conn) => {
             let cap = nl.branch_cap(&conn, output_load);
             if !scratch.is_removed(stem) {
                 scratch.relieve(nl, stem, cap);
@@ -230,17 +271,21 @@ pub(crate) fn analyze_fast_with(
         }
     };
     // Relief terms are summed in `GateId` order: float summation order
-    // must not depend on discovery order, and the arbiter sorts on these
+    // must not depend on discovery order, and the arbiter ranks on these
     // totals bit for bit.
     scratch.relieved.sort_unstable();
     for &g in &scratch.relieved {
         pg_a += scratch.slots[g.0 as usize].relief * est.transition(g);
     }
+    (pg_a, moved_cap)
+}
 
-    // --- PG_B: new load on the substituting signal(s). ---
+/// `PG_B` of `sub`: the new load on the substituting signal(s), given the
+/// capacitance `moved_cap` the substitution moves onto them.
+fn pg_b(nl: &Netlist, est: &PowerEstimator, sub: &Substitution, moved_cap: f64) -> f64 {
     let lib = nl.library();
     let (b, c) = sub.sources();
-    let pg_b = match *sub {
+    match *sub {
         Substitution::Os2 { invert, .. } | Substitution::Is2 { invert, .. } => {
             if invert {
                 let inv = lib.cell_ref(lib.inverter());
@@ -263,12 +308,75 @@ pub(crate) fn analyze_fast_with(
                 + cl.pin_cap(1) * est.transition(c)
                 + moved_cap * e_new)
         }
-    };
+    }
+}
 
-    PowerGain {
-        pg_a,
-        pg_b,
-        pg_c: None,
+/// Relative widening of a target's own `PG_A` into [`bound`].
+///
+/// In exact arithmetic no candidate's `PG_A + PG_B` exceeds the `PG_A`
+/// of its target's own removal set (the set walked with no source
+/// references): `PG_B ≤ 0` (Eq. 4), and a source inside that set only
+/// keeps part of it alive, which removes non-negative terms and turns a
+/// kept gate's full switched load into at most the same load as relief.
+/// A candidate whose sources lie outside the set has the target's `PG_A`
+/// bit for bit, and a float sum with a non-positive addend never rounds
+/// above the other addend, so its score is under the unwidened value. A
+/// source inside the set changes which non-negative terms are summed;
+/// each computed sum of `n` such terms is within a relative `n · 2^-52`
+/// of its exact value, so `1e-6` covers any removal set of fewer than
+/// about `10^9` terms.
+pub(crate) const BOUND_SLACK: f64 = 1e-6;
+
+/// The upper bound on the fast score of every candidate of a target
+/// whose own removal set has `PG_A` `pg_a` (see [`BOUND_SLACK`]).
+pub(crate) fn bound(pg_a: f64) -> f64 {
+    pg_a * (1.0 + BOUND_SLACK)
+}
+
+/// Fast scoring one target's candidates at a time: the target's own
+/// removal set is walked once, and a candidate whose sources lie outside
+/// it reuses its `PG_A`, since sources outside the set leave the set and
+/// its walk order unchanged. Other candidates (a source inside the set
+/// keeps part of it alive) are scored from scratch.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct TargetScorer {
+    /// Holds the current target's own removal set.
+    target: GainScratch,
+    /// Scores the candidates that cannot reuse it.
+    other: GainScratch,
+    pg_a: f64,
+    moved_cap: f64,
+}
+
+impl TargetScorer {
+    /// Walks the own removal set of the target on `stem` (all its branches
+    /// when `branch` is `None`, else that branch) and returns its `PG_A`,
+    /// whose [`bound`] bounds the target's candidates' fast scores.
+    pub(crate) fn start(
+        &mut self,
+        nl: &Netlist,
+        est: &PowerEstimator,
+        stem: GateId,
+        branch: Option<Conn>,
+    ) -> f64 {
+        self.target.removal(nl, stem, branch, [None, None]);
+        (self.pg_a, self.moved_cap) = pg_a(nl, est, stem, branch, &mut self.target);
+        self.pg_a
+    }
+
+    /// `PG_A + PG_B` of `sub`, a candidate of the target last started,
+    /// bit for bit [`analyze_fast_with`]'s.
+    pub(crate) fn fast(&mut self, nl: &Netlist, est: &PowerEstimator, sub: &Substitution) -> f64 {
+        let (b, c) = sub.sources();
+        if self.target.is_removed(b) || c.is_some_and(|c| self.target.is_removed(c)) {
+            return analyze_fast_with(nl, est, sub, &mut self.other).fast();
+        }
+        PowerGain {
+            pg_a: self.pg_a,
+            pg_b: pg_b(nl, est, sub, self.moved_cap),
+            pg_c: None,
+        }
+        .fast()
     }
 }
 
@@ -341,7 +449,7 @@ pub fn analyze_full_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use powder_atpg::{generate_candidates, CandidateConfig};
+    use powder_atpg::{generate_candidates, CandidateConfig, CandidateScan};
     use powder_library::lib2;
     use powder_power::PowerConfig;
     use powder_sim::{simulate, CellCovers, Patterns};
@@ -355,6 +463,8 @@ mod tests {
         /// for bit on random candidates of two suite circuits, with one
         /// scratch reused across every query of both; a full analysis
         /// through the reused scratch equals one through a fresh scratch.
+        /// So does a [`TargetScorer`] scoring each target's candidates in
+        /// sequence, one scorer for every target of both circuits.
         #[test]
         fn scratch_scoring_matches_map_reference(
             first in 0usize..6,
@@ -364,6 +474,8 @@ mod tests {
             const CIRCUITS: [&str; 6] = ["c8", "x1", "bw", "rd84", "apex7", "example2"];
             let lib = Arc::new(lib2());
             let mut scratch = GainScratch::default();
+            let mut scorer = TargetScorer::default();
+            let mut subs = Vec::new();
             let mut pick = seed;
             for name in [CIRCUITS[first], CIRCUITS[second]] {
                 let nl = powder_benchmarks::build(name, lib.clone()).expect("suite circuit");
@@ -386,7 +498,124 @@ mod tests {
                         prop_assert_eq!(full.total().to_bits(), fresh.total().to_bits());
                     }
                 }
+                let config = CandidateConfig::default();
+                let mut scan = CandidateScan::new(&nl, &covers, &values, &config, None);
+                for t in 0..scan.targets().len() {
+                    let target = scan.targets()[t];
+                    subs.clear();
+                    scan.scan(t, &mut subs);
+                    scorer.start(&nl, &est, target.stem, target.branch);
+                    for sub in &subs {
+                        let got = scorer.fast(&nl, &est, sub);
+                        let expect = reference::analyze_fast(&nl, &est, sub).fast();
+                        prop_assert_eq!(got.to_bits(), expect.to_bits(), "{}: {:?}", name, sub);
+                    }
+                }
             }
+        }
+
+        /// No candidate's fast score exceeds its target's bound under
+        /// `total_cmp`, on every target of a suite circuit under random
+        /// patterns.
+        #[test]
+        fn candidates_stay_under_their_target_bound(
+            circuit in 0usize..6,
+            seed in any::<u64>(),
+            words in 1usize..4,
+        ) {
+            const CIRCUITS: [&str; 6] = ["c8", "x1", "bw", "rd84", "apex7", "example2"];
+            let nl = powder_benchmarks::build(CIRCUITS[circuit], Arc::new(lib2()))
+                .expect("suite circuit");
+            let est = PowerEstimator::new(&nl, &PowerConfig::default());
+            let covers = CellCovers::new(nl.library());
+            let values = simulate(&nl, &covers, &Patterns::random(nl.inputs().len(), words, seed));
+            let mut scan = CandidateScan::new(&nl, &covers, &values, &CandidateConfig::default(), None);
+            let mut scorer = TargetScorer::default();
+            let mut subs = Vec::new();
+            for t in 0..scan.targets().len() {
+                let target = scan.targets()[t];
+                subs.clear();
+                scan.scan(t, &mut subs);
+                let limit = bound(scorer.start(&nl, &est, target.stem, target.branch));
+                for sub in &subs {
+                    let fast = analyze_fast(&nl, &est, sub).fast();
+                    prop_assert!(fast.total_cmp(&limit).is_le(), "{:?}: {} > {}", sub, fast, limit);
+                }
+            }
+        }
+    }
+
+    /// A source inside its target's own removal set keeps part of it
+    /// alive: the candidate's `PG_A` falls below the target's, its score
+    /// stays under the bound, and the target scorer scores it from
+    /// scratch. A source outside the set shares the target's `PG_A`.
+    #[test]
+    fn source_inside_the_removal_set_stays_under_the_bound() {
+        // x -> inv g1 -> inv g2 -> nand2 g3 (with y) -> PO.
+        let lib = Arc::new(lib2());
+        let inv = lib.find_by_name("inv1").unwrap();
+        let nand2 = lib.find_by_name("nand2").unwrap();
+        let mut nl = Netlist::new("t", lib);
+        let x = nl.add_input("x");
+        let y = nl.add_input("y");
+        let g1 = nl.add_cell("g1", inv, &[x]);
+        let g2 = nl.add_cell("g2", inv, &[g1]);
+        let g3 = nl.add_cell("g3", nand2, &[g2, y]);
+        nl.add_output("f", g3);
+        let est = PowerEstimator::new(&nl, &PowerConfig::default());
+        let mut scorer = TargetScorer::default();
+        let branch = Conn { gate: g3, pin: 0 };
+        for (stem, branch, inside, outside, kept) in [
+            (
+                g3,
+                None,
+                Substitution::Os2 {
+                    a: g3,
+                    b: g1,
+                    invert: true,
+                },
+                Substitution::Os2 {
+                    a: g3,
+                    b: y,
+                    invert: false,
+                },
+                vec![g2, g3],
+            ),
+            (
+                g2,
+                Some(branch),
+                Substitution::Is2 {
+                    sink: g3,
+                    pin: 0,
+                    b: g1,
+                    invert: true,
+                },
+                Substitution::Is2 {
+                    sink: g3,
+                    pin: 0,
+                    b: y,
+                    invert: false,
+                },
+                vec![g2],
+            ),
+        ] {
+            let pg_a = scorer.start(&nl, &est, stem, branch);
+            let mut removed = removal_set(&nl, &inside);
+            removed.sort();
+            assert_eq!(removed, kept);
+            let gain = analyze_fast(&nl, &est, &inside);
+            assert!(gain.pg_a < pg_a, "{} !< {pg_a}", gain.pg_a);
+            assert!(gain.fast().total_cmp(&bound(pg_a)).is_le());
+            assert_eq!(
+                scorer.fast(&nl, &est, &inside).to_bits(),
+                gain.fast().to_bits()
+            );
+            let gain = analyze_fast(&nl, &est, &outside);
+            assert_eq!(gain.pg_a.to_bits(), pg_a.to_bits());
+            assert_eq!(
+                scorer.fast(&nl, &est, &outside).to_bits(),
+                gain.fast().to_bits()
+            );
         }
     }
 

@@ -62,6 +62,7 @@ mod arbiter;
 pub mod gain;
 mod guard;
 mod optimizer;
+mod ranking;
 pub mod report;
 pub mod resize;
 mod session;

@@ -69,7 +69,7 @@ pub(crate) fn resolve_window_config(
 
 /// Dense scope masks for one window: targets are the core, sources the
 /// full scope. Returns the scope cardinality alongside for reporting.
-fn window_scope(bound: usize, w: &Window) -> (CandidateScope, usize) {
+pub(crate) fn window_scope(bound: usize, w: &Window) -> (CandidateScope, usize) {
     let mut targets = vec![false; bound];
     for &g in &w.core {
         targets[g.0 as usize] = true;

@@ -14,8 +14,9 @@
 pub struct EngineStats {
     /// Resolved worker count the run used.
     pub jobs: usize,
-    /// Candidates fast-scored (signature/ODC-filtered survivors that
-    /// received a PG_A+PG_B estimate).
+    /// Candidates fast-scored: signature/ODC-filtered survivors that
+    /// received a PG_A+PG_B estimate. The arbiter's ranking scores only
+    /// the targets it had to scan to certify the ranks it read.
     pub evaluated: usize,
     /// Candidates dropped by the arbiter's liveness/validity scan
     /// before any expensive evaluation (dead stem, stale structure).
@@ -42,8 +43,6 @@ pub struct EngineStats {
     /// Parallel phases that degraded to a sequential drain after
     /// repeated worker losses.
     pub degraded_phases: usize,
-    /// Wall seconds in the parallel fast-scoring (filter) stage.
-    pub filter_seconds: f64,
     /// Wall seconds in the parallel full-gain stage.
     pub gain_seconds: f64,
     /// Wall seconds in the parallel ATPG proof stage.
@@ -69,7 +68,6 @@ impl EngineStats {
         self.worker_panics += other.worker_panics;
         self.quarantined_batches += other.quarantined_batches;
         self.degraded_phases += other.degraded_phases;
-        self.filter_seconds += other.filter_seconds;
         self.gain_seconds += other.gain_seconds;
         self.proof_seconds += other.proof_seconds;
         self.arbiter_seconds += other.arbiter_seconds;

@@ -8,7 +8,7 @@
 //! | module | provides |
 //! |--------|----------|
 //! | [`metrics`] | lock-free registry: counters, gauges, fixed-bucket histograms; per-thread shards merged deterministically at scrape |
-//! | [`span`] | RAII [`Span`] guards: ns timestamps, parent/child links, per-worker tracks, bounded ring buffers (overflow drops + counts) |
+//! | [`span`](mod@span) | RAII [`Span`] guards: ns timestamps, parent/child links, per-worker tracks, bounded ring buffers (overflow drops + counts) |
 //! | [`export`] | Chrome/Perfetto `trace_event` JSON for span dumps |
 //! | [`names`] | the `<crate>.<subsystem>.<metric>` naming scheme |
 //! | [`json`] | a minimal JSON reader for validating exporter output |

@@ -58,7 +58,8 @@ pub const OPTIMIZER_DELAY_REJECTIONS: &str = "core.optimizer.delay_rejections";
 
 // --- engine.* — the parallel candidate-evaluation engine ---
 
-/// Candidates fast-scored (PG_A + PG_B).
+/// Candidates fast-scored (PG_A + PG_B): those of the targets the
+/// arbiter's ranking scanned.
 pub const ENGINE_EVALUATED: &str = "engine.eval.evaluated";
 /// Candidates dropped by the liveness/validity scan.
 pub const ENGINE_FILTERED: &str = "engine.eval.filtered";
@@ -78,8 +79,6 @@ pub const ENGINE_JOBS: &str = "engine.pool.jobs";
 pub const ENGINE_BATCH_ITEMS: &str = "engine.pool.batch_items";
 /// Bucket bounds for [`ENGINE_BATCH_ITEMS`].
 pub const BATCH_ITEMS_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128];
-/// Wall nanoseconds in the parallel fast-scoring stage.
-pub const ENGINE_FILTER_NS: &str = "engine.stage.filter_ns";
 /// Wall nanoseconds in the parallel full-gain stage.
 pub const ENGINE_GAIN_NS: &str = "engine.stage.gain_ns";
 /// Wall nanoseconds in the parallel ATPG proof stage.
@@ -259,9 +258,7 @@ pub mod span {
     /// One cone's saturate→extract cycle in the egraph pass.
     pub const EGRAPH_CONE: &str = "egraph.cone";
     /// Pool stage span prefixes: `engine.stage.<stage>` (one span per
-    /// batch, on the worker's own track).
-    pub const STAGE_FILTER: &str = "engine.stage.filter";
-    /// Full-gain stage batches.
+    /// batch, on the worker's own track). Full-gain stage batches.
     pub const STAGE_GAIN: &str = "engine.stage.gain";
     /// Proof stage batches.
     pub const STAGE_PROOF: &str = "engine.stage.proof";

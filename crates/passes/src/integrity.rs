@@ -15,7 +15,7 @@
 //!   missing or torn headers.
 //!
 //! The checkpoint format carries its checksum inline instead (see
-//! [`crate::checkpoint`]): its magic line is load-bearing for format
+//! [`RunCheckpoint`](crate::RunCheckpoint)): its magic line is load-bearing for format
 //! versioning, so the CRC rides on a dedicated `crc32` line.
 
 use std::fmt;

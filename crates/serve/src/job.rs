@@ -88,7 +88,8 @@ impl Default for JobSpec {
 
 /// Why a [`JobSpec`] was refused: the offending field and what is wrong
 /// with its value. Displays as the wire reports it; the CLI names the
-/// flag instead (`--` and the field with `-` for `_`).
+/// flag instead (`--delay-limit` for `delay_limit_percent`, else `--`
+/// and the field with `-` for `_`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct SpecError {
     /// Wire name of the field.
@@ -198,9 +199,11 @@ impl JobSpec {
     }
 
     /// Checks every value a run cannot take: an unknown or empty pass
-    /// list, a deadline [`deadline_after`] refuses, a zero window size or
-    /// e-graph bound, a window overlap not below the window size (the
-    /// automatic policy's when none is given), and an empty job key.
+    /// list, a delay limit that is not finite or is at most −100 % (no
+    /// limit at all, or no circuit meets it), a deadline
+    /// [`deadline_after`] refuses, a zero window size or e-graph bound, a
+    /// window overlap not below the window size (the automatic policy's
+    /// when none is given), and an empty job key.
     ///
     /// # Errors
     ///
@@ -214,6 +217,14 @@ impl JobSpec {
         };
         if let Err(e) = validate_passes(&self.passes) {
             return refuse("passes", &e);
+        }
+        if let Some(pct) = self.delay_limit_percent {
+            if !pct.is_finite() || pct <= -100.0 {
+                return refuse(
+                    "delay_limit_percent",
+                    &format!("{pct} is not a finite percentage above -100"),
+                );
+            }
         }
         if let Some(secs) = self.deadline_secs {
             deadline_after("deadline_secs", secs)?;
@@ -545,6 +556,26 @@ mod tests {
                 "deadline_secs",
                 "{secs}"
             );
+        }
+        // NaN and infinities never fail a delay check, and a factor of
+        // zero or less fails every one.
+        for pct in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -100.0, -150.0] {
+            let spec = JobSpec {
+                delay_limit_percent: Some(pct),
+                ..base()
+            };
+            assert_eq!(
+                spec.validate().unwrap_err().field,
+                "delay_limit_percent",
+                "{pct}"
+            );
+        }
+        for pct in [-99.5, 0.0, 1e6] {
+            let spec = JobSpec {
+                delay_limit_percent: Some(pct),
+                ..base()
+            };
+            assert!(spec.validate().is_ok(), "{pct}");
         }
         assert!(custom().validate().is_ok());
     }

@@ -312,6 +312,7 @@ pub fn write_value(v: &Value) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn writer_output_parses_back() {
@@ -411,6 +412,110 @@ mod tests {
                 parse_request(&line).unwrap_err().contains("deadline_secs"),
                 "deadline_secs {bad} must be rejected"
             );
+        }
+    }
+
+    /// A delay limit the wire can carry but no run can use (`1e999`
+    /// parses to infinity) is refused at submit.
+    #[test]
+    fn unusable_delay_limits_are_refused() {
+        for bad in ["1e999", "-1e999", "-100", "-150"] {
+            let line = format!(r#"{{"op":"submit","netlist":"x","delay_limit_percent":{bad}}}"#);
+            assert!(
+                parse_request(&line)
+                    .unwrap_err()
+                    .contains("delay_limit_percent"),
+                "delay_limit_percent {bad} must be rejected"
+            );
+        }
+    }
+
+    /// A submit line with every spec field set.
+    const SUBMIT: &str = r#"{"op":"submit","netlist":".model m\n.end","tenant":"acme","priority":2,"passes":"sweep,powder","fixpoint":2,"repeat":4,"patterns":128,"seed":7,"jobs":4,"delay_limit_percent":10,"deadline_secs":1.5,"window_size":512,"window_overlap":64,"egraph_node_limit":256,"egraph_iters":4,"job_key":"k1"}"#;
+
+    /// The numeric fields of [`SUBMIT`], and the number literals spliced
+    /// into them: out of range, negative zero, underflowing, past `u64`.
+    const NUMBER_FIELDS: [&str; 13] = [
+        "priority",
+        "fixpoint",
+        "repeat",
+        "patterns",
+        "seed",
+        "jobs",
+        "delay_limit_percent",
+        "deadline_secs",
+        "window_size",
+        "window_overlap",
+        "egraph_node_limit",
+        "egraph_iters",
+        "op",
+    ];
+    const SPLICES: [&str; 8] = [
+        "1e999",
+        "-0",
+        "1e-400",
+        "18446744073709551616",
+        "-1e999",
+        "-100",
+        "0.5",
+        "9007199254740993",
+    ];
+
+    /// Inserts `"field":value,` after the opening brace of `line`: a
+    /// duplicate key when the line already has the field.
+    fn prepend(line: &mut Vec<u8>, field: &str, value: &str) {
+        let at = 1.min(line.len());
+        line.splice(at..at, format!("\"{field}\":{value},").into_bytes());
+    }
+
+    /// Replaces the value of `"field":` in `line` (up to the next `,` or
+    /// `}`) with `value`, or prepends the pair when the key is gone.
+    fn splice(line: &mut Vec<u8>, field: &str, value: &str) {
+        let key = format!("\"{field}\":");
+        let text = String::from_utf8_lossy(line).into_owned();
+        match text.find(&key) {
+            Some(at) => {
+                let start = at + key.len();
+                let end = text[start..]
+                    .find([',', '}'])
+                    .map_or(text.len(), |k| start + k);
+                line.splice(start..end, value.bytes());
+            }
+            None => prepend(line, field, value),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Byte flips, truncations, duplicated keys and spliced numbers
+        /// applied to a valid submit line never panic the parser, and
+        /// every spec it accepts survives an encode → decode round trip
+        /// unchanged.
+        #[test]
+        fn mutated_submit_lines_never_panic(
+            edits in proptest::collection::vec((0u8..4, any::<u16>(), any::<u8>()), 1..6),
+        ) {
+            let mut line = SUBMIT.as_bytes().to_vec();
+            for (kind, at, pick) in edits {
+                let at = at as usize % (line.len() + 1);
+                let field = NUMBER_FIELDS[pick as usize % NUMBER_FIELDS.len()];
+                let value = SPLICES[pick as usize / 16 % SPLICES.len()];
+                match kind {
+                    0 if at < line.len() => line[at] ^= 1 << (pick % 8),
+                    0 | 1 => line.truncate(at),
+                    2 => prepend(&mut line, field, value),
+                    _ => splice(&mut line, field, value),
+                }
+            }
+            let text = String::from_utf8_lossy(&line);
+            if let Ok(Request::Submit { spec, .. }) = parse_request(&text) {
+                let encoded = spec.encode(JsonObj::new()).finish();
+                let parsed = json::parse(&encoded);
+                prop_assert!(parsed.is_ok(), "{}: {:?}", encoded, parsed);
+                let back = JobSpec::decode(&parsed.expect("checked"));
+                prop_assert_eq!(back, Ok(spec), "{}", text);
+            }
         }
     }
 

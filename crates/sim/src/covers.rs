@@ -41,8 +41,8 @@ impl CellCovers {
     /// `flip` is set (the sweep's "this one pin sees the flipped value").
     ///
     /// Cube-major over word slices: each cube ANDs whole slices of its
-    /// literals' words and ORs the term into `out`, [`BLOCK`] words at a
-    /// time. The literals' phases are resolved once per cube, not per
+    /// literals' words and ORs the term into `out`, one block of 64
+    /// words at a time. The literals' phases are resolved once per cube, not per
     /// word, so the word loops are branch-free. An empty cover (constant
     /// 0) writes zeros; an empty cube (constant 1) writes ones.
     ///
