@@ -5,9 +5,8 @@
 //! functions of the current netlist: fast `PG_A + PG_B` scoring, full
 //! `PG_C` what-if analysis, and ATPG permissibility proofs. This module
 //! ranks by the first lazily, on its own thread, and runs the other two
-//! on a work-stealing [`WorkerPool`] against an immutable netlist
-//! snapshot, while a sequential *commit arbiter* makes every decision in
-//! one fixed order:
+//! on a [`WorkerPool`] against an immutable netlist snapshot, while a
+//! sequential *commit arbiter* makes every decision in one fixed order:
 //!
 //! 1. **Filter** — the round's [`Ranking`] hands out candidates by
 //!    descending fast score, scanning and scoring targets only until
@@ -15,8 +14,8 @@
 //!    round). The order is exactly the eager stable sort's.
 //! 2. **Gain** — full what-if gains for the arbiter's pre-selection
 //!    window, plus a speculative lookahead when more than one worker
-//!    can speculate, are computed on the pool; each result is memoized
-//!    together with the [`Footprint`] of gates the computation read.
+//!    can speculate, are computed on the pool, one task per candidate,
+//!    and memoized.
 //! 3. **Proof** — when the arbiter needs an ATPG verdict it predicts
 //!    the candidates that will reach ATPG next (assuming rejections,
 //!    the common case) and proves the whole batch on per-worker
@@ -27,17 +26,15 @@
 //!    pure function of the netlist and bit-identical to an in-place
 //!    recomputation, so any `jobs` value commits the same
 //!    substitutions in the same order. With one worker the pool runs
-//!    every batch inline on the caller's thread.
+//!    every task inline on the caller's thread.
 //!
-//! After each commit the edit journal's dirty region is widened to
-//! [`DirtyBits`] and memo entries whose footprints intersect it are
-//! dropped; disjoint results survive commits and round boundaries and
-//! are consumed later without recomputation. Gains are invalidated by
-//! the full write set (touched ∪ removed ∪ refreshed cone —
-//! probabilities shift all the way downstream), proofs by the
-//! structural subset (touched ∪ removed) only. Speculation depth tracks
-//! the hardware threads actually available, not the requested worker
-//! count — extra in-flight work only pays for itself on idle cores.
+//! The memos hold results for the current netlist only: a commit clears
+//! both, and a guard rollback, which restores the netlist bit for bit,
+//! keeps them. Between commits they persist across inner iterations and
+//! rounds (a round that only learned counterexamples re-ranks the same
+//! netlist). Speculation depth tracks the hardware threads actually
+//! available, not the requested worker count — extra in-flight work
+//! only pays for itself on idle cores.
 
 use crate::gain::{analyze_full_with, GainScratch};
 use crate::guard::{adaptive_backtrack, deadline_exceeded, guarded_apply};
@@ -51,23 +48,14 @@ use crate::report::{
 };
 use crate::session::AnalysisSession;
 use powder_atpg::{CandidateScope, CheckArena, CheckOutcome, Substitution};
-use powder_engine::{
-    pool::batch_by_key, DirtyBits, EngineStats, Footprint, FootprintScratch, WorkerPool,
-};
+use powder_engine::{EngineStats, WorkerPool};
 use powder_faults::{fires, SITE_ATPG_ABORT};
 use powder_netlist::Netlist;
 use powder_obs as obs;
 use powder_power::PowerEstimator;
-use powder_timing::{TimingAnalysis, TimingConfig};
+use powder_timing::TimingAnalysis;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
-
-/// Per-stem batch ceiling for full what-if gain evaluation.
-const GAIN_BATCH: usize = 4;
-
-/// Results memoized across rounds, keyed by candidate, each with the
-/// footprint its computation read.
-type Memo<V> = BTreeMap<Substitution, (Footprint, V)>;
 
 /// The ranks consumed this round. Ranks are certified on demand, so the
 /// flags grow with the certain prefix; a rank past them reads as
@@ -88,18 +76,6 @@ impl Consumed {
     }
 }
 
-/// The read footprint of one candidate: inclusive TFO of the rewired
-/// sinks plus the stem and replacement sources, closed under TFI. This
-/// covers every gate whose state `analyze_fast_with`, `analyze_full_with`,
-/// or `CheckArena::check` consult for the candidate.
-fn footprint_of(fs: &mut FootprintScratch, nl: &Netlist, sub: &Substitution) -> Footprint {
-    let sinks = sub.rewired_branches(nl).into_iter().map(|(g, _)| g);
-    let (b, c) = sub.sources();
-    let stem = sub.substituted_stem(nl);
-    let extras = [Some(stem), Some(b), c].into_iter().flatten();
-    fs.candidate_footprint(nl, sinks, extras)
-}
-
 /// Predicts the candidate ids the arbiter will send to ATPG after
 /// `first`, assuming every check rejects (rejection is the common case
 /// and the only assumption under which the loop state — `consumed`
@@ -112,7 +88,7 @@ fn footprint_of(fs: &mut FootprintScratch, nl: &Netlist, sub: &Substitution) -> 
 fn plan_proof_batch(
     nl: &Netlist,
     ranking: &mut Ranking,
-    gains: &Memo<f64>,
+    gains: &BTreeMap<Substitution, f64>,
     consumed: &Consumed,
     quarantine: &BTreeSet<Substitution>,
     cursor: usize,
@@ -156,7 +132,7 @@ fn plan_proof_batch(
         let mut complete = true;
         for &i in &pre {
             match gains.get(&ranking.at(i)) {
-                Some(&(_, g)) => {
+                Some(&g) => {
                     if best.is_none_or(|(_, bg)| g.total_cmp(&bg).is_ge()) {
                         best = Some((i, g));
                     }
@@ -218,9 +194,9 @@ pub(crate) fn power_optimize(
     // the hardware threads actually available (capped by `jobs`):
     // speculation is free only while it fills otherwise-idle cores, so
     // an oversubscribed pool speculates as if it had `hardware`
-    // workers instead of queueing work a commit then invalidates. One
+    // workers instead of queueing work a commit then discards. One
     // such worker gets neither: a lookahead gain computed on the
-    // arbiter's own core is mostly invalidated by the next commit.
+    // arbiter's own core is mostly discarded by the next commit.
     let spec_workers = jobs.min(powder_engine::hardware_threads());
     let (proof_batch, lookahead) = if spec_workers > 1 {
         let batch = (2 * spec_workers).max(4);
@@ -233,11 +209,7 @@ pub(crate) fn power_optimize(
     let initial_area = sess.nl.area();
     let output_load = config.power.output_load;
 
-    let probe_cfg = TimingConfig {
-        output_load,
-        required_time: None,
-    };
-    let initial_delay = TimingAnalysis::new(&sess.nl, &probe_cfg).circuit_delay();
+    let initial_delay = sess.delay();
     let required_time = config.delay_limit.map(|dl| match dl {
         DelayLimit::Absolute(t) => t,
         DelayLimit::Factor(f) => f * initial_delay,
@@ -271,23 +243,20 @@ pub(crate) fn power_optimize(
     // Per-worker scratch, kept for the whole run: gain scoring allocates
     // nothing per candidate, and a proof arena rebuilds its miter base
     // only when the netlist (or the window scope) changed.
-    let mut gain_ctxs: Vec<(GainScratch, FootprintScratch)> = Vec::new();
+    let mut gain_ctxs: Vec<GainScratch> = Vec::new();
     let mut proof_ctxs: Vec<CheckArena> = Vec::new();
 
-    // Cross-round memoization, the loop's only result cache. Gains and
-    // proofs are pure functions of the netlist restricted to their
-    // footprint: the estimator's analytic probabilities never read the
-    // pattern set, and neither does the permissibility miter. Candidate
-    // generation regenerates largely the same substitutions every
-    // round, so without a memo each round re-proves candidates whose
-    // checks aborted earlier — burning the full backtrack budget again
-    // for a verdict that cannot have changed. Entries are dropped when
-    // a commit dirties their footprint, which keeps every consumed
-    // value bit-identical to an in-place recomputation; `dropped` holds
-    // the discarded keys until they are evaluated again.
-    let mut gain_memo: Memo<f64> = BTreeMap::new();
-    let mut proof_memo: Memo<CheckOutcome> = BTreeMap::new();
-    let mut dropped: BTreeSet<Substitution> = BTreeSet::new();
+    // The loop's only result cache: gains and proofs for the current
+    // netlist. Both are pure functions of it: the estimator's analytic
+    // probabilities never read the pattern set, and neither does the
+    // permissibility miter. A round that only learned counterexamples
+    // re-ranks the same netlist, so without a memo it would re-prove
+    // candidates whose checks aborted earlier — burning the full
+    // backtrack budget again for a verdict that cannot have changed. A
+    // commit clears both maps, which keeps every consumed value
+    // bit-identical to an in-place recomputation.
+    let mut gain_memo: BTreeMap<Substitution, f64> = BTreeMap::new();
+    let mut proof_memo: BTreeMap<Substitution, CheckOutcome> = BTreeMap::new();
 
     let mut guard_stats = GuardStats::default();
     let mut quarantined_list: Vec<QuarantinedCandidate> = Vec::new();
@@ -411,32 +380,17 @@ pub(crate) fn power_optimize(
                 let results = {
                     let nl_snap: &Netlist = &sess.nl;
                     let est_ref: &PowerEstimator = &sess.est;
-                    let batches = batch_by_key(
-                        (0u32..)
-                            .zip(&want)
-                            .map(|(k, s)| (k, s.substituted_stem(nl_snap))),
-                        GAIN_BATCH,
-                    );
-                    pool.run_batches(
+                    pool.run(
                         obs::names::span::STAGE_GAIN,
                         &want,
-                        &batches,
                         &mut gain_ctxs,
-                        Default::default,
-                        |(gs, fs), _, sub| {
-                            let fp = footprint_of(fs, nl_snap, sub);
-                            let g = analyze_full_with(nl_snap, est_ref, sub, gs).total();
-                            (fp, g)
-                        },
+                        GainScratch::default,
+                        |gs, sub| analyze_full_with(nl_snap, est_ref, sub, gs).total(),
                     )
                 };
                 for (sub, r) in want.iter().zip(results) {
-                    if let Some(r) = r {
-                        if dropped.remove(sub) {
-                            engine.retried += 1;
-                            obs::counter!(obs::names::ENGINE_RETRIED).inc();
-                        }
-                        gain_memo.insert(*sub, r);
+                    if let Some(g) = r {
+                        gain_memo.insert(*sub, g);
                     }
                 }
                 engine.full_gains += want.len();
@@ -448,7 +402,7 @@ pub(crate) fn power_optimize(
                 obs::counter!(obs::names::ENGINE_GAIN_NS).add((wall * 1e9) as u64);
             }
 
-            // A quarantined gain batch can leave window members without
+            // A quarantined gain task can leave window members without
             // a result even after the ensure pass; skip those
             // conservatively and rebuild the window. With faults off
             // every wanted gain is present and this is dead code.
@@ -465,7 +419,7 @@ pub(crate) fn power_optimize(
             }
             let best = pre
                 .iter()
-                .map(|&id| (id, gain_memo[&ranking.at(id)].1))
+                .map(|&id| (id, gain_memo[&ranking.at(id)]))
                 .max_by(|x, y| x.1.total_cmp(&y.1))
                 .expect("pre-selection is non-empty");
             let (idx, gain) = best;
@@ -536,16 +490,12 @@ pub(crate) fn power_optimize(
                     // miter is cut at the scope boundary, so solver work
                     // is bounded by the window.
                     let sources = scope.map(|s| s.sources.as_slice());
-                    // One proof per batch: proofs dominate the
-                    // pipeline, so maximal stealing wins.
-                    let batches: Vec<Vec<u32>> = (0..todo.len() as u32).map(|k| vec![k]).collect();
-                    pool.run_batches(
+                    pool.run(
                         obs::names::span::STAGE_PROOF,
                         &todo,
-                        &batches,
                         &mut proof_ctxs,
                         CheckArena::new,
-                        |arena, _, s| {
+                        |arena, s| {
                             if fires(faults.as_ref(), SITE_ATPG_ABORT) {
                                 CheckOutcome::Aborted
                             } else {
@@ -557,17 +507,7 @@ pub(crate) fn power_optimize(
                 engine.proved += todo.len();
                 for (s, r) in todo.iter().zip(results) {
                     if let Some(outcome) = r {
-                        if dropped.remove(s) {
-                            engine.retried += 1;
-                            obs::counter!(obs::names::ENGINE_RETRIED).inc();
-                        }
-                        // Planned proofs have memoized gains, so the
-                        // footprint is normally present; a quarantined
-                        // gain batch is the exception, and such proofs
-                        // are simply not memoized.
-                        if let Some((fp, _)) = gain_memo.get(s) {
-                            proof_memo.insert(*s, (fp.clone(), outcome));
-                        }
+                        proof_memo.insert(*s, outcome);
                     }
                 }
                 let wall = t.elapsed().as_secs_f64();
@@ -577,11 +517,11 @@ pub(crate) fn power_optimize(
                 obs::counter!(obs::names::ENGINE_PROVED).add(todo.len() as u64);
                 obs::counter!(obs::names::ENGINE_PROOF_NS).add((wall * 1e9) as u64);
             }
-            // A proof lost to a quarantined worker batch counts as an
+            // A proof lost to a quarantined worker task counts as an
             // abort: conservative rejection, never permission.
             let outcome = proof_memo
                 .get(&sub)
-                .map_or(CheckOutcome::Aborted, |(_, o)| o.clone());
+                .map_or(CheckOutcome::Aborted, CheckOutcome::clone);
 
             match outcome {
                 CheckOutcome::Permissible => {
@@ -594,8 +534,8 @@ pub(crate) fn power_optimize(
                     // re-simulation verifies the primary outputs; roll
                     // back and quarantine on mismatch. On the Err path
                     // the netlist (journal generation included) is
-                    // bit-identical to before the apply, so no memoized
-                    // result needs invalidating.
+                    // bit-identical to before the apply, so the memos
+                    // stay valid.
                     let guarded = guarded_apply(
                         sess,
                         &sub,
@@ -606,15 +546,12 @@ pub(crate) fn power_optimize(
                     let power_after = sess.est.total_power();
                     drop(apply_span);
                     phase.apply += t_apply.elapsed().as_secs_f64();
-                    let region = match guarded {
-                        Ok(region) => region,
-                        Err(q) => {
-                            quarantine.insert(q.substitution);
-                            quarantined_list.push(q);
-                            rejections_this_round += 1;
-                            continue 'inner;
-                        }
-                    };
+                    if let Err(q) = guarded {
+                        quarantine.insert(q.substitution);
+                        quarantined_list.push(q);
+                        rejections_this_round += 1;
+                        continue 'inner;
+                    }
                     obs::counter!(obs::names::OPTIMIZER_COMMITS).inc();
                     applied.push(AppliedSubstitution {
                         substitution: sub,
@@ -626,44 +563,9 @@ pub(crate) fn power_optimize(
                     // the pattern set past the retained values.
                     #[cfg(test)]
                     crate::optimizer::cross_check_state(sess, !patterns_stale);
-                    // Invalidate exactly the memoized results that read
-                    // what this commit wrote. Gains read the
-                    // estimator's probabilities, which shift all the
-                    // way down the refreshed cone; proofs read only
-                    // netlist *structure*, which changes at the
-                    // touched and removed gates alone — every mutator
-                    // journals each gate whose fanin or fanout list it
-                    // edits, so a proof whose footprint misses that
-                    // set would re-derive the identical miter and
-                    // verdict, and keeps its memoized outcome.
-                    let dirty = DirtyBits::from_commit(
-                        region.touched().iter().copied(),
-                        region.removed(),
-                        &sess.cone,
-                    );
-                    let structural = DirtyBits::from_commit(
-                        region.touched().iter().copied(),
-                        region.removed(),
-                        &[],
-                    );
-                    let before = gain_memo.len() + proof_memo.len();
-                    gain_memo.retain(|s, (fp, _)| {
-                        let keep = !fp.intersects(&dirty);
-                        if !keep {
-                            dropped.insert(*s);
-                        }
-                        keep
-                    });
-                    proof_memo.retain(|s, (fp, _)| {
-                        let keep = !fp.intersects(&structural);
-                        if !keep {
-                            dropped.insert(*s);
-                        }
-                        keep
-                    });
-                    let inv = before - gain_memo.len() - proof_memo.len();
-                    engine.invalidated += inv;
-                    obs::counter!(obs::names::ENGINE_INVALIDATED).add(inv as u64);
+                    // The memos describe the netlist before this commit.
+                    gain_memo.clear();
+                    proof_memo.clear();
                     repeat_left -= 1;
                     progress = true;
                 }
@@ -675,7 +577,7 @@ pub(crate) fn power_optimize(
                     // circuits, so adding it to the pattern set kills
                     // this candidate class in future rounds. Memoized
                     // gains and proofs do not read the pattern set, so
-                    // nothing invalidates. The retained values keep
+                    // the memos stay valid. The retained values keep
                     // verifying this round's commits under the old
                     // set; masks under them would be stale.
                     sess.patterns.push_pattern(&witness);
@@ -731,7 +633,7 @@ pub(crate) fn power_optimize(
     engine.quarantined_batches += resilience.quarantined_batches() as usize;
     engine.degraded_phases += resilience.degraded_phases() as usize;
 
-    let final_delay = TimingAnalysis::new(&sess.nl, &probe_cfg).circuit_delay();
+    let final_delay = sess.delay();
     OptimizeReport {
         initial_power,
         final_power: sess.est.circuit_power(&sess.nl),

@@ -25,7 +25,7 @@ use crate::report::{GuardStats, QuarantineReason, QuarantinedCandidate, SubClass
 use crate::session::AnalysisSession;
 use powder_atpg::{check_substitution, CheckOutcome, Substitution};
 use powder_faults::{fires, FaultState, SITE_VERIFY_MISMATCH};
-use powder_netlist::{DirtyRegion, GateId, GateKind, Netlist};
+use powder_netlist::{GateId, GateKind, Netlist};
 use powder_obs as obs;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -102,39 +102,36 @@ pub(crate) fn write_set(nl: &Netlist, sub: &Substitution) -> Vec<GateId> {
 /// changed. When retained simulation values exist, such a change (or
 /// the `verify-mismatch` fault site) is a mismatch.
 ///
-/// On success the caller proceeds exactly as after a bare apply: the
-/// drained region is returned, and `sess.cone` holds its repaired cone in
-/// topological order. On a mismatch the session rolls back to the
-/// checkpoint — the netlist bit-for-bit (the journal generation
-/// included, so epoch-keyed caches stay valid), probabilities and
-/// signatures repaired over the restored cone, the timing view dropped —
-/// the candidate is re-proved at an escalated ATPG budget to classify
-/// the failure, and the quarantine record is returned.
+/// On success the caller proceeds exactly as after a bare apply. On a
+/// mismatch the session rolls back to the checkpoint — the netlist
+/// bit-for-bit (the journal generation included, so caches keyed by it
+/// stay valid), probabilities and signatures repaired over the restored
+/// cone, the timing view dropped — the candidate is re-proved at an
+/// escalated ATPG budget to classify the failure, and the quarantine
+/// record is returned.
 pub(crate) fn guarded_apply(
     sess: &mut AnalysisSession,
     sub: &Substitution,
     backtrack_limit: usize,
     faults: Option<&Arc<FaultState>>,
     stats: &mut GuardStats,
-) -> Result<DirtyRegion, QuarantinedCandidate> {
+) -> Result<(), QuarantinedCandidate> {
     let roots = write_set(&sess.nl, sub);
     let cp = sess.checkpoint(&roots);
     apply_substitution(&mut sess.nl, sub);
-    let (region, po_changed) = sess
-        .repair()
-        .expect("an applied substitution journals its edits");
+    let po_changed = sess.repair();
 
     if sess.values.is_none() {
         // No retained signatures to check against — count it so a run
         // that silently skipped every verification is visible.
         stats.skipped += 1;
         obs::counter!(obs::names::GUARD_SKIPPED).inc();
-        return Ok(region);
+        return Ok(());
     }
     if !fires(faults, SITE_VERIFY_MISMATCH) && !po_changed {
         stats.verified += 1;
         obs::counter!(obs::names::GUARD_VERIFIED).inc();
-        return Ok(region);
+        return Ok(());
     }
 
     stats.mismatches += 1;

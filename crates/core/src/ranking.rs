@@ -176,9 +176,13 @@ impl Ranking {
         self.next += 1;
         let t0 = Instant::now();
         self.buf.clear();
-        self.scan.scan(t as usize, &mut self.buf);
+        {
+            let _span = obs::span!(obs::names::span::PHASE_CANDIDATES);
+            self.scan.scan(t as usize, &mut self.buf);
+        }
         let t1 = Instant::now();
         if !self.buf.is_empty() {
+            let _span = obs::span!(obs::names::span::PHASE_GAIN);
             let target = self.scan.targets()[t as usize];
             self.scorer
                 .start(&self.nl, &self.est, target.stem, target.branch);

@@ -326,15 +326,13 @@ impl fmt::Display for OptimizeReport {
         write!(
             f,
             "engine: jobs {}, {} scored, {} filtered, {} full gains, {} proofs \
-             ({} speculative hits), {} invalidated, {} retried",
+             ({} speculative hits)",
             self.jobs,
             self.engine.evaluated,
             self.engine.filtered,
             self.engine.full_gains,
             self.engine.proved,
             self.engine.speculative_hits,
-            self.engine.invalidated,
-            self.engine.retried,
         )?;
         write!(
             f,
@@ -351,7 +349,7 @@ impl fmt::Display for OptimizeReport {
         if self.engine.worker_panics > 0 || self.engine.degraded_phases > 0 {
             write!(
                 f,
-                "\nworkers: {} panics, {} batches quarantined, {} degraded phases",
+                "\nworkers: {} panics, {} tasks quarantined, {} degraded phases",
                 self.engine.worker_panics,
                 self.engine.quarantined_batches,
                 self.engine.degraded_phases

@@ -6,7 +6,7 @@ use crate::optimizer::{record_arena_gauges, OptimizeConfig};
 use crate::report::OptimizeReport;
 use powder_atpg::Substitution;
 use powder_engine::SessionStats;
-use powder_netlist::{ConeScratch, DirtyRegion, GateId, Netlist};
+use powder_netlist::{ConeScratch, GateId, Netlist};
 use powder_obs as obs;
 use powder_power::{PowerConfig, PowerEstimator};
 use powder_sim::{
@@ -90,9 +90,12 @@ pub struct AnalysisSession {
     /// Observability masks under the retained values; `None` until a
     /// pass asks for them, dropped by every edit.
     pub(crate) masks: Option<ObservabilityMasks>,
-    pub(crate) cone_scratch: ConeScratch,
-    /// The cone (topological order) of the last repair or rollback.
-    pub(crate) cone: Vec<GateId>,
+    cone_scratch: ConeScratch,
+    /// The cone (topological order) of the current repair or rollback.
+    cone: Vec<GateId>,
+    /// The last [`AnalysisSession::delay`] answer, keyed by the
+    /// netlist's `(generation, id_bound)` when it was computed.
+    delay: Option<((u64, usize), f64)>,
     pub(crate) stats: SessionStats,
 }
 
@@ -117,6 +120,7 @@ impl AnalysisSession {
             masks: None,
             cone_scratch: ConeScratch::new(),
             cone: Vec::new(),
+            delay: None,
             stats: SessionStats {
                 full_power_builds: 1,
                 ..SessionStats::default()
@@ -187,13 +191,12 @@ impl AnalysisSession {
         self.repair();
     }
 
-    /// [`AnalysisSession::refresh`], returning the drained region and
-    /// whether the re-simulation changed a primary output's signature
-    /// (`None` when the journal was empty). The cone stays in
-    /// `self.cone`.
-    pub(crate) fn repair(&mut self) -> Option<(DirtyRegion, bool)> {
+    /// [`AnalysisSession::refresh`], returning whether the
+    /// re-simulation changed a primary output's signature (`false` when
+    /// the journal was empty or no values are retained).
+    pub(crate) fn repair(&mut self) -> bool {
         if !self.nl.has_pending_edits() {
-            return None;
+            return false;
         }
         self.masks = None;
         let _span = obs::span!(obs::names::span::SESSION_REFRESH);
@@ -223,7 +226,7 @@ impl AnalysisSession {
             self.stats.incremental_sta_updates += 1;
             obs::counter!(obs::names::ANALYSIS_STA_INCREMENTAL).inc();
         }
-        Some((region, po_changed))
+        po_changed
     }
 
     /// The circuit's current switched capacitance `Σ C·E` (the metric
@@ -233,10 +236,18 @@ impl AnalysisSession {
         self.est.circuit_power(&self.nl)
     }
 
-    /// The current circuit delay, from a throwaway unconstrained STA
-    /// (required time floating at the circuit delay).
+    /// The current circuit delay, from an unconstrained STA (required
+    /// time floating at the circuit delay). The answer is kept with the
+    /// netlist's `(generation, id_bound)`, so the STA is built only when
+    /// the netlist changed since the last call.
     pub fn delay(&mut self) -> f64 {
         self.refresh();
+        let key = (self.nl.generation(), self.nl.id_bound());
+        if let Some((k, d)) = self.delay {
+            if k == key {
+                return d;
+            }
+        }
         self.stats.full_sta_builds += 1;
         obs::counter!(obs::names::ANALYSIS_STA_FULL).inc();
         let _span = obs::span!(obs::names::span::SESSION_STA_BUILD);
@@ -244,7 +255,9 @@ impl AnalysisSession {
             output_load: self.config.power.output_load,
             required_time: None,
         };
-        TimingAnalysis::new(&self.nl, &probe).circuit_delay()
+        let d = TimingAnalysis::new(&self.nl, &probe).circuit_delay();
+        self.delay = Some((key, d));
+        d
     }
 
     /// The netlist together with its refreshed power estimator — the
@@ -529,6 +542,28 @@ mod tests {
                 "values stale at {g} after rollback"
             );
         }
+    }
+
+    #[test]
+    fn delay_is_built_once_per_netlist_state() {
+        let mut sess = AnalysisSession::new(small_circuit(), SessionConfig::default());
+        let d = sess.delay();
+        assert_eq!(sess.delay(), d);
+        assert_eq!(sess.stats().full_sta_builds, 1, "no edit, no second build");
+        let nl = sess.netlist_mut();
+        let find = |n: &str| nl.iter_live().find(|&g| nl.gate_name(g) == n).unwrap();
+        let (g1, g2) = (find("g1"), find("g2"));
+        nl.replace_fanin(g2, 1, g1);
+        let after = sess.delay();
+        assert_eq!(sess.stats().full_sta_builds, 2, "an edit rebuilds");
+        let probe = TimingConfig {
+            output_load: sess.config().power.output_load,
+            required_time: None,
+        };
+        let fresh = TimingAnalysis::new(sess.netlist(), &probe).circuit_delay();
+        assert_eq!(after.to_bits(), fresh.to_bits());
+        assert_eq!(sess.delay(), after);
+        assert_eq!(sess.stats().full_sta_builds, 2);
     }
 
     #[test]

@@ -41,7 +41,6 @@ use powder_atpg::CandidateScope;
 use powder_engine::{EngineStats, SessionStats};
 use powder_netlist::{partition_windows, Window, WindowConfig};
 use powder_obs as obs;
-use powder_timing::{TimingAnalysis, TimingConfig};
 use std::time::Instant;
 
 /// Resolves the window configuration a top-level run should use:
@@ -96,14 +95,9 @@ pub(crate) fn optimize_windowed(
     let t0 = Instant::now();
     let stats_before = sess.stats;
     let jobs = powder_engine::resolve_jobs(config.jobs);
-    let output_load = config.power.output_load;
     let initial_power = sess.est.circuit_power(&sess.nl);
     let initial_area = sess.nl.area();
-    let probe_cfg = TimingConfig {
-        output_load,
-        required_time: None,
-    };
-    let initial_delay = TimingAnalysis::new(&sess.nl, &probe_cfg).circuit_delay();
+    let initial_delay = sess.delay();
     // Resolve a Factor constraint once, against the initial circuit:
     // per-window inner runs get an Absolute limit, so later windows
     // never re-anchor the constraint to an already-optimized delay.
@@ -211,10 +205,10 @@ pub(crate) fn optimize_windowed(
     }
 
     report.rounds = report.windows.len();
+    report.final_delay = sess.delay();
     report.incremental = sess.stats.delta(&stats_before);
     report.final_power = sess.est.circuit_power(&sess.nl);
     report.final_area = sess.nl.area();
-    report.final_delay = TimingAnalysis::new(&sess.nl, &probe_cfg).circuit_delay();
     report.cpu_seconds = t0.elapsed().as_secs_f64();
     report
 }

@@ -1,46 +1,38 @@
 //! Parallel candidate-evaluation engine.
 //!
 //! POWDER's inner loop evaluates many independent substitution
-//! candidates per accepted move: power-gain scoring and ATPG
+//! candidates per accepted move: full power-gain analysis and ATPG
 //! permissibility proofs are pure functions of the netlist until a
 //! commit mutates it. This crate provides the generic machinery that
-//! turns that loop into a speculative, work-stealing pipeline whose
-//! *decisions* are the same at every worker count:
+//! runs those evaluations on a worker pool whose *decisions* are the
+//! same at every worker count:
 //!
 //! | module | provides |
 //! |--------|----------|
-//! | [`pool`] | [`WorkerPool`]: scoped work-stealing thread pool over batched items, with caller-owned per-worker contexts |
-//! | [`footprint`] | [`Footprint`] / [`DirtyBits`]: read-set and commit write-set bitsets that decide which cached results a commit invalidates |
+//! | [`pool`] | [`WorkerPool`]: scoped thread pool, one task per item from a shared cursor, with caller-owned per-worker contexts |
 //! | [`budget`] | [`ThreadBudget`]: worker threads shared between concurrent runs |
 //! | [`stats`] | [`EngineStats`]: per-stage counters and wall times for reports |
 //!
 //! The engine itself is policy-free: it knows nothing about gains,
 //! SAT, or the POWDER arbiter. The loop that wires these pieces to the
-//! optimizer lives in `powder::arbiter` (the `core` crate), which keeps
-//! the dependency direction `engine → netlist` only.
+//! optimizer lives in `powder::arbiter` (the `core` crate).
 //!
-//! # Snapshot / epoch model
+//! # Snapshot model
 //!
 //! Workers only ever observe an immutable netlist (`&Netlist`); all
-//! mutation happens on the arbiter thread between parallel phases.
-//! Each committed edit advances the journal generation ("epoch") and
-//! yields a [`DirtyRegion`](powder_netlist::DirtyRegion); a cached
-//! result computed at an earlier epoch remains valid iff its
-//! [`Footprint`] — the set of gates whose state the computation read —
-//! is disjoint from every later commit's [`DirtyBits`]. Conflicting
-//! entries are dropped and the candidate is re-enqueued (targeted
-//! retry, not a global barrier).
+//! mutation happens on the arbiter thread between parallel phases. The
+//! arbiter memoizes results for the current netlist only: a commit
+//! clears them, and a guard rollback, which restores the netlist bit
+//! for bit, keeps them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod budget;
-pub mod footprint;
 pub mod pool;
 pub mod stats;
 
 pub use budget::{ThreadBudget, ThreadLease};
-pub use footprint::{DirtyBits, Footprint, FootprintScratch};
 pub use pool::{PoolResilience, WorkerPool, MAX_WORKER_LOSSES};
 pub use stats::{EngineStats, SessionStats};
 
@@ -72,7 +64,7 @@ pub fn resolve_jobs(requested: usize) -> usize {
 /// worker count: speculative work is free only while it fills
 /// otherwise-idle hardware threads, so an oversubscribed pool
 /// (`jobs` > hardware) should speculate as if it had `hardware`
-/// workers or it executes proofs that a commit then invalidates.
+/// workers or it executes proofs that a commit then discards.
 #[must_use]
 pub fn hardware_threads() -> usize {
     std::thread::available_parallelism()

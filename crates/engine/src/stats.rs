@@ -26,19 +26,14 @@ pub struct EngineStats {
     pub full_gains: usize,
     /// ATPG permissibility proofs executed, including speculative ones.
     pub proved: usize,
-    /// Proof results that were computed ahead of arbiter demand and
-    /// later consumed from the cache without recomputation.
+    /// Proof results consumed from the memo without recomputation:
+    /// proved ahead of arbiter demand, or asked for again at an
+    /// unchanged netlist (a round that only learned counterexamples).
     pub speculative_hits: usize,
-    /// Cached results (gains or proofs) discarded because a commit's
-    /// dirty region intersected their read footprint.
-    pub invalidated: usize,
-    /// Previously invalidated candidates that were re-evaluated after
-    /// being re-enqueued.
-    pub retried: usize,
-    /// Worker batches that panicked and were contained by the pool's
+    /// Worker tasks that panicked and were contained by the pool's
     /// isolation boundary instead of aborting the run.
     pub worker_panics: usize,
-    /// Batches quarantined after a panic (their items report no result).
+    /// Tasks quarantined after a panic (their items report no result).
     pub quarantined_batches: usize,
     /// Parallel phases that degraded to a sequential drain after
     /// repeated worker losses.
@@ -48,7 +43,7 @@ pub struct EngineStats {
     /// Wall seconds in the parallel ATPG proof stage.
     pub proof_seconds: f64,
     /// Wall seconds in the sequential commit arbiter (decision replay,
-    /// commits, invalidation).
+    /// commits).
     pub arbiter_seconds: f64,
 }
 
@@ -63,8 +58,6 @@ impl EngineStats {
         self.full_gains += other.full_gains;
         self.proved += other.proved;
         self.speculative_hits += other.speculative_hits;
-        self.invalidated += other.invalidated;
-        self.retried += other.retried;
         self.worker_panics += other.worker_panics;
         self.quarantined_batches += other.quarantined_batches;
         self.degraded_phases += other.degraded_phases;

@@ -15,8 +15,8 @@
 //! and associative over integers — counters and histogram buckets add,
 //! gauges take the maximum — the merged result is independent of which
 //! thread observed which event and of the order shards are folded, so
-//! a `--jobs N` run scrapes the same snapshot regardless of work
-//! stealing. (This is also why histogram sums are integral: an `f64`
+//! a `--jobs N` run scrapes the same snapshot regardless of which
+//! worker ran which task. (This is also why histogram sums are integral: an `f64`
 //! sum would make the merge order observable.)
 //!
 //! Worker threads must call [`flush_thread`] before they are joined
@@ -242,7 +242,7 @@ impl Counter {
 
 /// A high-water gauge handle: shards record the last value they saw
 /// and the scrape merges shards by maximum, so the snapshot value is
-/// deterministic under work stealing. Use for configuration values
+/// deterministic however workers split the work. Use for configuration values
 /// and high-water marks, not for quantities that must sum.
 #[derive(Clone, Copy, Debug)]
 pub struct Gauge(u32);

@@ -51,7 +51,7 @@ pub const OPTIMIZER_ATPG_CHECKS: &str = "core.optimizer.atpg_checks";
 pub const OPTIMIZER_ATPG_REJECTIONS: &str = "core.optimizer.atpg_rejections";
 /// The part of [`OPTIMIZER_ATPG_REJECTIONS`] whose proof aborted: it hit
 /// its backtrack limit, a fault plan aborted it, or a quarantined worker
-/// batch lost it.
+/// task lost it.
 pub const OPTIMIZER_ATPG_ABORTS: &str = "core.optimizer.atpg_aborts";
 /// Candidates rejected by the delay constraint.
 pub const OPTIMIZER_DELAY_REJECTIONS: &str = "core.optimizer.delay_rejections";
@@ -67,18 +67,10 @@ pub const ENGINE_FILTERED: &str = "engine.eval.filtered";
 pub const ENGINE_FULL_GAINS: &str = "engine.eval.full_gains";
 /// ATPG proofs executed, incl. speculative.
 pub const ENGINE_PROVED: &str = "engine.proof.proved";
-/// Proofs consumed from the speculative cache without recomputation.
+/// Proofs consumed from the proof memo without recomputation.
 pub const ENGINE_SPECULATIVE_HITS: &str = "engine.proof.speculative_hits";
-/// Cached results discarded by commit-footprint invalidation.
-pub const ENGINE_INVALIDATED: &str = "engine.cache.invalidated";
-/// Invalidated candidates re-evaluated after re-enqueue.
-pub const ENGINE_RETRIED: &str = "engine.cache.retried";
 /// Resolved worker count (gauge; max across runs).
 pub const ENGINE_JOBS: &str = "engine.pool.jobs";
-/// Histogram of pool batch sizes (items per batch).
-pub const ENGINE_BATCH_ITEMS: &str = "engine.pool.batch_items";
-/// Bucket bounds for [`ENGINE_BATCH_ITEMS`].
-pub const BATCH_ITEMS_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128];
 /// Wall nanoseconds in the parallel full-gain stage.
 pub const ENGINE_GAIN_NS: &str = "engine.stage.gain_ns";
 /// Wall nanoseconds in the parallel ATPG proof stage.
@@ -96,7 +88,7 @@ pub const ENGINE_ARBITER_NS: &str = "engine.stage.arbiter_ns";
 pub const RESILIENCE_WORKER_PANICS: &str = "engine.resilience.worker_panics";
 /// Worker contexts rebuilt after a contained panic (logical respawns).
 pub const RESILIENCE_WORKER_RESPAWNS: &str = "engine.resilience.worker_respawns";
-/// Batches quarantined because their execution panicked.
+/// Pool tasks quarantined because their execution panicked.
 pub const RESILIENCE_QUARANTINED_BATCHES: &str = "engine.resilience.quarantined_batches";
 /// Pool phases that degraded to sequential draining after repeated
 /// worker losses.
@@ -258,8 +250,8 @@ pub mod span {
     /// One cone's saturate→extract cycle in the egraph pass.
     pub const EGRAPH_CONE: &str = "egraph.cone";
     /// Pool stage span prefixes: `engine.stage.<stage>` (one span per
-    /// batch, on the worker's own track). Full-gain stage batches.
+    /// task, on the worker's own track). Full-gain stage tasks.
     pub const STAGE_GAIN: &str = "engine.stage.gain";
-    /// Proof stage batches.
+    /// Proof stage tasks.
     pub const STAGE_PROOF: &str = "engine.stage.proof";
 }

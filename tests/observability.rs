@@ -8,9 +8,11 @@
 //! * the optimizer report and the registry count the same events —
 //!   each report count equals the registry delta under its name, and
 //!   ATPG aborts are the typed subset of ATPG rejections;
+//! * the ranking's lazy target scans are traced under the phases they
+//!   are timed in;
 //! * histogram shard merging is order- and partition-independent
 //!   (property-tested, since that is what snapshot determinism under
-//!   work stealing rests on);
+//!   parallel workers rests on);
 //! * (release builds only) the enabled registry costs < 5% wall clock
 //!   over the no-op sink on an optimizer workload.
 //!
@@ -225,8 +227,6 @@ fn report_counts_match_registry_deltas() {
             (names::ENGINE_FULL_GAINS, e.full_gains),
             (names::ENGINE_PROVED, e.proved),
             (names::ENGINE_SPECULATIVE_HITS, e.speculative_hits),
-            (names::ENGINE_INVALIDATED, e.invalidated),
-            (names::ENGINE_RETRIED, e.retried),
             (names::RESILIENCE_WORKER_PANICS, e.worker_panics),
             (names::RESILIENCE_QUARANTINED_BATCHES, e.quarantined_batches),
             (names::RESILIENCE_DEGRADED_PHASES, e.degraded_phases),
@@ -246,6 +246,32 @@ fn report_counts_match_registry_deltas() {
         }
         assert!(!report.applied.is_empty(), "{name} commits something");
     }
+}
+
+/// The lazy ranking's target scans and their scoring are traced under
+/// the phases they are timed in: besides each round's start (one
+/// `core.phase.candidates` span for the scan build, one
+/// `core.phase.gain` for the bounds), every scanned target records a
+/// `core.phase.candidates` span.
+#[test]
+fn ranking_scans_are_traced() {
+    use obs::names::span;
+    let _guard = obs_lock();
+    restore_defaults();
+    let _ = obs::drain();
+    obs::set_tracing_enabled(true);
+    let (_, report) = run_once(1);
+    let dump = obs::drain();
+    restore_defaults();
+    assert_eq!(dump.dropped, 0);
+    let count = |name: &str| dump.events.iter().filter(|e| e.name == name).count();
+    assert_eq!(count(span::ROUND), report.rounds);
+    assert!(
+        count(span::PHASE_CANDIDATES) > report.rounds,
+        "{} candidate spans over {} rounds",
+        count(span::PHASE_CANDIDATES),
+        report.rounds
+    );
 }
 
 /// `core.optimizer.atpg_aborts` counts the aborted proofs among the
@@ -314,7 +340,8 @@ fn overhead_under_five_percent_in_release() {
 proptest! {
     /// Any partition of the observations into shards, merged in any
     /// order, equals observing them sequentially — the property that
-    /// makes scrapes deterministic under work stealing.
+    /// makes scrapes deterministic however the pool's workers split
+    /// the work.
     #[test]
     fn histogram_merge_is_order_and_partition_independent(
         values in proptest::collection::vec(0u64..100, 0..64),
