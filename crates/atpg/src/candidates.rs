@@ -82,22 +82,17 @@ struct PairCells {
 }
 
 impl PairCells {
+    /// Six lookups in the library's match index, by two-input truth
+    /// table (bit `m` is the value at minterm `m`).
     fn detect(nl: &Netlist) -> Self {
-        use powder_logic::TruthTable;
-        let v0 = TruthTable::var(0, 2);
-        let v1 = TruthTable::var(1, 2);
-        let and = &v0 & &v1;
-        let or = &v0 | &v1;
-        let xor = &v0 ^ &v1;
-        let find =
-            |tt: &TruthTable| -> Option<CellId> { nl.library().match_function(tt).map(|m| m.cell) };
+        let find = |table: u64| nl.library().match_table(2, table).map(|m| m.cell);
         PairCells {
-            and2: find(&and),
-            or2: find(&or),
-            nand2: find(&!and.clone()),
-            nor2: find(&!or.clone()),
-            xor2: find(&xor),
-            xnor2: find(&!xor.clone()),
+            and2: find(0b1000),
+            or2: find(0b1110),
+            nand2: find(0b0111),
+            nor2: find(0b0001),
+            xor2: find(0b0110),
+            xnor2: find(0b1001),
         }
     }
 }

@@ -159,6 +159,8 @@ struct EClass {
     /// The first [`MEMBER_CAP`] members of each abstract op (NOT, AND,
     /// OR, XOR), as node-table indices in insertion order.
     capped: [Few<u32, MEMBER_CAP>; 4],
+    /// One past the newest node in `capped` (0 while it is empty).
+    grown: u32,
 }
 
 /// The e-graph. See the module docs for invariants.
@@ -248,6 +250,14 @@ impl EGraph {
         self.classes[c.0 as usize].capped[slot]
     }
 
+    /// The growth stamp of class `c`: one past the node-table index of
+    /// the newest node in its capped member lists, 0 while they are
+    /// empty. The lists only grow, so they are unchanged since the node
+    /// count was `n` exactly when the stamp is at most `n`.
+    pub(crate) fn grown(&self, c: ClassId) -> u32 {
+        self.classes[c.0 as usize].grown
+    }
+
     /// Adds (or finds) the e-node `op(children)`, created by `rule`.
     ///
     /// The node is hash-consed: an existing identical node returns its
@@ -286,6 +296,7 @@ impl EGraph {
                 self.classes.push(EClass {
                     table,
                     capped: [Few::new(0); 4],
+                    grown: 0,
                 });
                 *slot.insert(id)
             }
@@ -302,7 +313,11 @@ impl EGraph {
         *head = idx;
         self.arena.extend_from_slice(children);
         if let Some(slot) = op.abstract_slot() {
-            self.classes[class.0 as usize].capped[slot].push(idx);
+            let class = &mut self.classes[class.0 as usize];
+            if class.capped[slot].len() < MEMBER_CAP {
+                class.capped[slot].push(idx);
+                class.grown = idx + 1;
+            }
         }
         class
     }

@@ -2,9 +2,8 @@
 //!
 //! Every map in the crate is keyed by data internal to an e-graph or
 //! its rule cache: node hashes and cone tables (bounded by a cone's node
-//! budget), cell ids, and packed functions of at most 4 inputs (65,812
-//! of them at most). None is keyed by outside input, and no map is ever
-//! iterated, so the hasher decides speed only, never a result.
+//! budget) and cell ids. None is keyed by outside input, and no map is
+//! ever iterated, so the hasher decides speed only, never a result.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

@@ -22,7 +22,7 @@ use std::sync::Arc;
 /// inputs: each op row instantiates one lib2 cell whose fanins are
 /// drawn from the signals created so far. Returns the netlist and its
 /// root (the last gate).
-fn random_cone(inputs: usize, ops: &[(u8, u8, u8, u8)]) -> (Netlist, GateId) {
+pub(crate) fn random_cone(inputs: usize, ops: &[(u8, u8, u8, u8)]) -> (Netlist, GateId) {
     let lib = Arc::new(lib2());
     let names = [
         "and2", "or2", "nand2", "nor2", "xor2", "xnor2", "inv1", "aoi21", "oai21", "mux21",
@@ -141,6 +141,19 @@ fn decode_shape(pool: usize, root: u8, bytes: &[u8]) -> Shape {
     }
 }
 
+/// `shape` with every operand class `c` replaced by `f(c)`.
+fn rename(shape: Shape, f: impl Fn(ClassId) -> ClassId) -> Shape {
+    let variant = |v: Variant| match v {
+        Variant::Leaf(c) => Variant::Leaf(f(c)),
+        Variant::Not(c) => Variant::Not(f(c)),
+        Variant::Gate(op, a, b) => Variant::Gate(op, f(a), f(b)),
+    };
+    match shape {
+        Shape::Not(v) => Shape::Not(variant(v)),
+        Shape::Gate(op, l, r) => Shape::Gate(op, variant(l), variant(r)),
+    }
+}
+
 /// Reference semantics of a shape: its operands in first-occurrence
 /// order and its function over them as a [`TruthTable`].
 fn shape_table(shape: Shape) -> (Vec<ClassId>, TruthTable) {
@@ -191,8 +204,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// The packed matcher agrees with the truth-table computation on
-    /// operands, function and liveness, and the cached lookup returns
-    /// what `Library::match_function` finds on a fresh table.
+    /// operands, function and liveness, and the cache's fold for the
+    /// shape's signature is what
+    /// `Library::match_function` finds on a fresh table, on the miss
+    /// that fills the signature's slot and on the hit after it.
     #[test]
     fn packed_shapes_match_truth_tables(
         pool in 1usize..=4,
@@ -208,9 +223,29 @@ proptest! {
 
         let lib = Arc::new(lib2());
         let mut cache = RuleCache::new(lib.clone());
-        let fresh = lib.match_function(&tt);
-        prop_assert_eq!(cache.lookup(p.k, p.bits).cloned(), fresh.clone());
-        prop_assert_eq!(cache.lookup(p.k, p.bits).cloned(), fresh);
+        let fresh = lib.match_function(&tt).filter(|_| p.all_live());
+        prop_assert_eq!(cache.fold(&p), fresh.as_ref());
+        prop_assert_eq!(cache.fold(&p), fresh.as_ref());
+    }
+
+    /// Shapes of one signature pack one function: a shape with its
+    /// classes renamed keeps its signature and packed table, and two
+    /// random shapes with equal signatures have equal packed tables.
+    #[test]
+    fn signatures_fix_the_packed_function(
+        pool in 1usize..=4,
+        roots in (any::<u8>(), any::<u8>()),
+        bytes in proptest::collection::vec(any::<u8>(), 12),
+        offset in 1u32..1000,
+    ) {
+        let a = decode_shape(pool, roots.0, &bytes[..6]);
+        let b = decode_shape(pool, roots.1, &bytes[6..]);
+        let (pa, pb) = (a.pack(), b.pack());
+        let pr = rename(a, |c| ClassId(offset + 5 * c.0)).pack();
+        prop_assert_eq!((pr.sig, pr.k, pr.bits), (pa.sig, pa.k, pa.bits));
+        if pa.sig == pb.sig {
+            prop_assert_eq!((pa.k, pa.bits), (pb.k, pb.bits));
+        }
     }
 
     /// `class_fold`'s packed local function equals the projection of

@@ -11,10 +11,20 @@
 //!
 //! Scheduling is deterministic: each iteration scans the global node
 //! table in insertion order over the prefix that existed when the
-//! iteration began, applying every rule to every node, and stops when
-//! an iteration adds no node (saturation), the node budget is
-//! exhausted, or the iteration limit is hit. No hash map is iterated
-//! anywhere, so runs are bit-reproducible.
+//! iteration began, and stops when an iteration adds no node
+//! (saturation), the node budget is exhausted, or the iteration limit
+//! is hit. No hash map is iterated anywhere, so runs are
+//! bit-reproducible.
+//!
+//! Visits are semi-naive. A rule's adds are a pure function of its
+//! node, the capped member lists of the node's child classes and the
+//! class table, and the node table only grows. So a node whose child
+//! classes' lists have not grown since its last visit began would add
+//! only nodes that exist (hash-cons hits), and the sweep skips it; a
+//! revisit folds only the shapes with a variant newer than that; the
+//! class folds, which read the class table alone, run once per class,
+//! after the first visit of one of its nodes. The e-graph is the one
+//! visiting every node on every sweep would build, node for node.
 
 use crate::graph::{ClassId, EGraph, Few, NodeEntry, Op, RuleId, MEMBER_CAP};
 use crate::hash::FastMap;
@@ -22,8 +32,11 @@ use crate::table::{ConeTable, VAR_MASKS};
 use crate::EgraphConfig;
 use powder_library::{CellId, Library, Match};
 use powder_logic::minimize::minimize;
-use powder_logic::{Sop, TruthTable};
+use powder_logic::Sop;
 use std::sync::Arc;
+
+#[cfg(test)]
+mod reference;
 
 /// Rule id: cell decomposed into its subject-graph (SOP) form.
 pub const RULE_CELL_EXPAND: RuleId = 1;
@@ -68,20 +81,26 @@ pub struct SaturationStats {
     pub saturated: bool,
 }
 
-/// Memo of the expensive rule matchers: cell SOPs and library matches,
-/// keyed by cell and by function. Entries depend only on the library,
-/// so one cache serves every cone saturated over it and never changes
-/// a result.
+/// Memo of the rule matchers: cell SOPs, and the fold outcome of every
+/// shape signature. Entries depend only on the library, so one cache
+/// serves every cone saturated over it and never changes a result.
 pub struct RuleCache {
     lib: Arc<Library>,
     /// Minimized SOP of each cell function, by cell id.
     sops: FastMap<CellId, Sop>,
-    /// Library match of each function of `k ≤ 4` inputs, keyed by `k`
-    /// and its truth table packed into the low `2^k` bits.
-    matches: FastMap<(u8, u16), Option<Match>>,
+    /// Fold outcome of each shape signature: [`UNSEEN`], [`NO_FOLD`], or
+    /// `NO_FOLD + 1 + i` for `folds[i]`.
+    shapes: Vec<u16>,
+    /// The library matches of the signatures seen so far.
+    folds: Vec<Match>,
     /// Reused term and literal classes of `cell_expand`.
     scratch: Vec<ClassId>,
 }
+
+/// A shape signature not folded yet.
+const UNSEEN: u16 = 0;
+/// A shape signature with a dead operand or no matching cell.
+const NO_FOLD: u16 = 1;
 
 impl RuleCache {
     /// An empty cache for e-graphs over `lib`.
@@ -90,26 +109,38 @@ impl RuleCache {
         RuleCache {
             lib,
             sops: FastMap::default(),
-            matches: FastMap::default(),
+            shapes: vec![UNSEEN; SIGNATURES],
+            folds: Vec::new(),
             scratch: Vec::new(),
         }
     }
 
-    /// The smallest-area cell implementing the `k`-input function
-    /// `bits` (bit `m` is its value at minterm `m`). A table is built
-    /// only on the first lookup of each function.
-    pub(crate) fn lookup(&mut self, k: usize, bits: u16) -> Option<&Match> {
-        let lib = &self.lib;
-        self.matches
-            .entry((k as u8, bits))
-            .or_insert_with(|| {
-                lib.match_function(&TruthTable::from_fn(k, |m| (bits >> m) & 1 == 1))
-            })
-            .as_ref()
+    /// The library match of packed shape `p`'s signature: on first use
+    /// of the signature, the match of `p`'s function when every operand
+    /// is live.
+    pub(crate) fn fold(&mut self, p: &Packed) -> Option<&Match> {
+        let slot = &mut self.shapes[p.sig];
+        if *slot == UNSEEN {
+            let m = if p.all_live() {
+                self.lib.match_table(p.k, u64::from(p.bits))
+            } else {
+                None
+            };
+            *slot = match m {
+                None => NO_FOLD,
+                Some(m) => {
+                    self.folds.push(m.clone());
+                    NO_FOLD + self.folds.len() as u16
+                }
+            };
+        }
+        let slot = *slot;
+        (slot > NO_FOLD).then(|| &self.folds[usize::from(slot - NO_FOLD - 1)])
     }
 }
 
-/// Runs bounded equality saturation over `eg`, memoising matches in
+/// Runs bounded equality saturation over `eg` with semi-naive visits
+/// (see the module docs), memoising cell SOPs and shape folds in
 /// `cache`.
 ///
 /// # Panics
@@ -121,14 +152,34 @@ pub fn saturate(eg: &mut EGraph, cfg: &EgraphConfig, cache: &mut RuleCache) -> S
         "rule cache built for another library"
     );
     let mut stats = SaturationStats::default();
+    // The node count when each node's last visit began (0: never
+    // visited), and whether each class has been folded.
+    let mut visited: Vec<u32> = Vec::new();
+    let mut folded: Vec<bool> = Vec::new();
     for _ in 0..cfg.iter_limit {
         stats.iters += 1;
         let frontier = eg.node_count();
-        for idx in 0..frontier {
+        visited.resize(frontier, 0);
+        for (idx, stamp) in visited.iter_mut().enumerate() {
             if eg.node_count() >= cfg.node_limit {
                 break;
             }
-            apply_rules(eg, idx, cache);
+            let entry = eg.node_entries()[idx];
+            let since = *stamp;
+            if since != 0 && !reads_grown(eg, &entry, since) {
+                continue;
+            }
+            *stamp = eg.node_count() as u32;
+            apply_rules(eg, idx, since, cache);
+            let class = entry.class.0 as usize;
+            if folded.len() <= class {
+                folded.resize(eg.class_count(), false);
+            }
+            if !folded[class] {
+                folded[class] = true;
+                const_fold(eg, entry.class);
+                class_fold(eg, entry.class, &cache.lib);
+            }
         }
         if eg.node_count() == frontier {
             stats.saturated = true;
@@ -143,8 +194,22 @@ pub fn saturate(eg: &mut EGraph, cfg: &EgraphConfig, cache: &mut RuleCache) -> S
     stats
 }
 
-/// Applies every rule to the node at table index `idx`.
-fn apply_rules(eg: &mut EGraph, idx: usize, cache: &mut RuleCache) {
+/// Whether a class whose capped member lists the rules of `entry` read
+/// has grown since the node count was `stamp`. Only the abstract ops'
+/// rules read member lists, those of their child classes.
+fn reads_grown(eg: &EGraph, entry: &NodeEntry, stamp: u32) -> bool {
+    match entry.op {
+        Op::Not | Op::And | Op::Or | Op::Xor => {
+            eg.children(entry).iter().any(|&c| eg.grown(c) > stamp)
+        }
+        Op::Cell(_) | Op::Var(_) | Op::Const(_) => false,
+    }
+}
+
+/// Applies every node rule to the node at table index `idx`, whose last
+/// visit began at node count `since` (0 if none); the class folds run
+/// from [`saturate`].
+fn apply_rules(eg: &mut EGraph, idx: usize, since: u32, cache: &mut RuleCache) {
     let entry = eg.node_entries()[idx];
     match entry.op {
         Op::Cell(cid) => cell_expand(eg, cid, &entry, cache),
@@ -158,18 +223,15 @@ fn apply_rules(eg: &mut EGraph, idx: usize, cache: &mut RuleCache) {
                 assoc(eg, op, &children);
                 factor(eg, op, &children);
             }
-            cell_fold(eg, op, &children, cache);
+            cell_fold(eg, op, &children, since, cache);
         }
         Op::Not => {
             let child = eg.children(&entry)[0];
             demorgan(eg, child);
-            cell_fold(eg, Op::Not, &[child], cache);
+            cell_fold(eg, Op::Not, &[child], since, cache);
         }
         Op::Var(_) | Op::Const(_) => {}
     }
-
-    const_fold(eg, entry.class);
-    class_fold(eg, entry.class, cache);
 }
 
 /// Decomposes a cell instance into abstract AND/OR/NOT structure from
@@ -330,10 +392,15 @@ pub(crate) enum Shape {
     Gate(Op, Variant, Variant),
 }
 
-/// A shape's function over its distinct operand classes.
+/// A shape's signature, its distinct operand classes in
+/// first-occurrence order, and its function over them.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Packed {
-    /// Operand classes in first-occurrence order; `ops[..k]` are used.
+    /// The root op, the two variant kinds and which operand slots share
+    /// a class: all the function depends on, so shapes of one signature
+    /// fold alike.
+    pub(crate) sig: usize,
+    /// Operand classes; `ops[..k]` are used.
     pub(crate) ops: [ClassId; 4],
     /// Number of operands.
     pub(crate) k: usize,
@@ -343,8 +410,37 @@ pub(crate) struct Packed {
 }
 
 impl Packed {
-    /// The 4-variable projection of operand `c`, listing it on first
-    /// occurrence.
+    /// True if the function depends on every operand: library matching
+    /// needs every pin live.
+    pub(crate) fn all_live(&self) -> bool {
+        (0..self.k).all(|i| depends_on(&[u64::from(self.bits)], i))
+    }
+}
+
+/// Kinds of a fold variant: the class itself, a NOT, an AND, an OR or
+/// an XOR member.
+const VARIANT_KINDS: usize = 5;
+
+/// Operand-sharing patterns of at most 4 operand slots: slot `j` reads
+/// one of the first `j + 1` distinct operands, weighted by `j!`.
+const SHARING_PATTERNS: usize = 24;
+
+/// Shape signatures: root op (NOT, AND, OR, XOR), left and right
+/// variant kinds, and sharing pattern.
+const SIGNATURES: usize = 4 * VARIANT_KINDS * VARIANT_KINDS * SHARING_PATTERNS;
+
+/// A shape's operand slots read in order (left variant, then right; a
+/// gate's first child, then its second): the distinct classes in
+/// first-occurrence order, and the sharing pattern of the slots.
+struct Operands {
+    ops: [ClassId; 4],
+    k: usize,
+    slots: usize,
+    pattern: usize,
+}
+
+impl Operands {
+    /// The 4-variable projection of the next slot, class `c`.
     fn var(&mut self, c: ClassId) -> u16 {
         let i = match self.ops[..self.k].iter().position(|&o| o == c) {
             Some(i) => i,
@@ -354,44 +450,61 @@ impl Packed {
                 self.k - 1
             }
         };
+        self.pattern += i * [1, 1, 2, 6][self.slots];
+        self.slots += 1;
         VAR_MASKS[i] as u16
     }
 
-    fn variant(&mut self, v: Variant) -> u16 {
+    /// Reads `v`'s slots; returns its kind and packed table.
+    fn variant(&mut self, v: Variant) -> (usize, u16) {
         match v {
-            Variant::Leaf(c) => self.var(c),
-            Variant::Not(c) => !self.var(c),
+            Variant::Leaf(c) => (0, self.var(c)),
+            Variant::Not(c) => (1, !self.var(c)),
             Variant::Gate(op, a, b) => {
                 let a = self.var(a);
-                gate(op, a, self.var(b))
+                (2 + binary_index(op), gate(op, a, self.var(b)))
             }
         }
     }
+}
 
-    /// True if the function depends on every operand: library matching
-    /// needs every pin live.
-    pub(crate) fn all_live(&self) -> bool {
-        (0..self.k).all(|i| depends_on(&[u64::from(self.bits)], i))
+/// Index of a binary abstract op: AND 0, OR 1, XOR 2.
+fn binary_index(op: Op) -> usize {
+    match op {
+        Op::And => 0,
+        Op::Or => 1,
+        Op::Xor => 2,
+        _ => unreachable!("shapes hold abstract ops only"),
     }
 }
 
 impl Shape {
-    /// The shape's operands and packed function.
+    /// The shape's signature, operands and packed function.
     pub(crate) fn pack(self) -> Packed {
-        let mut p = Packed {
+        let mut o = Operands {
             ops: [ClassId(0); 4],
             k: 0,
-            bits: 0,
+            slots: 0,
+            pattern: 0,
         };
-        let bits = match self {
-            Shape::Not(v) => !p.variant(v),
+        let (root, left, right, bits) = match self {
+            Shape::Not(v) => {
+                let (kind, bits) = o.variant(v);
+                (0, kind, 0, !bits)
+            }
             Shape::Gate(op, l, r) => {
-                let l = p.variant(l);
-                gate(op, l, p.variant(r))
+                let (left, l) = o.variant(l);
+                let (right, r) = o.variant(r);
+                (1 + binary_index(op), left, right, gate(op, l, r))
             }
         };
-        p.bits = bits & ((1u32 << (1 << p.k)) - 1) as u16;
-        p
+        let sig = ((root * VARIANT_KINDS + left) * VARIANT_KINDS + right) * SHARING_PATTERNS;
+        Packed {
+            sig: sig + o.pattern,
+            ops: o.ops,
+            k: o.k,
+            bits: bits & ((1u32 << (1 << o.k)) - 1) as u16,
+        }
     }
 }
 
@@ -405,18 +518,20 @@ fn gate(op: Op, a: u16, b: u16) -> u16 {
     }
 }
 
-/// One-level variants of a child class: the class itself, plus each of
-/// its first few abstract-op members expanded one level.
-fn child_variants(eg: &EGraph, class: ClassId) -> Few<Variant, MAX_VARIANTS> {
-    let mut out = Few::new(Variant::Leaf(class));
-    out.push(Variant::Leaf(class));
+/// One-level variants of a child class, each with the node-table index
+/// of the member it expands (0 for the class itself): the class, plus
+/// each of its first few abstract-op members expanded one level.
+fn child_variants(eg: &EGraph, class: ClassId) -> Few<(Variant, u32), MAX_VARIANTS> {
+    let mut out = Few::new((Variant::Leaf(class), 0));
+    out.push((Variant::Leaf(class), 0));
     for op in [Op::Not, Op::And, Op::Or, Op::Xor] {
         for &m in &*eg.members_with_op(class, op) {
             let kids = eg.children(&eg.node_entries()[m as usize]);
-            out.push(match op {
+            let v = match op {
                 Op::Not => Variant::Not(kids[0]),
                 _ => Variant::Gate(op, kids[0], kids[1]),
-            });
+            };
+            out.push((v, m));
         }
     }
     out
@@ -425,19 +540,29 @@ fn child_variants(eg: &EGraph, class: ClassId) -> Few<Variant, MAX_VARIANTS> {
 /// Tries to re-map depth-1 and depth-2 abstract shapes rooted at an
 /// `op(children)` node onto library cells, adding a [`Op::Cell`] node
 /// per match.
-fn cell_fold(eg: &mut EGraph, op: Op, children: &[ClassId], cache: &mut RuleCache) {
+///
+/// A node's last visit, begun at node count `since` (0 if none), folded
+/// every shape whose variants all existed then: the class itself and
+/// the members below `since`. Those shapes would only make hash-cons
+/// hits, so only shapes with a newer variant are tried.
+fn cell_fold(eg: &mut EGraph, op: Op, children: &[ClassId], since: u32, cache: &mut RuleCache) {
+    let seen = |born: u32| since > 0 && born < since;
     match op {
         Op::Not => {
-            for &v in &*child_variants(eg, children[0]) {
-                try_match_shape(eg, Shape::Not(v), cache);
+            for &(v, born) in &*child_variants(eg, children[0]) {
+                if !seen(born) {
+                    fold_shape(eg, Shape::Not(v), cache);
+                }
             }
         }
         Op::And | Op::Or | Op::Xor => {
             let left = child_variants(eg, children[0]);
             let right = child_variants(eg, children[1]);
-            for &l in &*left {
-                for &r in &*right {
-                    try_match_shape(eg, Shape::Gate(op, l, r), cache);
+            for &(l, l_born) in &*left {
+                for &(r, r_born) in &*right {
+                    if !seen(l_born.max(r_born)) {
+                        fold_shape(eg, Shape::Gate(op, l, r), cache);
+                    }
                 }
             }
         }
@@ -445,14 +570,10 @@ fn cell_fold(eg: &mut EGraph, op: Op, children: &[ClassId], cache: &mut RuleCach
     }
 }
 
-/// Matches one shape's function against the library and adds the cell
-/// node on success.
-fn try_match_shape(eg: &mut EGraph, shape: Shape, cache: &mut RuleCache) {
+/// Adds the cell node one shape folds onto, if its signature has one.
+fn fold_shape(eg: &mut EGraph, shape: Shape, cache: &mut RuleCache) {
     let p = shape.pack();
-    if !p.all_live() {
-        return;
-    }
-    if let Some(m) = cache.lookup(p.k, p.bits) {
+    if let Some(m) = cache.fold(&p) {
         let mut pins = [ClassId(0); 4];
         for (pin, &i) in pins.iter_mut().zip(&m.perm) {
             *pin = p.ops[i];
@@ -506,11 +627,11 @@ pub(crate) fn local_function(tt: &ConeTable, vars: usize) -> Option<([usize; 4],
 
 /// Tries to implement an entire class as a single cell over the cone
 /// leaves, when its function depends on few enough leaves.
-fn class_fold(eg: &mut EGraph, class: ClassId, cache: &mut RuleCache) {
+fn class_fold(eg: &mut EGraph, class: ClassId, lib: &Library) {
     let Some((support, k, bits)) = local_function(&eg.class_table(class), eg.leaves()) else {
         return;
     };
-    if let Some(m) = cache.lookup(k, bits) {
+    if let Some(m) = lib.match_table(k, u64::from(bits)) {
         let mut pins = [ClassId(0); 4];
         for (pin, &i) in pins.iter_mut().zip(&m.perm) {
             *pin = eg.add(Op::Var(support[i] as u32), &[], RULE_CELL_FOLD);

@@ -1,8 +1,13 @@
 //! Cells and libraries.
 
 use powder_logic::TruthTable;
-use std::collections::HashMap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+
+/// Widest function the match index covers: a table of up to 6
+/// variables is one `u64` word.
+pub const MAX_INDEXED_INPUTS: usize = 6;
 
 /// Index of a cell within its [`Library`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -56,6 +61,7 @@ impl Cell {
     /// # Panics
     ///
     /// Panics if `pin` is out of range.
+    #[inline]
     #[must_use]
     pub fn pin_cap(&self, pin: usize) -> f64 {
         self.pins[pin].cap
@@ -89,7 +95,8 @@ pub struct Match {
     pub perm: Vec<usize>,
 }
 
-/// A collection of [`Cell`]s with lookup indices.
+/// A collection of [`Cell`]s with lookup indices: by name, and by
+/// function for [`Library::match_function`].
 ///
 /// # Example
 ///
@@ -109,6 +116,9 @@ pub struct Library {
     by_name: HashMap<String, CellId>,
     inverter: Option<CellId>,
     buffer: Option<CellId>,
+    /// The match of every function of at most [`MAX_INDEXED_INPUTS`]
+    /// inputs that some cell implements, keyed by arity and table word.
+    matches: BTreeMap<(u8, u64), Match>,
 }
 
 impl Library {
@@ -137,6 +147,7 @@ impl Library {
         }
         Library {
             name: name.into(),
+            matches: match_index(&cells),
             cells,
             by_name,
             inverter,
@@ -221,16 +232,51 @@ impl Library {
         self.iter().filter(move |(_, c)| c.inputs() == k)
     }
 
-    /// Finds a cell implementing `tt` exactly, trying all input
-    /// permutations; returns the match with the smallest area.
+    /// Finds a cell implementing `tt` exactly, pin permutations
+    /// included: the smallest-area match, and for that cell the
+    /// lexicographically first permutation. Cells are taken in library
+    /// order and a later one replaces the held match only at a strictly
+    /// smaller area, so equal areas keep the earliest cell and a NaN area
+    /// on either side keeps the held one.
     ///
     /// `tt` must use exactly the cut's leaves as variables (no dead
-    /// variables); cells with a different input count are skipped.
+    /// variables); cells with a different input count are skipped. A
+    /// function of at most [`MAX_INDEXED_INPUTS`] inputs costs one
+    /// lookup in an index built with the library; a wider one searches
+    /// the permutations of every cell of its width.
     #[must_use]
     pub fn match_function(&self, tt: &TruthTable) -> Option<Match> {
+        if tt.vars() <= MAX_INDEXED_INPUTS {
+            self.match_table(tt.vars(), tt.as_words()[0]).cloned()
+        } else {
+            self.search(tt)
+        }
+    }
+
+    /// [`Library::match_function`] of the `k`-input function whose
+    /// value at minterm `m` is bit `m` of `word` (bits at and above
+    /// `2^k` clear), by one index lookup; `None` when `k` exceeds
+    /// [`MAX_INDEXED_INPUTS`].
+    #[must_use]
+    pub fn match_table(&self, k: usize, word: u64) -> Option<&Match> {
+        if k > MAX_INDEXED_INPUTS {
+            return None;
+        }
+        self.matches.get(&(k as u8, word))
+    }
+
+    /// The match by search: every permutation of every cell of `tt`'s
+    /// width, in cell order. It answers functions wider than the index,
+    /// and tests hold the index to its choice.
+    pub(crate) fn search(&self, tt: &TruthTable) -> Option<Match> {
         let k = tt.vars();
+        let ones = tt.count_ones();
         let mut best: Option<(Match, f64)> = None;
         for (id, cell) in self.cells_with_inputs(k) {
+            // A permutation keeps the onset size.
+            if cell.function.count_ones() != ones {
+                continue;
+            }
             if let Some(perm) = match_with_permutation(&cell.function, tt) {
                 let m = Match { cell: id, perm };
                 if best.as_ref().is_none_or(|(_, a)| cell.area < *a) {
@@ -240,6 +286,64 @@ impl Library {
         }
         best.map(|(m, _)| m)
     }
+}
+
+/// The match index of `cells`: for every cell of at most
+/// [`MAX_INDEXED_INPUTS`] pins and every permutation of its pins, in
+/// lexicographic order, the function that permutation matches. A key
+/// keeps its first cell, and that cell's first permutation, unless a
+/// later cell has a strictly smaller area: the choice of
+/// [`Library::match_function`].
+fn match_index(cells: &[Cell]) -> BTreeMap<(u8, u64), Match> {
+    let mut index: BTreeMap<(u8, u64), Match> = BTreeMap::new();
+    for (i, cell) in cells.iter().enumerate() {
+        let k = cell.inputs();
+        if k > MAX_INDEXED_INPUTS || cell.function.vars() != k {
+            continue;
+        }
+        let id = CellId(i as u32);
+        let mut perm: Vec<usize> = (0..k).collect();
+        loop {
+            let key = (k as u8, unpermute(cell.function.as_words()[0], &perm));
+            let m = Match {
+                cell: id,
+                perm: perm.clone(),
+            };
+            match index.entry(key) {
+                Entry::Vacant(slot) => {
+                    slot.insert(m);
+                }
+                Entry::Occupied(mut slot) => {
+                    let held = slot.get().cell;
+                    if held != id && cell.area < cells[held.0 as usize].area {
+                        slot.insert(m);
+                    }
+                }
+            }
+            if !next_permutation(&mut perm) {
+                break;
+            }
+        }
+    }
+    index
+}
+
+/// The table `g` over `perm.len()` variables with
+/// `g.permute(perm) == f`: minterm `m` of `f` moves to the minterm with
+/// bit `perm[i]` set for every bit `i` of `m`.
+fn unpermute(f: u64, perm: &[usize]) -> u64 {
+    let mut g = 0;
+    for m in 0..1usize << perm.len() {
+        if (f >> m) & 1 == 1 {
+            let moved = perm
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| (m >> i) & 1 == 1)
+                .fold(0usize, |acc, (_, &p)| acc | 1 << p);
+            g |= 1 << moved;
+        }
+    }
+    g
 }
 
 /// Finds `perm` such that `cell_fn(x_0,..,x_{k-1}) == tt(x_{perm[0]},..)`,
@@ -371,6 +475,117 @@ mod tests {
         let lib = Library::new("t", vec![inv_cell()]);
         let xor = TruthTable::var(0, 2) ^ TruthTable::var(1, 2);
         assert!(lib.match_function(&xor).is_none());
+    }
+
+    /// Checks the index against the permutation search on every
+    /// function of 1 to 4 inputs (65,812 of them) and on the two
+    /// constants; returns how many have a match.
+    fn assert_index_is_search(lib: &Library) -> usize {
+        let mut matched = 0;
+        for k in 0..=4usize {
+            for word in 0..1u64 << (1 << k) {
+                let tt = TruthTable::from_fn(k, |m| (word >> m) & 1 == 1);
+                let got = lib.match_function(&tt);
+                assert_eq!(got, lib.search(&tt), "{k} inputs, table {word:#x}");
+                matched += usize::from(got.is_some());
+            }
+        }
+        matched
+    }
+
+    #[test]
+    fn index_is_search_on_lib2() {
+        assert_eq!(assert_index_is_search(&crate::lib2()), 38);
+    }
+
+    /// Twins: cells of one function at one area, some with their pins
+    /// in another order, beside NaN areas (first and later) and a later,
+    /// cheaper copy.
+    const TWINS: &str = "
+GATE inv1   928  O=!a;                 PIN * INV 1.0 999 0.9 0.30 0.9 0.30
+GATE nand2  1392 O=!(a*b);             PIN * INV 1.0 999 1.0 0.25 1.0 0.25
+GATE nand2b 1392 O=!(b*a);             PIN * INV 1.0 999 1.0 0.25 1.0 0.25
+GATE andn2  1856 O=a*!b;               PIN * NONINV 1.0 999 1.6 0.25 1.6 0.25
+GATE nandn2 1856 O=!b*a;               PIN * NONINV 1.0 999 1.6 0.25 1.6 0.25
+GATE aoi21  1856 O=!(a*b + c);         PIN * INV 1.0 999 1.3 0.30 1.3 0.30
+GATE aoi21b 1856 O=!(c + b*a);         PIN * INV 1.0 999 1.3 0.30 1.3 0.30
+GATE maj3   NaN  O=a*b + a*c + b*c;    PIN * NONINV 1.0 999 1.3 0.30 1.3 0.30
+GATE maj3b  2000 O=a*b + b*c + a*c;    PIN * NONINV 1.0 999 1.3 0.30 1.3 0.30
+GATE xor2   2784 O=a*!b + !a*b;        PIN * UNKNOWN 2.0 999 1.9 0.30 1.9 0.30
+GATE xor2b  NaN  O=a*!b + !a*b;        PIN * UNKNOWN 2.0 999 1.9 0.30 1.9 0.30
+GATE or2    1856 O=a+b;                PIN * NONINV 1.0 999 1.7 0.26 1.7 0.26
+GATE or2c   1000 O=a+b;                PIN * NONINV 1.0 999 1.7 0.26 1.7 0.26
+GATE aoi22  2320 O=!(a*b + c*d);       PIN * INV 1.0 999 1.5 0.32 1.5 0.32
+GATE oai22  2320 O=!((a+b)*(c+d));     PIN * INV 1.0 999 1.5 0.32 1.5 0.32
+GATE oai22b 2320 O=!((c+d)*(b+a));     PIN * INV 1.0 999 1.5 0.32 1.5 0.32
+GATE mux21  2784 O=s*a + !s*b;         PIN * UNKNOWN 1.0 999 1.8 0.30 1.8 0.30
+GATE zero   0    O=CONST0;
+";
+
+    #[test]
+    fn index_is_search_over_twins() {
+        let lib = crate::genlib::parse_genlib("twins", TWINS).expect("valid genlib");
+        assert_eq!(assert_index_is_search(&lib), 23);
+        let name = |tt: TruthTable| {
+            let m = lib.match_function(&tt).expect("a match");
+            (lib.cell_ref(m.cell).name.as_str(), m.perm)
+        };
+        let (a, b, c) = (
+            TruthTable::var(0, 3),
+            TruthTable::var(1, 3),
+            TruthTable::var(2, 3),
+        );
+        let (x, y) = (TruthTable::var(0, 2), TruthTable::var(1, 2));
+        // Equal areas keep the earliest cell, at its first permutation.
+        assert_eq!(name(!(&x & &y)), ("nand2", vec![0, 1]));
+        assert_eq!(name(&y & &!x.clone()), ("andn2", vec![1, 0]));
+        assert_eq!(name(!(&(&c & &b) | &a)), ("aoi21", vec![1, 2, 0]));
+        // A first NaN area is never replaced; a later one never wins.
+        let maj = &(&(&a & &b) | &(&a & &c)) | &(&b & &c);
+        assert_eq!(name(maj), ("maj3", vec![0, 1, 2]));
+        assert_eq!(name(&x ^ &y), ("xor2", vec![0, 1]));
+        // A strictly smaller later area wins.
+        assert_eq!(name(&x | &y), ("or2c", vec![0, 1]));
+        assert_eq!(name(TruthTable::zero(0)), ("zero", vec![]));
+    }
+
+    /// Five- and six-pin cells: the index keeps the search's choice on
+    /// every sampled permutation of their functions.
+    #[test]
+    fn index_is_search_on_wide_cells() {
+        let lib = crate::genlib::parse_genlib(
+            "wide",
+            "
+GATE and5   3248 O=a*b*c*d*e;          PIN * NONINV 1.0 999 2.2 0.30 2.2 0.30
+GATE aoi33  2784 O=!(a*b*c + d*e*f);   PIN * INV 1.0 999 1.7 0.34 1.7 0.34
+GATE mix6   2784 O=a*!b + c*d*!e + f;  PIN * INV 1.0 999 1.7 0.34 1.7 0.34
+GATE mix6b  2784 O=f + c*d*!e + a*!b;  PIN * INV 1.0 999 1.7 0.34 1.7 0.34
+",
+        )
+        .expect("valid genlib");
+        let mut checked = 0;
+        for (_, cell) in lib.iter() {
+            let k = cell.inputs();
+            let mut perm: Vec<usize> = (0..k).collect();
+            let mut step = 0;
+            loop {
+                if step % 37 == 0 {
+                    let tt = cell.function.permute(&perm);
+                    let got = lib.match_function(&tt);
+                    assert!(got.is_some());
+                    assert_eq!(got, lib.search(&tt), "{} under {perm:?}", cell.name);
+                    checked += 1;
+                }
+                step += 1;
+                if !next_permutation(&mut perm) {
+                    break;
+                }
+            }
+        }
+        assert!(checked > 40);
+        let seven = TruthTable::from_fn(7, |m| m == 127);
+        assert_eq!(lib.match_table(7, 1), None);
+        assert_eq!(lib.match_function(&seven), None);
     }
 
     #[test]

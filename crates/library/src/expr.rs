@@ -9,7 +9,7 @@
 //! atom   := identifier | CONST0 | CONST1 | '(' expr ')'
 //! ```
 
-use powder_logic::TruthTable;
+use powder_logic::{TruthTable, MAX_TT_VARS};
 use std::fmt;
 
 /// Error produced while parsing a genlib Boolean expression.
@@ -155,6 +155,11 @@ impl<'a> Parser<'a> {
                     _ => {
                         let idx = match self.inputs.iter().position(|n| n == &name) {
                             Some(i) => i,
+                            None if self.inputs.len() == MAX_TT_VARS => {
+                                return Err(self.error(format!(
+                                    "more than {MAX_TT_VARS} inputs (a truth table's limit)"
+                                )));
+                            }
                             None => {
                                 self.inputs.push(name);
                                 self.inputs.len() - 1
@@ -186,7 +191,8 @@ fn eval(ast: &Ast, vars: usize) -> TruthTable {
 /// # Errors
 ///
 /// Returns [`ParseExprError`] on malformed input (unbalanced parentheses,
-/// stray operators, trailing garbage).
+/// stray operators, trailing garbage) and on more inputs than a
+/// [`TruthTable`] holds.
 ///
 /// # Example
 ///
@@ -282,6 +288,15 @@ mod tests {
         assert!(parse_expr("a +").is_err());
         assert!(parse_expr("a ) b").is_err());
         assert!(parse_expr("*a").is_err());
+    }
+
+    #[test]
+    fn too_many_inputs_is_an_error() {
+        let names = |n: usize| (0..n).map(|i| format!("x{i}")).collect::<Vec<_>>();
+        let widest = parse_expr(&names(MAX_TT_VARS).join("+")).unwrap();
+        assert_eq!(widest.inputs.len(), MAX_TT_VARS);
+        let err = parse_expr(&names(MAX_TT_VARS + 1).join("+")).unwrap_err();
+        assert!(err.message.contains("more than"), "{err}");
     }
 
     #[test]

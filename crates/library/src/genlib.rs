@@ -419,4 +419,168 @@ GATE xor2 2784 O=a*!b + !a*b;
             assert!((rcell.drive_res - cell.drive_res).abs() < 1e-9);
         }
     }
+
+    /// Numbers spliced over a gate's area or a pin's field.
+    const SPLICES: [&str; 6] = ["NaN", "1e999", "-0", "-1e999", "0", "1392"];
+
+    /// Input counts of the spliced expressions, around the index's and
+    /// the truth table's limits.
+    const WIDTHS: [usize; 7] = [5, 6, 7, 8, 22, 23, 40];
+
+    /// The lines of the gate block (a `GATE` line and its `PIN` lines)
+    /// that `at` picks, or `None` when no line starts with `GATE`.
+    fn gate_block(lines: &[String], at: usize) -> Option<std::ops::Range<usize>> {
+        let gates: Vec<usize> = (0..lines.len())
+            .filter(|&i| lines[i].starts_with("GATE"))
+            .collect();
+        let start = *gates.get(at % gates.len().max(1))?;
+        let end = (start + 1..lines.len())
+            .find(|&i| !lines[i].trim_start().starts_with("PIN"))
+            .unwrap_or(lines.len());
+        Some(start..end)
+    }
+
+    /// A `width`-input expression over `w0`, `w1`, …: products of up to
+    /// three literals, negated where `bits` says, summed.
+    fn wide_expr(width: usize, bits: u8) -> String {
+        let mut e = String::new();
+        for i in 0..width {
+            if i > 0 {
+                e.push(if i % 3 == 0 { '+' } else { '*' });
+            }
+            if (bits >> (i % 8)) & 1 == 1 {
+                e.push('!');
+            }
+            e.push_str(&format!("w{i}"));
+        }
+        e
+    }
+
+    /// Applies one edit to genlib text: a bit flip, a truncation, a
+    /// duplicated gate block (renamed when `pick` is odd, which makes an
+    /// equal-area twin), a number spliced over a field, or a wide
+    /// expression spliced over a gate's function.
+    fn mutate(text: &mut Vec<u8>, kind: u8, at: u16, pick: u8) {
+        let at = usize::from(at);
+        if kind < 2 {
+            let pos = at % (text.len() + 1);
+            match kind {
+                0 if pos < text.len() => text[pos] ^= 1 << (pick % 8),
+                _ => text.truncate(pos),
+            }
+            return;
+        }
+        let mut lines: Vec<String> = String::from_utf8_lossy(text)
+            .lines()
+            .map(str::to_string)
+            .collect();
+        let Some(block) = gate_block(&lines, at) else {
+            return;
+        };
+        match kind {
+            2 => {
+                let mut copy: Vec<String> = lines[block.clone()].to_vec();
+                let name = copy[0].split_whitespace().nth(1).map(str::to_string);
+                if let (Some(name), 1) = (name, pick % 2) {
+                    copy[0] = copy[0].replacen(&name, &format!("{name}_twin"), 1);
+                }
+                let end = block.end;
+                lines.splice(end..end, copy);
+            }
+            3 => {
+                let line = block.start + (at / 7) % block.len();
+                let mut toks: Vec<String> = lines[line].split(' ').map(str::to_string).collect();
+                let numeric: Vec<usize> = (0..toks.len())
+                    .filter(|&i| toks[i].parse::<f64>().is_ok())
+                    .collect();
+                if let Some(&i) = numeric.get(usize::from(pick) % numeric.len().max(1)) {
+                    toks[i] = SPLICES[usize::from(pick) / 8 % SPLICES.len()].to_string();
+                }
+                lines[line] = toks.join(" ");
+            }
+            _ => {
+                let gate = &lines[block.start];
+                let name: String = gate
+                    .split_whitespace()
+                    .take(3)
+                    .collect::<Vec<_>>()
+                    .join(" ");
+                let width = WIDTHS[usize::from(pick) % WIDTHS.len()];
+                lines[block.start] = format!(
+                    "{name} O={};\n    PIN * UNKNOWN 1.0 999 1.0 0.2 1.0 0.2",
+                    wide_expr(width, pick)
+                );
+            }
+        }
+        *text = lines.join("\n").into_bytes();
+    }
+
+    /// Sampled functions of at most 4 inputs: every function of up to 3
+    /// inputs, each cell function of at most 4 inputs with its pins
+    /// reversed, and `extra` as a 4-input table.
+    fn sampled_functions(lib: &Library, extra: u16) -> Vec<TruthTable> {
+        let mut out = Vec::new();
+        for k in 0..=3usize {
+            for word in 0..1u64 << (1 << k) {
+                out.push(TruthTable::from_fn(k, |m| (word >> m) & 1 == 1));
+            }
+        }
+        for (_, cell) in lib.iter() {
+            let k = cell.function.vars();
+            if k <= 4 {
+                let reversed: Vec<usize> = (0..k).rev().collect();
+                out.push(cell.function.permute(&reversed));
+            }
+        }
+        out.push(TruthTable::from_fn(4, |m| (extra >> m) & 1 == 1));
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Bit flips, truncations, duplicated gates and spliced numbers
+        /// and wide expressions applied to lib2's genlib text never panic
+        /// the parser, and every library it accepts matches as the
+        /// permutation search does.
+        #[test]
+        fn mutated_genlib_never_panics(
+            edits in proptest::collection::vec(
+                (0u8..5, proptest::prelude::any::<u16>(), proptest::prelude::any::<u8>()),
+                1..5,
+            ),
+            extra in proptest::prelude::any::<u16>(),
+        ) {
+            let mut text = write_genlib(&crate::lib2()).into_bytes();
+            for (kind, at, pick) in edits {
+                mutate(&mut text, kind, at, pick);
+            }
+            let text = String::from_utf8_lossy(&text);
+            if let Ok(lib) = parse_genlib("mutant", &text) {
+                for tt in sampled_functions(&lib, extra) {
+                    proptest::prop_assert_eq!(lib.match_function(&tt), lib.search(&tt), "{}", text);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mutations_reach_twins_nan_areas_and_wide_cells() {
+        let base = write_genlib(&crate::lib2()).into_bytes();
+        let mut twin = base.clone();
+        mutate(&mut twin, 2, 3, 1);
+        let lib = parse_genlib("twin", &String::from_utf8_lossy(&twin)).unwrap();
+        assert_eq!(lib.len(), crate::lib2().len() + 1);
+        let mut nan = base.clone();
+        mutate(&mut nan, 3, 0, 0);
+        let lib = parse_genlib("nan", &String::from_utf8_lossy(&nan)).unwrap();
+        assert!(lib.iter().any(|(_, c)| c.area.is_nan()));
+        let mut wide = base.clone();
+        mutate(&mut wide, 4, 0, 4);
+        let lib = parse_genlib("wide", &String::from_utf8_lossy(&wide)).unwrap();
+        assert!(lib.iter().any(|(_, c)| c.inputs() == 22));
+        let mut wider = base;
+        mutate(&mut wider, 4, 0, 5);
+        assert!(parse_genlib("wider", &String::from_utf8_lossy(&wider)).is_err());
+    }
 }

@@ -33,6 +33,6 @@ pub mod expr;
 pub mod genlib;
 mod lib2_def;
 
-pub use cell::{Cell, CellId, Library, Match, Pin};
+pub use cell::{Cell, CellId, Library, Match, Pin, MAX_INDEXED_INPUTS};
 pub use lib2_def::lib2;
 pub use lib2_def::lib2x;

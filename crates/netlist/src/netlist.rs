@@ -97,23 +97,28 @@ impl GateColumns {
         &self.names[i]
     }
 
+    #[inline]
     pub(crate) fn kind(&self, i: usize) -> GateKind {
         self.kinds[i]
     }
 
+    #[inline]
     pub(crate) fn alive(&self, i: usize) -> bool {
         self.alive[i]
     }
 
+    #[inline]
     pub(crate) fn fanins(&self, i: usize) -> &[GateId] {
         let off = self.fanin_off[i] as usize;
         &self.fanin_pool[off..off + self.fanin_len[i] as usize]
     }
 
+    #[inline]
     pub(crate) fn fanouts(&self, i: usize) -> &[Conn] {
         &self.fanouts[i]
     }
 
+    #[inline]
     fn pin_cap(&self, i: usize, pin: usize) -> f64 {
         debug_assert!(pin < self.fanin_len[i] as usize);
         self.pin_cap_pool[self.fanin_off[i] as usize + pin]
@@ -305,6 +310,7 @@ impl Netlist {
     }
 
     /// Whether `id` refers to a live (not removed) gate.
+    #[inline]
     #[must_use]
     pub fn is_live(&self, id: GateId) -> bool {
         self.cols.alive.get(id.0 as usize).copied().unwrap_or(false)
@@ -359,12 +365,14 @@ impl Netlist {
     }
 
     /// Gate kind.
+    #[inline]
     #[must_use]
     pub fn kind(&self, id: GateId) -> GateKind {
         self.cols.kind(self.idx(id))
     }
 
     /// The cell id of a cell instance, `None` for pseudo-gates.
+    #[inline]
     #[must_use]
     pub fn cell_id(&self, id: GateId) -> Option<CellId> {
         match self.kind(id) {
@@ -374,12 +382,14 @@ impl Netlist {
     }
 
     /// Fanin gates, in pin order.
+    #[inline]
     #[must_use]
     pub fn fanins(&self, id: GateId) -> &[GateId] {
         self.cols.fanins(self.idx(id))
     }
 
     /// Fanout branches.
+    #[inline]
     #[must_use]
     pub fn fanouts(&self, id: GateId) -> &[Conn] {
         self.cols.fanouts(self.idx(id))
@@ -403,6 +413,7 @@ impl Netlist {
     /// Capacitive load driven by the stem of `id`: the sum of the input-pin
     /// capacitances of its sinks, with primary-output sinks contributing
     /// `output_load` each.
+    #[inline]
     #[must_use]
     pub fn load_cap(&self, id: GateId, output_load: f64) -> f64 {
         self.cols
@@ -413,6 +424,7 @@ impl Netlist {
     }
 
     /// Capacitance of one branch (one sink pin).
+    #[inline]
     #[must_use]
     pub fn branch_cap(&self, conn: &Conn, output_load: f64) -> f64 {
         let i = self.idx(conn.gate);

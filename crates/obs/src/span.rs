@@ -192,17 +192,29 @@ impl Span {
         Span::enter_slow(name.into())
     }
 
+    /// Opens a recording span, or, when the thread's buffer is already
+    /// full, counts the event as dropped and returns an inert span: no
+    /// span id, stack push or clock read. A buffer only empties when it
+    /// is drained or folded, so a span entered full would be dropped at
+    /// its end anyway, unless a drain came in between.
     fn enter_slow(name: Cow<'static, str>) -> Span {
-        let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-        let parent = TRACE
+        // A thread whose trace is already torn down records nothing,
+        // so its spans are inert too.
+        let opened = TRACE
             .try_with(|t| {
                 let mut t = t.borrow_mut();
+                if t.ring.len() >= RING_CAPACITY.load(Ordering::Relaxed) {
+                    t.dropped += 1;
+                    return None;
+                }
+                let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
                 let parent = t.stack.last().copied().unwrap_or(0);
                 t.stack.push(id);
-                parent
+                Some((id, parent))
             })
-            .unwrap_or(0);
-        Span(Some(SpanInner {
+            .ok()
+            .flatten();
+        Span(opened.map(|(id, parent)| SpanInner {
             name,
             start_ns: now_ns(),
             id,
@@ -349,6 +361,56 @@ mod tests {
             .track_names
             .iter()
             .any(|(t, n)| worker_tracks.contains(t) && n == "worker"));
+    }
+
+    /// A span entered on a full buffer is inert, so the split between
+    /// recorded and dropped events is what dropping at the span's end
+    /// gave, and recorded spans keep their parents.
+    #[test]
+    fn full_buffer_spans_are_inert() {
+        let _g = lock();
+        set_ring_capacity(16);
+        set_tracing_enabled(true);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let outer = Span::enter("outer");
+                for _ in 0..40 {
+                    let _child = Span::enter("child");
+                    drop(Span::enter("leaf"));
+                }
+                // Buffer full: inert, and its stack push never happens.
+                assert!(Span::enter("late").0.is_none());
+                drop(outer);
+                flush_thread();
+            });
+        });
+        set_tracing_enabled(false);
+        set_ring_capacity(DEFAULT_RING_CAPACITY);
+        let dump = drain();
+        let mine: Vec<&TraceEvent> = dump
+            .events
+            .iter()
+            .filter(|e| ["outer", "child", "leaf", "late"].contains(&e.name.as_ref()))
+            .collect();
+        // Eight child/leaf pairs fill the buffer; the other 32 pairs,
+        // `late` and `outer` (full when it ends) are dropped.
+        assert_eq!(mine.len(), 16, "{mine:?}");
+        assert_eq!(dump.dropped, 32 * 2 + 2);
+        let children: Vec<&&TraceEvent> = mine.iter().filter(|e| e.name == "child").collect();
+        assert_eq!(children.len(), 8);
+        let outer = children[0].parent;
+        assert_ne!(outer, 0);
+        assert!(children.iter().all(|c| c.parent == outer));
+        for leaf in mine.iter().filter(|e| e.name == "leaf") {
+            assert!(
+                children
+                    .iter()
+                    .any(|c| c.id == leaf.parent && c.id < leaf.id),
+                "leaf {} has parent {}",
+                leaf.id,
+                leaf.parent
+            );
+        }
     }
 
     #[test]

@@ -164,12 +164,14 @@ impl PowerEstimator {
     }
 
     /// Signal probability of gate `id`.
+    #[inline]
     #[must_use]
     pub fn probability(&self, id: GateId) -> f64 {
         self.probs[id.0 as usize]
     }
 
     /// Transition probability `E(id) = 2·p·(1−p)`.
+    #[inline]
     #[must_use]
     pub fn transition(&self, id: GateId) -> f64 {
         let p = self.probability(id);
